@@ -6,13 +6,19 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-chrysalis bench-kernels bench-pipeline bench-shard bench-seq bench-fm lint-ascii verify clean
+.PHONY: build test test-short race fuzz bench bench-chrysalis bench-kernels bench-pipeline bench-shard bench-seq bench-e2e bench-check lint-ascii verify clean
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The inner loop: internal/experiments shrinks its lab 3x under -short,
+# so the whole suite takes seconds, not minutes. `make test` stays the
+# full-size sweep.
+test-short:
+	$(GO) test -short ./...
 
 race:
 	$(GO) test -race ./...
@@ -27,8 +33,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadSAM -fuzztime 10s ./internal/bowtie/
 	$(GO) test -run '^$$' -fuzz FuzzAlignDegenerateReads -fuzztime 10s ./internal/bowtie/
 	$(GO) test -run '^$$' -fuzz FuzzFlatSet -fuzztime 10s ./internal/kmer/
-	$(GO) test -run '^$$' -fuzz FuzzStreamingMerge -fuzztime 10s ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzPackedBackwardSearch -fuzztime 10s ./internal/fm/
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -66,14 +70,13 @@ bench-kernels:
 	       END { printf("\n}\n") }' > $(BENCH_KERNELS_JSON)
 	@cat $(BENCH_KERNELS_JSON)
 
-# Pipeline-tail snapshot: the serial-vs-parallel tail sweep plus the
-# streaming-vs-barrier DAG sweep, recorded as BENCH_pipeline.json
-# (wall tail seconds plus the deterministic LPT makespan models — see
-# DESIGN.md #9 and #10) so tail-scaling regressions show up in review
-# diffs. Same awk JSON conversion as bench-chrysalis.
+# Pipeline-tail snapshot: the tail worker-pool sweep, recorded as
+# BENCH_pipeline.json (wall tail seconds plus the deterministic LPT
+# makespan model — see DESIGN.md #9) so tail-scaling regressions show
+# up in review diffs. Same awk JSON conversion as bench-chrysalis.
 BENCH_PIPELINE_JSON ?= BENCH_pipeline.json
 bench-pipeline:
-	$(GO) test -run '^$$' -bench 'BenchmarkPipeline(Tail|Streaming)' -benchtime 3x -timeout 30m . \
+	$(GO) test -run '^$$' -bench 'BenchmarkPipelineTail' -benchtime 3x -timeout 30m . \
 	| awk 'BEGIN { printf("{\n") } \
 	       /^Benchmark/ { if (n++) printf(",\n"); \
 	         printf("  \"%s\": {\"iterations\": %s", $$1, $$2); \
@@ -118,29 +121,23 @@ bench-seq:
 	       END { printf("\n}\n") }' > $(BENCH_SEQ_JSON)
 	@cat $(BENCH_SEQ_JSON)
 
-# Packed FM-index snapshot: backward-search and locate throughput of
-# the 2-bit packed index vs the ASCII index over the same text (the
-# searchx/residentx ratios must stay ≥ 3), plus the parallel
-# suffix-array construction sweep (workers=4 must stay > 1.5x faster
-# than workers=1), recorded as BENCH_fm.json so index regressions show
-# up in review diffs. Same awk JSON conversion as bench-chrysalis.
-BENCH_FM_JSON ?= BENCH_fm.json
-bench-fm:
-	$(GO) test -run '^$$' -bench 'BenchmarkFM(Search|Locate|Resident|Build)' -benchmem -benchtime 1s -timeout 30m ./internal/fm/ \
-	| awk 'BEGIN { printf("{\n") } \
-	       /^Benchmark/ { if (n++) printf(",\n"); \
-	         printf("  \"%s\": {\"iterations\": %s", $$1, $$2); \
-	         for (i = 3; i < NF; i += 2) printf(", \"%s\": %s", $$(i+1), $$i); \
-	         printf("}") } \
-	       END { printf("\n}\n") }' > $(BENCH_FM_JSON)
-	@cat $(BENCH_FM_JSON)
+# The end-to-end, layer-attributed assembly benchmark (bench/README.md):
+# every BENCHMARK.json workload, each in its own process. bench-check
+# compares such a set against the checked-in baseline and exits 1 on a
+# regression beyond a metric's bound.
+BENCH_E2E_JSON ?= .bench_build/e2e.json
+bench-e2e:
+	bash bench/run.sh -out $(BENCH_E2E_JSON)
+
+bench-check: bench-e2e
+	bash bench/run.sh -compare bench/results/baseline.json $(BENCH_E2E_JSON)
 
 # ASCII-decode gate for the packed hot paths: sequence payloads in the
 # Chrysalis/Inchworm/Jellyfish/Bowtie packages must stay 2-bit packed —
 # any .Decode()/.AppendDecode materialisation needs an explicit
 # `ascii-ok: <why>` annotation naming the file/result boundary it
 # serves. New unannotated conversions fail the build.
-LINT_ASCII_PKGS = internal/chrysalis internal/inchworm internal/jellyfish internal/bowtie internal/fm
+LINT_ASCII_PKGS = internal/chrysalis internal/inchworm internal/jellyfish internal/bowtie
 lint-ascii:
 	@bad=$$(grep -nE '\.Decode\(|\.AppendDecode\(' $$(find $(LINT_ASCII_PKGS) -name '*.go' ! -name '*_test.go') /dev/null | grep -v 'ascii-ok:'; true); \
 	if [ -n "$$bad" ]; then \
@@ -153,18 +150,11 @@ lint-ascii:
 verify: build lint-ascii
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race ./internal/core/...
-	$(GO) test -race ./internal/shard/... ./internal/mpi/...
-	$(GO) test -race ./internal/chrysalis/...
-	$(GO) test -race ./internal/seq/... ./internal/dsk/...
-	$(GO) test -race ./internal/fm/... ./internal/bowtie/...
 	$(GO) test -run '^$$' -bench 'Chrysalis(WithFaultLayer|TraceRecorder)' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'Benchmark($(KERNEL_BENCH))' -benchtime 1x ./internal/chrysalis/ ./internal/jellyfish/
 	$(GO) test -run '^$$' -bench 'BenchmarkPipelineTail' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkPipelineStreaming' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkShardScaling' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkSeq(PackedResidentBytes|RevComp)|BenchmarkKmerIter' -benchtime 1x ./internal/seq/ ./internal/kmer/
-	$(GO) test -run '^$$' -bench 'BenchmarkFM(Search|Locate|Resident|Build)' -benchtime 1x ./internal/fm/
 
 clean:
 	rm -rf bin

@@ -180,7 +180,7 @@ func BenchmarkHeadlineSpeedups(b *testing.B) {
 // replicated and sharded paths, the addressed lookup-exchange bytes,
 // the fraction of fetch wall-time the overlapped tile pipeline hid
 // under compute, and the same residency trade for the sharded R2T
-// bundle tables — with outputs verified identical (DESIGN.md §11/§13).
+// bundle tables — with outputs verified identical (DESIGN.md §10).
 func BenchmarkShardScaling(b *testing.B) {
 	l := lab(b)
 	for i := 0; i < b.N; i++ {
@@ -378,10 +378,10 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineTail measures the parallel pipeline tail (concurrent
-// Bowtie partitions + component-parallel DeBruijn/Quantify/Butterfly)
-// against the serial reference tail (TailWorkers=1), sweeping the pool
-// size with GOMAXPROCS pinned to match. Two kinds of numbers come out:
+// BenchmarkPipelineTail measures the pipeline tail (concurrent Bowtie
+// partitions + component-parallel DeBruijn/Quantify/Butterfly) against
+// the same tail on one worker (TailWorkers=1), sweeping the pool size
+// with GOMAXPROCS pinned to match. Two kinds of numbers come out:
 //
 //   - wall_*_tail_s: measured wall time of the three tail stages. On a
 //     multi-core host the parallel wall time drops with the pool; on
@@ -396,8 +396,7 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 //     experiment uses, and it is asserted: >= 2x at 4+ workers.
 //
 // Every sweep point also re-checks the determinism contract: the
-// parallel tail's transcripts must be byte-identical to the serial
-// reference's.
+// pool's transcripts must be byte-identical to the one-worker run's.
 func BenchmarkPipelineTail(b *testing.B) {
 	p := TinyProfile(1)
 	p.Reads = 6000 // enough coverage that the tail dominates front-end noise
@@ -473,107 +472,6 @@ func BenchmarkPipelineTail(b *testing.B) {
 			b.ReportMetric(speedup, "model_speedup_x")
 			if w >= 4 && speedup < 2 {
 				b.Errorf("workers=%d: modelled tail speedup %.2fx below the 2x floor", w, speedup)
-			}
-		})
-	}
-}
-
-// BenchmarkPipelineStreaming prices the streaming channel-DAG tail
-// against the barrier-stepped tail it replaces. The deterministic work
-// units are the same as BenchmarkPipelineTail's (they are counters of
-// the input, identical across execution modes); what changes is the
-// schedule the makespan model prices:
-//
-//   - barrier: LPT(partitions, w) + LPT(components, w) — Bowtie fully
-//     drains before any component work starts, and the component phase
-//     prices graph build + quantify/assembly together.
-//   - streaming: LPT(partitions, w) + max(0, LPT(build, w) − r2t) +
-//     LPT(quantify, w) — component-graph construction overlaps the
-//     ReadsToTranscripts window (the DAG starts building as soon as
-//     the components exist), so only the part of the build makespan
-//     that outlasts R2T stays on the critical path. The result is
-//     clamped at the barrier makespan: overlap can only help.
-//
-// Asserted: the modelled streaming speedup strictly beats the barrier
-// model at every w >= 4 (the barrier baseline is 2.84x on this
-// dataset), and — the determinism contract again — the streaming
-// transcripts are byte-identical to the barrier run's at every sweep
-// point.
-func BenchmarkPipelineStreaming(b *testing.B) {
-	p := TinyProfile(1)
-	p.Reads = 6000
-	d := GenerateDataset(p)
-	node := cluster.BlueWonder(1)
-	cfg := Config{K: 21, ThreadsPerRank: 2, Ranks: 4, Seed: 7}
-	sum := func(units []float64) float64 {
-		t := 0.0
-		for _, u := range units {
-			t += u
-		}
-		return t
-	}
-	// One metering run prices the whole sweep (units are worker- and
-	// depth-invariant; the battery pins this).
-	mcfg := cfg
-	mcfg.TailWorkers = 2
-	mcfg.Streaming.Enabled = true
-	metered, err := Assemble(d.Reads, mcfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	units := metered.Tail
-	modelSerial := node.WorkTime(sum(units.PartitionUnits) + sum(units.ComponentUnits))
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
-			modelBarrier := node.WorkTime(omp.LPTMakespan(units.PartitionUnits, w) +
-				omp.LPTMakespan(units.ComponentUnits, w))
-			buildTail := omp.LPTMakespan(units.BuildUnits, w) - units.R2TUnits
-			if buildTail < 0 {
-				buildTail = 0
-			}
-			modelStream := node.WorkTime(omp.LPTMakespan(units.PartitionUnits, w) +
-				buildTail + omp.LPTMakespan(units.QuantUnits, w))
-			if modelStream > modelBarrier {
-				modelStream = modelBarrier
-			}
-			for i := 0; i < b.N; i++ {
-				bcfg := cfg
-				bcfg.TailWorkers = w
-				barrier, err := Assemble(d.Reads, bcfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				scfg := bcfg
-				scfg.Streaming.Enabled = true
-				stream, err := Assemble(d.Reads, scfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(stream.Transcripts) != len(barrier.Transcripts) {
-					b.Fatalf("workers=%d: %d transcripts vs barrier %d",
-						w, len(stream.Transcripts), len(barrier.Transcripts))
-				}
-				for t := range barrier.Transcripts {
-					if barrier.Transcripts[t].ID != stream.Transcripts[t].ID ||
-						string(barrier.Transcripts[t].Seq) != string(stream.Transcripts[t].Seq) {
-						b.Fatalf("workers=%d: transcript %d differs between streaming and barrier", w, t)
-					}
-				}
-			}
-			speedupBarrier := modelSerial / modelBarrier
-			speedupStream := modelSerial / modelStream
-			b.ReportMetric(modelSerial, "model_serial_s")
-			b.ReportMetric(modelBarrier, "model_barrier_s")
-			b.ReportMetric(modelStream, "model_stream_s")
-			b.ReportMetric(speedupBarrier, "model_barrier_speedup_x")
-			b.ReportMetric(speedupStream, "model_stream_speedup_x")
-			if w >= 4 && speedupStream <= speedupBarrier {
-				b.Errorf("workers=%d: streaming speedup %.3fx does not beat barrier %.3fx",
-					w, speedupStream, speedupBarrier)
-			}
-			if w >= 4 && speedupStream <= 2.84 {
-				b.Errorf("workers=%d: streaming speedup %.3fx below the 2.84x barrier baseline", w, speedupStream)
 			}
 		})
 	}

@@ -29,7 +29,6 @@ func main() {
 	seedLen := flag.Int("seed", 16, "seed k-mer length")
 	maxMM := flag.Int("max-mismatch", 3, "mismatch budget")
 	threads := flag.Int("threads", 0, "alignment threads per partition (0 = all cores)")
-	backend := flag.String("backend", "hash", "seed location backend: hash or fm (BWT index)")
 	flag.Parse()
 
 	if *readsPath == "" || *contigsPath == "" {
@@ -45,14 +44,6 @@ func main() {
 		log.Fatal(err)
 	}
 	opt := bowtie.Options{SeedLen: *seedLen, MaxMismatch: *maxMM, Threads: *threads}
-	switch *backend {
-	case "hash":
-		opt.Backend = bowtie.HashSeeds
-	case "fm":
-		opt.Backend = bowtie.FMIndex
-	default:
-		log.Fatalf("unknown backend %q (use hash or fm)", *backend)
-	}
 
 	parts := [][]seq.Record{contigs}
 	if *nprocs > 1 {

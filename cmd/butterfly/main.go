@@ -31,7 +31,7 @@ func main() {
 	out := flag.String("out", "transcripts.fa", "output transcript FASTA")
 	k := flag.Int("k", 25, "k-mer length")
 	maxPaths := flag.Int("max-paths", 10, "transcripts per component")
-	workers := flag.Int("workers", omp.DefaultThreads(), "component-parallel workers (1 = serial)")
+	workers := flag.Int("workers", omp.DefaultThreads(), "component-parallel workers")
 	flag.Parse()
 
 	if *contigsPath == "" || *compsPath == "" {
@@ -57,22 +57,12 @@ func main() {
 		}
 	}
 	// Build + quantify + reconstruct component-parallel (the pipeline
-	// tail); -workers 1 falls back to the serial composition.
-	var graphs []*chrysalis.ComponentGraph
-	var ts []butterfly.Transcript
-	bopt := butterfly.Options{MaxPathsPerComponent: *maxPaths}
-	if *workers == 1 {
-		if graphs, err = chrysalis.FastaToDeBruijn(contigs, comps, *k); err != nil {
-			log.Fatal(err)
-		}
-		chrysalis.QuantifyGraph(graphs, reads, assigns)
-		ts = butterfly.Reconstruct(graphs, bopt)
-	} else {
-		if graphs, _, _, err = chrysalis.FastaToDeBruijnParallel(contigs, comps, *k, reads, assigns, *workers); err != nil {
-			log.Fatal(err)
-		}
-		ts, _ = butterfly.ReconstructParallel(graphs, bopt, *workers)
+	// tail).
+	graphs, _, _, err := chrysalis.FastaToDeBruijnParallel(contigs, comps, *k, reads, assigns, *workers)
+	if err != nil {
+		log.Fatal(err)
 	}
+	ts, _ := butterfly.ReconstructParallel(graphs, butterfly.Options{MaxPathsPerComponent: *maxPaths}, *workers)
 	if err := seq.WriteFastaFile(*out, butterfly.Records(ts)); err != nil {
 		log.Fatal(err)
 	}

@@ -32,8 +32,6 @@ func main() {
 	maxWelds := flag.Int("max-welds", 100, "weld harvest cap per contig")
 	seed := flag.Int64("seed", 0, "run seed")
 	shardKmers := flag.Bool("shard-kmers", false, "partition the k-mer lookup state across ranks (byte-identical output)")
-	noOverlapFetch := flag.Bool("no-overlap-fetch", false, "with -shard-kmers, keep lookup rounds blocking instead of the double-buffered tile pipeline")
-	fetchTileChunks := flag.Int("fetch-tile-chunks", 0, "with -shard-kmers, chunks per overlapped lookup round (0 = default 8)")
 	flag.Parse()
 
 	if *contigsPath == "" || *readsPath == "" {
@@ -52,10 +50,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	overlap := chrysalis.OverlapDefault
-	if *noOverlapFetch {
-		overlap = chrysalis.OverlapOff
-	}
 	res, err := chrysalis.GraphFromFasta(contigs, table, *nprocs, chrysalis.GFFOptions{
 		K:                 *k,
 		MinWeldSupport:    *support,
@@ -63,8 +57,6 @@ func main() {
 		ThreadsPerRank:    *threads,
 		Seed:              *seed,
 		ShardKmers:        *shardKmers,
-		OverlapFetch:      overlap,
-		FetchTileChunks:   *fetchTileChunks,
 	})
 	if err != nil {
 		log.Fatal(err)

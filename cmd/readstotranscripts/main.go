@@ -31,8 +31,6 @@ func main() {
 	k := flag.Int("k", 25, "k-mer length")
 	maxMem := flag.Int("max-mem-reads", 1000, "reads uploaded into memory per chunk")
 	shardKmers := flag.Bool("shard-kmers", false, "partition the k-mer→bundle table across ranks (byte-identical output)")
-	noOverlapFetch := flag.Bool("no-overlap-fetch", false, "with -shard-kmers, keep lookup rounds blocking instead of the double-buffered tile pipeline")
-	fetchTileChunks := flag.Int("fetch-tile-chunks", 0, "with -shard-kmers, chunks per overlapped lookup round (0 = default 8)")
 	flag.Parse()
 
 	if *readsPath == "" || *contigsPath == "" || *compsPath == "" {
@@ -51,17 +49,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	overlap := chrysalis.OverlapDefault
-	if *noOverlapFetch {
-		overlap = chrysalis.OverlapOff
-	}
 	res, err := chrysalis.ReadsToTranscripts(reads, contigs, comps, *nprocs, chrysalis.R2TOptions{
-		K:               *k,
-		MaxMemReads:     *maxMem,
-		ThreadsPerRank:  *threads,
-		ShardKmers:      *shardKmers,
-		OverlapFetch:    overlap,
-		FetchTileChunks: *fetchTileChunks,
+		K:              *k,
+		MaxMemReads:    *maxMem,
+		ThreadsPerRank: *threads,
+		ShardKmers:     *shardKmers,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -16,7 +16,6 @@ import (
 	"os"
 	"strings"
 
-	"gotrinity/internal/bowtie"
 	"gotrinity/internal/chrysalis"
 	"gotrinity/internal/cluster"
 	"gotrinity/internal/core"
@@ -35,19 +34,13 @@ func main() {
 	k := flag.Int("k", 25, "k-mer length")
 	seed := flag.Int64("seed", 0, "run seed (perturbs weld harvest order)")
 	shardKmers := flag.Bool("shard-kmers", false, "partition Chrysalis k-mer lookup state across ranks (distributed hash table; byte-identical output)")
-	noOverlapFetch := flag.Bool("no-overlap-fetch", false, "with --shard-kmers, keep lookup rounds blocking instead of the double-buffered tile pipeline")
-	fetchTileChunks := flag.Int("fetch-tile-chunks", 0, "with --shard-kmers, chunks per overlapped lookup round (0 = default 8)")
 	asciiSeq := flag.Bool("ascii-seq", false, "keep sequences byte-per-base ASCII on the hot paths (default: 2-bit packed end-to-end; byte-identical output)")
-	bowtieBackend := flag.String("bowtie-backend", "hash", "bowtie seed location backend: hash (seed table) or fm (packed FM-index; byte-identical output)")
 	external := flag.Bool("external", false, "external-memory mode: disk-partitioned k-mer counting (DSK) + packed-resident sequences for larger-than-RAM datasets")
 	externalBudget := flag.Int("external-budget-mb", 0, "advisory resident-memory budget for --external in MiB (0 = unbudgeted; reported, not enforced)")
 	externalTmp := flag.String("external-tmp", "", "directory for --external partition files (default: system temp dir)")
 	externalParts := flag.Int("external-partitions", 0, "disk partitions for --external counting (0 = default 8)")
 	minPairs := flag.Int("min-pair-support", 0, "drop transcripts spanned by fewer mate pairs (0 = keep all)")
-	tailWorkers := flag.Int("tail-workers", 0, "pipeline-tail worker pool (0 = GOMAXPROCS, 1 = serial reference tail)")
-	streaming := flag.Bool("streaming", false, "run the pipeline tail as a streaming DAG of bounded channels (overlapping stages, byte-identical output)")
-	streamBuffer := flag.Int("stream-buffer", 0, "streaming channel buffer depth (0 = default 8)")
-	streamArtifacts := flag.String("stream-artifacts", "", "directory for streamed artifacts (transcripts.fa written with overlapped positional I/O)")
+	tailWorkers := flag.Int("tail-workers", 0, "pipeline-tail worker pool (0 = GOMAXPROCS)")
 	showTrace := flag.Bool("trace", false, "print the per-stage Collectl-style trace")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the run (chrome://tracing, Perfetto)")
 	metricsOut := flag.String("metrics-out", "", "write Prometheus-style text metrics of the run")
@@ -78,26 +71,13 @@ func main() {
 		rec.Meta(fmt.Sprintf("nprocs: %d threads: %d k: %d seed: %d", *nprocs, *threads, *k, *seed))
 	}
 
-	var backend bowtie.Backend
-	switch *bowtieBackend {
-	case "hash":
-		backend = bowtie.HashSeeds
-	case "fm":
-		backend = bowtie.FMIndex
-	default:
-		log.Fatalf("unknown bowtie backend %q (use hash or fm)", *bowtieBackend)
-	}
-
 	res, err := core.Run(reads, core.Config{
 		K:              *k,
 		Ranks:          *nprocs,
 		ThreadsPerRank: *threads,
 		Seed:           *seed,
-		ShardKmers:      *shardKmers,
-		NoOverlapFetch:  *noOverlapFetch,
-		FetchTileChunks: *fetchTileChunks,
-		ASCIISeq:        *asciiSeq,
-		Bowtie:          bowtie.Options{Backend: backend},
+		ShardKmers:     *shardKmers,
+		ASCIISeq:       *asciiSeq,
 		External: core.ExternalConfig{
 			Enabled:      *external,
 			MemoryBudget: int64(*externalBudget) << 20,
@@ -106,11 +86,6 @@ func main() {
 		},
 		MinPairSupport: *minPairs,
 		TailWorkers:    *tailWorkers,
-		Streaming: core.StreamingConfig{
-			Enabled:     *streaming,
-			BufferDepth: *streamBuffer,
-			ArtifactDir: *streamArtifacts,
-		},
 		FaultSpec:      *faultSpec,
 		FaultSeed:      *faultSeed,
 		Recover:        *recover,

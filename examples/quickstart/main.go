@@ -48,25 +48,6 @@ func main() {
 	fmt.Printf("recovered %d/%d reference isoforms at >=90%% length, >=95%% identity\n",
 		recovered, len(dataset.Reference))
 
-	// The same run with the streaming pipeline tail: Bowtie →
-	// Butterfly execute as a DAG of bounded channels whose stages
-	// overlap in wall time. Output is byte-identical to the barrier
-	// run above — the determinism battery in the tests pins this.
-	streamed, err := trinity.Assemble(dataset.Reads, trinity.Config{
-		K: 21, ThreadsPerRank: 4,
-		Streaming: trinity.StreamingConfig{Enabled: true},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	same := len(streamed.Transcripts) == len(result.Transcripts)
-	for i := 0; same && i < len(result.Transcripts); i++ {
-		same = streamed.Transcripts[i].ID == result.Transcripts[i].ID &&
-			string(streamed.Transcripts[i].Seq) == string(result.Transcripts[i].Seq)
-	}
-	fmt.Printf("streaming tail: %d transcripts, byte-identical to barrier run: %v\n",
-		len(streamed.Transcripts), same)
-
 	// Stage trace, Collectl style.
 	fmt.Println("\nmeasured stage trace:")
 	if err := result.Trace.Render(logWriter{}); err != nil {

@@ -102,38 +102,3 @@ func TestGoldenRecoveryLayerInert(t *testing.T) {
 		t.Fatal("recovery-enabled run differs from baseline")
 	}
 }
-
-// TestGoldenStreamingMatchesBarrier: the streaming channel-DAG tail is
-// a pure execution-order change — for every worker count and buffer
-// depth its transcript FASTA is byte-identical to the barrier-stepped
-// run's.
-func TestGoldenStreamingMatchesBarrier(t *testing.T) {
-	d := GenerateDataset(TinyProfile(7))
-	want := goldenFasta(t, d.Reads, goldenConfig(4))
-	for _, wd := range [][2]int{{1, 1}, {4, 8}, {8, 64}} {
-		cfg := goldenConfig(4)
-		cfg.TailWorkers = wd[0]
-		cfg.Streaming.Enabled = true
-		cfg.Streaming.BufferDepth = wd[1]
-		if got := goldenFasta(t, d.Reads, cfg); !bytes.Equal(got, want) {
-			t.Fatalf("streaming workers=%d depth=%d produced different transcript FASTA", wd[0], wd[1])
-		}
-	}
-}
-
-// TestGoldenStreamingFaultedMatchesFaultFree: seeded fault plans and
-// the streaming DAG compose — a rank killed mid-Chrysalis while stages
-// overlap still recovers to the fault-free barrier output.
-func TestGoldenStreamingFaultedMatchesFaultFree(t *testing.T) {
-	d := GenerateDataset(TinyProfile(7))
-	want := goldenFasta(t, d.Reads, goldenConfig(4))
-	for seed := int64(1); seed <= 3; seed++ {
-		cfg := goldenConfig(4)
-		cfg.FaultSeed = seed
-		cfg.Streaming.Enabled = true
-		cfg.TailWorkers = 4
-		if got := goldenFasta(t, d.Reads, cfg); !bytes.Equal(got, want) {
-			t.Fatalf("fault seed %d: streaming recovered transcripts differ from fault-free barrier run", seed)
-		}
-	}
-}

@@ -17,33 +17,18 @@ import (
 	"sort"
 	"sync"
 
-	"gotrinity/internal/fm"
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/omp"
 	"gotrinity/internal/seq"
 )
 
-// Backend selects the seed-location data structure.
-type Backend int
-
-const (
-	// HashSeeds indexes seed k-mers in a hash table (fast build, larger
-	// memory).
-	HashSeeds Backend = iota
-	// FMIndex locates seeds with a BWT/FM-index over the concatenated
-	// contigs — the data structure the real Bowtie uses ("ultrafast and
-	// memory-efficient"). Slower to build, smaller resident footprint.
-	FMIndex
-)
-
 // Options configures index construction and alignment.
 type Options struct {
-	SeedLen     int     // seed k-mer length (default 16)
-	SeedStride  int     // distance between consecutive read seeds (default 8)
-	MaxMismatch int     // mismatch budget for verification (default 3)
-	MinAlignLen int     // shortest read the aligner will attempt (default SeedLen)
-	Threads     int     // alignment worker threads (default GOMAXPROCS)
-	Backend     Backend // seed location backend (default HashSeeds)
+	SeedLen     int // seed k-mer length (default 16)
+	SeedStride  int // distance between consecutive read seeds (default 8)
+	MaxMismatch int // mismatch budget for verification (default 3)
+	MinAlignLen int // shortest read the aligner will attempt (default SeedLen)
+	Threads     int // alignment worker threads (default GOMAXPROCS)
 }
 
 func (o *Options) normalize() error {
@@ -74,17 +59,12 @@ type hit struct {
 	pos    int32
 }
 
-// Index maps seed k-mers to their occurrences in the target contigs,
-// either through a hash table or an FM-index over the concatenated
-// contig text.
+// Index maps seed k-mers to their occurrences in the target contigs
+// through a hash table.
 type Index struct {
 	opt     Options
 	contigs []seq.Record
 	seeds   map[kmer.Kmer][]hit
-	// FM backend state: concatenated text with 'N' separators, the
-	// index, and the start offset of each contig within the text.
-	fmix    *fm.Index
-	offsets []int
 	// Bases is the total indexed bases, used by cost models.
 	Bases int
 }
@@ -94,77 +74,23 @@ func NewIndex(contigs []seq.Record, opt Options) (*Index, error) {
 	if err := opt.normalize(); err != nil {
 		return nil, err
 	}
-	ix := &Index{opt: opt, contigs: contigs}
+	ix := &Index{opt: opt, contigs: contigs, seeds: make(map[kmer.Kmer][]hit)}
 	for ci := range contigs {
 		ix.Bases += len(contigs[ci].Seq)
-	}
-	switch opt.Backend {
-	case HashSeeds:
-		ix.seeds = make(map[kmer.Kmer][]hit)
-		for ci := range contigs {
-			it := kmer.NewIterator(contigs[ci].Seq, opt.SeedLen)
-			for {
-				m, pos, ok := it.Next()
-				if !ok {
-					break
-				}
-				ix.seeds[m] = append(ix.seeds[m], hit{contig: int32(ci), pos: int32(pos)})
+		it := kmer.NewIterator(contigs[ci].Seq, opt.SeedLen)
+		for {
+			m, pos, ok := it.Next()
+			if !ok {
+				break
 			}
+			ix.seeds[m] = append(ix.seeds[m], hit{contig: int32(ci), pos: int32(pos)})
 		}
-	case FMIndex:
-		var text []byte
-		for ci := range contigs {
-			ix.offsets = append(ix.offsets, len(text))
-			text = append(text, contigs[ci].Seq...)
-			text = append(text, 'N') // separator: ACGT seeds cannot cross it
-		}
-		if len(text) == 0 {
-			text = []byte{'N'}
-		}
-		f, err := fm.New(text)
-		if err != nil {
-			return nil, fmt.Errorf("bowtie: fm backend: %w", err)
-		}
-		ix.fmix = f
-	default:
-		return nil, fmt.Errorf("bowtie: unknown backend %d", opt.Backend)
 	}
 	return ix, nil
 }
 
-// lookupSeed returns the occurrences of seed m across the contigs.
-func (ix *Index) lookupSeed(m kmer.Kmer) []hit {
-	if ix.seeds != nil {
-		return ix.seeds[m]
-	}
-	pattern := []byte(m.Decode(ix.opt.SeedLen)) // ascii-ok: FM backend operates on ASCII text by construction
-	positions := ix.fmix.Locate(pattern)
-	if len(positions) == 0 {
-		return nil
-	}
-	hits := make([]hit, 0, len(positions))
-	for _, p := range positions {
-		// Binary search the owning contig by offset.
-		lo, hi := 0, len(ix.offsets)-1
-		for lo < hi {
-			mid := (lo + hi + 1) / 2
-			if ix.offsets[mid] <= p {
-				lo = mid
-			} else {
-				hi = mid - 1
-			}
-		}
-		hits = append(hits, hit{contig: int32(lo), pos: int32(p - ix.offsets[lo])})
-	}
-	return hits
-}
-
-// MemoryFootprint estimates the index's resident bytes, for the
-// hash-vs-FM trade-off benchmark.
+// MemoryFootprint estimates the index's resident bytes.
 func (ix *Index) MemoryFootprint() int {
-	if ix.fmix != nil {
-		return ix.fmix.MemoryFootprint() + 8*len(ix.offsets)
-	}
 	n := 0
 	for _, hits := range ix.seeds {
 		n += 8 + 8*len(hits) // key + hit entries
@@ -281,7 +207,7 @@ func (a *Aligner) alignOneStrand(read []byte, reverse bool, st *Stats) (Alignmen
 		if st != nil {
 			st.SeedProbes++
 		}
-		for _, h := range a.ix.lookupSeed(m) {
+		for _, h := range a.ix.seeds[m] {
 			votes[diagonal{h.contig, h.pos - int32(pos)}]++
 		}
 	}

@@ -4,113 +4,50 @@
 // ordering, the mismatch-budget selection rule, and every stats
 // counter mirror the ASCII aligner exactly, so alignments and metered
 // work are byte-identical — only resident sequence bytes shrink 4×.
-//
-// Both backends are provided. HashSeeds keeps a seed-kmer hash table;
-// FMIndex builds a packed FM-index (fm.PackedIndex) over the same
-// contig-plus-separator text layout as the ASCII FM backend and
-// backward-searches seed k-mers directly from their packed form —
-// no ASCII text is ever materialised on this path.
 
 package bowtie
 
 import (
-	"fmt"
 	"sort"
 
-	"gotrinity/internal/fm"
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/omp"
 	"gotrinity/internal/seq"
 )
 
-// PackedIndex locates seed k-mers in packed target contigs through
-// either the seed hash table or the packed FM-index.
+// PackedIndex locates seed k-mers in packed target contigs through a
+// seed hash table.
 type PackedIndex struct {
 	opt     Options
 	contigs []seq.PackedRecord
-	seeds   map[kmer.Kmer][]hit // HashSeeds backend
-	fmix    *fm.PackedIndex     // FMIndex backend
-	offsets []int               // contig start in the FM text
+	seeds   map[kmer.Kmer][]hit
 	// Bases is the total indexed bases, used by cost models.
 	Bases int
 }
 
-// NewPackedIndex builds a seed-location index over packed contigs with
-// the configured backend.
+// NewPackedIndex builds a seed index over packed contigs.
 func NewPackedIndex(contigs []seq.PackedRecord, opt Options) (*PackedIndex, error) {
 	if err := opt.normalize(); err != nil {
 		return nil, err
 	}
-	ix := &PackedIndex{opt: opt, contigs: contigs}
+	ix := &PackedIndex{opt: opt, contigs: contigs, seeds: make(map[kmer.Kmer][]hit)}
 	for ci := range contigs {
 		ix.Bases += contigs[ci].Seq.Len()
-	}
-	switch opt.Backend {
-	case HashSeeds:
-		ix.seeds = make(map[kmer.Kmer][]hit)
-		for ci := range contigs {
-			it := kmer.NewPackedIterator(contigs[ci].Seq, opt.SeedLen)
-			for {
-				m, pos, ok := it.Next()
-				if !ok {
-					break
-				}
-				ix.seeds[m] = append(ix.seeds[m], hit{contig: int32(ci), pos: int32(pos)})
+		it := kmer.NewPackedIterator(contigs[ci].Seq, opt.SeedLen)
+		for {
+			m, pos, ok := it.Next()
+			if !ok {
+				break
 			}
+			ix.seeds[m] = append(ix.seeds[m], hit{contig: int32(ci), pos: int32(pos)})
 		}
-	case FMIndex:
-		// Same text layout as the ASCII FM backend: every contig is
-		// followed by one separator, so global position = offset + local.
-		segs := make([]seq.Packed, len(contigs))
-		ix.offsets = make([]int, len(contigs))
-		off := 0
-		for ci := range contigs {
-			segs[ci] = contigs[ci].Seq
-			ix.offsets[ci] = off
-			off += contigs[ci].Seq.Len() + 1
-		}
-		fmix, err := fm.NewPacked(segs, fm.BuildOptions{Workers: opt.Threads})
-		if err != nil {
-			return nil, fmt.Errorf("bowtie: packed fm build: %w", err)
-		}
-		ix.fmix = fmix
-	default:
-		return nil, fmt.Errorf("bowtie: unknown backend %d", opt.Backend)
 	}
 	return ix, nil
 }
 
-// lookupSeed appends the hits of seed m to dst. posBuf is the caller's
-// reusable position scratch for the FM path, so a warm lookup performs
-// no allocations on either backend.
-func (ix *PackedIndex) lookupSeed(m kmer.Kmer, dst []hit, posBuf *[]int) []hit {
-	if ix.seeds != nil {
-		return append(dst, ix.seeds[m]...)
-	}
-	*posBuf = ix.fmix.AppendLocateKmer((*posBuf)[:0], m, ix.opt.SeedLen)
-	for _, p := range *posBuf {
-		// Owning contig: greatest ci with offsets[ci] <= p. Matches can
-		// never straddle the separator, so p maps inside one contig.
-		lo, hi := 0, len(ix.offsets)-1
-		for lo < hi {
-			mid := (lo + hi + 1) / 2
-			if ix.offsets[mid] <= p {
-				lo = mid
-			} else {
-				hi = mid - 1
-			}
-		}
-		dst = append(dst, hit{contig: int32(lo), pos: int32(p - ix.offsets[lo])})
-	}
-	return dst
-}
-
-// MemoryFootprint estimates the index's resident bytes (seed table or
-// FM structures, matching the ASCII accounting).
+// MemoryFootprint estimates the index's resident bytes (the seed
+// table, matching the ASCII accounting).
 func (ix *PackedIndex) MemoryFootprint() int {
-	if ix.fmix != nil {
-		return ix.fmix.MemoryFootprint() + 8*len(ix.offsets)
-	}
 	n := 0
 	for _, hits := range ix.seeds {
 		n += 8 + 8*len(hits)
@@ -162,7 +99,6 @@ func (a *PackedAligner) alignOneStrand(read seq.Packed, reverse bool, st *Stats)
 	it := kmer.NewPackedIterator(read, opt.SeedLen)
 	nextAccept := 0
 	var hitBuf []hit
-	var posBuf []int
 	for {
 		m, pos, ok := it.Next()
 		if !ok {
@@ -175,7 +111,7 @@ func (a *PackedAligner) alignOneStrand(read seq.Packed, reverse bool, st *Stats)
 		if st != nil {
 			st.SeedProbes++
 		}
-		hitBuf = a.ix.lookupSeed(m, hitBuf[:0], &posBuf)
+		hitBuf = append(hitBuf[:0], a.ix.seeds[m]...)
 		for _, h := range hitBuf {
 			votes[diagonal{h.contig, h.pos - int32(pos)}]++
 		}

@@ -1,6 +1,7 @@
 package bowtie
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -40,36 +41,63 @@ func makeReads(rng *rand.Rand, contigs []seq.Record, n int) []seq.Record {
 
 // TestPackedAlignerMatchesASCII is the acceptance pin: the packed
 // aligner must report the identical alignments and work-unit stats as
-// the ASCII aligner over an adversarial read mix.
+// the ASCII aligner over an adversarial read mix, and over contigs with
+// N runs and word-aligned lengths (len%32 == 0) probed by all-N and
+// word-exact reads.
 func TestPackedAlignerMatchesASCII(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	contigs := makeContigs(rng, 12, 500)
-	reads := makeReads(rng, contigs, 400)
+	mixContigs := makeContigs(rng, 12, 500)
+	mixReads := makeReads(rng, mixContigs, 400)
+
+	rng = rand.New(rand.NewSource(31))
+	edge := makeContigs(rng, 10, 400)
+	edge[1].Seq = edge[1].Seq[:len(edge[1].Seq)/32*32]
+	edge[2].Seq = edge[2].Seq[:256]
+	for j := 40; j < 56; j++ {
+		edge[3].Seq[j] = 'N'
+	}
+	for j := 0; j < 8; j++ {
+		edge[4].Seq[j] = 'N' // leading N run
+	}
+	edgeReads := append(makeReads(rng, edge, 300),
+		seq.Record{ID: "allN", Seq: bytes.Repeat([]byte{'N'}, 60)},
+		seq.Record{ID: "allN32", Seq: bytes.Repeat([]byte{'N'}, 64)},
+		seq.Record{ID: "wordExact", Seq: append([]byte(nil), edge[2].Seq[0:64]...)},
+	)
+
 	opt := Options{SeedLen: 12, SeedStride: 5, MaxMismatch: 3, Threads: 4}
+	for _, tc := range []struct {
+		name    string
+		contigs []seq.Record
+		reads   []seq.Record
+	}{
+		{"adversarial mix", mixContigs, mixReads},
+		{"N runs and word boundaries", edge, edgeReads},
+	} {
+		ix, err := NewIndex(tc.contigs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pix, err := NewPackedIndex(seq.PackRecords(tc.contigs), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix.Bases != pix.Bases {
+			t.Fatalf("%s: indexed bases %d vs %d", tc.name, pix.Bases, ix.Bases)
+		}
+		if ix.MemoryFootprint() != pix.MemoryFootprint() {
+			t.Fatalf("%s: seed table footprint %d vs %d", tc.name, pix.MemoryFootprint(), ix.MemoryFootprint())
+		}
 
-	ix, err := NewIndex(contigs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pix, err := NewPackedIndex(seq.PackRecords(contigs), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Bases != pix.Bases {
-		t.Fatalf("indexed bases %d vs %d", pix.Bases, ix.Bases)
-	}
-	if ix.MemoryFootprint() != pix.MemoryFootprint() {
-		t.Fatalf("seed table footprint %d vs %d", pix.MemoryFootprint(), ix.MemoryFootprint())
-	}
-
-	want, wantStats := NewAligner(ix).AlignAll(reads)
-	got, gotStats := NewPackedAligner(pix).AlignAll(seq.PackRecords(reads))
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("alignments differ: %d vs %d", len(got), len(want))
-	}
-	if gotStats.Reads != wantStats.Reads || gotStats.Aligned != wantStats.Aligned ||
-		gotStats.SeedProbes != wantStats.SeedProbes || gotStats.BasesCompared != wantStats.BasesCompared {
-		t.Fatalf("stats differ: packed %+v ascii %+v", gotStats, wantStats)
+		want, wantStats := NewAligner(ix).AlignAll(tc.reads)
+		got, gotStats := NewPackedAligner(pix).AlignAll(seq.PackRecords(tc.reads))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: alignments differ: %d vs %d", tc.name, len(got), len(want))
+		}
+		if gotStats.Reads != wantStats.Reads || gotStats.Aligned != wantStats.Aligned ||
+			gotStats.SeedProbes != wantStats.SeedProbes || gotStats.BasesCompared != wantStats.BasesCompared {
+			t.Fatalf("%s: stats differ: packed %+v ascii %+v", tc.name, gotStats, wantStats)
+		}
 	}
 }
 
@@ -94,20 +122,5 @@ func TestPackedAlignerPerRead(t *testing.T) {
 		if ws != gs {
 			t.Fatalf("read %d: stats %+v vs %+v", i, gs, ws)
 		}
-	}
-}
-
-// TestPackedIndexBackends pins backend selection: both named backends
-// build, anything else is rejected.
-func TestPackedIndexBackends(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	contigs := seq.PackRecords(makeContigs(rng, 2, 100))
-	for _, backend := range []Backend{HashSeeds, FMIndex} {
-		if _, err := NewPackedIndex(contigs, Options{Backend: backend}); err != nil {
-			t.Fatalf("backend %d: %v", backend, err)
-		}
-	}
-	if _, err := NewPackedIndex(contigs, Options{Backend: Backend(99)}); err == nil {
-		t.Fatal("packed index accepted an unknown backend")
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"gotrinity/internal/seq"
 )
 
 // SAM flag bits used by the writer.
@@ -58,8 +60,57 @@ func WriteSAMRecords(w io.Writer, refs []SAMHeaderEntry, alignments []Alignment)
 
 // ReadSAM parses a SAM stream produced by WriteSAMRecords (headers are
 // skipped; unmapped records are dropped). Contig indices are not
-// resolved — callers holding the contig set can map ContigID back.
+// resolved — ReadSAMFor does that against a contig set.
 func ReadSAM(r io.Reader) ([]Alignment, error) {
+	return readSAM(r, nil)
+}
+
+// SAMRefError reports a SAM record that does not fit the contig set it
+// is resolved against: its RNAME names no contig (ContigLen < 0) or its
+// span [Pos, Pos+ReadLen) is not inside the contig.
+type SAMRefError struct {
+	Line      int // 1-based line of the record in the SAM stream
+	ReadID    string
+	ContigID  string
+	Pos       int // 0-based
+	ReadLen   int
+	ContigLen int
+}
+
+func (e *SAMRefError) Error() string {
+	if e.ContigLen < 0 {
+		return fmt.Sprintf("bowtie: sam line %d: read %q names unknown contig %q", e.Line, e.ReadID, e.ContigID)
+	}
+	return fmt.Sprintf("bowtie: sam line %d: read %q spans [%d,%d) outside contig %q (length %d)",
+		e.Line, e.ReadID, e.Pos, e.Pos+e.ReadLen, e.ContigID, e.ContigLen)
+}
+
+// ReadSAMFor is ReadSAM for a known contig set: each record's RNAME is
+// resolved to its index in contigs (Alignment.Contig) and its span is
+// checked against that contig's length. The first record that does not
+// fit returns a *SAMRefError.
+func ReadSAMFor(r io.Reader, contigs []seq.Record) ([]Alignment, error) {
+	index := make(map[string]int, len(contigs))
+	for i := range contigs {
+		index[contigs[i].ID] = i
+	}
+	return readSAM(r, func(line int, a Alignment) (int, error) {
+		ci, ok := index[a.ContigID]
+		n := -1
+		if ok {
+			n = len(contigs[ci].Seq)
+		}
+		if !ok || a.ReadLen < 0 || a.Pos >= n || a.Pos+a.ReadLen > n {
+			return 0, &SAMRefError{Line: line, ReadID: a.ReadID, ContigID: a.ContigID, Pos: a.Pos, ReadLen: a.ReadLen, ContigLen: n}
+		}
+		return ci, nil
+	})
+}
+
+// readSAM is the shared parser; resolve, when non-nil, vets each mapped
+// record and returns its Contig index before the record is kept. (By
+// value: a pointer into the loop would put every record on the heap.)
+func readSAM(r io.Reader, resolve func(line int, a Alignment) (int, error)) ([]Alignment, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	var out []Alignment
@@ -103,6 +154,13 @@ func ReadSAM(r io.Reader) ([]Alignment, error) {
 					a.Mismatches = n
 				}
 			}
+		}
+		if resolve != nil {
+			ci, err := resolve(lineno, a)
+			if err != nil {
+				return nil, err
+			}
+			a.Contig = ci
 		}
 		out = append(out, a)
 	}

@@ -1,10 +1,11 @@
 package bowtie
 
 import (
-	"gotrinity/internal/seq"
-
+	"errors"
 	"strings"
 	"testing"
+
+	"gotrinity/internal/seq"
 )
 
 func TestReadSAMSkipsHeadersAndUnmapped(t *testing.T) {
@@ -43,6 +44,43 @@ func TestReadSAMMalformed(t *testing.T) {
 	for _, in := range cases {
 		if _, err := ReadSAM(strings.NewReader(in)); err == nil {
 			t.Errorf("accepted %q", in)
+		}
+	}
+}
+
+// ReadSAMFor resolves RNAMEs against the contig set and rejects, with
+// the line and contig named, a record the set cannot hold.
+func TestReadSAMForResolvesAndRejects(t *testing.T) {
+	contigs := []seq.Record{
+		{ID: "c0", Seq: []byte(strings.Repeat("A", 40))},
+		{ID: "c1", Seq: []byte(strings.Repeat("C", 100))},
+	}
+	ok := "@SQ\tSN:c1\tLN:100\nr1\t0\tc1\t51\t42\t50M\t*\t0\t0\t*\t*\tNM:i:0\n"
+	als, err := ReadSAMFor(strings.NewReader(ok), contigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(als) != 1 || als[0].Contig != 1 {
+		t.Fatalf("resolved %+v, want contig index 1", als)
+	}
+	for _, tc := range []struct {
+		name, rec string
+		contigLen int
+	}{
+		{"unknown RNAME", "r2\t0\tc9\t1\t42\t50M\t*\t0\t0\t*\t*", -1},
+		{"span past the end", "r2\t0\tc1\t52\t42\t50M\t*\t0\t0\t*\t*", 100},
+		{"start past the end", "r2\t0\tc0\t41\t42\t*\t*\t0\t0\t*\t*", 40},
+	} {
+		_, err := ReadSAMFor(strings.NewReader(ok+tc.rec+"\n"), contigs)
+		var re *SAMRefError
+		if !errors.As(err, &re) {
+			t.Fatalf("%s: error %v, want *SAMRefError", tc.name, err)
+		}
+		if re.Line != 3 || re.ReadID != "r2" || re.ContigLen != tc.contigLen {
+			t.Errorf("%s: %+v", tc.name, re)
+		}
+		if !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), re.ContigID) {
+			t.Errorf("%s: message %q does not name the line and contig", tc.name, err)
 		}
 	}
 }

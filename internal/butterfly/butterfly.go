@@ -101,16 +101,6 @@ func ReconstructParallel(graphs []*chrysalis.ComponentGraph, opt Options, worker
 	return out, prof
 }
 
-// ReconstructOne enumerates one component's transcripts — the
-// per-component unit the streaming pipeline dispatches as soon as a
-// quantified graph arrives. Path enumeration never looks outside its
-// own component, so the concatenation of ReconstructOne results in
-// component order is byte-identical to Reconstruct.
-func ReconstructOne(cg *chrysalis.ComponentGraph, opt Options) []Transcript {
-	opt.normalize()
-	return componentTranscripts(cg, opt)
-}
-
 // componentTranscripts enumerates one component's transcripts — the
 // shared per-component body of Reconstruct and ReconstructParallel.
 // opt must already be normalized.

@@ -40,11 +40,10 @@ func PairSupportParallel(ts []Transcript, graphs []*chrysalis.ComponentGraph, re
 	return pairSupport(ts, graphs, reads, workers)
 }
 
-// ComponentPairs groups one component's assigned reads into mate
+// componentPairs groups one component's assigned reads into mate
 // pairs, in assignment order: a pair is emitted when its second mate is
-// seen, ordered (mate 1, mate 2). The per-component unit of the pair
-// grouping inside PairSupport.
-func ComponentPairs(cg *chrysalis.ComponentGraph, reads []seq.Record) [][2]int32 {
+// seen, ordered (mate 1, mate 2).
+func componentPairs(cg *chrysalis.ComponentGraph, reads []seq.Record) [][2]int32 {
 	var pairs [][2]int32
 	mates := map[string]int32{}
 	for _, ri := range cg.Reads {
@@ -69,32 +68,12 @@ func ComponentPairs(cg *chrysalis.ComponentGraph, reads []seq.Record) [][2]int32
 	return pairs
 }
 
-// PairSupportOne counts pair support for one component's transcripts
-// against its own mate pairs (from ComponentPairs). Support is a pure
-// function of (transcript, pair list), so per-component results
-// concatenated in component order equal the global PairSupport.
-func PairSupportOne(ts []Transcript, pairs [][2]int32, reads []seq.Record) []int {
-	support := make([]int, len(ts))
-	if len(pairs) == 0 {
-		return support
-	}
-	for ti := range ts {
-		kmers := transcriptKmerSet(ts[ti].Seq)
-		for _, p := range pairs {
-			if mateMatches(reads[p[0]].Seq, kmers) && mateMatches(reads[p[1]].Seq, kmers) {
-				support[ti]++
-			}
-		}
-	}
-	return support
-}
-
 func pairSupport(ts []Transcript, graphs []*chrysalis.ComponentGraph, reads []seq.Record, workers int) []int {
 	// Group each component's assigned reads into mate pairs. The map is
 	// built once and only read afterwards.
 	pairsByComp := map[int][][2]int32{}
 	for _, cg := range graphs {
-		if pairs := ComponentPairs(cg, reads); len(pairs) > 0 {
+		if pairs := componentPairs(cg, reads); len(pairs) > 0 {
 			pairsByComp[cg.Component.ID] = pairs
 		}
 	}

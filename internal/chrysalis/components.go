@@ -21,27 +21,20 @@ type ComponentGraph struct {
 func FastaToDeBruijn(contigs []seq.Record, comps []Component, k int) ([]*ComponentGraph, error) {
 	out := make([]*ComponentGraph, 0, len(comps))
 	for _, comp := range comps {
-		g, err := dbg.New(k)
+		cg, err := buildComponentGraph(contigs, comp, k)
 		if err != nil {
-			return nil, fmt.Errorf("chrysalis: component %d: %w", comp.ID, err)
+			return nil, err
 		}
-		for _, ci := range comp.Contigs {
-			if ci < 0 || ci >= len(contigs) {
-				return nil, fmt.Errorf("chrysalis: component %d references contig %d of %d",
-					comp.ID, ci, len(contigs))
-			}
-			g.AddSequence(contigs[ci].Seq, 1)
-		}
-		out = append(out, &ComponentGraph{Component: comp, Graph: g})
+		out = append(out, cg)
 	}
 	return out, nil
 }
 
-// GroupAssignments groups the assigned read indices by component
+// groupAssignments groups the assigned read indices by component
 // position, preserving assignment order — the per-component read order
 // QuantifyGraph's single pass produces. Assignments to unknown
 // components or out-of-range reads are dropped, matching QuantifyGraph.
-func GroupAssignments(comps []Component, assignments []Assignment, nreads int) [][]int32 {
+func groupAssignments(comps []Component, assignments []Assignment, nreads int) [][]int32 {
 	pos := make(map[int]int, len(comps))
 	for i, comp := range comps {
 		pos[comp.ID] = i
@@ -57,10 +50,10 @@ func GroupAssignments(comps []Component, assignments []Assignment, nreads int) [
 	return readsByComp
 }
 
-// BuildComponentGraph builds one component's de Bruijn graph from its
+// buildComponentGraph builds one component's de Bruijn graph from its
 // contigs — the per-component unit of FastaToDeBruijn. The graph sees
 // the contigs in component order, exactly as the serial path adds them.
-func BuildComponentGraph(contigs []seq.Record, comp Component, k int) (*ComponentGraph, error) {
+func buildComponentGraph(contigs []seq.Record, comp Component, k int) (*ComponentGraph, error) {
 	g, err := dbg.New(k)
 	if err != nil {
 		return nil, fmt.Errorf("chrysalis: component %d: %w", comp.ID, err)
@@ -75,12 +68,12 @@ func BuildComponentGraph(contigs []seq.Record, comp Component, k int) (*Componen
 	return &ComponentGraph{Component: comp, Graph: g}, nil
 }
 
-// QuantifyComponent threads the component's assigned reads (in
+// quantifyComponent threads the component's assigned reads (in
 // assignment order) through its graph — the per-component unit of
-// QuantifyGraph. Combined with BuildComponentGraph it reproduces the
+// QuantifyGraph. Combined with buildComponentGraph it reproduces the
 // exact AddSequence order of the serial composition: contigs first,
 // then reads in assignment order.
-func QuantifyComponent(cg *ComponentGraph, reads []seq.Record, assigned []int32) {
+func quantifyComponent(cg *ComponentGraph, reads []seq.Record, assigned []int32) {
 	for _, ri := range assigned {
 		cg.Graph.AddSequence(reads[ri].Seq, 1)
 		cg.Reads = append(cg.Reads, ri)
@@ -117,7 +110,7 @@ func FastaToDeBruijnParallel(contigs []seq.Record, comps []Component, k int,
 	if _, err := dbg.New(k); err != nil {
 		return nil, nil, omp.Profile{}, fmt.Errorf("chrysalis: %w", err)
 	}
-	readsByComp := GroupAssignments(comps, assignments, len(reads))
+	readsByComp := groupAssignments(comps, assignments, len(reads))
 	units := make([]float64, len(comps))
 	for i, comp := range comps {
 		for _, ci := range comp.Contigs {
@@ -132,8 +125,8 @@ func FastaToDeBruijnParallel(contigs []seq.Record, comps []Component, k int,
 	prof := omp.ParallelForProfiled(len(comps), workers, omp.Schedule{Kind: omp.Dynamic},
 		func(p, tid int) {
 			i := order[p]
-			cg, _ := BuildComponentGraph(contigs, comps[i], k) // refs and k validated above
-			QuantifyComponent(cg, reads, readsByComp[i])
+			cg, _ := buildComponentGraph(contigs, comps[i], k) // refs and k validated above
+			quantifyComponent(cg, reads, readsByComp[i])
 			out[i] = cg
 		})
 	return out, units, prof, nil

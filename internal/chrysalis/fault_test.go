@@ -34,6 +34,13 @@ func guard(t *testing.T, d time.Duration, body func()) {
 // (20 contigs → 20 chunks at ChunkSize 1), fully covered by reads.
 func buildFaultScenario(t *testing.T) *testScenario {
 	t.Helper()
+	return buildWeldScenario(t, 8, 4, 3)
+}
+
+// buildWeldScenario generates `pairs` welded contig pairs plus `lone`
+// unwelded contigs, each tiled `reps` times over by 50-base reads.
+func buildWeldScenario(t *testing.T, pairs, lone, reps int) *testScenario {
+	t.Helper()
 	const k = 15
 	rng := rand.New(rand.NewSource(99))
 	dna := func(n int) []byte {
@@ -44,7 +51,7 @@ func buildFaultScenario(t *testing.T) *testScenario {
 		return s
 	}
 	var contigs []seq.Record
-	for p := 0; p < 8; p++ {
+	for p := 0; p < pairs; p++ {
 		shared := dna(3 * k)
 		a := append(append(dna(60), shared...), dna(60)...)
 		b := append(append(dna(60), shared...), dna(60)...)
@@ -52,12 +59,12 @@ func buildFaultScenario(t *testing.T) *testScenario {
 			seq.Record{ID: "A", Seq: a},
 			seq.Record{ID: "B", Seq: b})
 	}
-	for l := 0; l < 4; l++ {
+	for l := 0; l < lone; l++ {
 		contigs = append(contigs, seq.Record{ID: "L", Seq: dna(180)})
 	}
 	var reads []seq.Record
 	for _, c := range contigs {
-		for rep := 0; rep < 3; rep++ {
+		for rep := 0; rep < reps; rep++ {
 			for s := 0; s+50 <= len(c.Seq); s += 10 {
 				reads = append(reads, seq.Record{ID: "r", Seq: c.Seq[s : s+50]})
 			}

@@ -41,24 +41,13 @@ type GFFOptions struct {
 	// occurrence index, weld index) across the ranks by kmer.OwnerRank
 	// instead of replicating it on every rank: each rank holds ~1/ranks
 	// of the tables and fetches the k-mers its welding loops will probe
-	// in batched Alltoallv lookup rounds (see sharded.go). Results are
-	// byte-identical to the replicated path — only per-rank memory and
-	// communication change, metered via GFFRankProfile.
+	// in batched lookup rounds (see sharded.go), pipelined against
+	// compute: the rank's chunks are cut into tiles and tile t+1's round
+	// is in flight over nonblocking sends while tile t computes
+	// (overlap.go). Results are byte-identical to the replicated path —
+	// only per-rank memory and communication change, metered via
+	// GFFRankProfile.
 	ShardKmers bool
-
-	// OverlapFetch selects how a sharded run's lookup rounds interact
-	// with compute: the default pipelines them — the rank's chunks are
-	// cut into tiles and tile t+1's round is in flight over nonblocking
-	// sends while tile t computes (overlap.go) — while OverlapOff keeps
-	// the blocking barrier-stepped reference path. Results are
-	// byte-identical either way. Ignored without ShardKmers.
-	OverlapFetch OverlapMode
-
-	// FetchTileChunks is the tile granularity of the overlapped
-	// pipeline: how many of the rank's chunks share one lookup round
-	// (default 8). Smaller tiles overlap more fetch with compute but
-	// re-fetch more duplicate k-mers across tile boundaries.
-	FetchTileChunks int
 
 	// Packed runs the welding loops on 2-bit packed contigs
 	// (weld_packed.go): word-wise window compares, packed k-mer
@@ -89,17 +78,6 @@ type GFFOptions struct {
 	// "combined with welding pairs ... for full construction of
 	// Inchworm bundles" (§III-A).
 	ScaffoldPairs [][2]int32
-
-	// ScaffoldWait, when non-nil, supplies the scaffold pairs lazily:
-	// each rank calls it right before the final union-find, blocking
-	// until the Bowtie stage has published its pairs. This lets the
-	// streaming pipeline overlap the weld harvest with the alignment
-	// stage — everything before the union-find is independent of the
-	// scaffolds. An error return aborts the rank (used for cancellation
-	// when a concurrent stage fails). When set, ScaffoldPairs is
-	// ignored. The callback must be safe for concurrent use and must
-	// return the identical slice to every rank.
-	ScaffoldWait func() ([][2]int32, error)
 
 	// Faults injects a deterministic failure schedule into the run's
 	// MPI world (see mpi.FaultPlan). A non-nil plan implies the
@@ -139,15 +117,7 @@ func (o *GFFOptions) normalize() error {
 	if o.ShardKmers {
 		o.Packed = false
 	}
-	if o.FetchTileChunks <= 0 {
-		o.FetchTileChunks = 8
-	}
 	return nil
-}
-
-// overlapOn reports whether the run pipelines its sharded lookups.
-func (o *GFFOptions) overlapOn() bool {
-	return o.ShardKmers && o.OverlapFetch != OverlapOff
 }
 
 // Component is one cluster of welded Inchworm contigs — an "Inchworm
@@ -174,15 +144,14 @@ type GFFRankProfile struct {
 
 	// ResidentKmerBytes is the rank's peak resident k-mer lookup state:
 	// the full replicated tables, or — under ShardKmers — the rank's
-	// shards plus the partial replicas its loops queried (under an
-	// overlapped fetch, the largest single tile's replica).
+	// shards plus the largest single tile's partial replica.
 	ResidentKmerBytes int64
 	// ShardExchangeBytes counts the addressed bytes this rank moved
 	// through sharded lookup rounds (0 unless ShardKmers).
 	ShardExchangeBytes int64
 
-	// Overlap1/Overlap2 meter the overlapped fetch pipeline's tiles for
-	// the two welding loops (nil unless the run overlapped); the
+	// Overlap1/Overlap2 meter the sharded fetch pipeline's tiles for
+	// the two welding loops (nil unless ShardKmers); the
 	// experiments layer replays them to estimate hidden fetch time.
 	Overlap1 []TileMeter
 	Overlap2 []TileMeter
@@ -400,23 +369,20 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 		// builds the k-mer occurrence index (GraphFromFasta "reads the
 		// entire file into memory", §III-C). Under ShardKmers the rank
 		// instead builds only its own shard of the distributed tables,
-		// then fetches the k-mers loop 1 will probe over its contigs (and
-		// their reverse complements, which cover the RC-seed and
-		// weld-support probes) in batched lookup rounds, materialising a
-		// partial replica the unchanged loop kernels run on.
+		// then fetches, tile by tile, the k-mers loop 1 will probe over
+		// its contigs (and their reverse complements, which cover the
+		// RC-seed and weld-support probes) in batched lookup rounds,
+		// materialising partial replicas the unchanged loop kernels run on.
 		var rs *rankShards
 		var lIx *contigKmerIndex // loop-1 lookup structures of this rank
 		var lPix *packedContigIndex
 		var lReads *jellyfish.Frozen
 		var myWelds []string
-		var peakTile int64 // largest per-tile partial replica (overlapped runs)
-		overlapped := opt.overlapOn()
+		var peakTile int64 // largest per-tile partial replica (sharded runs)
 		myChunks := dist.RankChunks(rank)
 		tiles := 0
-		if overlapped {
-			tiles = tileCount(func(r int) int { return len(dist.RankChunks(r)) }, ranks, opt.FetchTileChunks)
-		}
 		if opt.ShardKmers {
+			tiles = tileCount(func(r int) int { return len(dist.RankChunks(r)) }, ranks)
 			srcOnce.Do(func() { source = buildGFFSource(seqs, opt.K, frozenReads) })
 			rs = newRankShards(source, ranks, rank, rep, opt.Trace)
 			rs.ensureLoop1(rank)
@@ -429,26 +395,13 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 			lIx, lReads = ix, frozenReads
 			prof.SetupUnits = float64(ix.buildOps)
 		}
-		if opt.ShardKmers && !overlapped {
-			queries := collectQueryKmers(seqs, dist, rank, opt.K, true)
-			bodies, ferr := fetchShardAnswers(c, "graphfromfasta/loop1", rep, opt.Trace, &rs.exchanged,
-				led1, queries, rs.answerLoop1, ro, false)
-			if ferr != nil {
-				return ferr
-			}
-			var berr error
-			lIx, lReads, berr = buildLoop1Cache(seqs, opt.K, queries, bodies)
-			if berr != nil {
-				return berr
-			}
-		}
 
 		// --- Loop 1: harvest welds over this rank's chunks, dividing
 		// each chunk across the logical OpenMP threads dynamically.
-		// Under an overlapped sharded run the fetch and the harvest fuse
-		// into the tile pipeline: tile t+1's lookup round is in flight
-		// while tile t's chunks weld on its just-built partial replica.
-		if overlapped {
+		// Under a sharded run the fetch and the harvest fuse into the
+		// tile pipeline: tile t+1's lookup round is in flight while tile
+		// t's chunks weld on its just-built partial replica.
+		if opt.ShardKmers {
 			var sc *weldScratch
 			if !active {
 				sc = weldScratchPool.Get().(*weldScratch)
@@ -458,11 +411,11 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 				exchanged: &rs.exchanged, led: led1, ro: ro,
 				tagBase: overlapTagLoop1, tiles: tiles,
 				collect: func(t int) []kmer.Kmer {
-					return collectTileQueryKmers(seqs, dist, tileSlice(myChunks, opt.FetchTileChunks, t), opt.K, true)
+					return collectTileQueryKmers(seqs, dist, tileSlice(myChunks, t), opt.K, true)
 				},
 				answer: rs.answerLoop1,
 				compute: func(t int, queries []kmer.Kmer, bodies [][]byte) (float64, error) {
-					chunks := tileSlice(myChunks, opt.FetchTileChunks, t)
+					chunks := tileSlice(myChunks, t)
 					if len(chunks) == 0 {
 						return 0, nil
 					}
@@ -594,8 +547,8 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 
 		// --- Non-parallel middle: build the pooled weld index. The
 		// pooled weld list is identical on every rank by construction.
-		// Under ShardKmers each rank builds only its shard of the index
-		// and fetches the rows loop 2 will probe (forward contig k-mers
+		// Under ShardKmers each rank builds only its shard of the index;
+		// loop 2 fetches the rows it will probe (forward contig k-mers
 		// only — the index itself is keyed under both orientations of
 		// each weld core).
 		pooled := pooledShared
@@ -604,19 +557,6 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 		if opt.ShardKmers {
 			rs.pooled = pooled
 			rs.ensureLoop2(rank)
-			if !overlapped {
-				queries := collectQueryKmers(seqs, dist, rank, opt.K, false)
-				bodies, ferr := fetchShardAnswers(c, "graphfromfasta/loop2", rep, opt.Trace, &rs.exchanged,
-					led2, queries, rs.answerLoop2, ro, false)
-				if ferr != nil {
-					return ferr
-				}
-				var berr error
-				lWidx, berr = buildLoop2Cache(pooled, opt.K, queries, bodies)
-				if berr != nil {
-					return berr
-				}
-			}
 		} else if opt.Packed {
 			lPwidx = fullPwidx()
 		} else {
@@ -625,11 +565,11 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 		prof.MidUnits = float64(len(pooled)) * 2 // core + rc-core hash inserts
 
 		// --- Loop 2: find (weld, contig) incidences over this rank's
-		// chunks with the same chunked round-robin distribution. The
-		// overlapped run pipelines its weld-index fetches exactly like
+		// chunks with the same chunked round-robin distribution. A
+		// sharded run pipelines its weld-index fetches exactly like
 		// loop 1, on the loop-2 tag range.
 		var myPairs []int64
-		if overlapped {
+		if opt.ShardKmers {
 			var sc *weldScratch
 			if !active {
 				sc = weldScratchPool.Get().(*weldScratch)
@@ -639,11 +579,11 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 				exchanged: &rs.exchanged, led: led2, ro: ro,
 				tagBase: overlapTagLoop2, tiles: tiles,
 				collect: func(t int) []kmer.Kmer {
-					return collectTileQueryKmers(seqs, dist, tileSlice(myChunks, opt.FetchTileChunks, t), opt.K, false)
+					return collectTileQueryKmers(seqs, dist, tileSlice(myChunks, t), opt.K, false)
 				},
 				answer: rs.answerLoop2,
 				compute: func(t int, queries []kmer.Kmer, bodies [][]byte) (float64, error) {
-					chunks := tileSlice(myChunks, opt.FetchTileChunks, t)
+					chunks := tileSlice(myChunks, t)
 					if len(chunks) == 0 {
 						return 0, nil
 					}
@@ -772,15 +712,7 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 				uf.union(int(members[0]), int(members[i]))
 			}
 		}
-		scaffolds := opt.ScaffoldPairs
-		if opt.ScaffoldWait != nil {
-			sp, err := opt.ScaffoldWait()
-			if err != nil {
-				return err
-			}
-			scaffolds = sp
-		}
-		for _, p := range scaffolds {
+		for _, p := range opt.ScaffoldPairs {
 			a, b := int(p[0]), int(p[1])
 			if a >= 0 && a < len(contigs) && b >= 0 && b < len(contigs) {
 				uf.union(a, b)
@@ -791,18 +723,15 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 			comps = append(comps, Component{ID: len(comps), Contigs: g})
 		}
 		prof.OutputUnits = float64(total) + float64(len(contigs))
-		if overlapped {
+		if opt.ShardKmers {
 			// Tile replicas are transient — only the largest one was ever
 			// resident at once.
-			prof.ResidentKmerBytes = peakTile
+			prof.ResidentKmerBytes = peakTile + rs.residentBytes()
+			prof.ShardExchangeBytes = rs.exchanged
 		} else if opt.Packed {
 			prof.ResidentKmerBytes = lReads.MemBytes() + lPix.memBytes() + lPwidx.memBytes()
 		} else {
 			prof.ResidentKmerBytes = lReads.MemBytes() + lIx.memBytes() + lWidx.memBytes()
-		}
-		if rs != nil {
-			prof.ResidentKmerBytes += rs.residentBytes()
-			prof.ShardExchangeBytes = rs.exchanged
 		}
 
 		results[rank] = &GFFResult{Components: comps, Welds: pooled, NumPairs: total}
@@ -884,8 +813,7 @@ func traceGFF(opt GFFOptions, dist Distribution, profiles []GFFRankProfile,
 	}
 	// Overlap lanes: the modelled double-buffered schedule of each
 	// rank's tile pipeline, in its own category so the phase spans
-	// above are untouched. Gated on the meters, so blocking-path traces
-	// are byte-identical to earlier versions.
+	// above are untouched.
 	for rank := range profiles {
 		p := &profiles[rank]
 		if len(p.Overlap1) == 0 {

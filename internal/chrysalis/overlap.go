@@ -9,15 +9,12 @@ import (
 
 // Double-buffered tile pipeline over the sharded lookup rounds.
 //
-// The blocking sharded path (sharded.go) is barrier-stepped: a rank
-// fetches every k-mer its welding loop will ever probe, waits for the
-// full exchange, then computes. The overlapped path splits the rank's
-// chunk list into deterministic tiles and pipelines them with one tile
-// of lookahead: while tile t's answers are being computed on, tile
-// t+1's lookup round is already in flight over nonblocking
-// Isend/Irecv (shard.AsyncRound), so the fetch latency hides behind
-// compute. Results are byte-identical to the blocking path — the same
-// queries get the same answers, only their arrival is pipelined.
+// A sharded rank splits its chunk list into deterministic tiles and
+// pipelines them with one tile of lookahead: while tile t's answers are
+// being computed on, tile t+1's lookup round is already in flight over
+// nonblocking Isend/Irecv (shard.AsyncRound), so the fetch latency
+// hides behind compute. Results are byte-identical to the replicated
+// path — every probe gets the answer the full tables would give.
 //
 // Fault composition: during the pipeline, queries are routed by the
 // static owner map only (no per-tile agreement — agreement is a
@@ -40,17 +37,11 @@ const (
 	overlapTagR2T   = 0x30000000
 )
 
-// OverlapMode selects the fetch/compute interaction of a sharded run.
-type OverlapMode int
-
-const (
-	// OverlapDefault overlaps whenever the k-mer state is sharded.
-	OverlapDefault OverlapMode = iota
-	// OverlapOn forces the tile pipeline (no-op without sharding).
-	OverlapOn
-	// OverlapOff keeps the blocking barrier-stepped reference path.
-	OverlapOff
-)
+// fetchTileChunks is the tile granularity: how many of a rank's chunks
+// share one lookup round. Smaller tiles re-fetch more duplicate k-mers
+// across tile boundaries (1 costs +21 % allocated bytes end to end);
+// larger ones measure the same as 8 (EXPERIMENTS.md).
+const fetchTileChunks = 8
 
 // TileMeter meters one tile of an overlapped fetch/compute pipeline:
 // the wire bytes its lookup round moved and the work units computed on
@@ -68,10 +59,10 @@ type TileMeter struct {
 // below one, so the Start/Wait sequences stay aligned world-wide even
 // for ranks whose chunks run out early (they keep participating with
 // empty tiles, serving the others' queries).
-func tileCount(nchunks func(rank int) int, ranks, per int) int {
+func tileCount(nchunks func(rank int) int, ranks int) int {
 	tiles := 1
 	for r := 0; r < ranks; r++ {
-		if n := (nchunks(r) + per - 1) / per; n > tiles {
+		if n := (nchunks(r) + fetchTileChunks - 1) / fetchTileChunks; n > tiles {
 			tiles = n
 		}
 	}
@@ -80,23 +71,26 @@ func tileCount(nchunks func(rank int) int, ranks, per int) int {
 
 // tileSlice cuts tile t out of a rank's chunk list (empty once the
 // list is exhausted — the rank still steps the pipeline).
-func tileSlice(chunks []int, per, t int) []int {
-	lo := t * per
+func tileSlice(chunks []int, t int) []int {
+	lo := t * fetchTileChunks
 	if lo >= len(chunks) {
 		return nil
 	}
-	hi := lo + per
+	hi := lo + fetchTileChunks
 	if hi > len(chunks) {
 		hi = len(chunks)
 	}
 	return chunks[lo:hi]
 }
 
-// collectTileQueryKmers is collectQueryKmers restricted to one tile's
-// chunks: the distinct k-mers (plus reverse complements when withRC)
-// the welding loop will probe over those contigs, in first-seen scan
-// order. Deduplication is per tile — a k-mer probed by two tiles is
-// fetched by both, the price of not holding the union resident.
+// collectTileQueryKmers gathers the distinct k-mers a welding loop will
+// probe over one tile's contigs, in first-seen scan order. withRC
+// additionally collects each k-mer's reverse complement (loop 1 probes
+// RC seeds and RC read counts; loop 2 only probes forward contig
+// k-mers, because the weld index itself is keyed under both
+// orientations of each core). Deduplication is per tile — a k-mer
+// probed by two tiles is fetched by both, the price of not holding the
+// union resident.
 func collectTileQueryKmers(seqs [][]byte, dist Distribution, chunks []int, k int, withRC bool) []kmer.Kmer {
 	seen := kmer.NewFlatSet(0)
 	var out []kmer.Kmer
@@ -200,7 +194,7 @@ func (f *overlapFetcher) run() ([]TileMeter, error) {
 		if rerr != nil {
 			// Faults are routable — the lost frames defer their tile to
 			// the cleanup pass. A decode error from a live peer is
-			// corruption and aborts, as in the blocking path.
+			// corruption and aborts.
 			if _, ok := mpi.AsFault(rerr); !ok {
 				return meters, rerr
 			}
@@ -244,7 +238,7 @@ func (f *overlapFetcher) run() ([]TileMeter, error) {
 		}
 	}
 	bodies, ferr := fetchShardAnswers(f.c, f.stage, f.rep, f.rec, f.exchanged,
-		f.led, leftQ, f.answer, f.ro, len(leftQ) > 0)
+		f.led, leftQ, f.answer, f.ro)
 	if ferr != nil {
 		return meters, ferr
 	}

@@ -18,8 +18,7 @@ import (
 // rank builds only its shard of the table from the shared contig set,
 // and before assigning a batch of kept chunks it fetches the owners of
 // the distinct k-mers those chunks' reads will probe (both strands)
-// through the same shard rounds GFF uses — blocking fetchShardAnswers
-// rounds, or the overlapped tile pipeline (overlap.go). The fetched
+// through the same overlapped tile pipeline GFF uses (overlap.go). The fetched
 // answers materialise a partial bundleKmerTable; a k-mer the shards
 // do not hold is simply absent from it, so every lookup the unchanged
 // assignment kernels make — hit or miss — matches the replicated

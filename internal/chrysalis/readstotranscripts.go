@@ -61,21 +61,12 @@ type R2TOptions struct {
 	// kmer.OwnerRank instead of replicating it on every rank: each rank
 	// holds ~1/ranks of the table and fetches the owners of the k-mers
 	// its kept chunks' reads will probe in batched shard lookup rounds
-	// (r2t_sharded.go). Assignments are byte-identical to the
-	// replicated path — only per-rank memory and communication change,
-	// metered via R2TRankProfile.
+	// (r2t_sharded.go), pipelined against compute in tiles of kept
+	// chunks with one round of lookahead, exactly as in GFFOptions.
+	// Assignments are byte-identical to the replicated path — only
+	// per-rank memory and communication change, metered via
+	// R2TRankProfile.
 	ShardKmers bool
-
-	// OverlapFetch selects how a sharded run's lookup rounds interact
-	// with compute, exactly as in GFFOptions: the default pipelines
-	// tiles of kept chunks with one round of lookahead; OverlapOff
-	// keeps the blocking barrier-stepped reference. Ignored without
-	// ShardKmers.
-	OverlapFetch OverlapMode
-
-	// FetchTileChunks is the tile granularity of the overlapped
-	// pipeline — kept chunks per lookup round (default 8).
-	FetchTileChunks int
 
 	// Faults injects a deterministic failure schedule into the run's
 	// MPI world (see mpi.FaultPlan). A non-nil plan implies the
@@ -118,9 +109,6 @@ func (o *R2TOptions) normalize() error {
 	if o.ShardKmers {
 		o.MasterDistribute = false
 	}
-	if o.FetchTileChunks <= 0 {
-		o.FetchTileChunks = 8
-	}
 	return nil
 }
 
@@ -144,14 +132,13 @@ type R2TRankProfile struct {
 
 	// ResidentKmerBytes is the rank's peak resident k-mer→bundle state:
 	// the full replicated table, or — under ShardKmers — the rank's
-	// shards plus the partial table its kept chunks queried (under an
-	// overlapped fetch, the largest single tile's).
+	// shards plus the largest single tile's partial table.
 	ResidentKmerBytes int64
 	// ShardExchangeBytes counts the addressed bytes this rank moved
 	// through shard lookup rounds (0 unless ShardKmers).
 	ShardExchangeBytes int64
-	// Overlap meters the overlapped fetch pipeline's tiles (nil unless
-	// the run overlapped).
+	// Overlap meters the sharded fetch pipeline's tiles (nil unless
+	// ShardKmers).
 	Overlap []TileMeter
 }
 
@@ -455,10 +442,8 @@ func ReadsToTranscripts(reads []seq.Record, contigs []seq.Record, comps []Compon
 		// yet", §V-B) — its cost divides across a node's threads but
 		// not across ranks. Under ShardKmers the rank instead builds
 		// only its shard and fetches the k-mers its kept chunks will
-		// probe through shard lookup rounds — blocking, or the
-		// overlapped tile pipeline; the scan of the shared contig set
-		// is still charged in full.
-		overlapped := opt.ShardKmers && opt.OverlapFetch != OverlapOff
+		// probe through the overlapped tile pipeline; the scan of the
+		// shared contig set is still charged in full.
 		var srs *r2tShards
 		var myTable *bundleKmerTable
 		var peakTile int64
@@ -474,29 +459,13 @@ func ReadsToTranscripts(reads []seq.Record, contigs []seq.Record, comps []Compon
 			myTable = fullTable()
 			prof.SetupUnits = float64(myTable.ops) / float64(opt.ThreadsPerRank)
 		}
-		if opt.ShardKmers && !overlapped {
-			// Blocking reference: fetch every k-mer the kept chunks will
-			// probe in barrier-stepped rounds, then compute on the partial
-			// replica.
-			queries := collectR2TQueryKmers(myKept, chunkRange, iterateRead)
-			bodies, ferr := fetchShardAnswers(c, "readstotranscripts/table", rep, opt.Trace,
-				&srs.exchanged, r2tLed, queries, srs.answer, ro, false)
-			if ferr != nil {
-				return ferr
-			}
-			var berr error
-			myTable, berr = buildR2TCache(opt.K, r2tSrc.ncomp, queries, bodies)
-			if berr != nil {
-				return berr
-			}
-		}
 
 		var commStart mpi.Stats
 		var mine []Assignment
-		if overlapped {
+		if opt.ShardKmers {
 			// Double-buffered tile pipeline: tile t+1's lookup round is in
 			// flight while tile t's chunks assign on its partial replica.
-			tiles := tileCount(func(r int) int { return len(keptChunks(r)) }, ranks, opt.FetchTileChunks)
+			tiles := tileCount(func(r int) int { return len(keptChunks(r)) }, ranks)
 			var sc *assignScratch
 			if !active {
 				sc = assignScratchPool.Get().(*assignScratch)
@@ -506,12 +475,11 @@ func ReadsToTranscripts(reads []seq.Record, contigs []seq.Record, comps []Compon
 				exchanged: &srs.exchanged, led: r2tLed, ro: ro,
 				tagBase: overlapTagR2T, tiles: tiles,
 				collect: func(t int) []kmer.Kmer {
-					return collectR2TQueryKmers(tileSlice(myKept, opt.FetchTileChunks, t),
-						chunkRange, iterateRead)
+					return collectR2TQueryKmers(tileSlice(myKept, t), chunkRange, iterateRead)
 				},
 				answer: srs.answer,
 				compute: func(t int, queries []kmer.Kmer, bodies [][]byte) (float64, error) {
-					chunks := tileSlice(myKept, opt.FetchTileChunks, t)
+					chunks := tileSlice(myKept, t)
 					if len(chunks) == 0 {
 						return 0, nil
 					}
@@ -645,15 +613,9 @@ func ReadsToTranscripts(reads []seq.Record, contigs []seq.Record, comps []Compon
 		}
 		prof.Assigned = len(mine)
 		if opt.ShardKmers {
-			// Peak resident table state: the shard store plus the partial
-			// replica — the full kept-chunk cache on the blocking path, the
-			// largest single tile's under the overlapped pipeline (tile
-			// replicas are transient).
-			partial := peakTile
-			if myTable != nil {
-				partial = myTable.memBytes()
-			}
-			prof.ResidentKmerBytes = partial + srs.residentBytes()
+			// Peak resident table state: the shard store plus the largest
+			// single tile's partial replica (tile replicas are transient).
+			prof.ResidentKmerBytes = peakTile + srs.residentBytes()
 			prof.ShardExchangeBytes = srs.exchanged
 		} else {
 			prof.ResidentKmerBytes = myTable.memBytes()
@@ -762,8 +724,9 @@ func traceR2T(opt R2TOptions, ranks, nChunks int, chunkRange func(ch int) (lo, h
 			rec.Observe("r2t_shard_exchange_bytes", float64(p.ShardExchangeBytes))
 		}
 	}
-	// Overlapped runs additionally get the pipeline's fetch/compute
-	// lanes in their own category, so blocking traces stay byte-stable.
+	// Sharded runs additionally get the tile pipeline's fetch/compute
+	// lanes in their own category, so replicated traces stay
+	// byte-stable.
 	for rank := range profiles {
 		p := &profiles[rank]
 		if len(p.Overlap) == 0 {

@@ -23,16 +23,16 @@ import (
 // shared source data (the contig file and the jellyfish dump, which on
 // a real cluster live on the shared filesystem).
 //
-// Lookups are batched, not chased one by one: before each welding loop
-// a rank collects the distinct k-mers that loop will ever probe over
-// its assigned contigs — for loop 1 every valid contig k-mer plus its
-// reverse complement (which provably covers the seed probes, RC-seed
-// probes and every weldSupport window probe, since window k-mers are
-// contig k-mers), for loop 2 every valid contig k-mer — and fetches
-// the answers in aggregated shard.Round exchanges over the pairwise
-// Alltoallv. The answers materialise a partial replica of the same
-// flat structures the replicated path uses (contigKmerIndex,
-// jellyfish.Frozen, weldIndex), so the hot loops run unchanged and
+// Lookups are batched, not chased one by one: for each tile of its
+// chunk list (overlap.go) a rank collects the distinct k-mers the
+// welding loop will probe over those contigs — for loop 1 every valid
+// contig k-mer plus its reverse complement (which provably covers the
+// seed probes, RC-seed probes and every weldSupport window probe, since
+// window k-mers are contig k-mers), for loop 2 every valid contig
+// k-mer — and fetches the answers in one aggregated lookup round. The
+// answers materialise a partial replica of the same flat structures
+// the replicated path uses (contigKmerIndex, jellyfish.Frozen,
+// weldIndex), so the hot loops run unchanged and
 // their results, probe counts and work units are byte-identical to the
 // replicated reference — the property the differential battery pins.
 //
@@ -257,37 +257,6 @@ func (rs *rankShards) residentBytes() int64 {
 	return n
 }
 
-// collectQueryKmers gathers the distinct k-mers a welding loop will
-// probe over this rank's assigned contigs, in first-seen scan order.
-// withRC additionally collects each k-mer's reverse complement (loop 1
-// probes RC seeds and RC read counts; loop 2 only probes forward
-// contig k-mers, because the weld index itself is keyed under both
-// orientations of each core).
-func collectQueryKmers(seqs [][]byte, dist Distribution, rank, k int, withRC bool) []kmer.Kmer {
-	seen := kmer.NewFlatSet(0)
-	var out []kmer.Kmer
-	add := func(m kmer.Kmer) {
-		n := int32(seen.Len())
-		if seen.Add(m) == n {
-			out = append(out, m)
-		}
-	}
-	dist.ForEachRankItem(rank, func(i int) {
-		it := kmer.NewIterator(seqs[i], k)
-		for {
-			m, _, ok := it.Next()
-			if !ok {
-				break
-			}
-			add(m)
-			if withRC {
-				add(m.ReverseComplement(k))
-			}
-		}
-	})
-	return out
-}
-
 // fetchLedger is the shared completion ledger of one fetch phase — the
 // analog of per-rank "done" files on the shared filesystem (like the
 // chunkStore it sits next to). Each rank posts its unanswered-query
@@ -328,8 +297,9 @@ func (l *fetchLedger) totalAlive(dead []int) int {
 	return total
 }
 
-// fetchShardAnswers runs aggregated remote-lookup rounds until every
-// live rank's queries are answered: post remaining count → AgreeDead →
+// fetchShardAnswers is the blocking fault-cleanup pass of the tile
+// pipeline: it runs aggregated shard.Round exchanges until every live
+// rank's lost queries are answered: post remaining count → AgreeDead →
 // identical exit/continue decision on every rank → recompute the owner
 // map over the survivors → one shard.Round for the still-unanswered
 // queries. Failed owners surface as nil frames and are re-requested
@@ -341,15 +311,12 @@ func (l *fetchLedger) totalAlive(dead []int) int {
 // Every live rank executes the same collective sequence — the decision
 // inputs (ledger + agreed dead set) are phase-consistent — which keeps
 // the world's collectives aligned. Returned bodies are parallel to
-// queries and all non-nil on success.
-//
-// retried marks the call as the cleanup pass of an overlapped tile
-// pipeline: its queries were already attempted once over the
-// nonblocking rounds, so even the first blocking round here is a
-// retry and is recorded as one.
+// queries and all non-nil on success. Every query reaching this pass
+// was already attempted once over the nonblocking rounds, so each round
+// that runs here is a retry and is recorded as one.
 func fetchShardAnswers(c *Comm, stage string, rep *recReport, rec *trace.Recorder, exchanged *int64,
 	led *fetchLedger, queries []kmer.Kmer, answer func(kmer.Kmer, []byte) []byte,
-	ro RecoveryOptions, retried bool) ([][]byte, error) {
+	ro RecoveryOptions) ([][]byte, error) {
 	size := c.Size()
 	bodies := make([][]byte, len(queries))
 	remaining := len(queries)
@@ -371,7 +338,7 @@ func fetchShardAnswers(c *Comm, stage string, rep *recReport, rec *trace.Recorde
 			return bodies, &UnrecoverableError{Stage: stage, Rounds: round, Dead: dead}
 		}
 		owners := shard.Owners(size, dead)
-		if (round > 0 || retried) && c.Rank() == firstAlive(owners) {
+		if c.Rank() == firstAlive(owners) {
 			rep.addShardRound() // one retry round, recorded once
 		}
 		qs := make([][]kmer.Kmer, size)

@@ -90,10 +90,11 @@ func TestGFFShardKmersResidentShrinks(t *testing.T) {
 }
 
 // TestGFFShardKmersFaultScenarios composes sharding with the fault
-// layer: ranks killed during the fetch collectives or the welding
-// loops, and a dropped fetch contribution, must all recover with
-// output identical to the fault-free replicated run — the dead rank's
-// shard is rebuilt by an adopting survivor from the shared source.
+// layer: ranks killed during the tile pipeline's fetches or the welding
+// loops, and a dropped fetch frame, must all recover with output
+// identical to the fault-free replicated run — the dead rank's shard is
+// rebuilt by an adopting survivor from the shared source, and the lost
+// frames are re-requested by the blocking cleanup pass.
 func TestGFFShardKmersFaultScenarios(t *testing.T) {
 	sc := buildFaultScenario(t)
 	const ranks = 4
@@ -102,38 +103,40 @@ func TestGFFShardKmersFaultScenarios(t *testing.T) {
 	scenarios := []struct {
 		name       string
 		plan       *mpi.FaultPlan
-		wantShards bool // a survivor must have adopted the victim's shard
-		wantRounds bool // the fetch loop must have needed a retry round
+		timeout    time.Duration // RankTimeout, for faults only a receive timeout reveals
+		wantShards bool          // a survivor must have adopted the victim's shard
+		wantRounds bool          // the fetch loop must have needed a retry round
 	}{
 		{
-			// Dies at its very first MPI call — the loop-1 fetch
-			// agreement — so round 0 already routes around it.
+			// Dies at its very first MPI call — tile 0's first send — so
+			// every frame it owed defers to the cleanup pass.
 			name:       "kill at first fetch agreement",
 			plan:       mpi.NewFaultPlan(mpi.Fault{Kind: mpi.FaultKill, Rank: 1, AtCall: 0}),
 			wantShards: true,
 		},
 		{
-			// Dies inside the loop-1 fetch round (between the agreement
-			// and the exchange legs): its answers are lost and the
-			// survivors need a retry round under the shrunken owner map.
+			// Dies inside tile 0's lookup round: its answers are lost and
+			// the survivors need a retry round under the shrunken owner
+			// map.
 			name:       "kill mid fetch round",
 			plan:       mpi.NewFaultPlan(mpi.Fault{Kind: mpi.FaultKill, Rank: 2, AtCall: 1}),
 			wantShards: true,
 			wantRounds: true,
 		},
 		{
-			// Dies during the loop-1 chunk probes, after fetching: chunk
-			// recovery recomputes its chunks and the loop-2 fetch adopts
-			// its shard.
+			// Dies a few calls into the loop-1 pipeline: chunk recovery
+			// recomputes its chunks and the survivors adopt its shard.
 			name:       "kill mid loop1 chunks",
 			plan:       mpi.NewFaultPlan(mpi.Fault{Kind: mpi.FaultKill, Rank: 3, AtCall: 6}),
 			wantShards: true,
 		},
 		{
-			// One dropped contribution in a fetch collective: the lost
-			// frames are simply re-requested next round.
-			name:       "dropped fetch contribution",
-			plan:       mpi.NewFaultPlan(mpi.Fault{Kind: mpi.FaultDropContribution, Rank: 1, AtCall: 1}),
+			// One dropped tile frame (rank 1's first message to rank 2):
+			// the receive times out, the tile defers, and the cleanup
+			// pass re-requests the lost frames.
+			name:       "dropped fetch frame",
+			plan:       mpi.NewFaultPlan(mpi.Fault{Kind: mpi.FaultDropMsg, Rank: 1, Dst: 2, AtCall: 0}),
+			timeout:    200 * time.Millisecond,
 			wantRounds: true,
 		},
 	}
@@ -142,11 +145,8 @@ func TestGFFShardKmersFaultScenarios(t *testing.T) {
 			guard(t, 30*time.Second, func() {
 				opt := gffOpts(sc)
 				opt.ShardKmers = true
-				// The fault call indices above are keyed to the blocking
-				// reference path's MPI op sequence; the overlapped pipeline
-				// has its own battery in overlap_test.go.
-				opt.OverlapFetch = OverlapOff
 				opt.Faults = tc.plan
+				opt.Recovery.RankTimeout = tc.timeout
 				res := runGFF(t, sc, ranks, opt)
 				sameGFF(t, tc.name, res, baseline)
 				if res.Recovery == nil {
@@ -174,9 +174,6 @@ func TestGFFShardKmersSeededKills(t *testing.T) {
 		guard(t, 30*time.Second, func() {
 			opt := gffOpts(sc)
 			opt.ShardKmers = true
-			// Seeded call indices land on the blocking path's op sequence;
-			// the overlapped pipeline's seeded kills run in overlap_test.go.
-			opt.OverlapFetch = OverlapOff
 			opt.Faults = mpi.RandomKillPlan(seed, ranks, 1, 12)
 			res := runGFF(t, sc, ranks, opt)
 			sameGFF(t, "sharded seeded kill", res, baseline)

@@ -39,17 +39,7 @@ func (t *Trace) Append(name string, duration, rssGB float64) {
 	t.Stages = append(t.Stages, StageProfile{Name: name, Start: start, Duration: duration, RSSGB: rssGB})
 }
 
-// AppendAt adds a stage with an explicit start time. The streaming
-// pipeline's stages overlap in wall time, so their profiles cannot be
-// chained end-to-start the way Append assumes; each records the window
-// it actually occupied.
-func (t *Trace) AppendAt(name string, start, duration, rssGB float64) {
-	t.Stages = append(t.Stages, StageProfile{Name: name, Start: start, Duration: duration, RSSGB: rssGB})
-}
-
-// Total returns the latest stage end time. For sequential traces this
-// is the final stage's end; for overlapping (AppendAt) traces it is
-// the wall-clock span of the whole recording.
+// Total returns the latest stage end time.
 func (t *Trace) Total() float64 {
 	total := 0.0
 	for _, s := range t.Stages {
@@ -132,16 +122,6 @@ func (m *Meter) Run(name string, fn func() error) error {
 	runtime.ReadMemStats(&ms)
 	m.trace.Append(name, dur, float64(ms.HeapAlloc)/1e9)
 	return err
-}
-
-// RecordAt appends a stage that ran over an explicit wall-clock window
-// (relative to the meter's start), sampling the heap like Run does.
-// Used by the streaming pipeline, whose overlapping stages are timed by
-// the DAG itself rather than executed under the meter.
-func (m *Meter) RecordAt(name string, start time.Time, dur time.Duration) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	m.trace.AppendAt(name, start.Sub(m.start).Seconds(), dur.Seconds(), float64(ms.HeapAlloc)/1e9)
 }
 
 // Trace returns the accumulated stage trace.

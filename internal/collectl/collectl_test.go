@@ -5,7 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestTraceAppendChainsStarts(t *testing.T) {
@@ -77,43 +76,5 @@ func TestMeterPropagatesError(t *testing.T) {
 	}
 	if len(m.Trace().Stages) != 1 {
 		t.Error("failed stage not recorded")
-	}
-}
-
-// Overlapping stages (the streaming pipeline's AppendAt windows) keep
-// Total at the wall-clock span, not the sum of durations.
-func TestTraceAppendAtOverlaps(t *testing.T) {
-	var tr Trace
-	tr.AppendAt("bowtie", 0, 100, 5)
-	tr.AppendAt("graphfromfasta", 40, 100, 8) // overlaps bowtie
-	tr.AppendAt("butterfly", 90, 20, 6)       // nested inside graphfromfasta
-	if tr.Stages[1].Start != 40 {
-		t.Errorf("AppendAt start = %g, want 40", tr.Stages[1].Start)
-	}
-	if tr.Total() != 140 {
-		t.Errorf("total = %g, want 140 (max end, not 220 summed)", tr.Total())
-	}
-	// Mixing in a chained Append continues from the last stage row.
-	tr.Append("report", 10, 1)
-	if tr.Stages[3].Start != 110 || tr.Total() != 140 {
-		t.Errorf("append after AppendAt: start=%g total=%g", tr.Stages[3].Start, tr.Total())
-	}
-}
-
-func TestMeterRecordAt(t *testing.T) {
-	m := NewMeter()
-	start := time.Now()
-	time.Sleep(5 * time.Millisecond)
-	m.RecordAt("stream", start, 3*time.Millisecond)
-	tr := m.Trace()
-	if len(tr.Stages) != 1 {
-		t.Fatalf("stages = %d, want 1", len(tr.Stages))
-	}
-	s := tr.Stages[0]
-	if s.Name != "stream" || s.Start < 0 || s.Duration <= 0 {
-		t.Errorf("recorded stage %+v", s)
-	}
-	if s.RSSGB <= 0 {
-		t.Errorf("RecordAt did not sample the heap: rss=%g", s.RSSGB)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"gotrinity/internal/butterfly"
 	"gotrinity/internal/chrysalis"
 	"gotrinity/internal/jellyfish"
-	"gotrinity/internal/mpiio"
 	"gotrinity/internal/seq"
 )
 
@@ -93,8 +92,7 @@ func RunFiles(readsPath, workDir string, cfg Config) (*FileArtifacts, error) {
 	}
 
 	// bowtie: reads + contigs -> SAM. The packed default indexes and
-	// verifies the 2-bit forms on either backend (the packed FM-index
-	// searches seed k-mers straight from their packed form).
+	// verifies the 2-bit forms.
 	contigs, err = seq.ReadFastaFile(art.Contigs)
 	if err != nil {
 		return nil, err
@@ -142,21 +140,9 @@ func RunFiles(readsPath, workDir string, cfg Config) (*FileArtifacts, error) {
 	}
 
 	// graphfromfasta: contigs + reads (+ SAM scaffolds) -> components.
-	samIn, err := os.Open(art.SAM)
+	scaffolds, err := scaffoldsFromSAM(art.SAM, contigs)
 	if err != nil {
 		return nil, err
-	}
-	samAls, err := bowtie.ReadSAM(samIn)
-	samIn.Close()
-	if err != nil {
-		return nil, err
-	}
-	contigIdx := map[string]int{}
-	for i, c := range contigs {
-		contigIdx[c.ID] = i
-	}
-	for i := range samAls {
-		samAls[i].Contig = contigIdx[samAls[i].ContigID]
 	}
 	gff, err := chrysalis.GraphFromFasta(contigs, table, cfg.Ranks, chrysalis.GFFOptions{
 		K:                 cfg.K,
@@ -165,11 +151,9 @@ func RunFiles(readsPath, workDir string, cfg Config) (*FileArtifacts, error) {
 		ThreadsPerRank:    cfg.ThreadsPerRank,
 		Seed:              cfg.Seed,
 		ShardKmers:        cfg.ShardKmers,
-		OverlapFetch:      cfg.overlapFetch(),
-		FetchTileChunks:   cfg.FetchTileChunks,
 		Packed:            preads != nil,
 		PackedContigs:     pcontigs,
-		ScaffoldPairs:     ScaffoldPairs(samAls),
+		ScaffoldPairs:     scaffolds,
 	})
 	if err != nil {
 		return nil, err
@@ -184,15 +168,13 @@ func RunFiles(readsPath, workDir string, cfg Config) (*FileArtifacts, error) {
 		return nil, err
 	}
 	r2t, err := chrysalis.ReadsToTranscripts(reads, contigs, comps, cfg.Ranks, chrysalis.R2TOptions{
-		K:               cfg.K,
-		MaxMemReads:     cfg.MaxMemReads,
-		ThreadsPerRank:  cfg.ThreadsPerRank,
-		ShardKmers:      cfg.ShardKmers,
-		OverlapFetch:    cfg.overlapFetch(),
-		FetchTileChunks: cfg.FetchTileChunks,
-		Packed:          preads != nil,
-		PackedReads:     preads,
-		PackedContigs:   pcontigs,
+		K:              cfg.K,
+		MaxMemReads:    cfg.MaxMemReads,
+		ThreadsPerRank: cfg.ThreadsPerRank,
+		ShardKmers:     cfg.ShardKmers,
+		Packed:         preads != nil,
+		PackedReads:    preads,
+		PackedContigs:  pcontigs,
 	})
 	if err != nil {
 		return nil, err
@@ -203,50 +185,42 @@ func RunFiles(readsPath, workDir string, cfg Config) (*FileArtifacts, error) {
 
 	// butterfly: contigs + components + reads + assignments -> transcripts.
 	// The file-based runner uses the same component-parallel tail as the
-	// in-memory pipeline (TailWorkers=1 selects the serial reference).
+	// in-memory pipeline.
 	assigns, err := chrysalis.ReadAssignmentsFile(art.Assignments)
 	if err != nil {
 		return nil, err
 	}
-	var graphs []*chrysalis.ComponentGraph
-	if cfg.tailWorkers() == 1 {
-		if graphs, err = chrysalis.FastaToDeBruijn(contigs, comps, cfg.K); err != nil {
-			return nil, err
-		}
-		chrysalis.QuantifyGraph(graphs, reads, assigns)
-	} else {
-		if graphs, _, _, err = chrysalis.FastaToDeBruijnParallel(contigs, comps, cfg.K, reads, assigns, cfg.tailWorkers()); err != nil {
-			return nil, err
-		}
+	graphs, _, _, err := chrysalis.FastaToDeBruijnParallel(contigs, comps, cfg.K, reads, assigns, cfg.tailWorkers())
+	if err != nil {
+		return nil, err
 	}
 	bopt := cfg.Butterfly
 	if bopt.Seed == 0 {
 		bopt.Seed = cfg.Seed
 	}
-	var ts []butterfly.Transcript
-	if cfg.tailWorkers() == 1 {
-		ts = butterfly.Reconstruct(graphs, bopt)
-	} else {
-		ts, _ = butterfly.ReconstructParallel(graphs, bopt, cfg.tailWorkers())
-	}
-	if cfg.Streaming.Enabled {
-		// The streaming artifact writer: per-component record groups
-		// serialized independently and written with concurrent
-		// positional writes (mpiio, the MPI_File_write_at pattern) —
-		// byte-identical to the serial writer below.
-		var parts [][]seq.Record
-		for i, j := 0, 0; i < len(ts); i = j {
-			for j = i; j < len(ts) && ts[j].Component == ts[i].Component; j++ {
-			}
-			parts = append(parts, butterfly.Records(ts[i:j]))
-		}
-		if err := mpiio.WriteFastaPartitions(art.Transcripts, parts); err != nil {
-			return nil, err
-		}
-	} else if err := seq.WriteFastaFile(art.Transcripts, butterfly.Records(ts)); err != nil {
+	ts, _ := butterfly.ReconstructParallel(graphs, bopt, cfg.tailWorkers())
+	if err := seq.WriteFastaFile(art.Transcripts, butterfly.Records(ts)); err != nil {
 		return nil, err
 	}
 	return art, nil
+}
+
+// scaffoldsFromSAM reads the alignments back from samPath — a file a
+// user may have edited or produced with another tool — and derives the
+// scaffold pairs. A record the contig set cannot hold (unknown RNAME,
+// span past the contig's end) is a *bowtie.SAMRefError, never a silent
+// scaffold onto the wrong contig.
+func scaffoldsFromSAM(samPath string, contigs []seq.Record) ([][2]int32, error) {
+	f, err := os.Open(samPath)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	als, err := bowtie.ReadSAMFor(f, contigs)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", samPath, err)
+	}
+	return ScaffoldPairs(als), nil
 }
 
 func inchwormFromEntries(entries []jellyfish.Entry, cfg Config) ([]seq.Record, int, error) {

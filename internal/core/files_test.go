@@ -1,9 +1,10 @@
 package core
 
 import (
-	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gotrinity/internal/bowtie"
@@ -137,35 +138,66 @@ func TestReadSAMRoundTrip(t *testing.T) {
 	}
 }
 
-// RunFiles with Streaming.Enabled routes the final transcript write
-// through the overlapped positional writer (mpiio); the file must be
-// byte-identical to the serial writer's.
-func TestRunFilesStreamingArtifactIdentical(t *testing.T) {
+// alignments.sam is outside input to the stages after Bowtie: a user can
+// edit it or swap in another aligner's between stages. A record the
+// contig set cannot hold must stop the run with a typed error naming
+// the line and contig, never scaffold onto contig 0.
+func TestScaffoldsFromEditedSAM(t *testing.T) {
 	dir := t.TempDir()
 	d := rnaseq.Generate(rnaseq.Tiny(23))
 	readsPath := filepath.Join(dir, "reads.fa")
 	if err := seq.WriteFastaFile(readsPath, d.Reads); err != nil {
 		t.Fatal(err)
 	}
-	cfg := tinyConfig()
-	serial, err := RunFiles(readsPath, filepath.Join(dir, "serial"), cfg)
+	art, err := RunFiles(readsPath, filepath.Join(dir, "work"), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Streaming.Enabled = true
-	streamed, err := RunFiles(readsPath, filepath.Join(dir, "streamed"), cfg)
+	contigs, err := seq.ReadFastaFile(art.Contigs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(serial.Transcripts)
+	if _, err := scaffoldsFromSAM(art.SAM, contigs); err != nil {
+		t.Fatalf("unedited SAM rejected: %v", err)
+	}
+	orig, err := os.ReadFile(art.SAM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(streamed.Transcripts)
-	if err != nil {
-		t.Fatal(err)
+	lines := strings.Split(string(orig), "\n")
+	rec := -1 // first alignment record
+	for i, l := range lines {
+		if l != "" && l[0] != '@' {
+			rec = i
+			break
+		}
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("streamed transcript file differs from serial write (%d vs %d bytes)", len(got), len(want))
+	if rec < 0 {
+		t.Fatal("no alignment record in the SAM")
+	}
+	for _, tc := range []struct {
+		name      string
+		field     int // SAM column to overwrite
+		value     string
+		wantKnown bool
+	}{
+		{"unknown RNAME", 2, "no_such_contig", false},
+		{"position past the end", 3, "1000000", true},
+	} {
+		fields := strings.Split(lines[rec], "\t")
+		fields[tc.field] = tc.value
+		edited := append([]string(nil), lines...)
+		edited[rec] = strings.Join(fields, "\t")
+		if err := os.WriteFile(art.SAM, []byte(strings.Join(edited, "\n")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := scaffoldsFromSAM(art.SAM, contigs)
+		var re *bowtie.SAMRefError
+		if !errors.As(err, &re) {
+			t.Fatalf("%s: error %v, want *bowtie.SAMRefError", tc.name, err)
+		}
+		if re.Line != rec+1 || re.ContigID != fields[2] || (re.ContigLen >= 0) != tc.wantKnown {
+			t.Errorf("%s: %+v (record is on line %d)", tc.name, re, rec+1)
+		}
 	}
 }

@@ -51,38 +51,32 @@ func sameRunOutput(t *testing.T, name string, got, want *Result) {
 
 // TestRunPackedMatchesASCII is the end-to-end acceptance pin of the
 // packed migration: the default (2-bit packed) pipeline must reproduce
-// the ASCII fallback byte-for-byte at every rank count, on both the
-// barrier and streaming tails.
+// the ASCII fallback byte-for-byte at every rank count — every
+// intermediate product, where the config lattice compares transcripts
+// only.
 func TestRunPackedMatchesASCII(t *testing.T) {
 	d := rnaseq.Generate(rnaseq.Tiny(31))
 	for _, ranks := range []int{1, 4, 16} {
-		for _, streaming := range []bool{false, true} {
-			cfg := tinyConfig()
-			cfg.Ranks = ranks
-			cfg.Seed = 5
-			cfg.Streaming.Enabled = streaming
-			cfg.ASCIISeq = true
-			want, err := Run(d.Reads, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.ASCIISeq = false
-			got, err := Run(d.Reads, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := "packed"
-			if streaming {
-				name = "packed/streaming"
-			}
-			sameRunOutput(t, name, got, want)
+		cfg := tinyConfig()
+		cfg.Ranks = ranks
+		cfg.Seed = 5
+		cfg.ASCIISeq = true
+		want, err := Run(d.Reads, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		cfg.ASCIISeq = false
+		got, err := Run(d.Reads, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRunOutput(t, "packed", got, want)
 	}
 }
 
 // TestRunPackedFaults composes the packed default with injected rank
 // kills and recovery: output must still match the fault-free ASCII
-// baseline, barrier and streaming alike.
+// baseline.
 func TestRunPackedFaults(t *testing.T) {
 	d := rnaseq.Generate(rnaseq.Tiny(32))
 	base := tinyConfig()
@@ -93,20 +87,17 @@ func TestRunPackedFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, streaming := range []bool{false, true} {
-		cfg := base
-		cfg.ASCIISeq = false
-		cfg.Streaming.Enabled = streaming
-		cfg.FaultSeed = 2
-		got, err := Run(d.Reads, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Faults == nil || len(got.Faults.Injected) == 0 {
-			t.Fatalf("streaming=%v: no fault fired", streaming)
-		}
-		sameRunOutput(t, "packed/faulted", got, want)
+	cfg := base
+	cfg.ASCIISeq = false
+	cfg.FaultSeed = 2
+	got, err := Run(d.Reads, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got.Faults == nil || len(got.Faults.Injected) == 0 {
+		t.Fatal("no fault fired")
+	}
+	sameRunOutput(t, "packed/faulted", got, want)
 }
 
 // TestRunExternal pins the external-memory mode: dsk counting plus
@@ -218,5 +209,47 @@ func TestRunFilesPackedExternal(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s differs from %s", pair[1], pair[0])
 		}
+	}
+}
+
+// TestRunExternalBowtieSpill pins the external Bowtie partition spill:
+// with External.Enabled the per-partition alignments round-trip
+// through the temp layout without changing any output, the report
+// meters the spill, and the budget arithmetic folds the largest
+// resident partition into the run peak.
+func TestRunExternalBowtieSpill(t *testing.T) {
+	d := rnaseq.Generate(rnaseq.Tiny(33))
+	cfg := tinyConfig()
+	cfg.Ranks = 4
+	cfg.Seed = 5
+	want, err := Run(d.Reads, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.External = ExternalConfig{Enabled: true, TmpDir: t.TempDir(), Partitions: 8}
+	got, err := Run(d.Reads, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRunOutput(t, "external/spill", got, want)
+	rep := got.External
+	if rep == nil || rep.BowtieSpill == nil {
+		t.Fatal("external run produced no bowtie spill report")
+	}
+	sp := rep.BowtieSpill
+	if sp.Partitions == 0 || sp.SpillBytes <= 0 {
+		t.Errorf("empty spill stats %+v", sp)
+	}
+	if sp.PeakPartitionBytes <= 0 || sp.PeakPartitionBytes > sp.SpillBytes {
+		t.Errorf("peak partition %d vs total %d", sp.PeakPartitionBytes, sp.SpillBytes)
+	}
+	if sp.PeakPartitionAlignments <= 0 {
+		t.Error("no partition alignments metered")
+	}
+	if rep.ResidentPeakBytes != rep.PackedSeqBytes+max(rep.CountingPeakBytes, sp.PeakPartitionBytes) {
+		t.Errorf("resident peak %d does not fold the spill peak", rep.ResidentPeakBytes)
+	}
+	if rep.InMemoryBytes != rep.ASCIISeqBytes+rep.InMemoryCountBytes+sp.SpillBytes {
+		t.Errorf("in-memory working set %d does not count the spilled bytes", rep.InMemoryBytes)
 	}
 }

@@ -62,30 +62,12 @@ type Config struct {
 	// communication change.
 	ShardKmers bool
 
-	// NoOverlapFetch keeps a ShardKmers run's lookup rounds on the
-	// blocking barrier-stepped reference path instead of the default
-	// double-buffered tile pipeline that overlaps each round with the
-	// previous tile's compute. Results are identical either way.
-	NoOverlapFetch bool
-
-	// FetchTileChunks is the overlapped pipeline's tile granularity —
-	// chunks per lookup round (default 8). Smaller tiles overlap more
-	// at the price of more rounds.
-	FetchTileChunks int
-
 	// TailWorkers bounds the pipeline-tail worker pool: the concurrent
 	// Bowtie partition alignments and the component-parallel
 	// FastaToDebruijn/QuantifyGraph/Butterfly phases. 0 (the default)
-	// uses hardware parallelism (GOMAXPROCS); 1 selects the serial
-	// reference tail, whose output the parallel tail reproduces
-	// byte-identically for a fixed seed.
+	// uses hardware parallelism (GOMAXPROCS). Output is byte-identical
+	// for every worker count and a fixed seed.
 	TailWorkers int
-
-	// Streaming switches the pipeline tail (Bowtie → Butterfly) from
-	// barrier-stepped stages to a DAG of bounded channels whose stages
-	// overlap in wall time; output is byte-identical to the barrier
-	// path for a fixed seed. See StreamingConfig.
-	Streaming StreamingConfig
 
 	// SampleInterval enables the Collectl-style background sampler at
 	// the given period, filling Result.Samples/Marks (0 = disabled).
@@ -139,15 +121,6 @@ func (c *Config) normalize() error {
 		return fmt.Errorf("core: k=%d out of range", c.K)
 	}
 	return nil
-}
-
-// overlapFetch maps the NoOverlapFetch escape hatch onto the
-// chrysalis mode (the zero value overlaps whenever sharding is on).
-func (c *Config) overlapFetch() chrysalis.OverlapMode {
-	if c.NoOverlapFetch {
-		return chrysalis.OverlapOff
-	}
-	return chrysalis.OverlapDefault
 }
 
 // Result carries every intermediate and final product of a run.
@@ -305,15 +278,9 @@ func Run(reads []seq.Record, cfg Config) (*Result, error) {
 	}
 
 	// --- The pipeline tail (Bowtie → GraphFromFasta →
-	// ReadsToTranscripts → FastaToDebruijn/Quantify → Butterfly):
-	// barrier-stepped stages by default, or the channel DAG with
-	// overlapping stages when Streaming.Enabled — both byte-identical
-	// for a fixed seed.
-	if cfg.Streaming.Enabled {
-		if err := runStreamingTail(reads, pp, res, &cfg, table, plan, recovery, meter, sampler, runStart); err != nil {
-			return nil, err
-		}
-	} else if err := runBarrierTail(reads, pp, res, &cfg, table, plan, recovery, runStart, stage); err != nil {
+	// ReadsToTranscripts → FastaToDebruijn/Quantify → Butterfly), as
+	// barrier-stepped stages.
+	if err := runTail(reads, pp, res, &cfg, table, plan, recovery, runStart, stage); err != nil {
 		return nil, err
 	}
 

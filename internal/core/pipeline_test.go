@@ -236,9 +236,8 @@ func TestPipelineSampler(t *testing.T) {
 }
 
 // TestPipelineShardKmersIdentical runs the full pipeline with the
-// Chrysalis lookup state sharded across ranks — overlapped tile
-// pipeline (the default) and the blocking escape hatch — and requires
-// transcripts, welds and assignments identical to the replicated run.
+// Chrysalis lookup state sharded across ranks and requires transcripts,
+// welds and assignments identical to the replicated run.
 func TestPipelineShardKmersIdentical(t *testing.T) {
 	d := rnaseq.Generate(rnaseq.Tiny(77))
 	cfg := tinyConfig()
@@ -247,32 +246,20 @@ func TestPipelineShardKmersIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"overlapped", func(c *Config) { c.ShardKmers = true }},
-		{"blocking", func(c *Config) { c.ShardKmers = true; c.NoOverlapFetch = true }},
-		{"tile1", func(c *Config) { c.ShardKmers = true; c.FetchTileChunks = 1 }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			scfg := cfg
-			tc.mut(&scfg)
-			res, err := Run(d.Reads, scfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Transcripts) != len(base.Transcripts) {
-				t.Fatalf("transcript counts differ: %d vs %d", len(res.Transcripts), len(base.Transcripts))
-			}
-			for i := range res.Transcripts {
-				if string(res.Transcripts[i].Seq) != string(base.Transcripts[i].Seq) {
-					t.Fatalf("transcript %d differs from replicated run", i)
-				}
-			}
-			if len(res.GFF.Welds) != len(base.GFF.Welds) || len(res.R2T.Assignments) != len(base.R2T.Assignments) {
-				t.Error("intermediate products differ from replicated run")
-			}
-		})
+	cfg.ShardKmers = true
+	res, err := Run(d.Reads, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Transcripts) != len(base.Transcripts) {
+		t.Fatalf("transcript counts differ: %d vs %d", len(res.Transcripts), len(base.Transcripts))
+	}
+	for i := range res.Transcripts {
+		if string(res.Transcripts[i].Seq) != string(base.Transcripts[i].Seq) {
+			t.Fatalf("transcript %d differs from replicated run", i)
+		}
+	}
+	if len(res.GFF.Welds) != len(base.GFF.Welds) || len(res.R2T.Assignments) != len(base.R2T.Assignments) {
+		t.Error("intermediate products differ from replicated run")
 	}
 }

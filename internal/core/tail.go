@@ -1,10 +1,9 @@
-// The parallel pipeline tail: Bowtie partitions aligned by a bounded
-// worker pool (the paper runs each PyFasta partition on its own node,
+// The pipeline tail: Bowtie partitions aligned by a bounded worker
+// pool (the paper runs each PyFasta partition on its own node,
 // §III-A/Fig. 9-10) and, downstream of Chrysalis, component-parallel
-// FastaToDebruijn/QuantifyGraph/Butterfly phases. Every parallel path
-// here merges results in a fixed order (partition order, component
-// order), so output is byte-identical to the serial reference tail
-// (TailWorkers=1) for a fixed seed.
+// FastaToDebruijn/QuantifyGraph/Butterfly phases. Every phase merges
+// results in a fixed order (partition order, component order), so
+// output is byte-identical for every worker count and a fixed seed.
 package core
 
 import (
@@ -34,29 +33,12 @@ type TailStats struct {
 	PartitionUnits []float64
 	// ComponentUnits holds one entry per component: contig bases plus
 	// assigned-read bases, the weight of the component-parallel
-	// DeBruijn/Quantify/Butterfly work (filled by the parallel tail;
-	// empty on the serial reference path).
+	// DeBruijn/Quantify/Butterfly work.
 	ComponentUnits []float64
-
-	// The streaming tail decomposes ComponentUnits into the part that
-	// can hide behind ReadsToTranscripts and the part that cannot
-	// (filled by the streaming path only; ComponentUnits = BuildUnits +
-	// QuantUnits elementwise).
-
-	// BuildUnits is each component's contig bases — the FastaToDebruijn
-	// graph build, which overlaps the ReadsToTranscripts scan.
-	BuildUnits []float64
-	// QuantUnits is each component's assigned-read bases — the
-	// quantify/butterfly work that must follow the assignments.
-	QuantUnits []float64
-	// R2TUnits is the total read bases the ReadsToTranscripts scan
-	// streams past — the overlap window the graph builds hide behind,
-	// in the same base-count unit space as Build/QuantUnits.
-	R2TUnits float64
 }
 
 // tailWorkers resolves Config.TailWorkers: 0 (or negative) means
-// hardware parallelism, 1 the serial reference tail.
+// hardware parallelism.
 func (c *Config) tailWorkers() int {
 	if c.TailWorkers > 0 {
 		return c.TailWorkers
@@ -64,18 +46,15 @@ func (c *Config) tailWorkers() int {
 	return omp.DefaultThreads()
 }
 
-// runBarrierTail executes the pipeline tail as the classic
-// stage → barrier → stage sequence: each phase drains completely
-// before the next begins. This is the reference path whose output the
-// streaming DAG reproduces byte-for-byte.
-func runBarrierTail(reads []seq.Record, pp *packedPipe, res *Result, cfg *Config, table *jellyfish.CountTable,
+// runTail executes the pipeline tail as the paper's stage → barrier →
+// stage sequence: each phase drains completely before the next begins.
+func runTail(reads []seq.Record, pp *packedPipe, res *Result, cfg *Config, table *jellyfish.CountTable,
 	plan *mpi.FaultPlan, recovery chrysalis.RecoveryOptions, runStart time.Time,
 	stage func(string, func() error) error) error {
 
 	// --- Bowtie: align reads to contigs; with Ranks>1 the contig set
 	// is PyFasta-split and the partitions aligned concurrently by the
-	// tail worker pool (serially when TailWorkers=1), merged in
-	// partition order.
+	// tail worker pool, merged in partition order.
 	err := stage("bowtie", func() error {
 		if err := runBowtiePartitions(reads, pp, res, cfg, runStart); err != nil {
 			return err
@@ -102,8 +81,6 @@ func runBarrierTail(reads []seq.Record, pp *packedPipe, res *Result, cfg *Config
 			ThreadsPerRank:    cfg.ThreadsPerRank,
 			Seed:              cfg.Seed,
 			ShardKmers:        cfg.ShardKmers,
-			OverlapFetch:      cfg.overlapFetch(),
-			FetchTileChunks:   cfg.FetchTileChunks,
 			ScaffoldPairs:     res.Scaffolds,
 			Replicas:          cfg.Replicas,
 			Packed:            pp != nil,
@@ -123,19 +100,17 @@ func runBarrierTail(reads []seq.Record, pp *packedPipe, res *Result, cfg *Config
 		var err error
 		res.R2T, err = chrysalis.ReadsToTranscripts(reads, res.Contigs, res.GFF.Components,
 			cfg.Ranks, chrysalis.R2TOptions{
-				K:               cfg.K,
-				MaxMemReads:     cfg.MaxMemReads,
-				ThreadsPerRank:  cfg.ThreadsPerRank,
-				ShardKmers:      cfg.ShardKmers,
-				OverlapFetch:    cfg.overlapFetch(),
-				FetchTileChunks: cfg.FetchTileChunks,
-				Replicas:        cfg.Replicas,
-				Packed:          pp != nil,
-				PackedReads:     pp.readRecs(),
-				PackedContigs:   pp.contigSeqs(),
-				Faults:          plan,
-				Recovery:        recovery,
-				Trace:           cfg.Trace,
+				K:              cfg.K,
+				MaxMemReads:    cfg.MaxMemReads,
+				ThreadsPerRank: cfg.ThreadsPerRank,
+				ShardKmers:     cfg.ShardKmers,
+				Replicas:       cfg.Replicas,
+				Packed:         pp != nil,
+				PackedReads:    pp.readRecs(),
+				PackedContigs:  pp.contigSeqs(),
+				Faults:         plan,
+				Recovery:       recovery,
+				Trace:          cfg.Trace,
 			})
 		return err
 	})
@@ -152,18 +127,8 @@ func runBarrierTail(reads []seq.Record, pp *packedPipe, res *Result, cfg *Config
 
 	// --- FastaToDebruijn + QuantifyGraph: one quantified graph per
 	// component, built component-parallel in LPT (largest-first) order
-	// by the tail pool; TailWorkers=1 runs the original serial two-pass
-	// composition, which the parallel phase reproduces exactly.
+	// by the tail pool.
 	err = stage("fastatodebruijn", func() error {
-		if cfg.tailWorkers() == 1 {
-			var err error
-			res.Graphs, err = chrysalis.FastaToDeBruijn(res.Contigs, res.GFF.Components, cfg.K)
-			if err != nil {
-				return err
-			}
-			chrysalis.QuantifyGraph(res.Graphs, reads, res.R2T.Assignments)
-			return nil
-		}
 		graphs, units, prof, err := chrysalis.FastaToDeBruijnParallel(
 			res.Contigs, res.GFF.Components, cfg.K, reads, res.R2T.Assignments, cfg.tailWorkers())
 		if err != nil {
@@ -192,18 +157,13 @@ func runBarrierTail(reads []seq.Record, pp *packedPipe, res *Result, cfg *Config
 		if bopt.Seed == 0 {
 			bopt.Seed = cfg.Seed
 		}
-		if cfg.tailWorkers() == 1 {
-			res.Transcripts = butterfly.Reconstruct(res.Graphs, bopt)
-			res.PairSupport = butterfly.PairSupport(res.Transcripts, res.Graphs, reads)
-		} else {
-			var prof omp.Profile
-			res.Transcripts, prof = butterfly.ReconstructParallel(res.Graphs, bopt, cfg.tailWorkers())
-			res.PairSupport = butterfly.PairSupportParallel(res.Transcripts, res.Graphs, reads, cfg.tailWorkers())
-			cfg.Trace.RealEvent("omp", "butterfly_components", trace.RealRank,
-				fmt.Sprintf("components=%d transcripts=%d workers=%d makespan=%.6fs imbalance=%.3f",
-					len(res.Graphs), len(res.Transcripts), prof.Threads,
-					prof.Makespan().Seconds(), prof.Imbalance()))
-		}
+		var prof omp.Profile
+		res.Transcripts, prof = butterfly.ReconstructParallel(res.Graphs, bopt, cfg.tailWorkers())
+		res.PairSupport = butterfly.PairSupportParallel(res.Transcripts, res.Graphs, reads, cfg.tailWorkers())
+		cfg.Trace.RealEvent("omp", "butterfly_components", trace.RealRank,
+			fmt.Sprintf("components=%d transcripts=%d workers=%d makespan=%.6fs imbalance=%.3f",
+				len(res.Graphs), len(res.Transcripts), prof.Threads,
+				prof.Makespan().Seconds(), prof.Imbalance()))
 		if cfg.MinPairSupport > 0 {
 			res.Transcripts, res.PairSupport = butterfly.FilterByPairSupport(
 				res.Transcripts, res.PairSupport, cfg.MinPairSupport)
@@ -350,14 +310,9 @@ func runBowtiePartitions(reads []seq.Record, pp *packedPipe, res *Result, cfg *C
 
 // alignPartition aligns all reads against one contig partition and
 // renumbers the hits to global contig indices via the partition's
-// offset table — the per-partition unit shared by the barrier and
-// streaming bowtie stages. With a packed pipe the partition is indexed
-// and verified 2-bit packed on either backend (the packed FM-index
-// backward-searches seed k-mers straight from their packed form);
-// alignments and stats are byte-identical to the ASCII path either
-// way. The fm build runs with Pool=nil: this function already executes
-// under an acquired tail-pool token, so drawing more tokens here would
-// deadlock the pool.
+// offset table. With a packed pipe the partition is indexed and
+// verified 2-bit packed; alignments and stats are byte-identical to
+// the ASCII path.
 func alignPartition(reads []seq.Record, pp *packedPipe, contigs []seq.Record, ids []int, cfg *Config, inner int) ([]bowtie.Alignment, bowtie.Stats, int, error) {
 	bases := 0
 	opt := cfg.Bowtie

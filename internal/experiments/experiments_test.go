@@ -7,8 +7,14 @@ import (
 )
 
 // testLab returns a small-scale lab so the scaling experiments run in
-// test time while preserving the paper's qualitative shapes.
+// test time while preserving the paper's qualitative shapes. Under
+// -short (make test-short, the inner loop) the datasets shrink a
+// further 3x: the shapes asserted below still hold there, and the sweep
+// takes seconds instead of the full-size minute.
 func testLab() *Lab {
+	if testing.Short() {
+		return NewLab(0.05)
+	}
 	return NewLab(0.15)
 }
 
@@ -191,7 +197,11 @@ func TestFig56Validation(t *testing.T) {
 		t.Skip("figure regeneration is ~10x slower under -race and would blow the suite timeout; see race_on_test.go")
 	}
 	l := testLab()
-	rows, err := Fig56(l, 2)
+	runs := 2
+	if testing.Short() {
+		runs = 1 // Smith-Waterman against the reference dominates; one seed per cell
+	}
+	rows, err := Fig56(l, runs)
 	if err != nil {
 		t.Fatal(err)
 	}

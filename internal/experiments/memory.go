@@ -24,8 +24,8 @@ type MemoryRow struct {
 	PaperGB   float64 // projected to paper scale
 }
 
-// MemoryFootprints measures the k-mer-counting and aligner-index
-// footprints for both implemented variants.
+// MemoryFootprints measures the footprints of both k-mer counters and
+// of the aligner's seed index.
 func MemoryFootprints(l *Lab) ([]MemoryRow, error) {
 	p, err := l.Sugarbeet()
 	if err != nil {
@@ -51,17 +51,12 @@ func MemoryFootprints(l *Lab) ([]MemoryRow, error) {
 	}
 	add("kmer-counter", "dsk (16 disk partitions)", int64(st.PeakPartition)*16)
 
-	// Aligner index: hash seeds vs FM-index.
+	// Aligner index: the seed hash table.
 	hashIx, err := bowtie.NewIndex(p.contigs, bowtie.Options{SeedLen: 16})
 	if err != nil {
 		return nil, err
 	}
 	add("bowtie-index", "hash seeds", int64(hashIx.MemoryFootprint()))
-	fmIx, err := bowtie.NewIndex(p.contigs, bowtie.Options{SeedLen: 16, Backend: bowtie.FMIndex})
-	if err != nil {
-		return nil, err
-	}
-	add("bowtie-index", "fm-index (BWT)", int64(fmIx.MemoryFootprint()))
 	return rows, nil
 }
 

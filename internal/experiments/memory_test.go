@@ -12,7 +12,7 @@ func TestMemoryFootprints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
+	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	byVariant := map[string]MemoryRow{}
@@ -31,7 +31,7 @@ func TestMemoryFootprints(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	RenderMemory(&buf, rows)
-	if !strings.Contains(buf.String(), "fm-index") {
+	if !strings.Contains(buf.String(), "hash seeds") {
 		t.Error("render incomplete")
 	}
 }

@@ -16,9 +16,9 @@ import (
 // resident k-mer state shrinks roughly like 2/R (the rank's 1/R shard
 // plus the ~1/R partial replica its welding loops fetch) in exchange
 // for batched lookup traffic, with output verified identical to the
-// replicated run at every rank count. The sharded runs use the
-// double-buffered tile pipeline (the default), so the rows also report
-// how much of the fetch wall-time the overlap hid under compute, and
+// replicated run at every rank count. Sharded runs fetch through the
+// double-buffered tile pipeline, so the rows also report how much of
+// the fetch wall-time the overlap hid under compute, and
 // the same trade for the sharded ReadsToTranscripts bundle tables.
 
 // ShardRow compares the replicated and sharded paths at one rank
@@ -65,9 +65,6 @@ func ShardScaling(l *Lab, rankCounts []int) ([]ShardRow, error) {
 			return nil, err
 		}
 		opt.ShardKmers = true
-		// One chunk per tile: the finest pipeline, maximising how much of
-		// each round can hide under the previous tile's compute.
-		opt.FetchTileChunks = 1
 		l.logf("shard: GraphFromFasta with %d ranks, sharded k-mer state...", ranks)
 		res, err := chrysalis.GraphFromFasta(p.contigs, p.table, ranks, opt)
 		if err != nil {
@@ -109,7 +106,6 @@ func ShardScaling(l *Lab, rankCounts []int) ([]ShardRow, error) {
 			return nil, err
 		}
 		r2tOpt.ShardKmers = true
-		r2tOpt.FetchTileChunks = 1
 		l.logf("shard: ReadsToTranscripts with %d ranks, sharded bundle table...", ranks)
 		r2tRes, err := chrysalis.ReadsToTranscripts(p.dataset.Reads, p.contigs, base.Components, ranks, r2tOpt)
 		if err != nil {

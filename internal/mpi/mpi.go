@@ -436,10 +436,12 @@ func (c *Comm) tryRecv(src, tag int, timeout time.Duration) ([]byte, error) {
 				drained = true
 			}
 		}
+		// Taken before the death check, as in matchRecv: the channel is
+		// replaced at every death.
+		deaths := c.world.deathChan()
 		if c.world.isDead(src) {
 			return nil, &FaultError{Op: "Recv", Rank: c.rank, Dead: []int{src}}
 		}
-		deaths := c.world.deathChan()
 		select {
 		case m := <-box:
 			if m.tag == tag {

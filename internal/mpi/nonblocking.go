@@ -120,11 +120,14 @@ func (w *World) matchRecv(src, dst, tag int, done chan<- waitResult) {
 				n = 1
 			}
 		}
+		// Take the death channel before checking for the death: it is
+		// replaced at every death, so taken afterwards it could be the
+		// fresh one and a death landing in between would never wake us.
+		deaths := w.deathChan()
 		if w.isDead(src) {
 			done <- waitResult{err: &FaultError{Op: "Irecv", Rank: dst, Dead: []int{src}}}
 			return
 		}
-		deaths := w.deathChan()
 		if requeued {
 			// The mailbox holds only tags we bounced back; selecting on it
 			// again would wake instantly on our own requeue. Poll instead.

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -301,4 +302,63 @@ func TestTryWaitallPartial(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestReceiversWakeOnBackToBackDeaths is the regression for the lost
+// wake-up in matchRecv and tryRecv: the death channel is replaced at
+// every death, so a receiver that checks isDead(src) and only then takes
+// the channel sleeps forever when src dies in between. Each earlier
+// death wakes the receivers and sends them through that window again
+// while the next kill is on its way, and goroutines contending for the
+// channel's lock hold the window open; src dies last, so nothing else
+// would wake a receiver that missed it.
+func TestReceiversWakeOnBackToBackDeaths(t *testing.T) {
+	const size, worlds, irecvs = 12, 100, 8
+	src := size - 1
+	wantDead := func(path string, err error) {
+		t.Helper()
+		fe, ok := AsFault(err)
+		if !ok || fe.Timeout || len(fe.Dead) != 1 || fe.Dead[0] != src {
+			t.Errorf("%s = %v, want the death of rank %d", path, err, src)
+		}
+	}
+	for i := 0; i < worlds && !t.Failed(); i++ {
+		w := NewWorld(size)
+		posted, killed := make(chan struct{}), make(chan struct{})
+		w.RunE(func(c *Comm) error {
+			switch c.Rank() {
+			case 0:
+				reqs := make([]*Request, irecvs)
+				for j := range reqs {
+					reqs[j] = c.Irecv(src, j)
+				}
+				close(posted)
+				_, err := c.TryRecv(src, irecvs, 5*time.Second)
+				wantDead("TryRecv", err)
+				for _, req := range reqs {
+					_, err = req.TryWait(5 * time.Second)
+					wantDead("Irecv", err)
+				}
+			case 1:
+				<-posted
+				for r := 2; r < size; r++ {
+					w.kill(r)
+					for spin := 0; spin < (i%20)*10; spin++ {
+						runtime.Gosched()
+					}
+				}
+				close(killed)
+			case 2, 3, 4:
+				for {
+					select {
+					case <-killed:
+						return nil
+					default:
+						w.deathChan()
+					}
+				}
+			}
+			return nil
+		})
+	}
 }

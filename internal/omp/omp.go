@@ -220,67 +220,6 @@ func LPTMakespan(weights []float64, workers int) float64 {
 	return max
 }
 
-// TokenPool is a counting semaphore that shares one worker budget
-// across the overlapping stages of the streaming pipeline: every
-// stage's workers draw an execution token before running an item and
-// return it before blocking on a channel, so total active parallelism
-// across all stages stays at the configured level (the same
-// TailWorkers budget the barrier-stepped tail gives each phase in
-// turn). Tokens are only held during compute, never while a worker is
-// blocked sending or receiving, which keeps the pool deadlock-free by
-// construction.
-type TokenPool struct {
-	sem chan struct{}
-}
-
-// NewTokenPool creates a pool of n tokens (n <= 0 uses hardware
-// parallelism, like DefaultThreads).
-func NewTokenPool(n int) *TokenPool {
-	if n <= 0 {
-		n = DefaultThreads()
-	}
-	return &TokenPool{sem: make(chan struct{}, n)}
-}
-
-// Cap returns the pool's token count.
-func (p *TokenPool) Cap() int { return cap(p.sem) }
-
-// Acquire takes one token, blocking until one is free or cancel is
-// closed; it reports whether the token was obtained. A false return
-// means the caller must stop without calling Release.
-func (p *TokenPool) Acquire(cancel <-chan struct{}) bool {
-	select {
-	case p.sem <- struct{}{}:
-		return true
-	default:
-	}
-	select {
-	case p.sem <- struct{}{}:
-		return true
-	case <-cancel:
-		return false
-	}
-}
-
-// TryAcquire takes a token only if one is immediately free.
-func (p *TokenPool) TryAcquire() bool {
-	select {
-	case p.sem <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// Release returns a token taken by Acquire or TryAcquire.
-func (p *TokenPool) Release() {
-	select {
-	case <-p.sem:
-	default:
-		panic("omp: TokenPool.Release without Acquire")
-	}
-}
-
 // Profile summarises how a parallel-for's iterations landed on the
 // team's threads — the raw material for the trace layer's per-thread
 // makespan/imbalance events.

@@ -2,11 +2,9 @@ package omp
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func coverageCheck(t *testing.T, n, threads int, sched Schedule) {
@@ -255,103 +253,5 @@ func TestLPTMakespanBounds(t *testing.T) {
 		if got < lower-1e-9 || got > sum+1e-9 {
 			t.Errorf("workers=%d makespan %g outside [%g, %g]", workers, got, lower, sum)
 		}
-	}
-}
-
-func TestTokenPoolAcquireRelease(t *testing.T) {
-	p := NewTokenPool(2)
-	if p.Cap() != 2 {
-		t.Fatalf("Cap() = %d, want 2", p.Cap())
-	}
-	cancel := make(chan struct{})
-	if !p.Acquire(cancel) || !p.Acquire(cancel) {
-		t.Fatal("could not fill the pool to capacity")
-	}
-	if p.TryAcquire() {
-		t.Fatal("TryAcquire succeeded on a full pool")
-	}
-	p.Release()
-	if !p.TryAcquire() {
-		t.Fatal("TryAcquire failed after a Release freed a token")
-	}
-	p.Release()
-	p.Release()
-}
-
-// A worker blocked in Acquire must wake when the cancel channel
-// closes, reporting failure — the shutdown path of the streaming DAG.
-func TestTokenPoolCancelUnblocksAcquire(t *testing.T) {
-	p := NewTokenPool(1)
-	cancel := make(chan struct{})
-	if !p.Acquire(cancel) {
-		t.Fatal("first acquire failed")
-	}
-	got := make(chan bool, 1)
-	go func() { got <- p.Acquire(cancel) }()
-	select {
-	case ok := <-got:
-		t.Fatalf("blocked Acquire returned %v before cancellation", ok)
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(cancel)
-	select {
-	case ok := <-got:
-		if ok {
-			t.Fatal("cancelled Acquire reported success")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Acquire did not observe cancellation")
-	}
-	p.Release()
-}
-
-func TestTokenPoolDefaultsToHardware(t *testing.T) {
-	if got := NewTokenPool(0).Cap(); got != DefaultThreads() {
-		t.Errorf("NewTokenPool(0).Cap() = %d, want DefaultThreads() = %d", got, DefaultThreads())
-	}
-	if got := NewTokenPool(-3).Cap(); got != DefaultThreads() {
-		t.Errorf("NewTokenPool(-3).Cap() = %d, want DefaultThreads() = %d", got, DefaultThreads())
-	}
-}
-
-func TestTokenPoolReleaseWithoutAcquirePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Release without Acquire did not panic")
-		}
-	}()
-	NewTokenPool(1).Release()
-}
-
-// Under contention the pool never exceeds its capacity: the observed
-// maximum of concurrent holders stays at Cap().
-func TestTokenPoolBoundsParallelism(t *testing.T) {
-	p := NewTokenPool(3)
-	cancel := make(chan struct{})
-	var active, peak int32
-	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if !p.Acquire(cancel) {
-				t.Error("acquire failed without cancellation")
-				return
-			}
-			n := atomic.AddInt32(&active, 1)
-			for {
-				old := atomic.LoadInt32(&peak)
-				if n <= old || atomic.CompareAndSwapInt32(&peak, old, n) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			atomic.AddInt32(&active, -1)
-			p.Release()
-		}()
-	}
-	wg.Wait()
-	if got := atomic.LoadInt32(&peak); got > 3 {
-		t.Errorf("peak concurrent holders = %d, want <= 3", got)
 	}
 }

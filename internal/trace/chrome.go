@@ -28,7 +28,7 @@ func (r *Recorder) WriteChrome(w io.Writer, opts ChromeOptions) error {
 		_, err := io.WriteString(w, `{"traceEvents":[]}`)
 		return err
 	}
-	spans, events, tracks, _, _, _, meta := r.snapshot()
+	spans, events, tracks, _, _, meta := r.snapshot()
 
 	bw := bufio.NewWriter(w)
 	bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
@@ -72,9 +72,10 @@ func (r *Recorder) WriteChrome(w io.Writer, opts ChromeOptions) error {
 			pid, quote(name)))
 	}
 
-	// Real spans overlap in wall time once the streaming pipeline runs
-	// stages concurrently; give each category its own thread track so
-	// the overlap renders as parallel lanes instead of one garbled row.
+	// Real spans overlap in wall time (a stage span covers its
+	// concurrently aligned Bowtie partitions); give each category its
+	// own thread track so the overlap renders as parallel lanes instead
+	// of one garbled row.
 	// Tids are assigned from the sorted category set, so the mapping is
 	// a function of the recording alone.
 	realTid := realTids(spans, opts)

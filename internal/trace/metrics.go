@@ -15,8 +15,8 @@ type MetricsOptions struct {
 	// Buckets is the histogram bucket count per observation series
 	// (default 8).
 	Buckets int
-	// IncludeReal adds wall-time-derived series (per-chunk wall times,
-	// sampler peaks). Off by default so the export is reproducible.
+	// IncludeReal adds the wall-time-derived sampler peaks. Off by
+	// default so the export is reproducible.
 	IncludeReal bool
 }
 
@@ -31,7 +31,7 @@ func (r *Recorder) WriteMetrics(w io.Writer, opts MetricsOptions) error {
 	if opts.Buckets <= 0 {
 		opts.Buckets = 8
 	}
-	spans, _, tracks, counts, obs, obsReal, _ := r.snapshot()
+	spans, _, tracks, counts, obs, _ := r.snapshot()
 
 	bw := bufio.NewWriter(w)
 
@@ -80,7 +80,6 @@ func (r *Recorder) WriteMetrics(w io.Writer, opts MetricsOptions) error {
 	// Observation histograms (chunk times, message sizes).
 	writeHistograms(bw, obs, opts.Buckets)
 	if opts.IncludeReal {
-		writeHistograms(bw, obsReal, opts.Buckets)
 		for _, tr := range tracks {
 			peak := 0.0
 			for _, p := range tr.Points {

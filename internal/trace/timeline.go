@@ -19,7 +19,7 @@ func (r *Recorder) StageTable() *collectl.Trace {
 	if r == nil {
 		return &collectl.Trace{}
 	}
-	spans, _, tracks, _, _, _, _ := r.snapshot()
+	spans, _, tracks, _, _, _ := r.snapshot()
 
 	// Virtual envelope per category: max span end - min span start.
 	type window struct{ lo, hi float64 }
@@ -89,7 +89,7 @@ func (r *Recorder) WriteTimeline(w io.Writer) error {
 		fmt.Fprintln(bw)
 	}
 
-	spans, events, _, _, _, _, _ := r.snapshot()
+	spans, events, _, _, _, _ := r.snapshot()
 	byCat := map[string][]Span{}
 	var cats []string
 	for _, s := range spans {

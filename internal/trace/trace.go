@@ -86,7 +86,6 @@ type Recorder struct {
 	tracks   []CounterTrack
 	counts   map[string]int64
 	obs      map[string][]float64 // deterministic observation series
-	obsReal  map[string][]float64 // wall-time observation series
 	seqs     map[string]int
 	metadata []string
 }
@@ -98,7 +97,6 @@ func New(cfg cluster.Config) *Recorder {
 		cfg:      cfg,
 		counts:   map[string]int64{},
 		obs:      map[string][]float64{},
-		obsReal:  map[string][]float64{},
 		seqs:     map[string]int{},
 		metadata: []string{"cluster: " + cfg.Describe()},
 	}
@@ -279,17 +277,6 @@ func (r *Recorder) Observe(series string, v float64) {
 	r.mu.Unlock()
 }
 
-// ObserveReal appends a wall-time-derived value; exported only when
-// real data is asked for.
-func (r *Recorder) ObserveReal(series string, v float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.obsReal[series] = append(r.obsReal[series], v)
-	r.mu.Unlock()
-}
-
 // AddHeapSeries feeds a Collectl sampler's heap/goroutine series into
 // the trace as counter tracks (real time).
 func (r *Recorder) AddHeapSeries(samples []collectl.Sample, marks []collectl.Mark) {
@@ -362,7 +349,7 @@ func (r *Recorder) RankDeath(rank int, evicted bool) {
 // Spans and events are ordered by (Start, Cat, Rank, Seq) — every
 // component deterministic for virtual data — so exports are
 // byte-stable regardless of goroutine interleaving.
-func (r *Recorder) snapshot() (spans []Span, events []Event, tracks []CounterTrack, counts map[string]int64, obs, obsReal map[string][]float64, meta []string) {
+func (r *Recorder) snapshot() (spans []Span, events []Event, tracks []CounterTrack, counts map[string]int64, obs map[string][]float64, meta []string) {
 	r.mu.Lock()
 	spans = append([]Span(nil), r.spans...)
 	events = append([]Event(nil), r.events...)
@@ -374,10 +361,6 @@ func (r *Recorder) snapshot() (spans []Span, events []Event, tracks []CounterTra
 	obs = make(map[string][]float64, len(r.obs))
 	for k, v := range r.obs {
 		obs[k] = append([]float64(nil), v...)
-	}
-	obsReal = make(map[string][]float64, len(r.obsReal))
-	for k, v := range r.obsReal {
-		obsReal[k] = append([]float64(nil), v...)
 	}
 	meta = append([]string(nil), r.metadata...)
 	r.mu.Unlock()
@@ -405,7 +388,7 @@ func (r *Recorder) snapshot() (spans []Span, events []Event, tracks []CounterTra
 		}
 		return a.Seq < b.Seq
 	})
-	return spans, events, tracks, counts, obs, obsReal, meta
+	return spans, events, tracks, counts, obs, meta
 }
 
 // Spans returns the recorded spans in deterministic order.
@@ -413,7 +396,7 @@ func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	spans, _, _, _, _, _, _ := r.snapshot()
+	spans, _, _, _, _, _ := r.snapshot()
 	return spans
 }
 
@@ -422,7 +405,7 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	_, events, _, _, _, _, _ := r.snapshot()
+	_, events, _, _, _, _ := r.snapshot()
 	return events
 }
 
@@ -431,6 +414,6 @@ func (r *Recorder) Counts() map[string]int64 {
 	if r == nil {
 		return nil
 	}
-	_, _, _, counts, _, _, _ := r.snapshot()
+	_, _, _, counts, _, _ := r.snapshot()
 	return counts
 }

@@ -21,7 +21,6 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.RealEvent("c", "n", 0, "")
 	r.Count("x", 1)
 	r.Observe("x", 1)
-	r.ObserveReal("x", 1)
 	r.Message(0, 1, 2, 3)
 	r.Collective(0, "bcast", 1, 2, 4)
 	r.RankDeath(1, false)

@@ -43,12 +43,6 @@ type Read = seq.Record
 // hybrid MPI+OpenMP Chrysalis.
 type Config = core.Config
 
-// StreamingConfig configures the streaming pipeline tail: set
-// Config.Streaming.Enabled to run Bowtie → Butterfly as a DAG of
-// bounded channels whose stages overlap in wall time, with output
-// byte-identical to the barrier-stepped tail for a fixed seed.
-type StreamingConfig = core.StreamingConfig
-
 // Result carries every intermediate and final product of a run.
 type Result = core.Result
 
