@@ -54,14 +54,16 @@ bench-chrysalis:
 	@cat $(BENCH_JSON)
 
 # Hot-path kernel snapshot: each flat/frozen kernel benchmarked
-# against the map-based reference it replaced, recorded as
+# against the map-based reference it replaced, plus the packed Bowtie
+# aligner and its seed-table build on deep-shaped input, recorded as
 # BENCH_kernels.json so the speedups (and any regressions) show up in
 # review diffs. Same awk JSON conversion as bench-chrysalis.
-KERNEL_BENCH = HarvestWelds|ScanContigForWelds|BuildContigKmerIndex|AssignRead|CountTableGet
+KERNEL_BENCH = HarvestWelds|ScanContigForWelds|BuildContigKmerIndex|AssignRead|CountTableGet|PackedAlignAll|PackedIndexBuild
 BENCH_KERNELS_JSON ?= BENCH_kernels.json
 bench-kernels:
 	{ $(GO) test -run '^$$' -bench 'Benchmark(HarvestWelds|ScanContigForWelds|BuildContigKmerIndex|AssignRead)' -benchmem -benchtime 1s ./internal/chrysalis/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkCountTableGet' -benchmem -benchtime 1s ./internal/jellyfish/ ; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkCountTableGet' -benchmem -benchtime 1s ./internal/jellyfish/ ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkPacked(AlignAll|IndexBuild)' -benchmem -benchtime 1s ./internal/bowtie/ ; } \
 	| awk 'BEGIN { printf("{\n") } \
 	       /^Benchmark/ { if (n++) printf(",\n"); \
 	         printf("  \"%s\": {\"iterations\": %s", $$1, $$2); \
@@ -151,7 +153,7 @@ verify: build lint-ascii
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -bench 'Chrysalis(WithFaultLayer|TraceRecorder)' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'Benchmark($(KERNEL_BENCH))' -benchtime 1x ./internal/chrysalis/ ./internal/jellyfish/
+	$(GO) test -run '^$$' -bench 'Benchmark($(KERNEL_BENCH))' -benchtime 1x ./internal/chrysalis/ ./internal/jellyfish/ ./internal/bowtie/
 	$(GO) test -run '^$$' -bench 'BenchmarkPipelineTail' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkShardScaling' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkSeq(PackedResidentBytes|RevComp)|BenchmarkKmerIter' -benchtime 1x ./internal/seq/ ./internal/kmer/

@@ -15,7 +15,6 @@ package bowtie
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/omp"
@@ -24,9 +23,13 @@ import (
 
 // Options configures index construction and alignment.
 type Options struct {
-	SeedLen     int // seed k-mer length (default 16)
-	SeedStride  int // distance between consecutive read seeds (default 8)
-	MaxMismatch int // mismatch budget for verification (default 3)
+	SeedLen    int // seed k-mer length (default 16)
+	SeedStride int // distance between consecutive read seeds (default 8)
+	// MaxMismatch is the mismatch budget for verification. The zero
+	// value means exact matches only — what core.Config{} and cmd/trinity
+	// run with; a negative value selects 3, the default of cmd/bowtie's
+	// --max-mismatch flag.
+	MaxMismatch int
 	MinAlignLen int // shortest read the aligner will attempt (default SeedLen)
 	Threads     int // alignment worker threads (default GOMAXPROCS)
 }
@@ -286,17 +289,15 @@ func (a *Aligner) AlignAll(reads []seq.Record) ([]Alignment, Stats) {
 	return out, agg
 }
 
-// mergeMu serialises nothing today but documents that SAM merging is a
-// single writer step, matching the paper's post-run file merge.
-var mergeMu sync.Mutex
-
 // MergeSAM concatenates per-node alignment sets, renumbering nothing:
 // contig ids are global names, so a simple append reproduces the
 // paper's "files from all nodes are merged into a single file".
 func MergeSAM(parts [][]Alignment) []Alignment {
-	mergeMu.Lock()
-	defer mergeMu.Unlock()
-	var out []Alignment
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	out := make([]Alignment, 0, n)
 	for _, p := range parts {
 		out = append(out, p...)
 	}

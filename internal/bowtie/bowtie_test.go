@@ -161,21 +161,45 @@ func TestAlignAllMatchesSerial(t *testing.T) {
 	}
 }
 
-// Distributed mode: aligning against PyFasta-split partitions and
-// merging must find everything the monolithic index finds.
+// Distributed mode on the production (packed) path: aligning against
+// PyFasta-split partitions, merging and reducing to one alignment per
+// read must reproduce the monolithic index's alignments field for
+// field. Duplicated contig sequences under different IDs make
+// equal-mismatch ties, which only the global contig-name order breaks
+// the same way on both sides.
 func TestPartitionedAlignmentEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	contigs := makeContigs(rng, 30, 400)
-	opt := Options{SeedLen: 12, Threads: 2}
-	full, _ := NewIndex(contigs, opt)
-	var reads []seq.Record
-	for i := 0; i < 150; i++ {
-		c := rng.Intn(len(contigs))
-		s := contigs[c].Seq
-		start := rng.Intn(len(s) - 60)
-		reads = append(reads, seq.Record{ID: contigID(i) + "x", Seq: s[start : start+60]})
+	// Copies get names that sort before, between and after the originals
+	// and sit at the far end of the index, so name order and index order
+	// disagree and the copies land in other partitions than their twins.
+	for i, name := range []string{"a0", "cM5", "z9", "cA00"} {
+		contigs = append(contigs, seq.Record{ID: name, Seq: contigs[7*i].Seq})
 	}
-	fullAl, _ := NewAligner(full).AlignAll(reads)
+	opt := Options{SeedLen: 12, MaxMismatch: 2, Threads: 2}
+	var reads []seq.Record
+	for i := 0; i < 300; i++ {
+		s := contigs[rng.Intn(len(contigs))].Seq
+		start := rng.Intn(len(s) - 60)
+		r := append([]byte(nil), s[start:start+60]...)
+		for m := rng.Intn(3); m > 0; m-- {
+			r[rng.Intn(len(r))] = "ACGT"[rng.Intn(4)]
+		}
+		if rng.Intn(2) == 0 {
+			r = seq.ReverseComplement(r)
+		}
+		reads = append(reads, seq.Record{ID: contigID(i) + "x", Seq: r})
+	}
+	preads := seq.PackRecords(reads)
+	align := func(part []seq.Record) []Alignment {
+		ix, err := NewPackedIndex(seq.PackRecords(part), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		als, _ := NewPackedAligner(ix).AlignAll(preads)
+		return als
+	}
+	full := align(contigs)
 
 	parts, _, err := pyfasta.Split(contigs, 4, pyfasta.EvenBases)
 	if err != nil {
@@ -183,24 +207,34 @@ func TestPartitionedAlignmentEquivalent(t *testing.T) {
 	}
 	var nodeResults [][]Alignment
 	for _, part := range parts {
-		ix, _ := NewIndex(part, opt)
-		als, _ := NewAligner(ix).AlignAll(reads)
-		nodeResults = append(nodeResults, als)
+		nodeResults = append(nodeResults, align(part))
 	}
-	merged := MergeSAM(nodeResults)
-	// Every read aligned by the full index must be aligned in a partition.
-	fullByRead := map[string]bool{}
-	for _, a := range fullAl {
-		fullByRead[a.ReadID] = true
-	}
-	mergedByRead := map[string]bool{}
+	merged := BestPerRead(MergeSAM(nodeResults))
+
+	// BestPerRead orders reads by first appearance in the merged set;
+	// compare per read.
+	byRead := map[string]Alignment{}
 	for _, a := range merged {
-		mergedByRead[a.ReadID] = true
+		byRead[a.ReadID] = a
 	}
-	for id := range fullByRead {
-		if !mergedByRead[id] {
-			t.Errorf("read %s aligned monolithically but not in any partition", id)
+	if len(merged) != len(full) {
+		t.Fatalf("partitioned run aligned %d reads, monolithic %d", len(merged), len(full))
+	}
+	ties := 0
+	for _, want := range full {
+		got, ok := byRead[want.ReadID]
+		if !ok {
+			t.Fatalf("read %s aligned monolithically but not in any partition", want.ReadID)
 		}
+		if got.ContigID != want.ContigID || got.Pos != want.Pos || got.Reverse != want.Reverse || got.Mismatches != want.Mismatches {
+			t.Errorf("read %s: partitioned %+v, monolithic %+v", want.ReadID, got, want)
+		}
+		if want.ContigID == "a0" || want.ContigID == "cA00" {
+			ties++
+		}
+	}
+	if ties == 0 {
+		t.Error("no read was won by a duplicated contig: the tie-break was not exercised")
 	}
 }
 

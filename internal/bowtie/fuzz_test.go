@@ -1,6 +1,7 @@
 package bowtie
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -24,27 +25,33 @@ func FuzzReadSAM(f *testing.F) {
 	})
 }
 
-// FuzzAlignDegenerateReads drives the aligner with adversarial reads:
+// FuzzAlignDegenerateReads drives both aligners with adversarial reads:
 // empty reads, all-N reads (no valid seed k-mers), and reads shorter
 // than the seed length must be rejected or aligned cleanly, never
-// panic, and never report an out-of-range hit.
+// panic, and never report an out-of-range hit — and the packed aligner,
+// the one the pipeline runs, must agree with the ASCII one. Inputs are
+// normalised with seq.Upper as at ingest (the packed form has no other
+// alphabet).
 func FuzzAlignDegenerateReads(f *testing.F) {
 	const contig = "ACGTACGTAGGCTTAGCCATGCACGTACGTAGGCTTAGCCATGC"
 	f.Add(contig, "", uint8(16))
 	f.Add(contig, "NNNNNNNNNNNNNNNNNNNN", uint8(16))
 	f.Add(contig, "ACG", uint8(16)) // shorter than the seed
 	f.Add(contig, "ACGTACGTAGGCTTAGCCATGC", uint8(8))
+	f.Add(contig, "GCATGGCTAAGCCTACGTACGT", uint8(4))       // reverse strand, repeated seeds
+	f.Add("ACGTACGTAGGCTTAG", "TACGTAGGCTTAGCCA", uint8(4)) // overhangs the contig end
 	f.Fuzz(func(t *testing.T, ref, read string, seedLen uint8) {
-		opt := Options{SeedLen: 4 + int(seedLen)%13, Threads: 1}
+		opt := Options{SeedLen: 4 + int(seedLen)%13, MaxMismatch: int(seedLen) % 3, Threads: 1}
 		var contigs []seq.Record
 		if ref != "" {
-			contigs = []seq.Record{{ID: "c1", Seq: []byte(ref)}}
+			contigs = []seq.Record{{ID: "c1", Seq: seq.Upper([]byte(ref))}}
 		}
+		reads := []seq.Record{{ID: "r1", Seq: seq.Upper([]byte(read))}}
 		ix, err := NewIndex(contigs, opt)
 		if err != nil {
 			return
 		}
-		als, _ := NewAligner(ix).AlignAll([]seq.Record{{ID: "r1", Seq: []byte(read)}})
+		als, st := NewAligner(ix).AlignAll(reads)
 		for _, a := range als {
 			if a.Pos < 0 || a.Pos >= len(ref) {
 				t.Fatalf("alignment position %d outside contig of %d bases", a.Pos, len(ref))
@@ -52,6 +59,20 @@ func FuzzAlignDegenerateReads(f *testing.F) {
 			if a.Contig != 0 {
 				t.Fatalf("alignment names contig %d of a 1-contig index", a.Contig)
 			}
+		}
+		pix, err := NewPackedIndex(seq.PackRecords(contigs), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pals, pst := NewPackedAligner(pix).AlignAll(seq.PackRecords(reads))
+		if !reflect.DeepEqual(pals, als) {
+			t.Fatalf("packed %+v, ascii %+v", pals, als)
+		}
+		if pst.Reads != st.Reads || pst.Aligned != st.Aligned || pst.SeedProbes != st.SeedProbes || pst.BasesCompared != st.BasesCompared {
+			t.Fatalf("stats: packed %+v, ascii %+v", pst, st)
+		}
+		if pix.MemoryFootprint() != ix.MemoryFootprint() {
+			t.Fatalf("footprint: packed %d, ascii %d", pix.MemoryFootprint(), ix.MemoryFootprint())
 		}
 	})
 }

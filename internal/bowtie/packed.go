@@ -1,14 +1,17 @@
-// Packed-sequence alignment path: a seed index over 2-bit packed
-// contigs and an aligner whose verification is the word-wise
-// Packed.MismatchRange instead of the byte loop. Seed votes, candidate
-// ordering, the mismatch-budget selection rule, and every stats
-// counter mirror the ASCII aligner exactly, so alignments and metered
-// work are byte-identical — only resident sequence bytes shrink 4×.
+// Packed-sequence alignment path: a flat CSR seed table over 2-bit
+// packed contigs and an aligner that gathers, orders and verifies
+// candidates as integers on per-thread scratch, with the word-wise
+// Packed.MismatchRange as the verifier. Candidate order, the
+// mismatch-budget selection rule, and every stats counter mirror the
+// ASCII aligner exactly, so alignments and metered work are
+// byte-identical — only the representation differs.
 
 package bowtie
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/omp"
@@ -16,11 +19,25 @@ import (
 )
 
 // PackedIndex locates seed k-mers in packed target contigs through a
-// seed hash table.
+// CSR table: FlatSet gives a seed its dense id, offs[id]:offs[id+1]
+// bounds its occurrences in hits.
 type PackedIndex struct {
 	opt     Options
 	contigs []seq.PackedRecord
-	seeds   map[kmer.Kmer][]hit
+	seeds   *kmer.FlatSet
+	offs    []int32
+	// hits holds every seed occurrence as contig rank<<32 | position,
+	// in contig-then-position order within a seed. Subtracting a read
+	// offset turns a hit into a candidate key, rank<<32 | start of the
+	// read on the contig, and ascending key order is the aligner's
+	// candidate order: contig name, then start.
+	hits []uint64
+	// byRank maps a contig's rank (by ID, equal IDs by index) back to
+	// its index, and lens holds contig lengths by rank. Ranking by name
+	// makes the winner among equal-mismatch candidates the same whether
+	// the index holds all contigs or a PyFasta partition.
+	byRank []int32
+	lens   []int32
 	// Bases is the total indexed bases, used by cost models.
 	Bases int
 }
@@ -30,29 +47,64 @@ func NewPackedIndex(contigs []seq.PackedRecord, opt Options) (*PackedIndex, erro
 	if err := opt.normalize(); err != nil {
 		return nil, err
 	}
-	ix := &PackedIndex{opt: opt, contigs: contigs, seeds: make(map[kmer.Kmer][]hit)}
+	ix := &PackedIndex{opt: opt, contigs: contigs, byRank: make([]int32, len(contigs))}
+	total := 0
 	for ci := range contigs {
+		ix.byRank[ci] = int32(ci)
 		ix.Bases += contigs[ci].Seq.Len()
+		total += kmer.PackedCountOf(contigs[ci].Seq, opt.SeedLen)
+	}
+	slices.SortFunc(ix.byRank, func(a, b int32) int {
+		if c := strings.Compare(contigs[a].ID, contigs[b].ID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	rankKey := make([]uint64, len(contigs))
+	ix.lens = make([]int32, len(contigs))
+	for r, ci := range ix.byRank {
+		rankKey[ci] = uint64(r) << 32
+		ix.lens[r] = int32(contigs[ci].Seq.Len())
+	}
+	// Pass 1 walks the contigs once, assigning seed ids and counting
+	// occurrences; pass 2 is a counting sort of the occurrences by id,
+	// stable, so each seed's hits keep the order they were found in.
+	ix.seeds = kmer.NewFlatSet(total)
+	ids := make([]int32, 0, total)
+	keys := make([]uint64, 0, total)
+	ix.offs = make([]int32, 1, total+1)
+	for ci := range contigs {
 		it := kmer.NewPackedIterator(contigs[ci].Seq, opt.SeedLen)
 		for {
 			m, pos, ok := it.Next()
 			if !ok {
 				break
 			}
-			ix.seeds[m] = append(ix.seeds[m], hit{contig: int32(ci), pos: int32(pos)})
+			id := ix.seeds.Add(m)
+			if int(id)+1 == len(ix.offs) {
+				ix.offs = append(ix.offs, 0)
+			}
+			ix.offs[id+1]++
+			ids = append(ids, id)
+			keys = append(keys, rankKey[ci]+uint64(pos))
 		}
+	}
+	for id := 1; id < len(ix.offs); id++ {
+		ix.offs[id] += ix.offs[id-1]
+	}
+	next := slices.Clone(ix.offs)
+	ix.hits = make([]uint64, len(keys))
+	for j, id := range ids {
+		ix.hits[next[id]] = keys[j]
+		next[id]++
 	}
 	return ix, nil
 }
 
-// MemoryFootprint estimates the index's resident bytes (the seed
-// table, matching the ASCII accounting).
+// MemoryFootprint estimates the index's resident bytes (8 per distinct
+// seed and 8 per occurrence, matching the ASCII accounting).
 func (ix *PackedIndex) MemoryFootprint() int {
-	n := 0
-	for _, hits := range ix.seeds {
-		n += 8 + 8*len(hits)
-	}
-	return n
+	return 8*ix.seeds.Len() + 8*len(ix.hits)
 }
 
 // Contigs returns the indexed packed target records.
@@ -66,19 +118,31 @@ type PackedAligner struct {
 // NewPackedAligner wraps a packed index.
 func NewPackedAligner(ix *PackedIndex) *PackedAligner { return &PackedAligner{ix: ix} }
 
+// alignScratch is one worker's reusable state; once its buffers have
+// grown to the workload's read length and seed multiplicity, aligning
+// a read allocates nothing.
+type alignScratch struct {
+	rc   seq.Packed // reverse complement of the current read
+	keys []uint64   // candidate keys of the current strand
+}
+
 // AlignRead aligns a single packed read — the packed twin of
 // Aligner.AlignRead, with identical strand order, tie-breaking, and
 // stats accounting.
 func (a *PackedAligner) AlignRead(rec *seq.PackedRecord, st *Stats) (Alignment, bool) {
+	return a.alignRead(rec, st, new(alignScratch))
+}
+
+func (a *PackedAligner) alignRead(rec *seq.PackedRecord, st *Stats, sc *alignScratch) (Alignment, bool) {
 	if st != nil {
 		st.Reads++
 	}
 	if rec.Seq.Len() < a.ix.opt.MinAlignLen {
 		return Alignment{}, false
 	}
-	best, ok := a.alignOneStrand(rec.Seq, false, st)
-	rc := rec.Seq.ReverseComplement()
-	if alt, ok2 := a.alignOneStrand(rc, true, st); ok2 && (!ok || alt.Mismatches < best.Mismatches) {
+	best, ok := a.alignOneStrand(rec.Seq, false, st, sc)
+	rec.Seq.ReverseComplementInto(&sc.rc)
+	if alt, ok2 := a.alignOneStrand(sc.rc, true, st, sc); ok2 && (!ok || alt.Mismatches < best.Mismatches) {
 		best, ok = alt, true
 	}
 	if !ok {
@@ -93,12 +157,13 @@ func (a *PackedAligner) AlignRead(rec *seq.PackedRecord, st *Stats) (Alignment, 
 	return best, true
 }
 
-func (a *PackedAligner) alignOneStrand(read seq.Packed, reverse bool, st *Stats) (Alignment, bool) {
-	opt := a.ix.opt
-	votes := make(map[diagonal]int)
+func (a *PackedAligner) alignOneStrand(read seq.Packed, reverse bool, st *Stats, sc *alignScratch) (Alignment, bool) {
+	ix := a.ix
+	opt := ix.opt
+	keys := sc.keys[:0]
+	n := read.Len()
 	it := kmer.NewPackedIterator(read, opt.SeedLen)
-	nextAccept := 0
-	var hitBuf []hit
+	nextAccept, probes := 0, 0
 	for {
 		m, pos, ok := it.Next()
 		if !ok {
@@ -108,49 +173,46 @@ func (a *PackedAligner) alignOneStrand(read seq.Packed, reverse bool, st *Stats)
 			continue
 		}
 		nextAccept = pos + opt.SeedStride
-		if st != nil {
-			st.SeedProbes++
-		}
-		hitBuf = append(hitBuf[:0], a.ix.seeds[m]...)
-		for _, h := range hitBuf {
-			votes[diagonal{h.contig, h.pos - int32(pos)}]++
+		probes++
+		if id, ok := ix.seeds.Lookup(m); ok {
+			for _, h := range ix.hits[ix.offs[id]:ix.offs[id+1]] {
+				// Only a read lying wholly on the contig is a candidate.
+				if start := int(uint32(h)) - pos; start >= 0 && start <= int(ix.lens[h>>32])-n {
+					keys = append(keys, h-uint64(pos))
+				}
+			}
 		}
 	}
-	cands := make([]diagonal, 0, len(votes))
-	for d := range votes {
-		cands = append(cands, d)
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		idI := a.ix.contigs[cands[i].contig].ID
-		idJ := a.ix.contigs[cands[j].contig].ID
-		if idI != idJ {
-			return idI < idJ
-		}
-		return cands[i].offset < cands[j].offset
-	})
+	sc.keys = keys
+	// Seeds of one placement vote for the same key; sorted, the repeats
+	// are adjacent and each candidate is verified once.
+	slices.Sort(keys)
 	bestMM := opt.MaxMismatch + 1
 	var best Alignment
-	found := false
-	for _, d := range cands {
-		contig := a.ix.contigs[d.contig].Seq
-		start := int(d.offset)
-		if start < 0 || start+read.Len() > contig.Len() {
+	verified := 0
+	for i, key := range keys {
+		if i > 0 && key == keys[i-1] {
 			continue
 		}
+		ci := ix.byRank[key>>32]
+		contig := ix.contigs[ci].Seq
+		start := int(uint32(key))
 		// The byte loop stops once mm reaches bestMM; MismatchRange with
 		// budget=bestMM returns some mm >= bestMM in exactly those cases,
 		// so the mm < bestMM selection below decides identically.
-		mm, _ := contig.MismatchRange(start, read, 0, read.Len(), bestMM)
-		if st != nil {
-			st.BasesCompared += int64(read.Len())
-		}
+		mm, _ := contig.MismatchRange(start, read, 0, n, bestMM)
+		verified++
 		if mm < bestMM {
 			bestMM = mm
-			best = Alignment{Contig: int(d.contig), Pos: start, Reverse: reverse, Mismatches: mm}
-			found = true
+			best = Alignment{Contig: int(ci), Pos: start, Reverse: reverse, Mismatches: mm}
 		}
 	}
-	return best, found && bestMM <= opt.MaxMismatch
+	if st != nil {
+		st.SeedProbes += int64(probes)
+		st.BasesCompared += int64(verified * n)
+	}
+	// bestMM only ever falls below its start when a candidate was taken.
+	return best, bestMM <= opt.MaxMismatch
 }
 
 // AlignAll aligns every packed read with the configured thread count —
@@ -158,26 +220,29 @@ func (a *PackedAligner) alignOneStrand(read seq.Packed, reverse bool, st *Stats)
 func (a *PackedAligner) AlignAll(reads []seq.PackedRecord) ([]Alignment, Stats) {
 	threads := a.ix.opt.Threads
 	perThread := make([]Stats, threads)
-	results := make([]*Alignment, len(reads))
+	scratch := make([]alignScratch, threads)
+	results := make([]Alignment, len(reads))
+	aligned := make([]bool, len(reads))
 	prof := omp.ParallelForProfiled(len(reads), threads, omp.Schedule{Kind: omp.Dynamic, Chunk: 64},
 		func(i, tid int) {
-			if al, ok := a.AlignRead(&reads[i], &perThread[tid]); ok {
-				alCopy := al
-				results[i] = &alCopy
-			}
+			results[i], aligned[i] = a.alignRead(&reads[i], &perThread[tid], &scratch[tid])
 		})
-	var out []Alignment
 	agg := Stats{MakespanSec: prof.Makespan().Seconds(), ThreadImbalance: prof.Imbalance()}
-	for _, r := range results {
-		if r != nil {
-			out = append(out, *r)
-		}
-	}
 	for _, st := range perThread {
 		agg.Reads += st.Reads
 		agg.Aligned += st.Aligned
 		agg.SeedProbes += st.SeedProbes
 		agg.BasesCompared += st.BasesCompared
+	}
+	if agg.Aligned == 0 {
+		return nil, agg
+	}
+	// Compact in place: the write index never passes the read index.
+	out := results[:0]
+	for i, ok := range aligned {
+		if ok {
+			out = append(out, results[i])
+		}
 	}
 	return out, agg
 }

@@ -2,6 +2,7 @@ package bowtie
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -120,12 +121,30 @@ func TestBestPerReadEmpty(t *testing.T) {
 }
 
 func TestAlignAllEmptyReads(t *testing.T) {
-	ix, err := NewIndex([]seq.Record{{ID: "c", Seq: []byte("ACGTACGTACGTACGTACGT")}}, Options{SeedLen: 8})
+	contigs := []seq.Record{{ID: "c", Seq: []byte("ACGTACGTACGTACGTACGT")}}
+	ix, err := NewIndex(contigs, Options{SeedLen: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	als, st := NewAligner(ix).AlignAll(nil)
 	if len(als) != 0 || st.Reads != 0 {
 		t.Errorf("als=%d stats=%+v", len(als), st)
+	}
+	pix, err := NewPackedIndex(seq.PackRecords(contigs), Options{SeedLen: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pals, pst := NewPackedAligner(pix).AlignAll(nil)
+	if !reflect.DeepEqual(pals, als) || pst.Reads != 0 || pst.Aligned != 0 || pst.SeedProbes != 0 || pst.BasesCompared != 0 {
+		t.Errorf("packed: als=%v stats=%+v", pals, pst)
+	}
+	// No contigs at all: an empty seed table must still answer lookups.
+	pix, err = NewPackedIndex(nil, Options{SeedLen: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pals, pst = NewPackedAligner(pix).AlignAll(seq.PackRecords(contigs))
+	if pals != nil || pst.Reads != 1 || pst.Aligned != 0 || pix.MemoryFootprint() != 0 {
+		t.Errorf("empty index: als=%v stats=%+v footprint=%d", pals, pst, pix.MemoryFootprint())
 	}
 }

@@ -151,25 +151,27 @@ func transcriptKmerSet(s []byte) map[kmer.Kmer]bool {
 	}
 }
 
+// mateMatches reports whether at least minMateKmers k-mers of the read
+// or of its reverse complement are in kmers. The reverse complement's
+// k-mers are the reverse complements of the read's, so one pass over
+// the read counts both orientations.
 func mateMatches(read []byte, kmers map[kmer.Kmer]bool) bool {
-	count := func(s []byte) int {
-		n := 0
-		it := kmer.NewIterator(s, PairSupportK)
-		for {
-			m, _, ok := it.Next()
-			if !ok {
-				return n
+	fwd, rc := 0, 0
+	it := kmer.NewIterator(read, PairSupportK)
+	for {
+		m, _, ok := it.Next()
+		if !ok {
+			return false
+		}
+		if kmers[m] {
+			if fwd++; fwd >= minMateKmers {
+				return true
 			}
-			if kmers[m] {
-				n++
-				if n >= minMateKmers {
-					return n
-				}
+		}
+		if kmers[m.ReverseComplement(PairSupportK)] {
+			if rc++; rc >= minMateKmers {
+				return true
 			}
 		}
 	}
-	if count(read) >= minMateKmers {
-		return true
-	}
-	return count(seq.ReverseComplement(read)) >= minMateKmers
 }

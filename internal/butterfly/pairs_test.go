@@ -6,6 +6,7 @@ import (
 
 	"gotrinity/internal/chrysalis"
 	"gotrinity/internal/dbg"
+	"gotrinity/internal/kmer"
 	"gotrinity/internal/seq"
 )
 
@@ -130,6 +131,73 @@ func TestPairSupportParallelMatchesSerial(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: %v vs %v", workers, got, want)
 			}
+		}
+	}
+}
+
+// TestMateMatchesEqualsTwoPass pins the one-pass mateMatches against
+// the form it replaced: count the read's k-mers, then those of its
+// reverse complement.
+func TestMateMatchesEqualsTwoPass(t *testing.T) {
+	twoPass := func(read []byte, kmers map[kmer.Kmer]bool) bool {
+		count := func(s []byte) int {
+			n := 0
+			it := kmer.NewIterator(s, PairSupportK)
+			for {
+				m, _, ok := it.Next()
+				if !ok {
+					return n
+				}
+				if kmers[m] {
+					n++
+				}
+			}
+		}
+		return count(read) >= minMateKmers || count(seq.ReverseComplement(read)) >= minMateKmers
+	}
+	rng := rand.New(rand.NewSource(15))
+	tx := []byte(randDNA(rng, 300))
+	kmers := transcriptKmerSet(tx)
+	withN := func(s []byte, at ...int) []byte {
+		s = append([]byte(nil), s...)
+		for _, i := range at {
+			s[i] = 'N'
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name string
+		read []byte
+		want bool
+	}{
+		{"forward", tx[40:100], true},
+		{"reverse complement", seq.ReverseComplement(tx[40:100]), true},
+		{"forward, exactly minMateKmers k-mers", tx[10 : 10+PairSupportK+minMateKmers-1], true},
+		{"reverse, one k-mer short", seq.ReverseComplement(tx[10 : 10+PairSupportK+minMateKmers-2]), false},
+		{"N in the middle", withN(tx[40:100], 36), true},
+		{"Ns leave no whole k-mer", withN(tx[40:100], 15, 30, 45), false},
+		{"reverse complement with N", withN(seq.ReverseComplement(tx[40:100]), 5), true},
+		{"two forward and two reverse hits do not add up", append(append([]byte(nil), tx[0:PairSupportK+1]...), seq.ReverseComplement(tx[100:100+PairSupportK+1])...), false},
+		{"unrelated", []byte(randDNA(rng, 60)), false},
+		{"shorter than k", tx[:PairSupportK-1], false},
+		{"empty", nil, false},
+	} {
+		got := mateMatches(tc.read, kmers)
+		if ref := twoPass(tc.read, kmers); got != ref || got != tc.want {
+			t.Errorf("%s: mateMatches = %v, two-pass = %v, want %v", tc.name, got, ref, tc.want)
+		}
+	}
+	for i := 0; i < 500; i++ {
+		start := rng.Intn(len(tx) - 40)
+		read := append([]byte(nil), tx[start:start+20+rng.Intn(20)]...)
+		for m := rng.Intn(3); m > 0; m-- {
+			read[rng.Intn(len(read))] = "ACGTN"[rng.Intn(5)]
+		}
+		if rng.Intn(2) == 0 {
+			read = seq.ReverseComplement(read)
+		}
+		if got, ref := mateMatches(read, kmers), twoPass(read, kmers); got != ref {
+			t.Fatalf("read %q: mateMatches = %v, two-pass = %v", read, got, ref)
 		}
 	}
 }
