@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race fuzz bench bench-chrysalis bench-kernels bench-pipeline bench-shard bench-seq bench-e2e bench-check lint-ascii verify clean
+.PHONY: build test test-short race fuzz bench bench-chrysalis bench-kernels bench-pipeline bench-shard bench-seq bench-e2e bench-check lint-ascii chain-check verify clean
 
 build:
 	$(GO) build ./...
@@ -149,7 +149,23 @@ lint-ascii:
 	fi
 	@echo "lint-ascii: clean"
 
-verify: build lint-ascii
+# The per-stage tools chained by hand must reproduce the pipeline: run
+# README.md's own stage-by-stage block (from its `bin/readsim` line to
+# the "or everything at once" comment) in a scratch directory under
+# bin/ and compare its transcripts.fa, byte for byte, with bin/trinity's
+# on the same reads.
+chain-check:
+	$(GO) build -o bin/ ./cmd/...
+	@rm -rf bin/chain-check && mkdir bin/chain-check && ln -s .. bin/chain-check/bin
+	@awk '/^bin\/readsim /,/^# or everything at once/' README.md | grep -v '^#' > bin/chain-check/chain.sh
+	@cd bin/chain-check && sh -e chain.sh 2> chain.log \
+	  && bin/trinity --reads reads.fa --out trinity.fa --nprocs 16 2>> chain.log \
+	  && cmp transcripts.fa trinity.fa \
+	  || { cat chain.log; echo "chain-check: the README's stage-by-stage chain does not reproduce bin/trinity"; exit 1; }
+	@rm -rf bin/chain-check
+	@echo "chain-check: stage-by-stage transcripts.fa == bin/trinity's"
+
+verify: build lint-ascii chain-check
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -bench 'Chrysalis(WithFaultLayer|TraceRecorder)' -benchtime 1x .

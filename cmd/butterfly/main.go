@@ -1,7 +1,9 @@
 // Command butterfly reconstructs transcripts from component de Bruijn
-// graphs — the final Trinity stage. It rebuilds each component's graph
-// from the contigs (FastaToDebruijn), quantifies it with the assigned
-// reads (QuantifyGraph), and enumerates supported paths.
+// graphs — the final Trinity stage. It runs the pipeline's
+// fastatodebruijn and butterfly stages (core.RunStage) on their own:
+// each component's graph is rebuilt from the contigs (FastaToDebruijn),
+// quantified with the assigned reads (QuantifyGraph), and its supported
+// paths enumerated.
 //
 // Usage:
 //
@@ -15,9 +17,7 @@ import (
 	"os"
 
 	"gotrinity/internal/butterfly"
-	"gotrinity/internal/chrysalis"
-	"gotrinity/internal/omp"
-	"gotrinity/internal/seq"
+	"gotrinity/internal/core"
 )
 
 func main() {
@@ -31,40 +31,27 @@ func main() {
 	out := flag.String("out", "transcripts.fa", "output transcript FASTA")
 	k := flag.Int("k", 25, "k-mer length")
 	maxPaths := flag.Int("max-paths", 10, "transcripts per component")
-	workers := flag.Int("workers", omp.DefaultThreads(), "component-parallel workers")
+	seed := flag.Int64("seed", 0, "run seed (breaks path-enumeration ties)")
+	workers := flag.Int("workers", 0, "component-parallel workers (0 = all cores)")
 	flag.Parse()
 
-	if *contigsPath == "" || *compsPath == "" {
+	if *contigsPath == "" || *compsPath == "" || *readsPath == "" || *assignPath == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	contigs, err := seq.ReadFastaFile(*contigsPath)
+	res, err := core.RunStage("butterfly",
+		core.FileArtifacts{
+			Reads: *readsPath, Contigs: *contigsPath, Components: *compsPath,
+			Assignments: *assignPath, Transcripts: *out,
+		},
+		core.Config{
+			K:           *k,
+			Seed:        *seed,
+			TailWorkers: *workers,
+			Butterfly:   butterfly.Options{MaxPathsPerComponent: *maxPaths},
+		})
 	if err != nil {
 		log.Fatal(err)
 	}
-	comps, err := chrysalis.ReadComponentsFile(*compsPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var reads []seq.Record
-	var assigns []chrysalis.Assignment
-	if *readsPath != "" && *assignPath != "" {
-		if reads, err = seq.ReadFastaFile(*readsPath); err != nil {
-			log.Fatal(err)
-		}
-		if assigns, err = chrysalis.ReadAssignmentsFile(*assignPath); err != nil {
-			log.Fatal(err)
-		}
-	}
-	// Build + quantify + reconstruct component-parallel (the pipeline
-	// tail).
-	graphs, _, _, err := chrysalis.FastaToDeBruijnParallel(contigs, comps, *k, reads, assigns, *workers)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ts, _ := butterfly.ReconstructParallel(graphs, butterfly.Options{MaxPathsPerComponent: *maxPaths}, *workers)
-	if err := seq.WriteFastaFile(*out, butterfly.Records(ts)); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("%d components -> %d transcripts -> %s", len(comps), len(ts), *out)
+	log.Printf("%d components -> %d transcripts -> %s", len(res.Graphs), len(res.Transcripts), *out)
 }

@@ -9,6 +9,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
 	"os"
 
@@ -39,36 +40,30 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	var table *jellyfish.CountTable
+	how := ""
 	switch *counter {
 	case "jellyfish":
-		table, err := jellyfish.Count(reads, jellyfish.Options{
+		table, err = jellyfish.Count(reads, jellyfish.Options{
 			K: *k, Canonical: *canonical, Threads: *threads,
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := jellyfish.DumpFile(*out, table, *min); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("%d reads -> %d distinct k-mers (%d total) -> %s",
-			len(reads), table.Distinct(), table.Total(), *out)
 	case "dsk":
-		entries, st, err := dsk.Count(reads, dsk.Options{
+		var entries []jellyfish.Entry
+		var st dsk.Stats
+		entries, st, err = dsk.Count(reads, dsk.Options{
 			K: *k, Canonical: *canonical, Partitions: *partitions,
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		table := jellyfish.NewCountTable(*k, 4)
-		for _, e := range entries {
-			table.Add(e.Kmer, e.Count)
-		}
-		if err := jellyfish.DumpFile(*out, table, *min); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("%d reads -> %d distinct k-mers via %d partitions (peak %d in memory) -> %s",
-			len(reads), st.DistinctKmers, st.Partitions, st.PeakPartition, *out)
+		table = jellyfish.FromEntries(*k, entries)
+		how = fmt.Sprintf(" via %d disk partitions (peak %d in memory)", st.Partitions, st.PeakPartition)
 	default:
 		log.Fatalf("unknown counter %q (use jellyfish or dsk)", *counter)
 	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := jellyfish.DumpFile(*out, table, *min); err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("%d reads -> %d distinct k-mers (%d total)%s -> %s",
+		len(reads), table.Distinct(), table.Total(), how, *out)
 }

@@ -1,7 +1,8 @@
 // Command readstotranscripts assigns every read to the Inchworm
 // bundle sharing the most k-mers — the second Chrysalis sub-step the
-// paper parallelises. With --nprocs > 1 every rank streams the whole
-// read file and keeps its own chunks (§III-C).
+// paper parallelises. It runs the pipeline's readstotranscripts stage
+// (core.RunStage) on its own; with --nprocs > 1 every rank streams the
+// whole read file and keeps its own chunks (§III-C).
 //
 // Usage:
 //
@@ -14,8 +15,7 @@ import (
 	"log"
 	"os"
 
-	"gotrinity/internal/chrysalis"
-	"gotrinity/internal/seq"
+	"gotrinity/internal/core"
 )
 
 func main() {
@@ -37,30 +37,18 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	reads, err := seq.ReadFastaFile(*readsPath)
+	res, err := core.RunStage("readstotranscripts",
+		core.FileArtifacts{Reads: *readsPath, Contigs: *contigsPath, Components: *compsPath, Assignments: *out},
+		core.Config{
+			K:              *k,
+			Ranks:          *nprocs,
+			ThreadsPerRank: *threads,
+			MaxMemReads:    *maxMem,
+			ShardKmers:     *shardKmers,
+		})
 	if err != nil {
 		log.Fatal(err)
 	}
-	contigs, err := seq.ReadFastaFile(*contigsPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	comps, err := chrysalis.ReadComponentsFile(*compsPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := chrysalis.ReadsToTranscripts(reads, contigs, comps, *nprocs, chrysalis.R2TOptions{
-		K:              *k,
-		MaxMemReads:    *maxMem,
-		ThreadsPerRank: *threads,
-		ShardKmers:     *shardKmers,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := chrysalis.WriteAssignmentsFile(*out, res.Assignments); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("assigned %d of %d reads to %d components -> %s",
-		len(res.Assignments), len(reads), len(comps), *out)
+	log.Printf("assigned %d reads to the components of %d contigs -> %s",
+		len(res.R2T.Assignments), len(res.Contigs), *out)
 }

@@ -26,9 +26,8 @@ type Options struct {
 	SeedLen    int // seed k-mer length (default 16)
 	SeedStride int // distance between consecutive read seeds (default 8)
 	// MaxMismatch is the mismatch budget for verification. The zero
-	// value means exact matches only — what core.Config{} and cmd/trinity
-	// run with; a negative value selects 3, the default of cmd/bowtie's
-	// --max-mismatch flag.
+	// value means exact matches only — what core.Config{}, cmd/trinity
+	// and cmd/bowtie run with; a negative value selects 3.
 	MaxMismatch int
 	MinAlignLen int // shortest read the aligner will attempt (default SeedLen)
 	Threads     int // alignment worker threads (default GOMAXPROCS)
@@ -291,8 +290,12 @@ func (a *Aligner) AlignAll(reads []seq.Record) ([]Alignment, Stats) {
 
 // MergeSAM concatenates per-node alignment sets, renumbering nothing:
 // contig ids are global names, so a simple append reproduces the
-// paper's "files from all nodes are merged into a single file".
+// paper's "files from all nodes are merged into a single file". A
+// single node's set is returned as it is, not copied.
 func MergeSAM(parts [][]Alignment) []Alignment {
+	if len(parts) == 1 {
+		return parts[0]
+	}
 	n := 0
 	for _, p := range parts {
 		n += len(p)

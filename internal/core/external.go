@@ -117,13 +117,8 @@ func externalCount(reads []seq.Record, preads []seq.PackedRecord, cfg *Config) (
 	for i := range reads {
 		rep.ASCIISeqBytes += int64(len(reads[i].Seq))
 	}
-	hollow := rep.ASCIISeqBytes == 0 // packed-resident ingest: no ASCII payloads
 	for i := range preads {
 		rep.PackedSeqBytes += int64(preads[i].Seq.MemBytes())
-		if hollow {
-			// Account the decoded size the reads would occupy.
-			rep.ASCIISeqBytes += int64(preads[i].Seq.Len())
-		}
 	}
 	rep.ResidentPeakBytes = rep.PackedSeqBytes + rep.CountingPeakBytes
 	rep.InMemoryBytes = rep.ASCIISeqBytes + rep.InMemoryCountBytes

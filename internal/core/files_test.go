@@ -1,15 +1,20 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"gotrinity/internal/bowtie"
+	"gotrinity/internal/cluster"
 	"gotrinity/internal/rnaseq"
 	"gotrinity/internal/seq"
+	"gotrinity/internal/trace"
 )
 
 func TestRunFilesProducesAllArtifacts(t *testing.T) {
@@ -48,39 +53,172 @@ func TestRunFilesProducesAllArtifacts(t *testing.T) {
 	}
 }
 
-// The file-based pipeline must produce the same transcripts as the
-// in-memory pipeline for the same config.
-func TestRunFilesMatchesInMemory(t *testing.T) {
-	dir := t.TempDir()
+// writeReads writes a dataset's reads where RunFiles can find them.
+func writeReads(t *testing.T, reads []seq.Record) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "reads.fa")
+	writeFasta(t, path, reads)
+	return path
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// RunFiles is Run with the file sinks on, so everything Run honours it
+// honours too. Each case below was a divergence of the hand-written
+// RunFiles this replaced (TestConfigLattice's files axis covers Ranks,
+// ShardKmers, ASCIISeq, External, TailWorkers and FaultSeed for output).
+func TestRunFilesHonoursConfig(t *testing.T) {
 	d := rnaseq.Generate(rnaseq.Tiny(22))
-	readsPath := filepath.Join(dir, "reads.fa")
-	if err := seq.WriteFastaFile(readsPath, d.Reads); err != nil {
-		t.Fatal(err)
-	}
-	cfg := tinyConfig()
-	art, err := RunFiles(readsPath, filepath.Join(dir, "work"), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fileTs, err := seq.ReadFastaFile(art.Transcripts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, err := Run(d.Reads, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	memSet := map[string]bool{}
-	for _, tr := range mem.Transcripts {
-		memSet[string(tr.Seq)] = true
-	}
-	if len(fileTs) != len(mem.Transcripts) {
-		t.Fatalf("file %d vs memory %d transcripts", len(fileTs), len(mem.Transcripts))
-	}
-	for _, tr := range fileTs {
-		if !memSet[string(tr.Seq)] {
-			t.Fatalf("file transcript %s missing from in-memory run", tr.ID)
+	readsPath := writeReads(t, d.Reads)
+
+	t.Run("malformed FaultSpec is an error", func(t *testing.T) {
+		cfg := tinyConfig()
+		cfg.FaultSpec = "garbage"
+		if _, err := RunFiles(readsPath, t.TempDir(), cfg); err == nil {
+			t.Error("accepted a malformed fault spec")
 		}
+	})
+
+	t.Run("MinPairSupport filters", func(t *testing.T) {
+		cfg := tinyConfig()
+		cfg.MinPairSupport = 2
+		mem, err := Run(d.Reads, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unfiltered, err := Run(d.Reads, tinyConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(mem.Transcripts) == len(unfiltered.Transcripts) {
+			t.Fatal("MinPairSupport=2 filtered nothing: the case tests nothing")
+		}
+		art, err := RunFiles(readsPath, t.TempDir(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := readFile(t, art.Transcripts), transcriptsFasta(t, mem); !bytes.Equal(got, want) {
+			t.Errorf("transcripts.fa is %d bytes, Run's transcripts %d", len(got), len(want))
+		}
+	})
+
+	t.Run("Trace records the seven stage spans", func(t *testing.T) {
+		cfg := tinyConfig()
+		cfg.Trace = trace.New(cluster.BlueWonder(1))
+		cfg.SampleInterval = time.Millisecond
+		if _, err := RunFiles(readsPath, t.TempDir(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, sp := range cfg.Trace.Spans() {
+			if sp.Cat == "pipeline" {
+				got = append(got, sp.Name)
+			}
+		}
+		want := make([]string, len(stages))
+		for i := range stages {
+			want[i] = stages[i].name
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("pipeline spans %v, want %v", got, want)
+		}
+		var metrics bytes.Buffer
+		if err := cfg.Trace.WriteMetrics(&metrics, trace.MetricsOptions{IncludeReal: true}); err != nil {
+			t.Fatal(err)
+		}
+		if metrics.Len() == 0 {
+			t.Error("no metrics recorded")
+		}
+	})
+
+	t.Run("FaultSeed fires and recovers", func(t *testing.T) {
+		cfg := tinyConfig()
+		cfg.Ranks = 4
+		want, err := Run(d.Reads, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.FaultSeed = 7
+		cfg.Trace = trace.New(cluster.BlueWonder(cfg.Ranks))
+		art, err := RunFiles(readsPath, t.TempDir(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Trace.Counts()["faults_total:kind=rank_death"] == 0 {
+			t.Error("the planned kill did not fire")
+		}
+		if !bytes.Equal(readFile(t, art.Transcripts), transcriptsFasta(t, want)) {
+			t.Error("recovered transcripts.fa differs from the fault-free run")
+		}
+	})
+}
+
+// Chaining the stages by hand — each stage entry run alone over the
+// files the previous one wrote, naming only the inputs its cmd/ tool
+// takes — reproduces every artifact of RunFiles byte for byte.
+func TestStageChainMatchesRunFiles(t *testing.T) {
+	d := rnaseq.Generate(rnaseq.Tiny(24))
+	readsPath := writeReads(t, d.Reads)
+	for _, ranks := range []int{1, 4} {
+		for _, shard := range []bool{false, true} {
+			t.Run(fmt.Sprintf("ranks=%d/shard=%v", ranks, shard), func(t *testing.T) {
+				cfg := tinyConfig()
+				cfg.Ranks = ranks
+				cfg.ShardKmers = shard
+				cfg.Seed = 3
+				want, err := RunFiles(readsPath, t.TempDir(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dir := t.TempDir()
+				got := FileArtifacts{
+					Reads:       readsPath,
+					Kmers:       filepath.Join(dir, "k"),
+					Contigs:     filepath.Join(dir, "c"),
+					SAM:         filepath.Join(dir, "s"),
+					Components:  filepath.Join(dir, "comp"),
+					Assignments: filepath.Join(dir, "a"),
+					Transcripts: filepath.Join(dir, "t"),
+				}
+				for _, step := range []struct {
+					stage string
+					files FileArtifacts
+				}{
+					{"jellyfish", FileArtifacts{Reads: got.Reads, Kmers: got.Kmers}},
+					{"inchworm", FileArtifacts{Kmers: got.Kmers, Contigs: got.Contigs}},
+					{"bowtie", FileArtifacts{Reads: got.Reads, Contigs: got.Contigs, SAM: got.SAM}},
+					{"graphfromfasta", FileArtifacts{Kmers: got.Kmers, Contigs: got.Contigs, SAM: got.SAM, Components: got.Components}},
+					{"readstotranscripts", FileArtifacts{Reads: got.Reads, Contigs: got.Contigs, Components: got.Components, Assignments: got.Assignments}},
+					{"butterfly", FileArtifacts{Reads: got.Reads, Contigs: got.Contigs, Components: got.Components, Assignments: got.Assignments, Transcripts: got.Transcripts}},
+				} {
+					if _, err := RunStage(step.stage, step.files, cfg); err != nil {
+						t.Fatalf("%s alone: %v", step.stage, err)
+					}
+				}
+				for _, pair := range [][2]string{
+					{want.Kmers, got.Kmers},
+					{want.Contigs, got.Contigs},
+					{want.SAM, got.SAM},
+					{want.Components, got.Components},
+					{want.Assignments, got.Assignments},
+					{want.Transcripts, got.Transcripts},
+				} {
+					if !bytes.Equal(readFile(t, pair[1]), readFile(t, pair[0])) {
+						t.Errorf("%s of the chain differs from RunFiles's %s", filepath.Base(pair[1]), filepath.Base(pair[0]))
+					}
+				}
+			})
+		}
+	}
+	if _, err := RunStage("quantify", FileArtifacts{}, tinyConfig()); err == nil {
+		t.Error("accepted an unknown stage name")
 	}
 }
 
@@ -157,7 +295,8 @@ func TestScaffoldsFromEditedSAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := scaffoldsFromSAM(art.SAM, contigs); err != nil {
+	p := &pipeline{res: &Result{Contigs: contigs}}
+	if err := loadSAM(p, art.SAM); err != nil {
 		t.Fatalf("unedited SAM rejected: %v", err)
 	}
 	orig, err := os.ReadFile(art.SAM)
@@ -191,7 +330,7 @@ func TestScaffoldsFromEditedSAM(t *testing.T) {
 		if err := os.WriteFile(art.SAM, []byte(strings.Join(edited, "\n")), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := scaffoldsFromSAM(art.SAM, contigs)
+		err := loadSAM(p, art.SAM)
 		var re *bowtie.SAMRefError
 		if !errors.As(err, &re) {
 			t.Fatalf("%s: error %v, want *bowtie.SAMRefError", tc.name, err)

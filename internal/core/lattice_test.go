@@ -11,9 +11,10 @@ import (
 
 // The config lattice: every surviving switch of core.Config that may
 // not change the output, crossed — Ranks × ShardKmers × ASCIISeq ×
-// External × TailWorkers × fault seed — with one assertion per point:
-// the transcripts FASTA is byte-identical to the golden, the default
-// single-rank run. A new switch that must keep the output joins the
+// External × TailWorkers × fault seed × in memory (Run) or through
+// files (RunFiles) — with one assertion per point: the transcripts
+// FASTA is byte-identical to the golden, the default single-rank
+// in-memory run. A new switch that must keep the output joins the
 // table as one more axis instead of bringing its own battery.
 
 func transcriptsFasta(t *testing.T, res *Result) []byte {
@@ -48,6 +49,7 @@ func TestConfigLattice(t *testing.T) {
 	if len(golden) == 0 {
 		t.Fatal("empty golden transcripts")
 	}
+	readsPath := writeReads(t, d.Reads)
 
 	onOff := []bool{false, true}
 	for _, ranks := range []int{1, 4, 16} {
@@ -59,35 +61,47 @@ func TestConfigLattice(t *testing.T) {
 							if faultSeed != 0 && ranks == 1 {
 								continue // a lone rank's death has no survivor to recover it
 							}
-							name := fmt.Sprintf("ranks=%d/shard=%v/ascii=%v/external=%v/workers=%d/fault=%d",
-								ranks, shard, ascii, external, workers, faultSeed)
-							t.Run(name, func(t *testing.T) {
-								cfg := base
-								cfg.Ranks = ranks
-								cfg.ShardKmers = shard
-								cfg.ASCIISeq = ascii
-								cfg.TailWorkers = workers
-								cfg.FaultSeed = faultSeed
-								if external {
-									cfg.External = ExternalConfig{Enabled: true, TmpDir: t.TempDir(), Partitions: 4}
-								}
-								res, err := Run(d.Reads, cfg)
-								if err != nil {
-									t.Fatal(err)
-								}
-								if got := transcriptsFasta(t, res); !bytes.Equal(got, golden) {
-									t.Fatalf("transcripts differ from the golden (%d vs %d bytes)", len(got), len(golden))
-								}
-								// Not a second output check: it keeps the point honest
-								// about what it drove.
-								tiles := 0
-								for _, p := range res.R2T.Profiles {
-									tiles = max(tiles, len(p.Overlap))
-								}
-								if shard && tiles < 2 {
-									t.Errorf("sharded ReadsToTranscripts ran %d fetch tile(s), want several", tiles)
-								}
-							})
+							for _, files := range onOff {
+								name := fmt.Sprintf("ranks=%d/shard=%v/ascii=%v/external=%v/workers=%d/fault=%d/files=%v",
+									ranks, shard, ascii, external, workers, faultSeed, files)
+								t.Run(name, func(t *testing.T) {
+									cfg := base
+									cfg.Ranks = ranks
+									cfg.ShardKmers = shard
+									cfg.ASCIISeq = ascii
+									cfg.TailWorkers = workers
+									cfg.FaultSeed = faultSeed
+									if external {
+										cfg.External = ExternalConfig{Enabled: true, TmpDir: t.TempDir(), Partitions: 4}
+									}
+									if files {
+										art, err := RunFiles(readsPath, t.TempDir(), cfg)
+										if err != nil {
+											t.Fatal(err)
+										}
+										if got := readFile(t, art.Transcripts); !bytes.Equal(got, golden) {
+											t.Fatalf("transcripts.fa differs from the golden (%d vs %d bytes)", len(got), len(golden))
+										}
+										return
+									}
+									res, err := Run(d.Reads, cfg)
+									if err != nil {
+										t.Fatal(err)
+									}
+									if got := transcriptsFasta(t, res); !bytes.Equal(got, golden) {
+										t.Fatalf("transcripts differ from the golden (%d vs %d bytes)", len(got), len(golden))
+									}
+									// Not a second output check: it keeps the point honest
+									// about what it drove.
+									tiles := 0
+									for _, p := range res.R2T.Profiles {
+										tiles = max(tiles, len(p.Overlap))
+									}
+									if shard && tiles < 2 {
+										t.Errorf("sharded ReadsToTranscripts ran %d fetch tile(s), want several", tiles)
+									}
+								})
+							}
 						}
 					}
 				}

@@ -253,3 +253,23 @@ func TestRunExternalBowtieSpill(t *testing.T) {
 		t.Errorf("in-memory working set %d does not count the spilled bytes", rep.InMemoryBytes)
 	}
 }
+
+// One partition is merged the moment it finishes: spilling it would
+// write and re-read every alignment to save nothing.
+func TestRunExternalSinglePartitionDoesNotSpill(t *testing.T) {
+	d := rnaseq.Generate(rnaseq.Tiny(33))
+	cfg := tinyConfig()
+	want, err := Run(d.Reads, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.External = ExternalConfig{Enabled: true, TmpDir: t.TempDir(), Partitions: 8}
+	got, err := Run(d.Reads, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRunOutput(t, "external/one partition", got, want)
+	if got.External == nil || got.External.BowtieSpill != nil {
+		t.Errorf("a single partition spilled: %+v", got.External)
+	}
+}

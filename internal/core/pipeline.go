@@ -9,6 +9,8 @@ package core
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -19,6 +21,7 @@ import (
 	"gotrinity/internal/inchworm"
 	"gotrinity/internal/jellyfish"
 	"gotrinity/internal/mpi"
+	"gotrinity/internal/omp"
 	"gotrinity/internal/pyfasta"
 	"gotrinity/internal/seq"
 	"gotrinity/internal/trace"
@@ -117,6 +120,9 @@ func (c *Config) normalize() error {
 	if c.ThreadsPerRank <= 0 {
 		c.ThreadsPerRank = 16
 	}
+	if c.TailWorkers <= 0 {
+		c.TailWorkers = omp.DefaultThreads()
+	}
 	if c.K > 31 {
 		return fmt.Errorf("core: k=%d out of range", c.K)
 	}
@@ -160,136 +166,213 @@ func (r *Result) TranscriptRecords() []seq.Record {
 	return butterfly.Records(r.Transcripts)
 }
 
-// packedPipe carries the packed twins of the pipeline's resident
-// sequences — reads packed once before counting, contigs once after
-// Inchworm — shared by every downstream stage. nil selects the ASCII
-// fallback everywhere.
-type packedPipe struct {
-	reads   []seq.PackedRecord
-	contigs []seq.Packed // parallel to Result.Contigs
+// TailStats meters the parallelizable pipeline tail in deterministic
+// work units — functions of the input alone, independent of worker
+// count, scheduling, and wall clock. They feed the tail makespan model
+// (BENCH_pipeline.json): serial tail cost is the sum of all units,
+// parallel tail cost is the LPT makespan of each phase's units over
+// the worker pool (omp.LPTMakespan).
+type TailStats struct {
+	// PartitionUnits holds one entry per non-empty Bowtie partition:
+	// seed probes + bases compared, the aligner's exact work counters.
+	PartitionUnits []float64
+	// ComponentUnits holds one entry per component: contig bases plus
+	// assigned-read bases, the weight of the component-parallel
+	// DeBruijn/Quantify/Butterfly work.
+	ComponentUnits []float64
 }
 
-// readRecs/contigSeqs are nil-safe accessors so option structs can be
-// filled without branching on the mode.
-func (pp *packedPipe) readRecs() []seq.PackedRecord {
-	if pp == nil {
-		return nil
+// FileArtifacts names the files a file-based run exchanges between
+// modules: RunFiles fills every path, RunStage uses the ones its
+// caller set.
+type FileArtifacts struct {
+	Reads       string // input reads FASTA
+	Kmers       string // jellyfish dump
+	Contigs     string // inchworm contigs FASTA
+	SAM         string // bowtie alignments
+	Components  string // graphfromfasta components
+	Assignments string // readstotranscripts assignments
+	Transcripts string // butterfly output FASTA
+}
+
+// pipeline is the state the stage list (stages.go) runs over.
+type pipeline struct {
+	cfg *Config
+	res *Result
+	// art switches the file sinks on: a stage's artifact is written to
+	// its path once the stage has run and read back, in place of the
+	// in-memory product, before the next one does. nil = all in memory.
+	art      *FileArtifacts
+	readBack int // stages[:readBack] have had their artifacts read back
+
+	reads    []seq.Record
+	preads   []seq.PackedRecord // the reads 2-bit packed, once; nil under ASCIISeq
+	pcontigs []seq.Packed       // see packedContigs
+
+	table   *jellyfish.CountTable // the k-mer dictionary as counted …
+	entries []jellyfish.Entry     // … and as read back from the dump
+
+	plan     *mpi.FaultPlan
+	recovery chrysalis.RecoveryOptions
+	meter    *collectl.Meter
+	sampler  *collectl.Sampler
+	start    time.Time
+}
+
+// packedContigs returns the contigs 2-bit packed for the seed index,
+// weld kernels and bundle tables, packing them on first use — after
+// Inchworm, or after contigs.fa was read back. nil under ASCIISeq.
+func (p *pipeline) packedContigs() []seq.Packed {
+	if p.pcontigs == nil && !p.cfg.ASCIISeq {
+		p.pcontigs = make([]seq.Packed, len(p.res.Contigs))
+		for i := range p.res.Contigs {
+			p.pcontigs[i] = seq.Pack(p.res.Contigs[i].Seq)
+		}
 	}
-	return pp.reads
+	return p.pcontigs
 }
 
-func (pp *packedPipe) contigSeqs() []seq.Packed {
-	if pp == nil {
-		return nil
+// step is the one place a stage starts and ends. Inside the stage's
+// span it reads back every upstream artifact not yet read (in a whole
+// run, the one the previous step wrote; for a stage run alone, every
+// file the caller named), runs the stage and writes its artifact.
+func (p *pipeline) step(i int) error {
+	s := &stages[i]
+	if p.sampler != nil {
+		p.sampler.MarkStage(s.name)
 	}
-	return pp.contigs
+	t0 := time.Now()
+	err := p.meter.Run(s.name, func() error {
+		for ; p.art != nil && p.readBack < i; p.readBack++ {
+			if up := &stages[p.readBack]; up.load != nil && up.file(p.art) != "" {
+				if err := up.load(p, up.file(p.art)); err != nil {
+					return err
+				}
+			}
+		}
+		if err := s.run(p); err != nil {
+			return err
+		}
+		if p.art != nil && s.save != nil && s.file(p.art) != "" {
+			return s.save(p, s.file(p.art))
+		}
+		return nil
+	})
+	p.cfg.Trace.RealSpan("pipeline", s.name, t0.Sub(p.start).Seconds(), time.Since(t0).Seconds(), "")
+	if err != nil {
+		return fmt.Errorf("core: %s: %w", s.name, err)
+	}
+	return nil
 }
 
-// Run executes the full pipeline over the given reads.
-func Run(reads []seq.Record, cfg Config) (*Result, error) {
-	if err := cfg.normalize(); err != nil {
+// run is the one orchestrator: stages[first..last] in order over reads
+// (or, with sinks on, the reads file art names), under the fault plan,
+// the sampler and the stage meter.
+func run(reads []seq.Record, art *FileArtifacts, cfg *Config, first, last int) (*Result, error) {
+	err := cfg.normalize()
+	if err != nil {
 		return nil, err
 	}
-	// Build the fault plan and recovery policy for the hybrid stages.
-	var plan *mpi.FaultPlan
+	if art != nil && art.Reads != "" {
+		if reads, err = seq.ReadFastaFile(art.Reads); err != nil {
+			return nil, fmt.Errorf("core: reading %s: %w", art.Reads, err)
+		}
+	}
+	p := &pipeline{cfg: cfg, art: art, reads: reads, meter: collectl.NewMeter()}
+	// GFF and R2T start empty, not nil, so that a stage run alone finds
+	// its upstream products where their loads put them.
+	p.res = &Result{GFF: &chrysalis.GFFResult{}, R2T: &chrysalis.R2TResult{}}
+	// The fault plan and recovery policy of the hybrid stages.
 	if cfg.FaultSpec != "" {
-		var err error
-		if plan, err = mpi.ParseFaultSpec(cfg.FaultSpec); err != nil {
+		if p.plan, err = mpi.ParseFaultSpec(cfg.FaultSpec); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	} else if cfg.FaultSeed != 0 {
 		// Call indices 0–7 are reached by every rank even on the tiny
 		// test datasets (fewer chunks per rank mean fewer fault points),
 		// so a kill drawn from that window is guaranteed to fire.
-		plan = mpi.RandomKillPlan(cfg.FaultSeed, cfg.Ranks, 1, 8)
+		p.plan = mpi.RandomKillPlan(cfg.FaultSeed, cfg.Ranks, 1, 8)
 	}
-	recovery := chrysalis.RecoveryOptions{
-		Enabled:     cfg.Recover || plan != nil || cfg.RankTimeout > 0,
+	p.recovery = chrysalis.RecoveryOptions{
+		Enabled:     cfg.Recover || p.plan != nil || cfg.RankTimeout > 0,
 		MaxRounds:   cfg.MaxRetries,
 		Backoff:     cfg.RetryBackoff,
 		RankTimeout: cfg.RankTimeout,
 	}
-	res := &Result{}
-	meter := collectl.NewMeter()
-	var sampler *collectl.Sampler
-	if cfg.SampleInterval > 0 {
-		sampler = collectl.NewSampler(cfg.SampleInterval)
-		sampler.Start()
-	}
-	runStart := time.Now()
-	stage := func(name string, fn func() error) error {
-		if sampler != nil {
-			sampler.MarkStage(name)
-		}
-		t0 := time.Now()
-		err := meter.Run(name, fn)
-		cfg.Trace.RealSpan("pipeline", name, t0.Sub(runStart).Seconds(), time.Since(t0).Seconds(), "")
-		return err
-	}
-
 	// Pack the reads once; every downstream consumer (counting, Bowtie,
 	// ReadsToTranscripts) works from the 2-bit forms.
-	var pp *packedPipe
 	if !cfg.ASCIISeq {
-		pp = &packedPipe{reads: seq.PackRecords(reads)}
+		p.preads = seq.PackRecords(reads)
 	}
-
-	// --- Jellyfish: k-mer counting over the reads — in-memory by
-	// default, dsk's disk-partitioned pass under External.
-	var table *jellyfish.CountTable
-	err := stage("jellyfish", func() error {
-		var err error
-		switch {
-		case cfg.External.Enabled:
-			table, res.External, err = externalCount(reads, pp.readRecs(), &cfg)
-		case pp != nil:
-			table, err = jellyfish.CountPacked(pp.reads, jellyfish.Options{K: cfg.K})
-		default:
-			table, err = jellyfish.Count(reads, jellyfish.Options{K: cfg.K})
-		}
-		return err
-	})
+	if cfg.SampleInterval > 0 {
+		p.sampler = collectl.NewSampler(cfg.SampleInterval)
+		p.sampler.Start()
+	}
+	p.start = time.Now()
+	for i := first; i <= last && err == nil; i++ {
+		err = p.step(i)
+	}
+	if p.sampler != nil {
+		p.res.Samples, p.res.Marks = p.sampler.Stop()
+		cfg.Trace.AddHeapSeries(p.res.Samples, p.res.Marks)
+	}
+	p.res.Trace = p.meter.Trace()
 	if err != nil {
-		return nil, fmt.Errorf("core: jellyfish: %w", err)
-	}
-
-	// --- Inchworm: greedy contigs from the k-mer dictionary.
-	err = stage("inchworm", func() error {
-		contigs, st, err := inchworm.Run(table.Entries(1), inchworm.Options{
-			K:            cfg.K,
-			MinKmerCount: cfg.MinKmerCount,
-		})
-		res.Contigs, res.InchwormStats = contigs, st
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: inchworm: %w", err)
-	}
-	if len(res.Contigs) == 0 {
-		return nil, fmt.Errorf("core: inchworm produced no contigs (too few reads?)")
-	}
-	// Pack the contigs once for the tail's seed index, weld kernels and
-	// bundle tables.
-	if pp != nil {
-		pp.contigs = make([]seq.Packed, len(res.Contigs))
-		for i := range res.Contigs {
-			pp.contigs[i] = seq.Pack(res.Contigs[i].Seq)
-		}
-	}
-
-	// --- The pipeline tail (Bowtie → GraphFromFasta →
-	// ReadsToTranscripts → FastaToDebruijn/Quantify → Butterfly), as
-	// barrier-stepped stages.
-	if err := runTail(reads, pp, res, &cfg, table, plan, recovery, runStart, stage); err != nil {
 		return nil, err
 	}
+	return p.res, nil
+}
 
-	if sampler != nil {
-		res.Samples, res.Marks = sampler.Stop()
-		cfg.Trace.AddHeapSeries(res.Samples, res.Marks)
+// Run executes the full pipeline over the given reads: the stage list
+// with no file sinks.
+func Run(reads []seq.Record, cfg Config) (*Result, error) {
+	return run(reads, nil, &cfg, 0, len(stages)-1)
+}
+
+// RunFiles assembles readsPath into workDir with every stage
+// exchanging data through files, exactly as the real Trinity modules
+// do ("the files being output from one software module are then
+// consumed by the following module", §II-A): the stage list with every
+// sink on, so each stage re-reads its predecessor's output from disk
+// and every on-disk format is exercised. It returns the paths of every
+// artifact.
+func RunFiles(readsPath, workDir string, cfg Config) (*FileArtifacts, error) {
+	if err := os.MkdirAll(workDir, 0o755); err != nil {
+		return nil, err
 	}
-	res.Trace = meter.Trace()
-	return res, nil
+	art := &FileArtifacts{
+		Reads:       readsPath,
+		Kmers:       filepath.Join(workDir, "kmers.txt"),
+		Contigs:     filepath.Join(workDir, "contigs.fa"),
+		SAM:         filepath.Join(workDir, "alignments.sam"),
+		Components:  filepath.Join(workDir, "components.txt"),
+		Assignments: filepath.Join(workDir, "assignments.txt"),
+		Transcripts: filepath.Join(workDir, "transcripts.fa"),
+	}
+	if _, err := run(nil, art, &cfg, 0, len(stages)-1); err != nil {
+		return nil, err
+	}
+	return art, nil
+}
+
+// RunStage runs one stage on its own, as the per-stage tools under
+// cmd/ do: every upstream artifact art names is read from its file, the
+// stage runs under cfg exactly as it does inside Run, and its artifact
+// is written to the path art names for it. A stage whose input has no
+// file form runs after the stage producing it ("butterfly" builds the
+// component graphs first).
+func RunStage(name string, art FileArtifacts, cfg Config) (*Result, error) {
+	for last := range stages {
+		if stages[last].name != name {
+			continue
+		}
+		first := last
+		for first > 0 && stages[first-1].save == nil {
+			first--
+		}
+		return run(nil, &art, &cfg, first, last)
+	}
+	return nil, fmt.Errorf("core: unknown stage %q", name)
 }
 
 // ScaffoldPairs derives contig pairs from mate-paired alignments: when

@@ -15,22 +15,13 @@ import (
 	"gotrinity/internal/bowtie"
 )
 
-// alignmentSpill owns one spill directory and its budget meter. put
-// and get are safe for concurrent partitions.
+// alignmentSpill is one spill directory (the caller creates and removes
+// it, mirroring dsk's partition-file layout) and its budget meter. put and get are safe for concurrent partitions;
+// stats is read once they have all returned.
 type alignmentSpill struct {
 	dir   string
 	mu    sync.Mutex
 	stats bowtie.SpillStats
-}
-
-// newAlignmentSpill creates the spill directory under tmpDir (""
-// means os.TempDir()), mirroring dsk's partition-file layout.
-func newAlignmentSpill(tmpDir string) (*alignmentSpill, error) {
-	dir, err := os.MkdirTemp(tmpDir, "bowtie-")
-	if err != nil {
-		return nil, fmt.Errorf("core: bowtie spill dir: %w", err)
-	}
-	return &alignmentSpill{dir: dir}, nil
 }
 
 func (sp *alignmentSpill) partPath(p int) string {
@@ -45,10 +36,8 @@ func (sp *alignmentSpill) put(p int, als []bowtie.Alignment) error {
 		return fmt.Errorf("core: bowtie spill write: %w", err)
 	}
 	sp.mu.Lock()
-	sp.stats.Partitions++
-	sp.stats.SpillBytes += int64(len(buf))
-	sp.stats.PeakPartitionBytes = max(sp.stats.PeakPartitionBytes, int64(len(buf)))
-	sp.stats.PeakPartitionAlignments = max(sp.stats.PeakPartitionAlignments, len(als))
+	sp.stats.Accumulate(bowtie.SpillStats{Partitions: 1, SpillBytes: int64(len(buf)),
+		PeakPartitionBytes: int64(len(buf)), PeakPartitionAlignments: len(als)})
 	sp.mu.Unlock()
 	return nil
 }
@@ -64,16 +53,4 @@ func (sp *alignmentSpill) get(p int) ([]bowtie.Alignment, error) {
 		return nil, fmt.Errorf("core: bowtie spill partition %d: %w", p, err)
 	}
 	return als, nil
-}
-
-// snapshot returns the accumulated meter.
-func (sp *alignmentSpill) snapshot() bowtie.SpillStats {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.stats
-}
-
-// cleanup removes the spill directory and every partition file.
-func (sp *alignmentSpill) cleanup() {
-	os.RemoveAll(sp.dir)
 }
