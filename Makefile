@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race fuzz bench bench-chrysalis bench-kernels bench-pipeline bench-shard bench-seq bench-e2e bench-check lint-ascii chain-check verify clean
+.PHONY: build test test-short race stress loc fuzz bench bench-chrysalis bench-kernels bench-pipeline bench-shard bench-seq bench-e2e bench-check lint-ascii chain-check verify clean
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,25 @@ test-short:
 
 race:
 	$(GO) test -race ./...
+
+# The slow tier, not part of `make verify`: 50 race-detector repetitions
+# of the batteries that exercise the fault layer, the sharded tile
+# pipeline and the message-passing substrate under them. A lost wakeup
+# in mpi.matchRecv once showed about once per 120 -race runs; one pass
+# of this subset is ~20 s, so the target takes ~15 min. A hang counts as
+# a failure (the tests carry their own 30 s guards).
+STRESS_COUNT ?= 50
+stress:
+	$(GO) test -race -count=$(STRESS_COUNT) -timeout 60m -run 'Fault|Overlap|Tile|Shard|HybridLoop' ./internal/chrysalis/
+	$(GO) test -race -count=$(STRESS_COUNT) -timeout 60m ./internal/mpi/
+
+# Line counts the way ROADMAP.md and the simplicity PRs count them:
+# non-test and test Go outside bench/, in total and per internal package.
+loc:
+	@count() { find "$$1" -name '*.go' $$2 -name '*_test.go' -not -path './bench/*' | xargs cat 2>/dev/null | wc -l; }; \
+	printf '%-24s %8s %8s\n' package non-test test; \
+	for d in internal/*/; do printf '%-24s %8d %8d\n' "$${d%/}" "$$(count $$d !)" "$$(count $$d '')"; done; \
+	printf '%-24s %8d %8d\n' 'total (outside bench/)' "$$(count . !)" "$$(count . '')"
 
 # Short fuzz pass over every fuzz target (seed corpora always run as
 # part of `make test`; this shakes the generators for a few seconds
@@ -39,12 +58,15 @@ bench:
 
 # Chrysalis overhead snapshot: the fault-layer and trace-recorder
 # benchmarks, recorded as BENCH_chrysalis.json so overhead regressions
-# show up in review diffs. The awk pass converts `go test -bench`
-# lines ("BenchmarkName-8  N  v unit  v unit ...") into one JSON
-# object per benchmark.
+# show up in review diffs. Each iteration is one alternating
+# baseline/variant pair; 15 pairs give the median and IQR the fields
+# report, and arm the fault-layer benchmark's contract check (>= 7
+# pairs). The awk pass converts `go test -bench` lines
+# ("BenchmarkName-8  N  v unit  v unit ...") into one JSON object per
+# benchmark.
 BENCH_JSON ?= BENCH_chrysalis.json
 bench-chrysalis:
-	$(GO) test -run '^$$' -bench 'Chrysalis(WithFaultLayer|TraceRecorder)' -benchtime 3x . \
+	$(GO) test -run '^$$' -bench 'Chrysalis(WithFaultLayer|TraceRecorder)' -benchtime 15x . \
 	| awk 'BEGIN { printf("{\n") } \
 	       /^Benchmark/ { if (n++) printf(",\n"); \
 	         printf("  \"%s\": {\"iterations\": %s", $$1, $$2); \

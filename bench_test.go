@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -266,54 +267,104 @@ func BenchmarkAblationMPIIO(b *testing.B) {
 	}
 }
 
+// chrysalisBenchInput is the input of the two Chrysalis overhead
+// benchmarks: a wide-shaped Sugarbeet profile (many isoforms, shallow
+// coverage — the shape that gives the welding loops the most to do),
+// sized so one GraphFromFasta + ReadsToTranscripts pass at 4 ranks takes
+// at least half a second. An overhead of a few per cent cannot be read
+// off a 27 ms run.
+func chrysalisBenchInput(b *testing.B) (reads, contigs []Read, table *jellyfish.CountTable) {
+	b.Helper()
+	p := SugarbeetProfile(1)
+	p.Genes, p.MaxIsoforms, p.LongGeneFrac, p.ExpressionSigma, p.Reads = 500, 6, 0.05, 0.8, 60000
+	d := GenerateDataset(p)
+	table, err := jellyfish.Count(d.Reads, jellyfish.Options{K: chrysalisBenchK})
+	if err != nil {
+		b.Fatal(err)
+	}
+	contigs, _, err = inchworm.Run(table.Entries(1), inchworm.Options{K: chrysalisBenchK})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d.Reads, contigs, table
+}
+
+const chrysalisBenchK, chrysalisBenchRanks = 21, 4
+
+// pairedOverhead times b.N pairs of (base, variant), alternating which
+// side of a pair runs first so drift and warm-up fall on both alike,
+// and reports the baseline's median wall time and the median and
+// interquartile range of the per-pair overhead, stamped with the host's
+// parallelism. It returns the lower quartile of the per-pair overheads
+// in per cent: a budget is resolved as exceeded only when three pairs
+// in four exceed it, whatever the host's run-to-run noise.
+func pairedOverhead(b *testing.B, base, variant func()) (q25 float64) {
+	b.Helper()
+	timed := func(f func()) float64 {
+		runtime.GC() // each run starts from the same heap, whichever side went before it
+		t0 := time.Now()
+		f()
+		return time.Since(t0).Seconds()
+	}
+	var baseS, pct []float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var tb, tv float64
+		if i%2 == 0 {
+			tb, tv = timed(base), timed(variant)
+		} else {
+			tv, tb = timed(variant), timed(base)
+		}
+		baseS = append(baseS, tb)
+		pct = append(pct, 100*(tv-tb)/tb)
+	}
+	b.StopTimer()
+	sort.Float64s(baseS)
+	sort.Float64s(pct)
+	quantile := func(xs []float64, q float64) float64 { return xs[int(q*float64(len(xs)-1)+0.5)] }
+	q25 = quantile(pct, 0.25)
+	b.ReportMetric(quantile(baseS, 0.5), "wall_base_s")
+	b.ReportMetric(quantile(pct, 0.5), "wall_overhead_%")
+	b.ReportMetric(quantile(pct, 0.75)-q25, "wall_overhead_iqr_%")
+	b.ReportMetric(float64(runtime.NumCPU()), "num_cpu")
+	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+	return q25
+}
+
 // BenchmarkChrysalisWithFaultLayer measures what the fault-tolerance
 // layer costs when nothing fails: both Chrysalis hot spots run with
 // chunk checkpointing and recovery enabled but no fault plan, against
-// the plain hybrid baseline. The interleaved timing keeps machine
-// drift out of the comparison; the run fails if the fault layer adds
-// more than 5% once enough samples accumulated (see EXPERIMENTS.md for
-// recorded numbers).
+// the plain hybrid baseline. The clean and the checkpointed run share
+// their chunk kernels, so the difference is the checkpoint store and
+// the Try* collectives. With at least 7 pairs (make bench-chrysalis
+// runs 15) the run fails if the overhead is resolved above the contract
+// in DESIGN.md §6 (see EXPERIMENTS.md for recorded numbers).
 func BenchmarkChrysalisWithFaultLayer(b *testing.B) {
-	const k, ranks = 21, 4
-	d := GenerateDataset(TinyProfile(1))
-	table, err := jellyfish.Count(d.Reads, jellyfish.Options{K: k})
-	if err != nil {
-		b.Fatal(err)
-	}
-	contigs, _, err := inchworm.Run(table.Entries(1), inchworm.Options{K: k})
-	if err != nil {
-		b.Fatal(err)
-	}
+	reads, contigs, table := chrysalisBenchInput(b)
 	runOnce := func(rec chrysalis.RecoveryOptions) {
-		res, err := chrysalis.GraphFromFasta(contigs, table, ranks, chrysalis.GFFOptions{
-			K: k, ThreadsPerRank: 2, Recovery: rec,
+		res, err := chrysalis.GraphFromFasta(contigs, table, chrysalisBenchRanks, chrysalis.GFFOptions{
+			K: chrysalisBenchK, ThreadsPerRank: 2, Recovery: rec,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := chrysalis.ReadsToTranscripts(d.Reads, contigs, res.Components, ranks,
-			chrysalis.R2TOptions{K: k, ThreadsPerRank: 2, Recovery: rec}); err != nil {
+		if _, err := chrysalis.ReadsToTranscripts(reads, contigs, res.Components, chrysalisBenchRanks,
+			chrysalis.R2TOptions{K: chrysalisBenchK, ThreadsPerRank: 2, Recovery: rec}); err != nil {
 			b.Fatal(err)
 		}
 	}
-	var base, faulted time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		runOnce(chrysalis.RecoveryOptions{})
-		base += time.Since(t0)
-		t0 = time.Now()
-		runOnce(chrysalis.RecoveryOptions{Enabled: true})
-		faulted += time.Since(t0)
-	}
-	b.StopTimer()
-	overheadPct := 100 * (faulted - base).Seconds() / base.Seconds()
-	b.ReportMetric(overheadPct, "overhead_%")
-	if base > 500*time.Millisecond && overheadPct > 5 {
-		b.Errorf("fault layer overhead %.1f%% exceeds the 5%% budget (baseline %v, fault layer %v)",
-			overheadPct, base, faulted)
+	q25 := pairedOverhead(b,
+		func() { runOnce(chrysalis.RecoveryOptions{}) },
+		func() { runOnce(chrysalis.RecoveryOptions{Enabled: true}) })
+	if b.N >= 7 && q25 > faultLayerBudgetPct {
+		b.Errorf("fault layer overhead exceeds the %v%% contract: three of four of %d pairs are above %.1f%%",
+			faultLayerBudgetPct, b.N, q25)
 	}
 }
+
+// faultLayerBudgetPct is the no-fault cost the fault layer may add to
+// the Chrysalis hot spots (DESIGN.md §6).
+const faultLayerBudgetPct = 5.0
 
 // BenchmarkChrysalisTraceRecorder measures what the trace recorder
 // costs the Chrysalis hot spots. The nil-recorder runs are the
@@ -322,41 +373,22 @@ func BenchmarkChrysalisWithFaultLayer(b *testing.B) {
 // active-recorder runs show the full collection cost (span/event
 // appends under one mutex plus the MPI observer callbacks).
 func BenchmarkChrysalisTraceRecorder(b *testing.B) {
-	const k, ranks = 21, 4
-	d := GenerateDataset(TinyProfile(1))
-	table, err := jellyfish.Count(d.Reads, jellyfish.Options{K: k})
-	if err != nil {
-		b.Fatal(err)
-	}
-	contigs, _, err := inchworm.Run(table.Entries(1), inchworm.Options{K: k})
-	if err != nil {
-		b.Fatal(err)
-	}
+	reads, contigs, table := chrysalisBenchInput(b)
 	runOnce := func(rec *TraceRecorder) {
-		res, err := chrysalis.GraphFromFasta(contigs, table, ranks, chrysalis.GFFOptions{
-			K: k, ThreadsPerRank: 2, Trace: rec,
+		res, err := chrysalis.GraphFromFasta(contigs, table, chrysalisBenchRanks, chrysalis.GFFOptions{
+			K: chrysalisBenchK, ThreadsPerRank: 2, Trace: rec,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := chrysalis.ReadsToTranscripts(d.Reads, contigs, res.Components, ranks,
-			chrysalis.R2TOptions{K: k, ThreadsPerRank: 2, Trace: rec}); err != nil {
+		if _, err := chrysalis.ReadsToTranscripts(reads, contigs, res.Components, chrysalisBenchRanks,
+			chrysalis.R2TOptions{K: chrysalisBenchK, ThreadsPerRank: 2, Trace: rec}); err != nil {
 			b.Fatal(err)
 		}
 	}
-	var off, on time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		runOnce(nil)
-		off += time.Since(t0)
-		t0 = time.Now()
-		runOnce(NewTraceRecorder(ranks))
-		on += time.Since(t0)
-	}
-	b.StopTimer()
-	overheadPct := 100 * (on - off).Seconds() / off.Seconds()
-	b.ReportMetric(overheadPct, "recorder_overhead_%")
+	pairedOverhead(b,
+		func() { runOnce(nil) },
+		func() { runOnce(NewTraceRecorder(chrysalisBenchRanks)) })
 }
 
 // BenchmarkPipelineEndToEnd measures the real (laptop-scale) pipeline

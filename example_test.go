@@ -33,20 +33,3 @@ func ExampleAssemble_hybrid() {
 	// Output:
 	// same transcript count: true
 }
-
-// ExampleQuantify estimates expression of known transcripts with the
-// RSEM-style EM quantifier.
-func ExampleQuantify() {
-	dataset := trinity.GenerateDataset(trinity.TinyProfile(3))
-	refs := dataset.ReferenceRecords()
-	res, err := trinity.Quantify(refs, dataset.Reads, trinity.QuantifyOptions{})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Println("transcripts quantified:", len(res.Abundances) == len(refs))
-	fmt.Println("most reads assigned:", res.Assigned > res.Unassigned)
-	// Output:
-	// transcripts quantified: true
-	// most reads assigned: true
-}

@@ -166,6 +166,40 @@ type GFFResult struct {
 	Recovery   *RecoveryReport  // non-nil when the fault layer was active
 }
 
+// weldLookup is what loop 1's kernel probes: the contig k-mer occurrence
+// index, in the form the run's kernels take, and the read counts.
+type weldLookup struct {
+	ix    *contigKmerIndex   // ASCII kernels
+	pix   *packedContigIndex // packed kernels
+	reads *jellyfish.Frozen
+}
+
+func (l weldLookup) memBytes() int64 {
+	if l.pix != nil {
+		return l.reads.MemBytes() + l.pix.memBytes()
+	}
+	return l.reads.MemBytes() + l.ix.memBytes()
+}
+
+// pairLookup is what loop 2's kernel probes: the pooled weld index.
+type pairLookup struct {
+	ix  *weldIndex       // ASCII kernels
+	pix *packedWeldIndex // packed kernels
+}
+
+func (l pairLookup) memBytes() int64 {
+	if l.pix != nil {
+		return l.pix.memBytes()
+	}
+	return l.ix.memBytes()
+}
+
+// encodePair packs one (weld id, contig id) incidence into the int64
+// the pair pooling moves; decodePair reverses it.
+func encodePair(p [2]int32) int64 { return int64(p[0])<<32 | int64(uint32(p[1])) }
+
+func decodePair(enc int64) (weld, contig int32) { return int32(enc >> 32), int32(uint32(enc)) }
+
 // GraphFromFasta clusters contigs into components using `ranks` MPI
 // processes, each simulating opt.ThreadsPerRank OpenMP threads — the
 // paper's hybrid implementation. ranks=1 reproduces the original
@@ -173,9 +207,11 @@ type GFFResult struct {
 // for every rank count (verified by tests), only the work distribution
 // changes.
 //
-// With a fault plan or Recovery.Enabled, every chunk's welds and pairs
-// are checkpointed as they complete and dead ranks' chunks are
-// recomputed by the survivors; the clustering result of a recovered
+// Both welding loops are hybrid loops (hybridloop.go): this function
+// supplies their chunk kernels and lookup tables and pools what they
+// produce. With a fault plan or Recovery.Enabled, every chunk's welds
+// and pairs are checkpointed as they complete and dead ranks' chunks
+// are recomputed by the survivors; the clustering result of a recovered
 // run is identical to the fault-free run (see recovery.go).
 //
 // readKmers must be a stranded (non-canonical) count table over the
@@ -191,6 +227,11 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 	if readKmers.K != opt.K {
 		return nil, fmt.Errorf("chrysalis: read table k=%d, want %d", readKmers.K, opt.K)
 	}
+	dist, err := NewDistribution(len(contigs), ranks, opt.ThreadsPerRank, opt.ChunkSize)
+	if err != nil {
+		return nil, err
+	}
+	dist.Strategy = opt.Strategy
 	// Stage the contig payloads once. Packed mode carries seq.Packed
 	// end-to-end and skips the per-contig []byte staging entirely; the
 	// ASCII kernels keep their byte-slice views.
@@ -210,486 +251,198 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 			seqs[i] = contigs[i].Seq
 		}
 	}
-	contigLen := func(i int) int {
-		if opt.Packed {
-			return pseqs[i].Len()
-		}
-		return len(seqs[i])
-	}
 	// Freeze the read k-mer table once, before the world starts: every
 	// rank goroutine then probes the immutable flat table lock-free.
 	// On a real cluster each rank holds its own copy anyway; the freeze
 	// is not metered, matching the unmetered jellyfish load it replaces.
 	frozenReads := readKmers.Freeze()
-	dist, err := NewDistribution(len(contigs), ranks, opt.ThreadsPerRank, opt.ChunkSize)
-	if err != nil {
-		return nil, err
-	}
-	dist.Strategy = opt.Strategy
-
-	ro := opt.Recovery.withDefaults()
-	active := opt.Faults != nil || opt.Recovery.Enabled
-
-	profiles := make([]GFFRankProfile, ranks)
-	results := make([]*GFFResult, ranks)
 
 	// In a real cluster every rank builds these identical read-only
 	// structures independently; here they are built once and shared,
-	// while each rank is still charged the full build cost. Under
-	// ShardKmers the full tables are built lazily — only if chunk
-	// recovery needs to recompute a foreign chunk whose k-mers the local
-	// partial replica never queried.
-	var ixOnce, widxOnce, pooledOnce sync.Once
-	var ix *contigKmerIndex
-	var pix *packedContigIndex
-	var widx *weldIndex
-	var pwidx *packedWeldIndex
-	var pooledShared []string
+	// while each rank is still charged the full build cost. The pooled
+	// weld list is identical on every rank by construction.
+	var pooledOnce sync.Once
+	var pooled []string
 	var pooledPacked []seq.Packed
-	fullIx := func() *contigKmerIndex {
-		ixOnce.Do(func() { ix = buildContigKmerIndex(seqs, opt.K) })
-		return ix
-	}
-	fullPix := func() *packedContigIndex {
-		ixOnce.Do(func() { pix = buildPackedContigIndex(pseqs, opt.K) })
-		return pix
-	}
-	fullWidx := func() *weldIndex {
-		widxOnce.Do(func() { widx = buildWeldIndex(pooledShared, opt.K) })
-		return widx
-	}
-	fullPwidx := func() *packedWeldIndex {
-		widxOnce.Do(func() { pwidx = buildPackedWeldIndex(pooledPacked, opt.K) })
-		return pwidx
-	}
-	// Sharded-lookup shared state: the source data every shard is
-	// rebuilt from, and the per-phase completion ledgers.
-	var srcOnce sync.Once
+	look1 := sync.OnceValue(func() weldLookup {
+		if opt.Packed {
+			return weldLookup{pix: buildPackedContigIndex(pseqs, opt.K), reads: frozenReads}
+		}
+		return weldLookup{ix: buildContigKmerIndex(seqs, opt.K), reads: frozenReads}
+	})
+	look2 := sync.OnceValue(func() pairLookup {
+		if opt.Packed {
+			return pairLookup{pix: buildPackedWeldIndex(pooledPacked, opt.K)}
+		}
+		return pairLookup{ix: buildWeldIndex(pooled, opt.K)}
+	})
+	// Under ShardKmers every rank holds one shard of those tables,
+	// rebuilt from the shared source, and the full ones above are built
+	// only if chunk recovery needs them.
 	var source *gffSource
-	var led1, led2 *fetchLedger
+	var shards1 *shardedLookup[weldLookup]
+	var shards2 *shardedLookup[pairLookup]
 	if opt.ShardKmers {
-		led1 = newFetchLedger(ranks)
-		led2 = newFetchLedger(ranks)
-	}
-	// Per-contig loop costs, written by the owning rank, read by every
-	// rank after a barrier for the replicated timing replay. Only the
-	// fault-free path uses the shared arrays; the fault layer keeps
-	// costs in the checkpoint store so an evicted straggler's late
-	// writes cannot race with survivors.
-	costs1 := make([]float64, len(contigs))
-	costs2 := make([]float64, len(contigs))
-
-	var store1 *chunkStore[string] // checkpointed welds per chunk
-	var store2 *chunkStore[int64]  // checkpointed encoded pairs per chunk
-	rep := &recReport{}
-	if active {
-		store1 = newChunkStore[string](dist.Chunks())
-		store2 = newChunkStore[int64](dist.Chunks())
+		source = buildGFFSource(seqs, opt.K, frozenReads)
+		shards1 = weldShards(source, ranks)
+		shards2 = pairShards(source, ranks, func() []string { return pooled })
 	}
 
-	// weldChunk and pairChunk compute one chunk's partial result — the
-	// checkpoint unit of the recovery layer. The lookup structures are
-	// parameters: a rank's normal loops pass its local (replicated or
-	// partial) replicas, while recovery recompute passes the full tables
-	// so a survivor can recompute any dead rank's chunk.
-	// In packed mode the weld strings are wire frames (Packed.Encode
-	// bytes); the framing, checkpoint stores, and exchange below are
+	// The two chunk kernels. In packed mode the weld strings are wire
+	// frames (Packed.Encode bytes); checkpointing and the exchanges are
 	// content-agnostic, so only the kernels differ.
-	weldChunk := func(ch int, kix *contigKmerIndex, pkix *packedContigIndex, reads *jellyfish.Frozen) (welds []string, chCosts []float64, units float64) {
-		lo, hi := dist.ChunkRange(ch)
-		chCosts = make([]float64, hi-lo)
+	weldChunk := func(lo, hi int, look weldLookup, costs []float64, welds []string) []string {
 		if opt.Packed {
 			sc := packedWeldScratchPool.Get().(*packedWeldScratch)
 			defer packedWeldScratchPool.Put(sc)
 			for i := lo; i < hi; i++ {
-				rot := harvestRotation(opt.Seed, i, contigLen(i))
-				ws, u := harvestWeldsPacked(pseqs[i], i, pkix, reads, opt, rot, sc)
-				chCosts[i-lo] = u * opt.LoopOpWeight
-				units += chCosts[i-lo]
+				rot := harvestRotation(opt.Seed, i, pseqs[i].Len())
+				ws, u := harvestWeldsPacked(pseqs[i], i, look.pix, look.reads, opt, rot, sc)
+				costs[i-lo] = u * opt.LoopOpWeight
 				welds = append(welds, encodeWeldFrames(ws)...)
 			}
-			return welds, chCosts, units
+			return welds
 		}
 		sc := weldScratchPool.Get().(*weldScratch)
 		defer weldScratchPool.Put(sc)
 		for i := lo; i < hi; i++ {
 			rot := harvestRotation(opt.Seed, i, len(seqs[i]))
-			ws, u := harvestWelds(seqs[i], i, kix, reads, opt, rot, sc)
-			chCosts[i-lo] = u * opt.LoopOpWeight
-			units += chCosts[i-lo]
+			ws, u := harvestWelds(seqs[i], i, look.ix, look.reads, opt, rot, sc)
+			costs[i-lo] = u * opt.LoopOpWeight
 			welds = append(welds, ws...)
 		}
-		return welds, chCosts, units
+		return welds
 	}
-	pairChunk := func(ch int, wix *weldIndex, pwix *packedWeldIndex) (encs []int64, chCosts []float64, units float64) {
-		lo, hi := dist.ChunkRange(ch)
-		chCosts = make([]float64, hi-lo)
+	pairChunk := func(lo, hi int, look pairLookup, costs []float64, encs []int64) []int64 {
+		var psc *packedWeldScratch
+		var sc *weldScratch
 		if opt.Packed {
-			sc := packedWeldScratchPool.Get().(*packedWeldScratch)
-			defer packedWeldScratchPool.Put(sc)
-			for i := lo; i < hi; i++ {
-				pairs, u := scanContigForWeldsPacked(pseqs[i], i, pwix, sc)
-				chCosts[i-lo] = u * opt.LoopOpWeight
-				units += chCosts[i-lo]
-				for _, p := range pairs {
-					encs = append(encs, int64(p[0])<<32|int64(uint32(p[1])))
-				}
-			}
-			return encs, chCosts, units
+			psc = packedWeldScratchPool.Get().(*packedWeldScratch)
+			defer packedWeldScratchPool.Put(psc)
+		} else {
+			sc = weldScratchPool.Get().(*weldScratch)
+			defer weldScratchPool.Put(sc)
 		}
-		sc := weldScratchPool.Get().(*weldScratch)
-		defer weldScratchPool.Put(sc)
 		for i := lo; i < hi; i++ {
-			pairs, u := scanContigForWelds(seqs[i], i, wix, sc)
-			chCosts[i-lo] = u * opt.LoopOpWeight
-			units += chCosts[i-lo]
+			var pairs [][2]int32
+			var u float64
+			if opt.Packed {
+				pairs, u = scanContigForWeldsPacked(pseqs[i], i, look.pix, psc)
+			} else {
+				pairs, u = scanContigForWelds(seqs[i], i, look.ix, sc)
+			}
+			costs[i-lo] = u * opt.LoopOpWeight
 			for _, p := range pairs {
-				encs = append(encs, int64(p[0])<<32|int64(uint32(p[1])))
+				encs = append(encs, encodePair(p))
 			}
 		}
-		return encs, chCosts, units
+		return encs
 	}
 
-	world := mpi.NewWorld(ranks)
-	if opt.Faults != nil {
-		world.SetFaults(opt.Faults)
-	}
-	if active && ro.RankTimeout > 0 {
-		world.SetBarrierTimeout(ro.RankTimeout)
-		world.SetRecvTimeout(ro.RankTimeout)
-	}
-	if opt.Trace != nil {
-		world.SetObserver(opt.Trace)
-	}
-	_, errs := world.RunE(func(c *Comm) error {
+	env := newLoopEnv(ranks, opt.ThreadsPerRank, opt.Replicas, opt.StaticSchedule, opt.Faults, opt.Recovery, opt.Trace)
+	loop1 := newHybridLoop(hybridLoop[string, weldLookup]{env: env, stage: "graphfromfasta/welds", dist: dist,
+		kernel: weldChunk, full: look1, sharded: shards1, encode: packWelds})
+	loop2 := newHybridLoop(hybridLoop[int64, pairLookup]{env: env, stage: "graphfromfasta/pairs", dist: dist,
+		kernel: pairChunk, full: look2, sharded: shards2, encode: packInt64s})
+
+	profiles := make([]GFFRankProfile, ranks)
+	results := make([]*GFFResult, ranks)
+	_, errs := env.world.RunE(func(c *Comm) error {
 		rank := c.Rank()
 		prof := &profiles[rank]
 
 		// --- Non-parallel setup: every rank loads the contig file and
 		// builds the k-mer occurrence index (GraphFromFasta "reads the
-		// entire file into memory", §III-C). Under ShardKmers the rank
-		// instead builds only its own shard of the distributed tables,
-		// then fetches, tile by tile, the k-mers loop 1 will probe over
-		// its contigs (and their reverse complements, which cover the
-		// RC-seed and weld-support probes) in batched lookup rounds,
-		// materialising partial replicas the unchanged loop kernels run on.
-		var rs *rankShards
-		var lIx *contigKmerIndex // loop-1 lookup structures of this rank
-		var lPix *packedContigIndex
-		var lReads *jellyfish.Frozen
-		var myWelds []string
-		var peakTile int64 // largest per-tile partial replica (sharded runs)
-		myChunks := dist.RankChunks(rank)
-		tiles := 0
+		// entire file into memory", §III-C), or scans it for its own
+		// shard of the distributed tables.
 		if opt.ShardKmers {
-			tiles = tileCount(func(r int) int { return len(dist.RankChunks(r)) }, ranks)
-			srcOnce.Do(func() { source = buildGFFSource(seqs, opt.K, frozenReads) })
-			rs = newRankShards(source, ranks, rank, rep, opt.Trace)
-			rs.ensureLoop1(rank)
 			prof.SetupUnits = float64(len(source.keys))
 		} else if opt.Packed {
-			lPix, lReads = fullPix(), frozenReads
-			prof.SetupUnits = float64(lPix.buildOps)
+			prof.SetupUnits = float64(look1().pix.buildOps)
 		} else {
-			ixOnce.Do(func() { ix = buildContigKmerIndex(seqs, opt.K) })
-			lIx, lReads = ix, frozenReads
-			prof.SetupUnits = float64(ix.buildOps)
+			prof.SetupUnits = float64(look1().ix.buildOps)
 		}
 
-		// --- Loop 1: harvest welds over this rank's chunks, dividing
-		// each chunk across the logical OpenMP threads dynamically.
-		// Under a sharded run the fetch and the harvest fuse into the
-		// tile pipeline: tile t+1's lookup round is in flight while tile
-		// t's chunks weld on its just-built partial replica.
-		if opt.ShardKmers {
-			var sc *weldScratch
-			if !active {
-				sc = weldScratchPool.Get().(*weldScratch)
-			}
-			f := &overlapFetcher{
-				c: c, stage: "graphfromfasta/loop1", rep: rep, rec: opt.Trace,
-				exchanged: &rs.exchanged, led: led1, ro: ro,
-				tagBase: overlapTagLoop1, tiles: tiles,
-				collect: func(t int) []kmer.Kmer {
-					return collectTileQueryKmers(seqs, dist, tileSlice(myChunks, t), opt.K, true)
-				},
-				answer: rs.answerLoop1,
-				compute: func(t int, queries []kmer.Kmer, bodies [][]byte) (float64, error) {
-					chunks := tileSlice(myChunks, t)
-					if len(chunks) == 0 {
-						return 0, nil
-					}
-					tIx, tReads, berr := buildLoop1Cache(seqs, opt.K, queries, bodies)
-					if berr != nil {
-						return 0, berr
-					}
-					if m := tReads.MemBytes() + tIx.memBytes(); m > peakTile {
-						peakTile = m
-					}
-					var units float64
-					for _, ch := range chunks {
-						if active {
-							c.Probe() // fault point: a rank can die between chunks
-							ws, chCosts, u := weldChunk(ch, tIx, nil, tReads)
-							store1.put(ch, ws, chCosts)
-							myWelds = append(myWelds, ws...)
-							units += u
-						} else {
-							lo, hi := dist.ChunkRange(ch)
-							for i := lo; i < hi; i++ {
-								rot := harvestRotation(opt.Seed, i, len(seqs[i]))
-								ws, u := harvestWelds(seqs[i], i, tIx, tReads, opt, rot, sc)
-								costs1[i] = u * opt.LoopOpWeight
-								units += costs1[i]
-								myWelds = append(myWelds, ws...)
-							}
-						}
-					}
-					return units, nil
-				},
-			}
-			meters, ferr := f.run()
-			prof.Overlap1 = meters
-			if sc != nil {
-				weldScratchPool.Put(sc)
-			}
-			if ferr != nil {
-				return ferr
-			}
-		} else if active {
-			for _, ch := range dist.RankChunks(rank) {
-				c.Probe() // fault point: a rank can die between chunks
-				ws, chCosts, _ := weldChunk(ch, lIx, lPix, lReads)
-				store1.put(ch, ws, chCosts)
-				myWelds = append(myWelds, ws...)
-			}
-		} else if opt.Packed {
-			sc := packedWeldScratchPool.Get().(*packedWeldScratch)
-			dist.ForEachRankItem(rank, func(i int) {
-				rot := harvestRotation(opt.Seed, i, contigLen(i))
-				welds, units := harvestWeldsPacked(pseqs[i], i, lPix, lReads, opt, rot, sc)
-				costs1[i] = units * opt.LoopOpWeight
-				myWelds = append(myWelds, encodeWeldFrames(welds)...)
-			})
-			packedWeldScratchPool.Put(sc)
-		} else {
-			sc := weldScratchPool.Get().(*weldScratch)
-			dist.ForEachRankItem(rank, func(i int) {
-				rot := harvestRotation(opt.Seed, i, len(seqs[i]))
-				welds, units := harvestWelds(seqs[i], i, lIx, lReads, opt, rot, sc)
-				costs1[i] = units * opt.LoopOpWeight
-				myWelds = append(myWelds, welds...)
-			})
-			weldScratchPool.Put(sc)
+		// --- Loop 1: harvest welds over this rank's chunks.
+		r1, err := loop1.run(c)
+		prof.Overlap1 = r1.meters
+		if err != nil {
+			return err
 		}
-		prof.Welds = len(myWelds)
+		prof.Welds = len(r1.mine)
 
 		// --- Pool welds on every rank (pack → size exchange →
 		// Allgatherv), as §III-B describes. Under the fault layer the
-		// pooled list is rebuilt from the checkpoint store instead of
-		// the gathered parts, so killed ranks and dropped contributions
-		// cannot lose welds; recovery rounds recompute missing chunks.
+		// exchange comes first — its Try* collectives tolerate dead
+		// ranks — and the pooled list is rebuilt from the checkpoint
+		// store recovery completes, so killed ranks and dropped
+		// contributions cannot lose welds.
 		before := c.Stats
-		packed := packWelds(myWelds)
-		if active {
+		packed := packWelds(r1.mine)
+		var parts [][]byte
+		if env.active {
 			counts, _ := c.TryAllgatherInt(len(packed))
-			parts, _ := c.TryAllgatherv(packed)
+			got, _ := c.TryAllgatherv(packed)
 			if rank == 0 {
-				countDrops(rep, counts, parts)
+				countDrops(env.rep, counts, got)
 			}
-			if err := recoverChunks(c, "graphfromfasta/welds", ro, rep, opt.Trace, store1.missing,
-				func(ch int) ([]byte, float64) {
-					// Recompute with the full tables: a dead rank's chunk
-					// probes k-mers outside this rank's partial replica.
-					var ws []string
-					var chCosts []float64
-					var units float64
-					if opt.Packed {
-						ws, chCosts, units = weldChunk(ch, nil, fullPix(), frozenReads)
-					} else {
-						ws, chCosts, units = weldChunk(ch, fullIx(), nil, frozenReads)
-					}
-					store1.put(ch, ws, chCosts)
-					return packWelds(ws), units
-				}); err != nil {
-				return err
-			}
-			prof.Comm1 = cluster.StatsDelta(before, c.Stats)
-			myCosts := store1.itemCosts(len(contigs), dist.ChunkRange)
-			prof.Loop1Units, prof.Loop1Imbalance = replicatedMakespan(dist, myCosts, rank, opt.Replicas, opt.ThreadsPerRank, opt.StaticSchedule)
-			pooledOnce.Do(func() {
-				chunkParts := make([][]byte, dist.Chunks())
-				for ch := range chunkParts {
-					chunkParts[ch] = packWelds(store1.chunk(ch))
-				}
-				if opt.Packed {
-					pooledPacked = poolWeldsPacked(chunkParts)
-					pooledShared = decodeWelds(pooledPacked)
-				} else {
-					pooledShared = poolWelds(chunkParts)
-				}
-			})
-		} else {
-			c.Barrier() // all per-contig costs visible to every rank
-			prof.Loop1Units, prof.Loop1Imbalance = replicatedMakespan(dist, costs1, rank, opt.Replicas, opt.ThreadsPerRank, opt.StaticSchedule)
+		}
+		if err := loop1.settle(c); err != nil {
+			return err
+		}
+		if !env.active {
 			c.AllgatherInt(len(packed))
-			parts := c.Allgatherv(packed)
-			prof.Comm1 = cluster.StatsDelta(before, c.Stats)
-			pooledOnce.Do(func() {
-				if opt.Packed {
-					pooledPacked = poolWeldsPacked(parts)
-					pooledShared = decodeWelds(pooledPacked)
-				} else {
-					pooledShared = poolWelds(parts)
+			parts = c.Allgatherv(packed)
+		}
+		prof.Comm1 = cluster.StatsDelta(before, c.Stats)
+		prof.Loop1Units, prof.Loop1Imbalance, _ = loop1.makespan(rank)
+		pooledOnce.Do(func() {
+			if chunks, ok := loop1.checkpointed(); ok {
+				parts = make([][]byte, len(chunks))
+				for ch, ws := range chunks {
+					parts[ch] = packWelds(ws)
 				}
-			})
-		}
+			}
+			if opt.Packed {
+				pooledPacked = poolWeldsPacked(parts)
+				pooled = decodeWelds(pooledPacked)
+			} else {
+				pooled = poolWelds(parts)
+			}
+		})
 
-		// --- Non-parallel middle: build the pooled weld index. The
-		// pooled weld list is identical on every rank by construction.
-		// Under ShardKmers each rank builds only its shard of the index;
-		// loop 2 fetches the rows it will probe (forward contig k-mers
-		// only — the index itself is keyed under both orientations of
-		// each weld core).
-		pooled := pooledShared
-		var lWidx *weldIndex
-		var lPwidx *packedWeldIndex
-		if opt.ShardKmers {
-			rs.pooled = pooled
-			rs.ensureLoop2(rank)
-		} else if opt.Packed {
-			lPwidx = fullPwidx()
-		} else {
-			lWidx = fullWidx()
-		}
+		// --- Non-parallel middle: build the pooled weld index (or this
+		// rank's shard of it) — loop 2 does so on its first probe.
 		prof.MidUnits = float64(len(pooled)) * 2 // core + rc-core hash inserts
 
 		// --- Loop 2: find (weld, contig) incidences over this rank's
-		// chunks with the same chunked round-robin distribution. A
-		// sharded run pipelines its weld-index fetches exactly like
-		// loop 1, on the loop-2 tag range.
-		var myPairs []int64
-		if opt.ShardKmers {
-			var sc *weldScratch
-			if !active {
-				sc = weldScratchPool.Get().(*weldScratch)
-			}
-			f := &overlapFetcher{
-				c: c, stage: "graphfromfasta/loop2", rep: rep, rec: opt.Trace,
-				exchanged: &rs.exchanged, led: led2, ro: ro,
-				tagBase: overlapTagLoop2, tiles: tiles,
-				collect: func(t int) []kmer.Kmer {
-					return collectTileQueryKmers(seqs, dist, tileSlice(myChunks, t), opt.K, false)
-				},
-				answer: rs.answerLoop2,
-				compute: func(t int, queries []kmer.Kmer, bodies [][]byte) (float64, error) {
-					chunks := tileSlice(myChunks, t)
-					if len(chunks) == 0 {
-						return 0, nil
-					}
-					tWidx, berr := buildLoop2Cache(pooled, opt.K, queries, bodies)
-					if berr != nil {
-						return 0, berr
-					}
-					if m := tWidx.memBytes(); m > peakTile {
-						peakTile = m
-					}
-					var units float64
-					for _, ch := range chunks {
-						if active {
-							c.Probe()
-							encs, chCosts, u := pairChunk(ch, tWidx, nil)
-							store2.put(ch, encs, chCosts)
-							myPairs = append(myPairs, encs...)
-							units += u
-						} else {
-							lo, hi := dist.ChunkRange(ch)
-							for i := lo; i < hi; i++ {
-								pairs, u := scanContigForWelds(seqs[i], i, tWidx, sc)
-								costs2[i] = u * opt.LoopOpWeight
-								units += costs2[i]
-								for _, p := range pairs {
-									myPairs = append(myPairs, int64(p[0])<<32|int64(uint32(p[1])))
-								}
-							}
-						}
-					}
-					return units, nil
-				},
-			}
-			meters, ferr := f.run()
-			prof.Overlap2 = meters
-			if sc != nil {
-				weldScratchPool.Put(sc)
-			}
-			if ferr != nil {
-				return ferr
-			}
-		} else if active {
-			for _, ch := range dist.RankChunks(rank) {
-				c.Probe()
-				encs, chCosts, _ := pairChunk(ch, lWidx, lPwidx)
-				store2.put(ch, encs, chCosts)
-				myPairs = append(myPairs, encs...)
-			}
-		} else if opt.Packed {
-			sc := packedWeldScratchPool.Get().(*packedWeldScratch)
-			dist.ForEachRankItem(rank, func(i int) {
-				pairs, units := scanContigForWeldsPacked(pseqs[i], i, lPwidx, sc)
-				costs2[i] = units * opt.LoopOpWeight
-				for _, p := range pairs {
-					myPairs = append(myPairs, int64(p[0])<<32|int64(uint32(p[1])))
-				}
-			})
-			packedWeldScratchPool.Put(sc)
-		} else {
-			sc := weldScratchPool.Get().(*weldScratch)
-			dist.ForEachRankItem(rank, func(i int) {
-				pairs, units := scanContigForWelds(seqs[i], i, lWidx, sc)
-				costs2[i] = units * opt.LoopOpWeight
-				for _, p := range pairs {
-					myPairs = append(myPairs, int64(p[0])<<32|int64(uint32(p[1])))
-				}
-			})
-			weldScratchPool.Put(sc)
+		// chunks with the same chunked round-robin distribution.
+		r2, err := loop2.run(c)
+		prof.Overlap2 = r2.meters
+		if err != nil {
+			return err
 		}
-		prof.Pairs = len(myPairs)
+		prof.Pairs = len(r2.mine)
 
 		// --- Pool the pairing indices (integer arrays: "substantially
 		// less communication compared to the first loop").
 		before = c.Stats
 		var allPairs [][]int64
-		if active {
-			c.TryAllgatherInt(len(myPairs))
-			c.TryAllgathervInt64(myPairs)
-			if err := recoverChunks(c, "graphfromfasta/pairs", ro, rep, opt.Trace, store2.missing,
-				func(ch int) ([]byte, float64) {
-					var encs []int64
-					var chCosts []float64
-					var units float64
-					if opt.Packed {
-						encs, chCosts, units = pairChunk(ch, nil, fullPwidx())
-					} else {
-						encs, chCosts, units = pairChunk(ch, fullWidx(), nil)
-					}
-					store2.put(ch, encs, chCosts)
-					return packInt64s(encs), units
-				}); err != nil {
-				return err
-			}
-			prof.Comm2 = cluster.StatsDelta(before, c.Stats)
-			myCosts := store2.itemCosts(len(contigs), dist.ChunkRange)
-			prof.Loop2Units, prof.Loop2Imbalance = replicatedMakespan(dist, myCosts, rank, opt.Replicas, opt.ThreadsPerRank, opt.StaticSchedule)
-			allPairs = make([][]int64, dist.Chunks())
-			for ch := range allPairs {
-				allPairs[ch] = store2.chunk(ch)
-			}
-		} else {
-			c.Barrier()
-			prof.Loop2Units, prof.Loop2Imbalance = replicatedMakespan(dist, costs2, rank, opt.Replicas, opt.ThreadsPerRank, opt.StaticSchedule)
-			c.AllgatherInt(len(myPairs))
-			allPairs = c.AllgathervInt64(myPairs)
-			prof.Comm2 = cluster.StatsDelta(before, c.Stats)
+		if env.active {
+			c.TryAllgatherInt(len(r2.mine)) //nolint:errcheck — losses are recovered below
+			c.TryAllgathervInt64(r2.mine)   //nolint:errcheck
+		}
+		if err := loop2.settle(c); err != nil {
+			return err
+		}
+		if !env.active {
+			c.AllgatherInt(len(r2.mine))
+			allPairs = c.AllgathervInt64(r2.mine)
+		}
+		prof.Comm2 = cluster.StatsDelta(before, c.Stats)
+		prof.Loop2Units, prof.Loop2Imbalance, _ = loop2.makespan(rank)
+		if chunks, ok := loop2.checkpointed(); ok {
+			allPairs = chunks
 		}
 
 		// --- Non-parallel output: weld-sharing contigs → union-find →
@@ -700,8 +453,7 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 		total := 0
 		for _, part := range allPairs {
 			for _, enc := range part {
-				w := int32(enc >> 32)
-				ci := int32(uint32(enc))
+				w, ci := decodePair(enc)
 				byWeld[w] = append(byWeld[w], ci)
 				total++
 			}
@@ -724,50 +476,36 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 		}
 		prof.OutputUnits = float64(total) + float64(len(contigs))
 		if opt.ShardKmers {
-			// Tile replicas are transient — only the largest one was ever
-			// resident at once.
-			prof.ResidentKmerBytes = peakTile + rs.residentBytes()
-			prof.ShardExchangeBytes = rs.exchanged
-		} else if opt.Packed {
-			prof.ResidentKmerBytes = lReads.MemBytes() + lPix.memBytes() + lPwidx.memBytes()
+			// Peak resident state: both loops' shard stores plus the
+			// largest single tile replica (replicas are transient).
+			prof.ResidentKmerBytes = max(r1.peakTile, r2.peakTile) + r1.shardBytes + r2.shardBytes
+			prof.ShardExchangeBytes = r1.exchanged + r2.exchanged
 		} else {
-			prof.ResidentKmerBytes = lReads.MemBytes() + lIx.memBytes() + lWidx.memBytes()
+			prof.ResidentKmerBytes = look1().memBytes() + look2().memBytes()
 		}
 
 		results[rank] = &GFFResult{Components: comps, Welds: pooled, NumPairs: total}
 		return nil
 	})
 
-	// Any completing rank holds the (identical) result; without the
-	// fault layer that is always rank 0.
-	var res *GFFResult
-	for _, r := range results {
-		if r != nil {
-			res = r
-			break
-		}
-	}
-	if res == nil {
-		return nil, stageError("graphfromfasta", errs)
+	res, err := stageResult("graphfromfasta", results, errs)
+	if err != nil {
+		return nil, err
 	}
 	res.Profiles = profiles
-	if active {
-		res.Recovery = rep.snapshot("graphfromfasta", world.DeadRanks())
+	res.Recovery = env.report("graphfromfasta")
+	if opt.Trace != nil {
+		traceGFF(opt, env, dist, profiles, loop1.itemCosts(), loop2.itemCosts())
 	}
-	traceGFF(opt, dist, profiles, costs1, costs2, store1, store2, len(contigs))
 	return res, nil
 }
 
 // traceGFF converts the metered per-rank profiles into virtual-time
-// phase spans and per-chunk work observations. Emitted after the world
-// completes, from the (deterministic) profiles, so the trace is
-// byte-stable regardless of goroutine interleaving.
-func traceGFF(opt GFFOptions, dist Distribution, profiles []GFFRankProfile,
-	costs1, costs2 []float64, store1 *chunkStore[string], store2 *chunkStore[int64], nItems int) {
+// phase spans and per-chunk work observations on opt.Trace (non-nil).
+// Emitted after the world completes, from the (deterministic) profiles,
+// so the trace is byte-stable regardless of goroutine interleaving.
+func traceGFF(opt GFFOptions, env *loopEnv, dist Distribution, profiles []GFFRankProfile, costs1, costs2 []float64) {
 	rec := opt.Trace
-	if rec == nil {
-		return
-	}
 	base := rec.Base()
 	for rank := range profiles {
 		p := &profiles[rank]
@@ -788,10 +526,6 @@ func traceGFF(opt GFFOptions, dist Distribution, profiles []GFFRankProfile,
 			rec.Span("graphfromfasta", ph.name, rank, cur, ph.dur, ph.arg)
 			cur += ph.dur
 		}
-	}
-	if store1 != nil {
-		costs1 = store1.itemCosts(nItems, dist.ChunkRange)
-		costs2 = store2.itemCosts(nItems, dist.ChunkRange)
 	}
 	for ch := 0; ch < dist.Chunks(); ch++ {
 		lo, hi := dist.ChunkRange(ch)
@@ -815,21 +549,10 @@ func traceGFF(opt GFFOptions, dist Distribution, profiles []GFFRankProfile,
 	// rank's tile pipeline, in its own category so the phase spans
 	// above are untouched.
 	for rank := range profiles {
-		p := &profiles[rank]
-		if len(p.Overlap1) == 0 {
-			continue
+		if p := &profiles[rank]; len(p.Overlap1) > 0 {
+			cur := env.overlapLanes("gff-overlap", "loop1", rank, base, p.Overlap1)
+			env.overlapLanes("gff-overlap", "loop2", rank, cur, p.Overlap2)
 		}
-		lane := func(meters []TileMeter) (fetch, comp []float64) {
-			for _, m := range meters {
-				fetch = append(fetch, rec.CommSeconds(m.Fetch))
-				comp = append(comp, rec.WorkSeconds(m.ComputeUnits/float64(opt.ThreadsPerRank)))
-			}
-			return fetch, comp
-		}
-		f1, c1 := lane(p.Overlap1)
-		cur := rec.OverlapLanes("gff-overlap", "loop1", rank, base, f1, c1)
-		f2, c2 := lane(p.Overlap2)
-		rec.OverlapLanes("gff-overlap", "loop2", rank, cur, f2, c2)
 	}
 	rec.AdvanceBase()
 }

@@ -4,7 +4,6 @@ import (
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/mpi"
 	"gotrinity/internal/shard"
-	"gotrinity/internal/trace"
 )
 
 // Double-buffered tile pipeline over the sharded lookup rounds.
@@ -83,57 +82,19 @@ func tileSlice(chunks []int, t int) []int {
 	return chunks[lo:hi]
 }
 
-// collectTileQueryKmers gathers the distinct k-mers a welding loop will
-// probe over one tile's contigs, in first-seen scan order. withRC
-// additionally collects each k-mer's reverse complement (loop 1 probes
-// RC seeds and RC read counts; loop 2 only probes forward contig
-// k-mers, because the weld index itself is keyed under both
-// orientations of each core). Deduplication is per tile — a k-mer
-// probed by two tiles is fetched by both, the price of not holding the
-// union resident.
-func collectTileQueryKmers(seqs [][]byte, dist Distribution, chunks []int, k int, withRC bool) []kmer.Kmer {
-	seen := kmer.NewFlatSet(0)
-	var out []kmer.Kmer
-	add := func(m kmer.Kmer) {
-		n := int32(seen.Len())
-		if seen.Add(m) == n {
-			out = append(out, m)
-		}
-	}
-	for _, ch := range chunks {
-		lo, hi := dist.ChunkRange(ch)
-		for i := lo; i < hi; i++ {
-			it := kmer.NewIterator(seqs[i], k)
-			for {
-				m, _, ok := it.Next()
-				if !ok {
-					break
-				}
-				add(m)
-				if withRC {
-					add(m.ReverseComplement(k))
-				}
-			}
-		}
-	}
-	return out
-}
-
 // overlapFetcher drives one phase's double-buffered tile pipeline.
 // collect builds tile t's query list, answer serves one incoming
 // k-mer from this rank's shards, and compute consumes tile t's
 // answers (bodies parallel to queries, all non-nil) returning the
-// work units it spent. The cleanup fields (rep/rec/exchanged/led/ro)
-// parameterise the blocking fetchShardAnswers pass that re-requests
-// anything the pipeline lost.
+// work units it spent. env, stage, exchanged and led parameterise the
+// blocking fetchShardAnswers pass that re-requests anything the
+// pipeline lost.
 type overlapFetcher struct {
 	c         *Comm
-	stage     string
-	rep       *recReport
-	rec       *trace.Recorder
-	exchanged *int64
+	env       *loopEnv
+	stage     string // fetch-phase label in errors and lookup_round events
+	exchanged *int64 // accumulates the addressed bytes the lookups moved
 	led       *fetchLedger
-	ro        RecoveryOptions
 	tagBase   int
 	tiles     int
 	collect   func(tile int) []kmer.Kmer
@@ -237,8 +198,7 @@ func (f *overlapFetcher) run() ([]TileMeter, error) {
 			}
 		}
 	}
-	bodies, ferr := fetchShardAnswers(f.c, f.stage, f.rep, f.rec, f.exchanged,
-		f.led, leftQ, f.answer, f.ro)
+	bodies, ferr := fetchShardAnswers(f.c, f.env, f.stage, f.exchanged, f.led, leftQ, f.answer)
 	if ferr != nil {
 		return meters, ferr
 	}

@@ -16,46 +16,7 @@ import (
 // k-mer stream equals the ASCII one.
 func buildBundleKmerTablePacked(contigs []seq.Record, pcontigs []seq.Packed,
 	comps []Component, k int) *bundleKmerTable {
-	if len(pcontigs) != len(contigs) {
-		pcontigs = make([]seq.Packed, len(contigs))
-		for i := range contigs {
-			pcontigs[i] = seq.Pack(contigs[i].Seq)
-		}
-	}
-	var seqs []seq.Packed
-	var compOf []int32
-	var ncomp int32
-	for _, comp := range comps {
-		if int32(comp.ID) >= ncomp {
-			ncomp = int32(comp.ID) + 1
-		}
-		for _, ci := range comp.Contigs {
-			seqs = append(seqs, pcontigs[ci])
-			compOf = append(compOf, int32(comp.ID))
-		}
-	}
-	keys, _, off := flattenKmersPacked(seqs, k)
-	t := &bundleKmerTable{
-		k:     k,
-		set:   kmer.NewFlatSet(len(keys)),
-		ncomp: ncomp,
-		ops:   int64(len(keys)),
-	}
-	owner := make([]int32, 0, len(keys)/2)
-	si := 0
-	for j, m := range keys {
-		for int32(j) >= off[si+1] {
-			si++
-		}
-		id := t.set.Add(m)
-		if int(id) == len(owner) {
-			owner = append(owner, compOf[si])
-		} else if compOf[si] < owner[id] {
-			owner[id] = compOf[si]
-		}
-	}
-	t.owner = owner
-	return t
+	return buildR2TSource(contigs, pcontigs, comps, k, true).table(0, 0)
 }
 
 // assignReadPacked is assignRead over a packed read: both strands
@@ -102,16 +63,4 @@ func assignReadPacked(read seq.Packed, t *bundleKmerTable, minMatches int, sc *a
 		return -1, 0, units
 	}
 	return best, bestN, units
-}
-
-// packedStreamPayload stands in for packReads under master-distribute
-// in packed mode: a buffer of the exact ASCII shipment volume (the
-// receiver never parses the content, and the comm meter must see the
-// same byte count as the ASCII path).
-func packedStreamPayload(preads []seq.PackedRecord) []byte {
-	n := 0
-	for i := range preads {
-		n += preads[i].Seq.Len() + 1
-	}
-	return make([]byte, n)
 }

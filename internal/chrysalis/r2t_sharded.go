@@ -2,49 +2,39 @@ package chrysalis
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/seq"
-	"gotrinity/internal/trace"
 )
 
-// Sharded k-mer→bundle tables for ReadsToTranscripts
-// (R2TOptions.ShardKmers).
+// The k-mer→bundle table of ReadsToTranscripts, replicated or sharded
+// (R2TOptions.ShardKmers; the machinery is in sharded.go).
 //
-// The replicated implementation builds the full bundleKmerTable on
-// every rank — the same memory ceiling GraphFromFasta had before its
-// sharding. Here k-mer space is partitioned by kmer.OwnerRank: each
-// rank builds only its shard of the table from the shared contig set,
-// and before assigning a batch of kept chunks it fetches the owners of
-// the distinct k-mers those chunks' reads will probe (both strands)
-// through the same overlapped tile pipeline GFF uses (overlap.go). The fetched
-// answers materialise a partial bundleKmerTable; a k-mer the shards
-// do not hold is simply absent from it, so every lookup the unchanged
-// assignment kernels make — hit or miss — matches the replicated
-// table, and the assignments are byte-identical.
-//
-// Fault composition mirrors GFF's: a dead owner's shard is rebuilt by
-// a deterministic adopting survivor from the shared source inside its
-// answer callback, and chunk recovery recomputes foreign chunks
-// against the lazily-built full table (a recovered chunk's reads probe
-// k-mers the local partial table never fetched).
+// Both forms are min-merges over one staged scan of the contig set: the
+// replicated table merges every key, shard s merges the keys
+// kmer.OwnerRank assigns to s. A sharded rank fetches the owners of the
+// distinct k-mers its kept chunks' reads will probe (both strands);
+// the answers materialise a partial bundleKmerTable in which a k-mer
+// the shards do not hold is simply absent, so every lookup the
+// unchanged assignment kernels make — hit or miss — matches the
+// replicated table, and the assignments are byte-identical.
 
-// r2tSource is the shared data every bundle-table shard is a
-// deterministic function of: the flattened contig k-mer scan in
-// component order with each key's component id. It stands in for the
-// contig set on the shared filesystem.
+// r2tSource is the shared data every bundle table is a deterministic
+// function of: the flattened contig k-mer scan in component order with
+// each key's component id. It stands in for the contig set on the
+// shared filesystem.
 type r2tSource struct {
 	k      int
-	ncomp  int32
+	ncomp  int32 // 1 + max component id, for scratch sizing
 	keys   []kmer.Kmer
 	off    []int32 // keys[off[i]:off[i+1]] belong to staged contig i
 	compOf []int32 // component id of staged contig i
 }
 
-// buildR2TSource stages the contigs exactly like buildBundleKmerTable
-// (or its packed twin): component-major order, so shard min-merges see
-// keys in the same order as the replicated build.
+// buildR2TSource stages the contigs component-major and flattens their
+// k-mers, from the packed contigs when packed is set (packing them
+// first if pcontigs does not supply them) — the packed k-mer stream
+// equals the ASCII one, so the tables are identical either way.
 func buildR2TSource(contigs []seq.Record, pcontigs []seq.Packed, comps []Component, k int, packed bool) *r2tSource {
 	src := &r2tSource{k: k}
 	if packed && len(pcontigs) != len(contigs) {
@@ -68,6 +58,9 @@ func buildR2TSource(contigs []seq.Record, pcontigs []seq.Packed, comps []Compone
 			src.compOf = append(src.compOf, int32(comp.ID))
 		}
 	}
+	// The k-mer extraction fans out over real goroutines (each contig
+	// fills its own precomputed range of the flat key array); the
+	// min-merge insertion in table stays serial and deterministic.
 	if packed {
 		src.keys, _, src.off = flattenKmersPacked(pseqs, k)
 	} else {
@@ -76,19 +69,20 @@ func buildR2TSource(contigs []seq.Record, pcontigs []seq.Packed, comps []Compone
 	return src
 }
 
-// buildBundleShard carves shard s out of the source scan: the same
-// min-merge as buildBundleKmerTable restricted to the shard's keys
-// (min-merge is per-key, so shard owners equal the full table's).
-// ops records the full scan length — sharding divides the resident
-// insertion state, not the shared-file scan every rank still streams.
-func buildBundleShard(src *r2tSource, ranks, s int) *bundleKmerTable {
-	t := &bundleKmerTable{
-		k:     src.k,
-		set:   kmer.NewFlatSet(len(src.keys)/ranks + 1),
-		ncomp: src.ncomp,
-		ops:   int64(len(src.keys)),
+// table min-merges shard s (of ranks) of the source scan into a
+// bundleKmerTable; ranks = 0 is the unpartitioned, replicated table. A
+// k-mer goes to the smallest component id holding it — per key and
+// order-independent, so a shard's owners equal the full table's. ops
+// records the full scan length either way: sharding divides the
+// resident insertion state, not the shared-file scan every rank still
+// streams.
+func (src *r2tSource) table(ranks, s int) *bundleKmerTable {
+	hint := len(src.keys)
+	if ranks > 0 {
+		hint = hint/ranks + 1
 	}
-	var owner []int32
+	t := &bundleKmerTable{k: src.k, set: kmer.NewFlatSet(hint), ncomp: src.ncomp, ops: int64(len(src.keys))}
+	owner := make([]int32, 0, hint/2)
 	si := 0
 	for j, m := range src.keys {
 		for int32(j) >= src.off[si+1] {
@@ -108,69 +102,41 @@ func buildBundleShard(src *r2tSource, ranks, s int) *bundleKmerTable {
 	return t
 }
 
+// buildBundleKmerTable builds the full table from ASCII contigs.
+func buildBundleKmerTable(contigs []seq.Record, comps []Component, k int) *bundleKmerTable {
+	return buildR2TSource(contigs, nil, comps, k, false).table(0, 0)
+}
+
 // memBytes is the table's resident size (flat set + owner column).
 func (t *bundleKmerTable) memBytes() int64 {
 	return t.set.MemBytes() + int64(len(t.owner))*4
 }
 
-// r2tShards is one rank's slice of the distributed bundle table: the
-// shard it statically owns plus any adopted after an owner death.
-type r2tShards struct {
-	src     *r2tSource
-	ranks   int
-	rank    int
-	rep     *recReport
-	rec     *trace.Recorder
-	tables  map[int]*bundleKmerTable
-	adopted map[int]bool
-	// exchanged accumulates the addressed bytes this rank moved through
-	// lookup rounds.
-	exchanged int64
-}
-
-func newR2TShards(src *r2tSource, ranks, rank int, rep *recReport, rec *trace.Recorder) *r2tShards {
-	return &r2tShards{
-		src: src, ranks: ranks, rank: rank, rep: rep, rec: rec,
-		tables:  map[int]*bundleKmerTable{},
-		adopted: map[int]bool{},
+// bundleShards describes the distributed bundle table: a query is
+// answered with uvarint(owner+1), or uvarint(0) when the k-mer is in no
+// bundle — a present frame either way, distinct from the nil frame of a
+// lost exchange. iterate emits one read's probes (see readKmers).
+func bundleShards(src *r2tSource, ranks int, iterate func(i int, add func(kmer.Kmer))) *shardedLookup[*bundleKmerTable] {
+	return &shardedLookup[*bundleKmerTable]{
+		label: "readstotranscripts/table", tagBase: overlapTagR2T,
+		iterate: iterate,
+		build: func(s int) tableShard {
+			t := src.table(ranks, s)
+			return tableShard{bytes: t.memBytes(), answer: func(m kmer.Kmer, dst []byte) []byte {
+				if comp, ok := t.lookup(m); ok {
+					return binary.AppendUvarint(dst, uint64(comp)+1)
+				}
+				return binary.AppendUvarint(dst, 0)
+			}}
+		},
+		cache: func(queries []kmer.Kmer, bodies [][]byte) (*bundleKmerTable, int64, error) {
+			t, err := buildR2TCache(src.k, src.ncomp, queries, bodies)
+			if err != nil {
+				return nil, 0, err
+			}
+			return t, t.memBytes(), nil
+		},
 	}
-}
-
-// ensure materialises shard s from the shared source if this rank does
-// not hold it yet — at startup for its own shard, on demand when
-// adopting a dead owner's.
-func (rs *r2tShards) ensure(s int) {
-	if _, ok := rs.tables[s]; ok {
-		return
-	}
-	rs.tables[s] = buildBundleShard(rs.src, rs.ranks, s)
-	if s != rs.rank && !rs.adopted[s] {
-		rs.adopted[s] = true
-		rs.rep.addShard(s)
-		rs.rec.Event("shard", "shard_adopted", rs.rank, fmt.Sprintf("shard=%d", s))
-	}
-}
-
-// answer serves one bundle-table query from this rank's shards:
-// uvarint(owner+1), or uvarint(0) when the k-mer is in no bundle —
-// a present frame either way, distinct from the nil frame of a lost
-// exchange.
-func (rs *r2tShards) answer(m kmer.Kmer, dst []byte) []byte {
-	s := kmer.OwnerRank(m, rs.ranks)
-	rs.ensure(s)
-	if comp, ok := rs.tables[s].lookup(m); ok {
-		return binary.AppendUvarint(dst, uint64(comp)+1)
-	}
-	return binary.AppendUvarint(dst, 0)
-}
-
-// residentBytes is the per-rank shard-store memory term.
-func (rs *r2tShards) residentBytes() int64 {
-	var n int64
-	for _, t := range rs.tables {
-		n += t.memBytes()
-	}
-	return n
 }
 
 // buildR2TCache materialises the partial bundle table the assignment
@@ -188,45 +154,18 @@ func buildR2TCache(k int, ncomp int32, queries []kmer.Kmer, bodies [][]byte) (*b
 		}
 	}
 	t := &bundleKmerTable{k: k, set: kmer.NewFlatSet(hits), ncomp: ncomp}
-	var owner []int32
 	for i, m := range queries {
-		v, w := binary.Uvarint(bodies[i])
-		if w <= 0 {
-			return nil, fmt.Errorf("chrysalis: shard r2t answer for %v truncated (%d bytes)", m, len(bodies[i]))
+		v, _, err := answerHead(m, bodies[i], 0)
+		if err != nil {
+			return nil, err
 		}
 		if v == 0 {
 			continue
 		}
-		id := t.set.Add(m)
-		if int(id) != len(owner) {
-			return nil, fmt.Errorf("chrysalis: duplicate query k-mer %v", m)
+		if err := cacheKey(t.set, m, len(t.owner)); err != nil {
+			return nil, err
 		}
-		owner = append(owner, int32(v-1))
+		t.owner = append(t.owner, int32(v-1))
 	}
-	t.owner = owner
 	return t, nil
-}
-
-// collectR2TQueryKmers gathers the distinct k-mers the assignment loop
-// will probe over the reads of the given chunks, in first-seen order.
-// iterate emits one read's forward k-mers and their reverse
-// complements (assignRead tallies both strands; the RC read's valid
-// windows mirror the forward read's, so the RCs cover them exactly).
-func collectR2TQueryKmers(chunks []int, chunkRange func(int) (int, int),
-	iterate func(i int, add func(kmer.Kmer))) []kmer.Kmer {
-	seen := kmer.NewFlatSet(0)
-	var out []kmer.Kmer
-	add := func(m kmer.Kmer) {
-		n := int32(seen.Len())
-		if seen.Add(m) == n {
-			out = append(out, m)
-		}
-	}
-	for _, ch := range chunks {
-		lo, hi := chunkRange(ch)
-		for i := lo; i < hi; i++ {
-			iterate(i, add)
-		}
-	}
-	return out
 }

@@ -163,46 +163,6 @@ type bundleKmerTable struct {
 	ops   int64
 }
 
-func buildBundleKmerTable(contigs []seq.Record, comps []Component, k int) *bundleKmerTable {
-	var seqs [][]byte
-	var compOf []int32
-	var ncomp int32
-	for _, comp := range comps {
-		if int32(comp.ID) >= ncomp {
-			ncomp = int32(comp.ID) + 1
-		}
-		for _, ci := range comp.Contigs {
-			seqs = append(seqs, contigs[ci].Seq)
-			compOf = append(compOf, int32(comp.ID))
-		}
-	}
-	// The k-mer extraction fans out over real goroutines (each contig
-	// fills its own precomputed range of the flat key array); the
-	// min-merge insertion stays serial and deterministic.
-	keys, _, off := flattenKmers(seqs, k)
-	t := &bundleKmerTable{
-		k:     k,
-		set:   kmer.NewFlatSet(len(keys)),
-		ncomp: ncomp,
-		ops:   int64(len(keys)),
-	}
-	owner := make([]int32, 0, len(keys)/2)
-	si := 0
-	for j, m := range keys {
-		for int32(j) >= off[si+1] {
-			si++
-		}
-		id := t.set.Add(m)
-		if int(id) == len(owner) {
-			owner = append(owner, compOf[si])
-		} else if compOf[si] < owner[id] {
-			owner[id] = compOf[si]
-		}
-	}
-	t.owner = owner
-	return t
-}
-
 // lookup returns the owning component of m. Wait-free after the build.
 func (t *bundleKmerTable) lookup(m kmer.Kmer) (int32, bool) {
 	id, ok := t.set.Lookup(m)
@@ -278,8 +238,9 @@ func assignRead(read []byte, t *bundleKmerTable, minMatches int, sc *assignScrat
 // `ranks` MPI processes. Every rank streams the entire read set in
 // chunks of MaxMemReads and keeps only the chunks whose ordinal is
 // congruent to its rank — the paper's redundant-read scheme that
-// "excludes the necessity of MPI communication" (§III-C). Per-rank
-// outputs are gathered at root and concatenated.
+// "excludes the necessity of MPI communication" (§III-C) — which is the
+// hybrid loop (hybridloop.go) over a Distribution with ChunkSize
+// MaxMemReads. Per-rank outputs are gathered at root and concatenated.
 func ReadsToTranscripts(reads []seq.Record, contigs []seq.Record, comps []Component,
 	ranks int, opt R2TOptions) (*R2TResult, error) {
 	if err := opt.normalize(); err != nil {
@@ -288,9 +249,8 @@ func ReadsToTranscripts(reads []seq.Record, contigs []seq.Record, comps []Compon
 	if ranks <= 0 {
 		return nil, fmt.Errorf("chrysalis: rank count %d must be positive", ranks)
 	}
-
-	ro := opt.Recovery.withDefaults()
-	active := opt.Faults != nil || opt.Recovery.Enabled
+	dist := Distribution{N: len(reads), Ranks: ranks, ChunkSize: opt.MaxMemReads}
+	master := opt.MasterDistribute && ranks > 1
 
 	// Packed staging: the assignment loops and the streaming meters read
 	// only the packed records from here on.
@@ -307,395 +267,217 @@ func ReadsToTranscripts(reads []seq.Record, contigs []seq.Record, comps []Compon
 		}
 		return len(reads[i].Seq)
 	}
-	assign := func(i int, sc *assignScratch, table *bundleKmerTable) (int32, int32, float64) {
-		if opt.Packed {
-			return assignReadPacked(preads[i].Seq, table, opt.MinKmerMatches, sc)
-		}
-		return assignRead(reads[i].Seq, table, opt.MinKmerMatches, sc)
-	}
-
-	profiles := make([]R2TRankProfile, ranks)
-	perRank := make([][]Assignment, ranks)
 
 	// Every rank builds the identical read-only k-mer→bundle table on a
 	// real cluster; here it is built once and shared while each rank is
-	// charged its full (thread-divided) cost. Under ShardKmers the full
-	// table is built lazily — only if chunk recovery must recompute a
-	// foreign chunk whose k-mers the local partial table never queried.
-	var tableOnce sync.Once
-	var table *bundleKmerTable
-	fullTable := func() *bundleKmerTable {
-		tableOnce.Do(func() {
-			if opt.Packed {
-				table = buildBundleKmerTablePacked(contigs, opt.PackedContigs, comps, opt.K)
-			} else {
-				table = buildBundleKmerTable(contigs, comps, opt.K)
-			}
-		})
-		return table
-	}
-	// Per-read assignment costs, written by the owning rank and read by
-	// every rank (after a barrier) for the replicated timing replay.
-	// The fault layer keeps costs in the checkpoint store instead, so
-	// an evicted straggler's late writes cannot race with survivors.
-	readCosts := make([]float64, len(reads))
-
-	nChunks := (len(reads) + opt.MaxMemReads - 1) / opt.MaxMemReads
-	chunkRange := func(ch int) (lo, hi int) {
-		lo = ch * opt.MaxMemReads
-		hi = lo + opt.MaxMemReads
-		if hi > len(reads) {
-			hi = len(reads)
-		}
-		return lo, hi
-	}
-
-	// Sharded-table shared state: the source every shard is rebuilt from
-	// (stands in for the contig set on the shared filesystem) and the
-	// world-shared fetch completion ledger.
-	var r2tSrcOnce sync.Once
-	var r2tSrc *r2tSource
-	var r2tLed *fetchLedger
+	// charged its full (thread-divided) cost. Under ShardKmers every rank
+	// holds one shard, rebuilt from the shared source (which stands in
+	// for the contig set on the shared filesystem), and the full table is
+	// built only if chunk recovery needs it.
+	var src *r2tSource
+	var shards *shardedLookup[*bundleKmerTable]
 	if opt.ShardKmers {
-		r2tLed = newFetchLedger(ranks)
-	}
-	// keptChunks lists the chunks rank r keeps under the redundant
-	// streaming scheme (ordinal congruent to the rank).
-	keptChunks := func(r int) []int {
-		var out []int
-		for ch := r; ch < nChunks; ch += ranks {
-			out = append(out, ch)
-		}
-		return out
-	}
-	// iterateRead emits read i's forward k-mers and their reverse
-	// complements — exactly the probes both strands of the assignment
-	// tally make (the RC read's valid windows mirror the forward ones).
-	iterateRead := func(i int, add func(kmer.Kmer)) {
-		if opt.Packed {
+		src = buildR2TSource(contigs, opt.PackedContigs, comps, opt.K, opt.Packed)
+		// A read's probes are its forward k-mers and their reverse
+		// complements — both strands of the assignment tally (the RC
+		// read's valid windows mirror the forward ones).
+		shards = bundleShards(src, ranks, func(i int, add func(kmer.Kmer)) {
+			if !opt.Packed {
+				eachKmer(reads[i].Seq, opt.K, true, add)
+				return
+			}
 			it := kmer.NewPackedIterator(preads[i].Seq, opt.K)
-			for {
-				m, _, ok := it.Next()
-				if !ok {
-					return
-				}
+			for m, _, ok := it.Next(); ok; m, _, ok = it.Next() {
 				add(m)
 				add(m.ReverseComplement(opt.K))
 			}
-		}
-		it := kmer.NewIterator(reads[i].Seq, opt.K)
-		for {
-			m, _, ok := it.Next()
-			if !ok {
-				return
-			}
-			add(m)
-			add(m.ReverseComplement(opt.K))
-		}
+		})
 	}
+	fullTable := sync.OnceValue(func() *bundleKmerTable {
+		if src != nil {
+			return src.table(0, 0)
+		}
+		return buildR2TSource(contigs, opt.PackedContigs, comps, opt.K, opt.Packed).table(0, 0)
+	})
 
-	var store *chunkStore[Assignment] // checkpointed assignments per chunk
-	rep := &recReport{}
-	if active {
-		store = newChunkStore[Assignment](nChunks)
-	}
-
-	// assignChunk computes one chunk's assignments against the given
-	// table — the checkpoint unit of the recovery layer. Every rank
-	// holds the full read set (the redundant-streaming scheme), so any
-	// rank can recompute any chunk; recovery recomputes run against the
-	// full table (a foreign chunk's reads probe k-mers a sharded rank's
-	// partial table never fetched).
-	assignChunk := func(ch int, t *bundleKmerTable) (asg []Assignment, chCosts []float64, units float64) {
+	// assignChunk is the chunk kernel: one uploaded chunk's reads,
+	// distributed over the OpenMP threads, each assigned against the
+	// given table. Every rank holds the full read set (the
+	// redundant-streaming scheme), so any rank can recompute any chunk.
+	assignChunk := func(lo, hi int, t *bundleKmerTable, costs []float64, asg []Assignment) []Assignment {
 		sc := assignScratchPool.Get().(*assignScratch)
 		defer assignScratchPool.Put(sc)
-		lo, hi := chunkRange(ch)
-		chCosts = make([]float64, hi-lo)
 		for i := lo; i < hi; i++ {
-			comp, matches, u := assign(i, sc, t)
-			chCosts[i-lo] = u * opt.LoopOpWeight
-			units += chCosts[i-lo]
+			var comp, matches int32
+			var u float64
+			if opt.Packed {
+				comp, matches, u = assignReadPacked(preads[i].Seq, t, opt.MinKmerMatches, sc)
+			} else {
+				comp, matches, u = assignRead(reads[i].Seq, t, opt.MinKmerMatches, sc)
+			}
+			costs[i-lo] = u * opt.LoopOpWeight
 			if comp >= 0 {
 				asg = append(asg, Assignment{Read: int32(i), Component: comp, Matches: matches})
 			}
 		}
-		return asg, chCosts, units
+		return asg
 	}
 
-	world := mpi.NewWorld(ranks)
-	if opt.Faults != nil {
-		world.SetFaults(opt.Faults)
-	}
-	if active && ro.RankTimeout > 0 {
-		world.SetBarrierTimeout(ro.RankTimeout)
-		world.SetRecvTimeout(ro.RankTimeout)
-	}
-	if opt.Trace != nil {
-		world.SetObserver(opt.Trace)
-	}
-	_, errs := world.RunE(func(c *Comm) error {
+	env := newLoopEnv(ranks, opt.ThreadsPerRank, opt.Replicas, false, opt.Faults, opt.Recovery, opt.Trace)
+	loop := newHybridLoop(hybridLoop[Assignment, *bundleKmerTable]{env: env, stage: "readstotranscripts", dist: dist,
+		kernel: assignChunk, full: fullTable, sharded: shards, encode: encodeAssignments,
+		// "the MPI process simply discards the uploaded input reads" of
+		// the chunks it does not keep — charged as streaming I/O.
+		scan: func(i int) float64 { return opt.IOScanFactor * float64(readLen(i)) }})
+
+	profiles := make([]R2TRankProfile, ranks)
+	results := make([]*R2TResult, ranks)
+	_, errs := env.world.RunE(func(c *Comm) error {
 		rank := c.Rank()
 		prof := &profiles[rank]
 
 		// OpenMP-enabled k-mer→bundle assignment, replicated on every
 		// rank ("we have not converted this to a hybrid implementation
 		// yet", §V-B) — its cost divides across a node's threads but
-		// not across ranks. Under ShardKmers the rank instead builds
-		// only its shard and fetches the k-mers its kept chunks will
-		// probe through the overlapped tile pipeline; the scan of the
-		// shared contig set is still charged in full.
-		var srs *r2tShards
-		var myTable *bundleKmerTable
-		var peakTile int64
-		myKept := keptChunks(rank)
+		// not across ranks. A sharded rank builds only its shard, but
+		// the scan of the shared contig set is still charged in full.
 		if opt.ShardKmers {
-			r2tSrcOnce.Do(func() {
-				r2tSrc = buildR2TSource(contigs, opt.PackedContigs, comps, opt.K, opt.Packed)
-			})
-			srs = newR2TShards(r2tSrc, ranks, rank, rep, opt.Trace)
-			srs.ensure(rank)
-			prof.SetupUnits = float64(len(r2tSrc.keys)) / float64(opt.ThreadsPerRank)
+			prof.SetupUnits = float64(len(src.keys)) / float64(opt.ThreadsPerRank)
 		} else {
-			myTable = fullTable()
-			prof.SetupUnits = float64(myTable.ops) / float64(opt.ThreadsPerRank)
+			prof.SetupUnits = float64(fullTable().ops) / float64(opt.ThreadsPerRank)
 		}
 
-		var commStart mpi.Stats
-		var mine []Assignment
-		if opt.ShardKmers {
-			// Double-buffered tile pipeline: tile t+1's lookup round is in
-			// flight while tile t's chunks assign on its partial replica.
-			tiles := tileCount(func(r int) int { return len(keptChunks(r)) }, ranks)
-			var sc *assignScratch
-			if !active {
-				sc = assignScratchPool.Get().(*assignScratch)
-			}
-			f := &overlapFetcher{
-				c: c, stage: "readstotranscripts/table", rep: rep, rec: opt.Trace,
-				exchanged: &srs.exchanged, led: r2tLed, ro: ro,
-				tagBase: overlapTagR2T, tiles: tiles,
-				collect: func(t int) []kmer.Kmer {
-					return collectR2TQueryKmers(tileSlice(myKept, t), chunkRange, iterateRead)
-				},
-				answer: srs.answer,
-				compute: func(t int, queries []kmer.Kmer, bodies [][]byte) (float64, error) {
-					chunks := tileSlice(myKept, t)
-					if len(chunks) == 0 {
-						return 0, nil
-					}
-					tTable, berr := buildR2TCache(opt.K, r2tSrc.ncomp, queries, bodies)
-					if berr != nil {
-						return 0, berr
-					}
-					if m := tTable.memBytes(); m > peakTile {
-						peakTile = m
-					}
-					var units float64
-					for _, ch := range chunks {
-						prof.Chunks++
-						if active {
-							c.Probe() // fault point: a rank can die between chunks
-							asg, chCosts, u := assignChunk(ch, tTable)
-							store.put(ch, asg, chCosts)
-							mine = append(mine, asg...)
-							units += u
-						} else {
-							lo, hi := chunkRange(ch)
-							for i := lo; i < hi; i++ {
-								comp, matches, u := assign(i, sc, tTable)
-								readCosts[i] = u * opt.LoopOpWeight
-								units += readCosts[i]
-								if comp >= 0 {
-									mine = append(mine, Assignment{Read: int32(i), Component: comp, Matches: matches})
-								}
-							}
-						}
-					}
-					return units, nil
-				},
-			}
-			meters, ferr := f.run()
-			prof.Overlap = meters
-			if sc != nil {
-				assignScratchPool.Put(sc)
-			}
-			if ferr != nil {
-				return ferr
-			}
-			// The pipeline's traffic is metered per tile; the gather meter
-			// below starts after it.
-			commStart = c.Stats
-		} else {
-			commStart = c.Stats
-			for chunk := 0; chunk < nChunks; chunk++ {
-				lo, hi := chunkRange(chunk)
-				owner := chunk % ranks
-				if opt.MasterDistribute && ranks > 1 {
-					// Paper's first strategy: rank 0 reads the chunk and
-					// ships it to the owner; the owner receives it. The
-					// payload is real read bytes so the comm meter sees the
-					// true volume.
-					if rank == 0 {
-						for i := lo; i < hi; i++ {
-							prof.StreamUnits += float64(readLen(i))
-						}
-						if owner != 0 {
-							if opt.Packed {
-								c.Send(owner, chunk, packedStreamPayload(preads[lo:hi]))
-							} else {
-								c.Send(owner, chunk, packReads(reads[lo:hi]))
-							}
-						}
-					} else if owner == rank {
-						if active {
-							// A dead master cannot ship the chunk; tolerable,
-							// because every rank holds the read set anyway.
-							c.TryRecv(0, chunk, 0) //nolint:errcheck
-						} else {
-							c.Recv(0, chunk)
-						}
-					}
-				}
-				if owner != rank {
-					// "the MPI process simply discards the uploaded input
-					// reads" — charged as streaming I/O in the replay below.
-					continue
-				}
-				prof.Chunks++
-				// The kept chunk's reads are distributed over the OpenMP
-				// threads.
-				if active {
-					c.Probe() // fault point: a rank can die between chunks
-					asg, chCosts, _ := assignChunk(chunk, myTable)
-					store.put(chunk, asg, chCosts)
-					mine = append(mine, asg...)
-				} else {
-					sc := assignScratchPool.Get().(*assignScratch)
+		commStart := c.Stats
+		if master {
+			// Paper's first strategy: rank 0 reads every chunk and ships
+			// it to the rank that keeps it. The receiver already holds
+			// the reads and never parses the shipment, so the payload is
+			// just its volume (a byte per base and a separator per read)
+			// for the comm meter. Rank 0's streaming is metered here; the
+			// workers pay none.
+			for ch := 0; ch < dist.Chunks(); ch++ {
+				owner := dist.Owner(ch)
+				if rank == 0 {
+					lo, hi := dist.ChunkRange(ch)
+					bytes := hi - lo
 					for i := lo; i < hi; i++ {
-						comp, matches, units := assign(i, sc, myTable)
-						readCosts[i] = units * opt.LoopOpWeight
-						if comp >= 0 {
-							mine = append(mine, Assignment{Read: int32(i), Component: comp, Matches: matches})
-						}
+						prof.StreamUnits += float64(readLen(i))
+						bytes += readLen(i)
 					}
-					assignScratchPool.Put(sc)
+					if owner != 0 {
+						c.Send(owner, ch, make([]byte, bytes))
+					}
+				} else if owner == rank {
+					if env.active {
+						// A dead master cannot ship the chunk; tolerable,
+						// because every rank holds the read set anyway.
+						c.TryRecv(0, ch, 0) //nolint:errcheck
+					} else {
+						c.Recv(0, ch)
+					}
 				}
 			}
 		}
-		lookupCost := func(i int) float64 { return readCosts[i] }
-		if active {
-			c.TryBarrier() //nolint:errcheck — dead ranks are recovered below
-			if err := recoverChunks(c, "readstotranscripts", ro, rep, opt.Trace, store.missing,
-				func(ch int) ([]byte, float64) {
-					asg, chCosts, units := assignChunk(ch, fullTable())
-					store.put(ch, asg, chCosts)
-					return encodeAssignments(asg), units
-				}); err != nil {
-				return err
-			}
-			myCosts := store.itemCosts(len(reads), chunkRange)
-			lookupCost = func(i int) float64 { return myCosts[i] }
-		} else {
-			c.Barrier() // all per-read costs visible to every rank
+		r, err := loop.run(c)
+		prof.Overlap = r.meters
+		if err != nil {
+			return err
 		}
-		loop, stream, imbalance := replicatedChunkStream(
-			len(reads), opt.MaxMemReads, ranks, rank, opt.Replicas, opt.ThreadsPerRank,
-			lookupCost,
-			func(i int) float64 { return opt.IOScanFactor * float64(readLen(i)) })
-		prof.LoopUnits = loop
-		prof.LoopImbalance = imbalance
-		if opt.MasterDistribute && ranks > 1 {
-			// Master-distribute pays no redundant streaming on workers,
-			// but rank 0 streams everything (already metered above) and
-			// every chunk crosses the network (metered in Comm).
-		} else {
+		if opt.ShardKmers {
+			// The pipeline's traffic is metered per tile; the gather
+			// meter starts after it.
+			commStart = c.Stats
+		}
+		if env.active {
+			c.TryBarrier() //nolint:errcheck — dead ranks are recovered below
+		}
+		if err := loop.settle(c); err != nil {
+			return err
+		}
+		var stream float64
+		prof.LoopUnits, prof.LoopImbalance, stream = loop.makespan(rank)
+		if !master {
 			prof.StreamUnits = stream
 		}
-		prof.Assigned = len(mine)
+		prof.Assigned = len(r.mine)
 		if opt.ShardKmers {
 			// Peak resident table state: the shard store plus the largest
 			// single tile's partial replica (tile replicas are transient).
-			prof.ResidentKmerBytes = peakTile + srs.residentBytes()
-			prof.ShardExchangeBytes = srs.exchanged
+			prof.ResidentKmerBytes = r.peakTile + r.shardBytes
+			prof.ShardExchangeBytes = r.exchanged
 		} else {
-			prof.ResidentKmerBytes = myTable.memBytes()
+			prof.ResidentKmerBytes = fullTable().memBytes()
 		}
 
 		// Gather per-rank output files at root; root concatenates
 		// ("a simple cat command", §III-C). Under the fault layer the
 		// root rebuilds the output from the checkpoint store, so a lost
 		// contribution (dead rank, dropped payload) cannot lose reads.
-		if active {
-			counts, _ := c.TryAllgatherInt(len(encodeAssignments(mine)))
-			parts, _ := c.TryGatherv(0, encodeAssignments(mine))
-			prof.Comm = cluster.StatsDelta(commStart, c.Stats)
+		enc := encodeAssignments(r.mine)
+		var parts [][]Assignment
+		if env.active {
+			counts, _ := c.TryAllgatherInt(len(enc))
+			got, _ := c.TryGatherv(0, enc)
 			if rank == 0 {
-				countDrops(rep, counts, parts)
-				all := assignmentsFromStore(store, nChunks)
-				prof.ConcatUnits = float64(len(all))
-				perRank[0] = all
+				countDrops(env.rep, counts, got)
+				parts, _ = loop.checkpointed()
 			}
-			return nil
+		} else {
+			for _, p := range c.Gatherv(0, enc) {
+				parts = append(parts, decodeAssignments(p))
+			}
 		}
-		parts := c.Gatherv(0, encodeAssignments(mine))
 		prof.Comm = cluster.StatsDelta(commStart, c.Stats)
 		if rank == 0 {
-			var all []Assignment
-			for _, p := range parts {
-				all = append(all, decodeAssignments(p)...)
-			}
-			sort.Slice(all, func(i, j int) bool { return all[i].Read < all[j].Read })
+			all := concatAssignments(parts)
 			prof.ConcatUnits = float64(len(all))
-			perRank[0] = all
+			results[0] = &R2TResult{Assignments: all}
 		}
 		return nil
 	})
 
-	res := &R2TResult{Assignments: perRank[0], Profiles: profiles}
-	if active {
+	res, err := stageResult("readstotranscripts", results, errs)
+	if err != nil {
 		// Rank 0 may have died after recovery completed; any complete
 		// store yields the identical output.
-		if res.Assignments == nil {
-			if len(store.missing()) > 0 {
-				return nil, stageError("readstotranscripts", errs)
-			}
-			res.Assignments = assignmentsFromStore(store, nChunks)
+		parts, ok := loop.checkpointed()
+		if !ok {
+			return nil, err
 		}
-		res.Recovery = rep.snapshot("readstotranscripts", world.DeadRanks())
+		res = &R2TResult{Assignments: concatAssignments(parts)}
 	}
-	traceR2T(opt, ranks, nChunks, chunkRange, profiles, readCosts, store)
+	for rank := range profiles {
+		profiles[rank].Chunks = loop.ran[rank]
+	}
+	res.Profiles = profiles
+	res.Recovery = env.report("readstotranscripts")
+	if opt.Trace != nil {
+		traceR2T(opt, env, dist, profiles, loop.itemCosts())
+	}
 	return res, nil
 }
 
 // traceR2T converts the metered per-rank profiles into virtual-time
 // spans: per-rank setup, one span per kept chunk (its reads spread over
 // the rank's logical threads), the redundant-streaming tail, the output
-// gather, and the root's concatenation. Emitted after the world
-// completes, from deterministic data only.
-func traceR2T(opt R2TOptions, ranks, nChunks int, chunkRange func(ch int) (lo, hi int),
-	profiles []R2TRankProfile, readCosts []float64, store *chunkStore[Assignment]) {
+// gather, and the root's concatenation, on opt.Trace (non-nil). Emitted
+// after the world completes, from deterministic data only.
+func traceR2T(opt R2TOptions, env *loopEnv, dist Distribution, profiles []R2TRankProfile, costs []float64) {
 	rec := opt.Trace
-	if rec == nil {
-		return
-	}
-	costs := readCosts
-	if store != nil {
-		costs = store.itemCosts(len(readCosts), chunkRange)
-	}
 	base := rec.Base()
-	cursor := make([]float64, ranks)
+	cursor := make([]float64, len(profiles))
 	for rank := range profiles {
 		cursor[rank] = base + rec.WorkSeconds(profiles[rank].SetupUnits)
 		rec.Span("readstotranscripts", "setup", rank, base, cursor[rank]-base, "")
 	}
-	for ch := 0; ch < nChunks; ch++ {
-		lo, hi := chunkRange(ch)
+	for ch := 0; ch < dist.Chunks(); ch++ {
+		lo, hi := dist.ChunkRange(ch)
 		var units float64
 		for i := lo; i < hi; i++ {
 			units += costs[i]
 		}
 		rec.Observe("r2t_chunk_units", units)
-		owner := ch % ranks
+		owner := dist.Owner(ch)
 		// The chunk's reads divide across the rank's logical threads.
 		dur := rec.WorkSeconds(units / float64(opt.ThreadsPerRank))
 		rec.Span("readstotranscripts", fmt.Sprintf("chunk %d", ch), owner,
@@ -728,46 +510,24 @@ func traceR2T(opt R2TOptions, ranks, nChunks int, chunkRange func(ch int) (lo, h
 	// lanes in their own category, so replicated traces stay
 	// byte-stable.
 	for rank := range profiles {
-		p := &profiles[rank]
-		if len(p.Overlap) == 0 {
-			continue
+		if p := &profiles[rank]; len(p.Overlap) > 0 {
+			env.overlapLanes("r2t-overlap", "assign", rank, base, p.Overlap)
 		}
-		var fetch, comp []float64
-		for _, m := range p.Overlap {
-			fetch = append(fetch, rec.CommSeconds(m.Fetch))
-			comp = append(comp, rec.WorkSeconds(m.ComputeUnits/float64(opt.ThreadsPerRank)))
-		}
-		rec.OverlapLanes("r2t-overlap", "assign", rank, base, fetch, comp)
 	}
 	rec.AdvanceBase()
 }
 
-// assignmentsFromStore concatenates the checkpointed chunks in chunk
-// order and sorts by read index — byte-identical to the fault-free
-// root's concatenation of the gathered per-rank outputs.
-func assignmentsFromStore(store *chunkStore[Assignment], nChunks int) []Assignment {
+// concatAssignments concatenates per-chunk or per-rank assignment
+// lists and sorts by read index: the order of the parts does not
+// matter, so the fault layer's chunk-order rebuild is byte-identical to
+// the root's concatenation of the gathered per-rank outputs.
+func concatAssignments(parts [][]Assignment) []Assignment {
 	var all []Assignment
-	for ch := 0; ch < nChunks; ch++ {
-		all = append(all, store.chunk(ch)...)
+	for _, p := range parts {
+		all = append(all, p...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Read < all[j].Read })
 	return all
-}
-
-// packReads concatenates read payloads for the master-distribute
-// shipment; the content is never parsed (the receiver already holds
-// the reads), only its volume matters to the comm meter.
-func packReads(reads []seq.Record) []byte {
-	n := 0
-	for i := range reads {
-		n += len(reads[i].Seq) + 1
-	}
-	buf := make([]byte, 0, n)
-	for i := range reads {
-		buf = append(buf, reads[i].Seq...)
-		buf = append(buf, '\n')
-	}
-	return buf
 }
 
 func encodeAssignments(as []Assignment) []byte {

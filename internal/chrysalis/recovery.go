@@ -43,8 +43,10 @@ type RecoveryOptions struct {
 	// Enabled switches on chunk checkpointing and recovery even without
 	// an injected fault plan (a fault plan implies it).
 	Enabled bool
-	// MaxRounds bounds the recovery rounds per pooling phase; each
-	// round tolerates one more wave of failures (default 3).
+	// MaxRounds bounds the retry rounds of each recovering pass — chunk
+	// recovery after a pooling phase, and the lookup cleanup after a
+	// sharded fetch phase; each round tolerates one more wave of
+	// failures (default 3). See spent.
 	MaxRounds int
 	// Backoff is the real-time wait before each recovery round,
 	// doubling per round (default 0; the cluster model charges virtual
@@ -62,6 +64,12 @@ func (o RecoveryOptions) withDefaults() RecoveryOptions {
 	}
 	return o
 }
+
+// spent is the round budget, stated once for both retry loops
+// (recoverChunks and fetchShardAnswers): a pass that has run MaxRounds
+// rounds and still has work left gives up with an *UnrecoverableError
+// whose Rounds is MaxRounds.
+func (o RecoveryOptions) spent(round int) bool { return round >= o.MaxRounds }
 
 // RecoveryReport records what the fault-tolerance layer did during one
 // stage execution.
@@ -283,7 +291,7 @@ func recoverChunks(c *mpi.Comm, stage string, opt RecoveryOptions, rep *recRepor
 		if len(miss) == 0 {
 			return nil
 		}
-		if round >= opt.MaxRounds {
+		if opt.spent(round) {
 			return &UnrecoverableError{Stage: stage, Rounds: round, MissingChunks: miss, Dead: c.WorldDeadRanks()}
 		}
 		if opt.Backoff > 0 {

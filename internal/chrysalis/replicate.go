@@ -20,8 +20,12 @@ import "gotrinity/internal/cluster"
 // thread-level load imbalance (max/min, the paper's measure). The
 // distribution's Strategy decides chunk ownership; staticSched selects
 // the OpenMP static schedule instead of dynamic (for the ablation).
-func replicatedMakespan(d Distribution, costs []float64, rank, replicas, threads int,
-	staticSched bool) (makespan, imbalance float64) {
+// With a scan cost (ReadsToTranscripts' redundant streaming, §III-C)
+// the chunks the rank does not own charge scan(i) per item to the
+// returned stream total, normalised by the replica count like the
+// makespan.
+func replicatedMakespan(d Distribution, costs []float64, scan func(i int) float64,
+	rank, replicas, threads int, staticSched bool) (makespan, imbalance, stream float64) {
 	if replicas < 1 {
 		replicas = 1
 	}
@@ -34,8 +38,12 @@ func replicatedMakespan(d Distribution, costs []float64, rank, replicas, threads
 			if d.Strategy == ChunkedRoundRobin {
 				owner = g % d.Ranks
 			}
-			if owner == rank {
-				lo, hi := d.ChunkRange(c)
+			lo, hi := d.ChunkRange(c)
+			if owner != rank {
+				for i := lo; i < hi && scan != nil; i++ {
+					stream += scan(i)
+				}
+			} else {
 				for i := lo; i < hi; i++ {
 					if staticSched {
 						sim.AssignStatic(i-lo, hi-lo, costs[i])
@@ -47,40 +55,5 @@ func replicatedMakespan(d Distribution, costs []float64, rank, replicas, threads
 			g++
 		}
 	}
-	return sim.Makespan() / float64(replicas), sim.Imbalance()
-}
-
-// replicatedChunkStream replays an R2T-style modulo-owned chunk stream:
-// owned chunks contribute their per-item costs to the thread sim,
-// skipped chunks contribute streaming cost. Both totals are returned
-// normalized by the replica count, along with the thread imbalance.
-func replicatedChunkStream(nItems, chunkSize, ranks, rank, replicas, threads int,
-	itemCost func(i int) float64, scanCost func(i int) float64) (loop, stream, imbalance float64) {
-	if replicas < 1 {
-		replicas = 1
-	}
-	sim := cluster.NewThreadSim(threads)
-	nChunks := (nItems + chunkSize - 1) / chunkSize
-	g := 0
-	var scan float64
-	for rep := 0; rep < replicas; rep++ {
-		for c := 0; c < nChunks; c++ {
-			lo := c * chunkSize
-			hi := lo + chunkSize
-			if hi > nItems {
-				hi = nItems
-			}
-			if g%ranks == rank {
-				for i := lo; i < hi; i++ {
-					sim.Assign(itemCost(i))
-				}
-			} else {
-				for i := lo; i < hi; i++ {
-					scan += scanCost(i)
-				}
-			}
-			g++
-		}
-	}
-	return sim.Makespan() / float64(replicas), scan / float64(replicas), sim.Imbalance()
+	return sim.Makespan() / float64(replicas), sim.Imbalance(), stream / float64(replicas)
 }

@@ -10,37 +10,209 @@ import (
 	"gotrinity/internal/mpi"
 	"gotrinity/internal/seq"
 	"gotrinity/internal/shard"
-	"gotrinity/internal/trace"
 )
 
-// Sharded k-mer/weld state for GraphFromFasta (GFFOptions.ShardKmers).
+// Sharded k-mer lookup state (GFFOptions.ShardKmers, R2TOptions.ShardKmers).
 //
-// The replicated implementation gives every rank the full frozen read
-// count table, the full contig k-mer occurrence index, and the full
-// pooled weld index — the paper's own memory ceiling. With sharding,
-// k-mer space is partitioned by kmer.OwnerRank and each rank holds only
-// its shard of those three tables, rebuilt deterministically from the
-// shared source data (the contig file and the jellyfish dump, which on
-// a real cluster live on the shared filesystem).
+// The replicated implementation gives every rank the full lookup
+// tables — the frozen read counts, the contig k-mer occurrence index
+// and the pooled weld index in GraphFromFasta, the k-mer→bundle table
+// in ReadsToTranscripts — the paper's own memory ceiling. With
+// sharding, k-mer space is partitioned by kmer.OwnerRank and each rank
+// holds only its shard of each table, rebuilt deterministically from
+// the shared source data (the contig file and the jellyfish dump, which
+// on a real cluster live on the shared filesystem).
 //
 // Lookups are batched, not chased one by one: for each tile of its
 // chunk list (overlap.go) a rank collects the distinct k-mers the
-// welding loop will probe over those contigs — for loop 1 every valid
-// contig k-mer plus its reverse complement (which provably covers the
-// seed probes, RC-seed probes and every weldSupport window probe, since
-// window k-mers are contig k-mers), for loop 2 every valid contig
-// k-mer — and fetches the answers in one aggregated lookup round. The
-// answers materialise a partial replica of the same flat structures
-// the replicated path uses (contigKmerIndex, jellyfish.Frozen,
-// weldIndex), so the hot loops run unchanged and
-// their results, probe counts and work units are byte-identical to the
-// replicated reference — the property the differential battery pins.
+// kernel will probe over those items and fetches the answers in one
+// aggregated lookup round. The answers materialise a partial replica of
+// the same flat structure the replicated path uses, so the kernels run
+// unchanged and their results, probe counts and work units are
+// byte-identical to the replicated reference — the property the
+// differential batteries pin. A stage describes one distributed table
+// to the hybrid loop as a shardedLookup; this file holds that type, the
+// machinery behind it, and GraphFromFasta's two tables
+// (r2t_sharded.go holds ReadsToTranscripts').
 //
 // Fault composition mirrors the chunk-recovery layer: if an owner dies
 // mid-fetch, the survivors agree on the dead set (AgreeDead), recompute
 // the owner map with shard.Owners, and the adopting rank rebuilds the
 // dead rank's shard from the shared source data; unanswered queries are
-// simply re-requested under the new map until a round budget runs out.
+// simply re-requested under the new map until the round budget runs
+// out.
+
+// shardedLookup describes one distributed table to the hybrid loop.
+type shardedLookup[L any] struct {
+	label   string // fetch-phase label in errors and lookup_round events
+	tagBase int    // tag range of the phase's nonblocking rounds
+	// iterate emits every k-mer the kernel will probe for one item.
+	iterate func(item int, add func(kmer.Kmer))
+	// build materialises shard s from the shared source — at startup
+	// for a rank's own shard, on demand when it adopts a dead owner's.
+	build func(s int) tableShard
+	// cache turns one tile's answers (bodies parallel to queries, all
+	// non-nil) into the partial replica the kernel runs on, and reports
+	// the replica's resident bytes.
+	cache func(queries []kmer.Kmer, bodies [][]byte) (look L, bytes int64, err error)
+}
+
+// tableShard is one built shard: how it answers a query (appending the
+// answer body to dst) and what it costs to hold.
+type tableShard struct {
+	answer func(m kmer.Kmer, dst []byte) []byte
+	bytes  int64
+}
+
+// shardSet is one rank's slice of a distributed table: the shard it
+// statically owns plus any it adopted after an owner death. Owned by a
+// single rank goroutine; the source behind build is shared, read-only.
+type shardSet struct {
+	env   *loopEnv
+	ranks int
+	rank  int
+	build func(s int) tableShard
+	held  map[int]tableShard
+}
+
+// shard returns shard s, building it on first use.
+func (ss *shardSet) shard(s int) tableShard {
+	sh, ok := ss.held[s]
+	if !ok {
+		sh = ss.build(s)
+		ss.held[s] = sh
+		if s != ss.rank {
+			ss.env.noteAdoption(ss.rank, s)
+		}
+	}
+	return sh
+}
+
+// answer serves one query from whichever held (or newly adopted) shard
+// owns the k-mer.
+func (ss *shardSet) answer(m kmer.Kmer, dst []byte) []byte {
+	return ss.shard(kmer.OwnerRank(m, ss.ranks)).answer(m, dst)
+}
+
+// bytes is the per-rank shard-store memory term.
+func (ss *shardSet) bytes() int64 {
+	var n int64
+	for _, sh := range ss.held {
+		n += sh.bytes
+	}
+	return n
+}
+
+// collectQueryKmers gathers the distinct k-mers the kernel will probe
+// over the items of the given chunks, in first-seen order.
+// Deduplication is per tile — a k-mer probed by two tiles is fetched by
+// both, the price of not holding the union resident.
+func collectQueryKmers(dist Distribution, chunks []int, iterate func(item int, add func(kmer.Kmer))) []kmer.Kmer {
+	seen := kmer.NewFlatSet(0)
+	var out []kmer.Kmer
+	add := func(m kmer.Kmer) {
+		n := int32(seen.Len())
+		if seen.Add(m) == n {
+			out = append(out, m)
+		}
+	}
+	for _, ch := range chunks {
+		lo, hi := dist.ChunkRange(ch)
+		for i := lo; i < hi; i++ {
+			iterate(i, add)
+		}
+	}
+	return out
+}
+
+// eachKmer emits the valid k-mers of s in scan order, each followed by
+// its reverse complement when withRC is set.
+func eachKmer(s []byte, k int, withRC bool, add func(kmer.Kmer)) {
+	it := kmer.NewIterator(s, k)
+	for {
+		m, _, ok := it.Next()
+		if !ok {
+			return
+		}
+		add(m)
+		if withRC {
+			add(m.ReverseComplement(k))
+		}
+	}
+}
+
+// appendRow encodes one CSR row as an answer body: the uvarint word
+// count, then the 8-byte words in row order.
+func appendRow(dst []byte, row []uint64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(row)))
+	for _, v := range row {
+		dst = binary.LittleEndian.AppendUint64(dst, v)
+	}
+	return dst
+}
+
+// answerHead reads the uvarint that opens an answer body after skip
+// header bytes — a row's word count, or a bundle owner — and returns
+// it with the bytes behind it.
+func answerHead(m kmer.Kmer, b []byte, skip int) (v uint64, rest []byte, err error) {
+	if len(b) > skip {
+		if v, w := binary.Uvarint(b[skip:]); w > 0 {
+			return v, b[skip+w:], nil
+		}
+	}
+	return 0, nil, fmt.Errorf("chrysalis: shard answer for %v truncated (%d bytes)", m, len(b))
+}
+
+// cacheKey gives m the next dense id of a partial replica's key set;
+// ids must come out in answer order, so a repeated query is an error.
+func cacheKey(set *kmer.FlatSet, m kmer.Kmer, want int) error {
+	if id := set.Add(m); int(id) != want {
+		return fmt.Errorf("chrysalis: duplicate query k-mer %v", m)
+	}
+	return nil
+}
+
+// decodeRows materialises the CSR half of a tile replica from the
+// owners' answers: every queried k-mer with a non-empty row gets the
+// next dense id of set, and its row (appendRow's encoding, skip bytes
+// into the body) is unpacked behind starts. Shard rows preserve the
+// replicated tables' row order, so every probe of the replica returns
+// exactly what the full table would.
+func decodeRows[V any](set *kmer.FlatSet, queries []kmer.Kmer, bodies [][]byte, skip int,
+	unpack func(uint64) V) (starts []int32, vals []V, err error) {
+	var counts []int32
+	total := 0
+	rows := make([][]byte, 0, len(queries)) // payload per non-empty row, in id order
+	for i, m := range queries {
+		n, rest, err := answerHead(m, bodies[i], skip)
+		if err == nil && n > uint64(len(rest))/8 {
+			err = fmt.Errorf("chrysalis: shard row for %v truncated", m)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		if n == 0 {
+			continue
+		}
+		if err := cacheKey(set, m, len(counts)); err != nil {
+			return nil, nil, err
+		}
+		counts = append(counts, int32(n))
+		rows = append(rows, rest[:n*8])
+		total += int(n)
+	}
+	starts = make([]int32, len(counts)+1)
+	for id, n := range counts {
+		starts[id+1] = starts[id] + n
+	}
+	vals = make([]V, 0, total)
+	for _, row := range rows {
+		for o := 0; o < len(row); o += 8 {
+			vals = append(vals, unpack(binary.LittleEndian.Uint64(row[o:])))
+		}
+	}
+	return starts, vals, nil
+}
 
 // packOcc/unpackOcc move an occurrence through a shard row word.
 func packOcc(o occurrence) uint64 {
@@ -146,115 +318,54 @@ func buildRefShard(pooled []string, k, ranks, s int) *shard.CSR {
 	return shard.NewCSR(keys, vals)
 }
 
-// rankShards is one rank's slice of the distributed tables: the shards
-// it statically owns plus any it adopted after an owner death. Owned
-// by a single rank goroutine; the underlying source is shared and
-// read-only.
-type rankShards struct {
-	src     *gffSource
-	ranks   int
-	rank    int
-	rep     *recReport
-	rec     *trace.Recorder
-	counts  map[int]*jellyfish.Frozen
-	occs    map[int]*shard.CSR
-	refs    map[int]*shard.CSR
-	pooled  []string // set after weld pooling, before loop-2 serving
-	adopted map[int]bool
-	// exchanged accumulates the addressed bytes (sent + received) this
-	// rank moved through lookup rounds.
-	exchanged int64
-}
-
-func newRankShards(src *gffSource, ranks, rank int, rep *recReport, rec *trace.Recorder) *rankShards {
-	return &rankShards{
-		src: src, ranks: ranks, rank: rank, rep: rep, rec: rec,
-		counts:  map[int]*jellyfish.Frozen{},
-		occs:    map[int]*shard.CSR{},
-		refs:    map[int]*shard.CSR{},
-		adopted: map[int]bool{},
+// weldShards describes loop 1's distributed tables — the read counts
+// and the contig k-mer occurrence index — as one lookup: a query is
+// answered with the read count (4 bytes LE) followed by the occurrence
+// row in global scan order. Loop 1 probes every valid contig k-mer plus
+// its reverse complement, which provably covers the seed probes, the
+// RC-seed probes and every weldSupport window probe (window k-mers are
+// contig k-mers).
+func weldShards(src *gffSource, ranks int) *shardedLookup[weldLookup] {
+	return &shardedLookup[weldLookup]{
+		label: "graphfromfasta/loop1", tagBase: overlapTagLoop1,
+		iterate: func(i int, add func(kmer.Kmer)) { eachKmer(src.seqs[i], src.k, true, add) },
+		build: func(s int) tableShard {
+			occs, counts := buildOccShard(src, ranks, s), buildCountShard(src.reads, ranks, s)
+			return tableShard{bytes: occs.MemBytes() + counts.MemBytes(),
+				answer: func(m kmer.Kmer, dst []byte) []byte {
+					dst = binary.LittleEndian.AppendUint32(dst, counts.Get(m))
+					return appendRow(dst, occs.Lookup(m))
+				}}
+		},
+		cache: func(queries []kmer.Kmer, bodies [][]byte) (weldLookup, int64, error) {
+			look, err := buildLoop1Cache(src.seqs, src.k, queries, bodies)
+			return look, look.memBytes(), err
+		},
 	}
 }
 
-func (rs *rankShards) noteAdoption(s int) {
-	if s == rs.rank || rs.adopted[s] {
-		return
+// pairShards describes loop 2's distributed weld index: a query is
+// answered with its weld-ref row in pooled weld-id order. Loop 2 only
+// probes forward contig k-mers, because the index itself is keyed under
+// both orientations of each weld core. pooled is read when a shard or
+// a tile replica is built — after weld pooling.
+func pairShards(src *gffSource, ranks int, pooled func() []string) *shardedLookup[pairLookup] {
+	return &shardedLookup[pairLookup]{
+		label: "graphfromfasta/loop2", tagBase: overlapTagLoop2,
+		iterate: func(i int, add func(kmer.Kmer)) { eachKmer(src.seqs[i], src.k, false, add) },
+		build: func(s int) tableShard {
+			refs := buildRefShard(pooled(), src.k, ranks, s)
+			return tableShard{bytes: refs.MemBytes(),
+				answer: func(m kmer.Kmer, dst []byte) []byte { return appendRow(dst, refs.Lookup(m)) }}
+		},
+		cache: func(queries []kmer.Kmer, bodies [][]byte) (pairLookup, int64, error) {
+			ix, err := buildLoop2Cache(pooled(), src.k, queries, bodies)
+			if err != nil {
+				return pairLookup{}, 0, err
+			}
+			return pairLookup{ix: ix}, ix.memBytes(), nil
+		},
 	}
-	rs.adopted[s] = true
-	rs.rep.addShard(s)
-	rs.rec.Event("shard", "shard_adopted", rs.rank, fmt.Sprintf("shard=%d", s))
-}
-
-// ensureLoop1 materialises the loop-1 stores of shard s (count +
-// occurrence tables) from the shared source if this rank does not hold
-// them yet — at startup for its own shard, on demand when adopting a
-// dead owner's.
-func (rs *rankShards) ensureLoop1(s int) {
-	if _, ok := rs.occs[s]; ok {
-		return
-	}
-	rs.occs[s] = buildOccShard(rs.src, rs.ranks, s)
-	rs.counts[s] = buildCountShard(rs.src.reads, rs.ranks, s)
-	rs.noteAdoption(s)
-}
-
-// ensureLoop2 materialises the loop-2 store (weld-reference table) of
-// shard s. Requires pooled to be set.
-func (rs *rankShards) ensureLoop2(s int) {
-	if _, ok := rs.refs[s]; ok {
-		return
-	}
-	rs.refs[s] = buildRefShard(rs.pooled, rs.src.k, rs.ranks, s)
-	rs.noteAdoption(s)
-}
-
-// answerLoop1 serves one loop-1 query from this rank's shards: the
-// read count (4 bytes LE) followed by the uvarint-counted occurrence
-// row (8-byte words, in global scan order).
-func (rs *rankShards) answerLoop1(m kmer.Kmer, dst []byte) []byte {
-	s := kmer.OwnerRank(m, rs.ranks)
-	rs.ensureLoop1(s)
-	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], rs.counts[s].Get(m))
-	dst = append(dst, b4[:]...)
-	row := rs.occs[s].Lookup(m)
-	dst = binary.AppendUvarint(dst, uint64(len(row)))
-	var b8 [8]byte
-	for _, v := range row {
-		binary.LittleEndian.PutUint64(b8[:], v)
-		dst = append(dst, b8[:]...)
-	}
-	return dst
-}
-
-// answerLoop2 serves one loop-2 query: the uvarint-counted weld-ref
-// row (8-byte words, in pooled weld-id order).
-func (rs *rankShards) answerLoop2(m kmer.Kmer, dst []byte) []byte {
-	s := kmer.OwnerRank(m, rs.ranks)
-	rs.ensureLoop2(s)
-	row := rs.refs[s].Lookup(m)
-	dst = binary.AppendUvarint(dst, uint64(len(row)))
-	var b8 [8]byte
-	for _, v := range row {
-		binary.LittleEndian.PutUint64(b8[:], v)
-		dst = append(dst, b8[:]...)
-	}
-	return dst
-}
-
-// residentBytes is the per-rank shard-store memory term.
-func (rs *rankShards) residentBytes() int64 {
-	var n int64
-	for _, t := range rs.counts {
-		n += t.MemBytes()
-	}
-	for _, s := range rs.occs {
-		n += s.MemBytes()
-	}
-	for _, s := range rs.refs {
-		n += s.MemBytes()
-	}
-	return n
 }
 
 // fetchLedger is the shared completion ledger of one fetch phase — the
@@ -305,7 +416,7 @@ func (l *fetchLedger) totalAlive(dead []int) int {
 // queries. Failed owners surface as nil frames and are re-requested
 // under the next round's owner map (the adopter rebuilds the shard
 // from the shared source inside its answer callback). The round budget
-// mirrors chunk recovery: ro.MaxRounds retries past the initial round,
+// is chunk recovery's (RecoveryOptions.spent): MaxRounds retry rounds,
 // then a typed *UnrecoverableError.
 //
 // Every live rank executes the same collective sequence — the decision
@@ -314,9 +425,8 @@ func (l *fetchLedger) totalAlive(dead []int) int {
 // queries and all non-nil on success. Every query reaching this pass
 // was already attempted once over the nonblocking rounds, so each round
 // that runs here is a retry and is recorded as one.
-func fetchShardAnswers(c *Comm, stage string, rep *recReport, rec *trace.Recorder, exchanged *int64,
-	led *fetchLedger, queries []kmer.Kmer, answer func(kmer.Kmer, []byte) []byte,
-	ro RecoveryOptions) ([][]byte, error) {
+func fetchShardAnswers(c *Comm, env *loopEnv, stage string, exchanged *int64, led *fetchLedger,
+	queries []kmer.Kmer, answer func(kmer.Kmer, []byte) []byte) ([][]byte, error) {
 	size := c.Size()
 	bodies := make([][]byte, len(queries))
 	remaining := len(queries)
@@ -334,12 +444,12 @@ func fetchShardAnswers(c *Comm, stage string, rep *recReport, rec *trace.Recorde
 		if led.totalAlive(dead) == 0 {
 			return bodies, nil
 		}
-		if round > ro.MaxRounds {
+		if env.ro.spent(round) {
 			return bodies, &UnrecoverableError{Stage: stage, Rounds: round, Dead: dead}
 		}
 		owners := shard.Owners(size, dead)
 		if c.Rank() == firstAlive(owners) {
-			rep.addShardRound() // one retry round, recorded once
+			env.rep.addShardRound() // one retry round, recorded once
 		}
 		qs := make([][]kmer.Kmer, size)
 		idxs := make([][]int, size)
@@ -372,7 +482,7 @@ func fetchShardAnswers(c *Comm, stage string, rep *recReport, rec *trace.Recorde
 				}
 			}
 		}
-		rec.Event("shard", "lookup_round", c.Rank(),
+		env.rec.Event("shard", "lookup_round", c.Rank(),
 			fmt.Sprintf("stage=%s round=%d answered=%d remaining=%d", stage, round, answered, remaining))
 	}
 }
@@ -390,51 +500,23 @@ func firstAlive(owners []int) int {
 
 // buildLoop1Cache materialises the partial replica loop 1 runs on: a
 // contigKmerIndex and frozen read table holding exactly the queried
-// k-mers, with rows and counts as the owners returned them. Because
-// shard rows preserve the global scan order, every probe the loop
-// makes returns byte-identical results to the replicated structures.
-func buildLoop1Cache(seqs [][]byte, k int, queries []kmer.Kmer, bodies [][]byte) (*contigKmerIndex, *jellyfish.Frozen, error) {
-	ix := &contigKmerIndex{k: k, contigs: seqs, set: kmer.NewFlatSet(len(queries))}
+// k-mers, with rows and counts as the owners returned them.
+func buildLoop1Cache(seqs [][]byte, k int, queries []kmer.Kmer, bodies [][]byte) (weldLookup, error) {
 	var entries []jellyfish.Entry
-	var counts []int32
-	total := 0
-	rows := make([][]byte, 0, len(queries)) // occ payload per non-empty query, in query order
 	for i, m := range queries {
-		b := bodies[i]
-		if len(b) < 5 {
-			return nil, nil, fmt.Errorf("chrysalis: shard loop1 answer for %v truncated (%d bytes)", m, len(b))
+		if len(bodies[i]) < 4 {
+			return weldLookup{}, fmt.Errorf("chrysalis: shard answer for %v truncated (%d bytes)", m, len(bodies[i]))
 		}
-		if cnt := binary.LittleEndian.Uint32(b); cnt > 0 {
+		if cnt := binary.LittleEndian.Uint32(bodies[i]); cnt > 0 {
 			entries = append(entries, jellyfish.Entry{Kmer: m, Count: cnt})
 		}
-		n, w := binary.Uvarint(b[4:])
-		if w <= 0 || len(b) < 4+w+int(n)*8 {
-			return nil, nil, fmt.Errorf("chrysalis: shard loop1 row for %v truncated", m)
-		}
-		if n == 0 {
-			continue
-		}
-		id := ix.set.Add(m)
-		if int(id) != len(counts) {
-			return nil, nil, fmt.Errorf("chrysalis: duplicate query k-mer %v", m)
-		}
-		counts = append(counts, int32(n))
-		rows = append(rows, b[4+w:4+w+int(n)*8])
-		total += int(n)
 	}
-	ix.starts = make([]int32, len(counts)+1)
-	for id, n := range counts {
-		ix.starts[id+1] = ix.starts[id] + n
+	ix := &contigKmerIndex{k: k, contigs: seqs, set: kmer.NewFlatSet(len(queries))}
+	var err error
+	if ix.starts, ix.occs, err = decodeRows(ix.set, queries, bodies, 4, unpackOcc); err != nil {
+		return weldLookup{}, err
 	}
-	ix.occs = make([]occurrence, total)
-	pos := 0
-	for _, row := range rows {
-		for o := 0; o < len(row); o += 8 {
-			ix.occs[pos] = unpackOcc(binary.LittleEndian.Uint64(row[o:]))
-			pos++
-		}
-	}
-	return ix, jellyfish.FrozenFromEntries(k, entries), nil
+	return weldLookup{ix: ix, reads: jellyfish.FrozenFromEntries(k, entries)}, nil
 }
 
 // buildLoop2Cache materialises the partial weldIndex loop 2 runs on.
@@ -448,43 +530,16 @@ func buildLoop2Cache(pooled []string, k int, queries []kmer.Kmer, bodies [][]byt
 		welds:   pooled,
 		rcWelds: make([]string, len(pooled)),
 	}
-	var counts []int32
-	total := 0
-	rows := make([][]byte, 0, len(queries))
-	for i, m := range queries {
-		b := bodies[i]
-		n, w := binary.Uvarint(b)
-		if w <= 0 || len(b) < w+int(n)*8 {
-			return nil, fmt.Errorf("chrysalis: shard loop2 row for %v truncated", m)
-		}
-		if n == 0 {
-			continue
-		}
-		id := ix.set.Add(m)
-		if int(id) != len(counts) {
-			return nil, fmt.Errorf("chrysalis: duplicate query k-mer %v", m)
-		}
-		counts = append(counts, int32(n))
-		rows = append(rows, b[w:w+int(n)*8])
-		total += int(n)
+	var err error
+	if ix.starts, ix.refs, err = decodeRows(ix.set, queries, bodies, 0, unpackRef); err != nil {
+		return nil, err
 	}
-	ix.starts = make([]int32, len(counts)+1)
-	for id, n := range counts {
-		ix.starts[id+1] = ix.starts[id] + n
-	}
-	ix.refs = make([]weldRef, total)
-	pos := 0
 	var rcbuf []byte
-	for _, row := range rows {
-		for o := 0; o < len(row); o += 8 {
-			ref := unpackRef(binary.LittleEndian.Uint64(row[o:]))
-			ix.refs[pos] = ref
-			pos++
-			if ref.rc && ix.rcWelds[ref.id] == "" {
-				rcbuf = append(rcbuf[:0], pooled[ref.id]...)
-				seq.ReverseComplementInPlace(rcbuf)
-				ix.rcWelds[ref.id] = string(rcbuf)
-			}
+	for _, ref := range ix.refs {
+		if ref.rc && ix.rcWelds[ref.id] == "" {
+			rcbuf = append(rcbuf[:0], pooled[ref.id]...)
+			seq.ReverseComplementInPlace(rcbuf)
+			ix.rcWelds[ref.id] = string(rcbuf)
 		}
 	}
 	return ix, nil

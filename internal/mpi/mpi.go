@@ -268,10 +268,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the world.
 func (c *Comm) Size() int { return c.world.size }
 
-// HasFaults reports whether a fault plan is attached to the world —
-// compute loops use it to decide whether to place Probe fault points.
-func (c *Comm) HasFaults() bool { return c.world.plan != nil }
-
 // Probe is an explicit fault point: it advances the rank's call index
 // and applies any kill/slow fault scheduled there, without
 // communicating. Long compute loops call it between work chunks so a

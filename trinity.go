@@ -26,9 +26,7 @@ import (
 	"gotrinity/internal/chrysalis"
 	"gotrinity/internal/cluster"
 	"gotrinity/internal/core"
-	"gotrinity/internal/diffexpr"
 	"gotrinity/internal/experiments"
-	"gotrinity/internal/express"
 	"gotrinity/internal/rnaseq"
 	"gotrinity/internal/seq"
 	"gotrinity/internal/trace"
@@ -150,20 +148,3 @@ func RenderSummary(w io.Writer, h *experiments.Headline) { experiments.RenderHea
 // CompareTranscriptSets classifies one transcript set against another
 // with Smith-Waterman alignment (the paper's Fig. 4 methodology).
 var CompareTranscriptSets = validate.CompareTranscriptSets
-
-// Quantify estimates transcript abundances from reads with an
-// RSEM-style EM (the downstream expression tool §II-A mentions).
-var Quantify = express.Quantify
-
-// Abundance is one transcript's expression estimate.
-type Abundance = express.Abundance
-
-// QuantifyOptions configures the EM quantifier.
-type QuantifyOptions = express.Options
-
-// DiffTest compares two conditions' expected counts for differential
-// expression (edgeR-style, §II-A's downstream analysis).
-var DiffTest = diffexpr.Test
-
-// DiffResult is one transcript's differential-expression outcome.
-type DiffResult = diffexpr.Result
