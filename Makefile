@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race stress loc fuzz bench bench-chrysalis bench-kernels bench-pipeline bench-shard bench-seq bench-e2e bench-check lint-ascii chain-check verify clean
+.PHONY: build test test-short race stress loc fuzz bench bench-chrysalis bench-kernels bench-pipeline bench-shard bench-seq bench-e2e bench-check lint-ascii lint-maps chain-check verify clean
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadSAM -fuzztime 10s ./internal/bowtie/
 	$(GO) test -run '^$$' -fuzz FuzzAlignDegenerateReads -fuzztime 10s ./internal/bowtie/
 	$(GO) test -run '^$$' -fuzz FuzzFlatSet -fuzztime 10s ./internal/kmer/
+	$(GO) test -run '^$$' -fuzz FuzzCountTable -fuzztime 10s ./internal/jellyfish/
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -76,19 +77,28 @@ bench-chrysalis:
 	@cat $(BENCH_JSON)
 
 # Hot-path kernel snapshot: each flat/frozen kernel benchmarked
-# against the map-based reference it replaced, plus the packed Bowtie
-# aligner and its seed-table build on deep-shaped input, recorded as
-# BENCH_kernels.json so the speedups (and any regressions) show up in
-# review diffs. Same awk JSON conversion as bench-chrysalis.
-KERNEL_BENCH = HarvestWelds|ScanContigForWelds|BuildContigKmerIndex|AssignRead|CountTableGet|PackedAlignAll|PackedIndexBuild
+# against the map-based reference it replaced — the Chrysalis kernels,
+# the packed Bowtie aligner and its seed-table build on deep-shaped
+# input, and the k-mer spine's four stages (counting, Inchworm, graph
+# build + compact, pair support) on deep- and wide-shaped input —
+# recorded as BENCH_kernels.json so the speedups (and any regressions)
+# show up in review diffs. The file is regenerated whole, stamped with
+# the host it ran on; the micro-kernels run for 1 s each and the
+# whole-stage benchmarks 10 times, so every entry has >= 7 iterations.
+# bench-chrysalis's awk JSON conversion, plus the host entry and minus
+# the -GOMAXPROCS suffix of each name (the host entry carries it).
+KERNEL_MICRO = HarvestWelds|ScanContigForWelds|BuildContigKmerIndex|AssignRead|CountTableGet|PackedIndexBuild
+KERNEL_STAGE = PackedAlignAll|CountPacked|InchwormRun|GraphBuildCompact|PairSupport
+KERNEL_BENCH = $(KERNEL_MICRO)|$(KERNEL_STAGE)
+KERNEL_PKGS = ./internal/chrysalis/ ./internal/jellyfish/ ./internal/bowtie/ ./internal/inchworm/ ./internal/dbg/ ./internal/butterfly/
 BENCH_KERNELS_JSON ?= BENCH_kernels.json
 bench-kernels:
-	{ $(GO) test -run '^$$' -bench 'Benchmark(HarvestWelds|ScanContigForWelds|BuildContigKmerIndex|AssignRead)' -benchmem -benchtime 1s ./internal/chrysalis/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkCountTableGet' -benchmem -benchtime 1s ./internal/jellyfish/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkPacked(AlignAll|IndexBuild)' -benchmem -benchtime 1s ./internal/bowtie/ ; } \
-	| awk 'BEGIN { printf("{\n") } \
-	       /^Benchmark/ { if (n++) printf(",\n"); \
-	         printf("  \"%s\": {\"iterations\": %s", $$1, $$2); \
+	{ $(GO) test -run '^$$' -bench 'Benchmark($(KERNEL_MICRO))' -benchmem -benchtime 1s $(KERNEL_PKGS) ; \
+	  $(GO) test -run '^$$' -bench 'Benchmark($(KERNEL_STAGE))' -benchmem -benchtime 10x $(KERNEL_PKGS) ; } \
+	| awk -v host="\"num_cpu\": $$(nproc), \"gomaxprocs\": $${GOMAXPROCS:-$$(nproc)}, \"go\": \"$$($(GO) env GOVERSION)\"" \
+	      'BEGIN { printf("{\n  \"host\": {%s}", host) } \
+	       /^Benchmark/ { sub(/-[0-9]+$$/, "", $$1); \
+	         printf(",\n  \"%s\": {\"iterations\": %s", $$1, $$2); \
 	         for (i = 3; i < NF; i += 2) printf(", \"%s\": %s", $$(i+1), $$i); \
 	         printf("}") } \
 	       END { printf("\n}\n") }' > $(BENCH_KERNELS_JSON)
@@ -171,6 +181,20 @@ lint-ascii:
 	fi
 	@echo "lint-ascii: clean"
 
+# Map gate for the k-mer spine: counting, the Inchworm dictionary, the
+# de Bruijn graph, dsk's partition pass and pair support hold k-mers in
+# kmer.FlatSet ids and dense arrays; a Go map keyed by k-mer may appear
+# in these packages only as a _test.go oracle.
+LINT_MAPS_PKGS = internal/jellyfish internal/inchworm internal/dbg internal/dsk internal/butterfly
+lint-maps:
+	@bad=$$(grep -n 'map\[kmer\.Kmer\]' $$(find $(LINT_MAPS_PKGS) -name '*.go' ! -name '*_test.go') /dev/null; true); \
+	if [ -n "$$bad" ]; then \
+	  echo "$$bad"; \
+	  echo "lint-maps: a Go map keyed by k-mer in a k-mer-spine package (use kmer.FlatSet ids and an array; maps belong in _test.go oracles)"; \
+	  exit 1; \
+	fi
+	@echo "lint-maps: clean"
+
 # The per-stage tools chained by hand must reproduce the pipeline: run
 # README.md's own stage-by-stage block (from its `bin/readsim` line to
 # the "or everything at once" comment) in a scratch directory under
@@ -187,11 +211,11 @@ chain-check:
 	@rm -rf bin/chain-check
 	@echo "chain-check: stage-by-stage transcripts.fa == bin/trinity's"
 
-verify: build lint-ascii chain-check
+verify: build lint-ascii lint-maps chain-check
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -bench 'Chrysalis(WithFaultLayer|TraceRecorder)' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'Benchmark($(KERNEL_BENCH))' -benchtime 1x ./internal/chrysalis/ ./internal/jellyfish/ ./internal/bowtie/
+	$(GO) test -run '^$$' -bench 'Benchmark($(KERNEL_BENCH))' -benchtime 1x $(KERNEL_PKGS)
 	$(GO) test -run '^$$' -bench 'BenchmarkPipelineTail' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkShardScaling' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkSeq(PackedResidentBytes|RevComp)|BenchmarkKmerIter' -benchtime 1x ./internal/seq/ ./internal/kmer/

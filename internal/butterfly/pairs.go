@@ -31,11 +31,11 @@ func PairSupport(ts []Transcript, graphs []*chrysalis.ComponentGraph, reads []se
 	return pairSupport(ts, graphs, reads, 1)
 }
 
-// PairSupportParallel is PairSupport over a bounded worker pool: each
-// transcript's support is computed independently (its own k-mer set
-// probed against its component's read-only pair list) and written into
-// its own cell, so the result is identical to the serial count for any
-// worker count.
+// PairSupportParallel is PairSupport over a bounded worker pool, one
+// component per work item: a component's pairs are scanned against an
+// index of its own transcripts and every transcript's count is written
+// by the one worker that holds its component, so the result is
+// identical to the serial count for any worker count.
 func PairSupportParallel(ts []Transcript, graphs []*chrysalis.ComponentGraph, reads []seq.Record, workers int) []int {
 	return pairSupport(ts, graphs, reads, workers)
 }
@@ -69,37 +69,154 @@ func componentPairs(cg *chrysalis.ComponentGraph, reads []seq.Record) [][2]int32
 }
 
 func pairSupport(ts []Transcript, graphs []*chrysalis.ComponentGraph, reads []seq.Record, workers int) []int {
-	// Group each component's assigned reads into mate pairs. The map is
-	// built once and only read afterwards.
-	pairsByComp := map[int][][2]int32{}
-	for _, cg := range graphs {
-		if pairs := componentPairs(cg, reads); len(pairs) > 0 {
-			pairsByComp[cg.Component.ID] = pairs
+	// The unit of work is a component: its transcripts (positions in
+	// ts) and its assigned reads grouped into mate pairs. Should two
+	// graphs share an id, the last one that has pairs speaks for it.
+	tsOf := map[int][]int{}
+	for ti := range ts {
+		tsOf[ts[ti].Component] = append(tsOf[ts[ti].Component], ti)
+	}
+	type unit struct {
+		ts    []int
+		pairs [][2]int32
+	}
+	var units []unit
+	for i := len(graphs) - 1; i >= 0; i-- {
+		id := graphs[i].Component.ID
+		if tis := tsOf[id]; len(tis) > 0 {
+			if pairs := componentPairs(graphs[i], reads); len(pairs) > 0 {
+				units = append(units, unit{tis, pairs})
+				delete(tsOf, id)
+			}
 		}
 	}
 
 	support := make([]int, len(ts))
-	supportOne := func(ti int) {
-		pairs := pairsByComp[ts[ti].Component]
-		if len(pairs) == 0 {
-			return
+	workers = max(workers, 1)
+	indexes := make([]mateIndex, workers) // one per worker, its memory reused across components
+	// Largest first: a mate k-mer costs a lookup plus a walk over the
+	// transcripts that hold it.
+	order := omp.LPTOrder(len(units), func(i int) float64 {
+		return float64(len(units[i].pairs)) * float64(1+len(units[i].ts))
+	})
+	omp.ParallelFor(len(units), workers, omp.Schedule{Kind: omp.Dynamic}, func(p, tid int) {
+		u, ix := units[order[p]], &indexes[tid]
+		ix.build(ts, u.ts)
+		for pi, pair := range u.pairs {
+			// Each mate is scanned once, against all the component's
+			// transcripts at a time.
+			ix.scan(reads[pair[0]].Seq)
+			for _, t := range ix.touched {
+				if ix.matches(t) {
+					ix.hits[t].mate1 = int32(pi + 1)
+				}
+			}
+			ix.scan(reads[pair[1]].Seq)
+			for _, t := range ix.touched {
+				if ix.matches(t) && ix.hits[t].mate1 == int32(pi+1) {
+					support[u.ts[t]]++
+				}
+			}
 		}
-		kmers := transcriptKmerSet(ts[ti].Seq)
-		for _, p := range pairs {
-			if mateMatches(reads[p[0]].Seq, kmers) && mateMatches(reads[p[1]].Seq, kmers) {
-				support[ti]++
+	})
+	return support
+}
+
+// mateIndex maps every PairSupportK-mer of one component's transcripts
+// to the transcripts that hold it (a FlatSet id into a CSR of positions
+// within the component, each transcript listed once per k-mer), and
+// carries the per-transcript hit counters one mate scan fills.
+type mateIndex struct {
+	kmers       *kmer.FlatSet
+	offs, items []int32 // transcripts holding k-mer id: items[offs[id]:offs[id+1]]
+	last        []int32 // build scratch: the last transcript to list k-mer id
+	hits        []txHits
+	touched     []int32 // transcripts the current scan has hit
+	epoch       int32   // the current scan's number
+}
+
+// txHits is one transcript's state within a component's scans.
+type txHits struct {
+	epoch int32    // scan that n belongs to
+	n     [2]int32 // the mate's k-mers found forward / reverse-complemented
+	mate1 int32    // pair (1-based) whose first mate matched
+}
+
+// build indexes transcripts ts[tis[0]], ts[tis[1]], ... as 0, 1, ...:
+// a counting sort of (k-mer id, transcript) listings in two passes over
+// the transcripts' k-mers, sizes then places.
+func (ix *mateIndex) build(ts []Transcript, tis []int) {
+	bases := 0
+	for _, ti := range tis {
+		bases += len(ts[ti].Seq)
+	}
+	ix.kmers = kmer.NewFlatSet(bases)
+	ix.offs, ix.last = append(ix.offs[:0], 0), ix.last[:0]
+	for pass := 0; pass < 2; pass++ {
+		for t, ti := range tis {
+			mark := int32(pass*len(tis) + t)
+			it := kmer.NewIterator(ts[ti].Seq, PairSupportK)
+			for m, _, ok := it.Next(); ok; m, _, ok = it.Next() {
+				id := ix.kmers.Add(m)
+				if int(id) == len(ix.last) {
+					ix.last, ix.offs = append(ix.last, -1), append(ix.offs, 0)
+				}
+				switch {
+				case ix.last[id] == mark: // t lists this k-mer already
+				case pass == 0:
+					ix.offs[id+1]++
+				default:
+					ix.items[ix.offs[id]] = int32(t)
+					ix.offs[id]++
+				}
+				ix.last[id] = mark
+			}
+		}
+		if pass == 0 {
+			for id := 1; id < len(ix.offs); id++ {
+				ix.offs[id] += ix.offs[id-1]
+			}
+			ix.items = append(ix.items[:0], make([]int32, ix.offs[len(ix.offs)-1])...)
+		}
+	}
+	copy(ix.offs[1:], ix.offs) // placing left offs[id] at id's end: shift back
+	ix.offs[0] = 0
+	ix.hits = append(ix.hits[:0], make([]txHits, len(tis))...)
+	ix.epoch = 0
+}
+
+// scan counts, for every transcript of the component at once, how many
+// of the read's k-mers it holds forward and reverse-complemented (the
+// reverse complement's k-mers are the reverse complements of the
+// read's). It allocates nothing once touched has grown.
+func (ix *mateIndex) scan(read []byte) {
+	ix.epoch++
+	ix.touched = ix.touched[:0]
+	it := kmer.NewIterator(read, PairSupportK)
+	for m, _, ok := it.Next(); ok; m, _, ok = it.Next() {
+		for strand, q := range [2]kmer.Kmer{m, m.ReverseComplement(PairSupportK)} {
+			id, ok := ix.kmers.Lookup(q)
+			if !ok {
+				continue
+			}
+			for _, t := range ix.items[ix.offs[id]:ix.offs[id+1]] {
+				h := &ix.hits[t]
+				if h.epoch != ix.epoch {
+					h.epoch, h.n = ix.epoch, [2]int32{}
+					ix.touched = append(ix.touched, t)
+				}
+				h.n[strand]++
 			}
 		}
 	}
-	if workers > 1 {
-		omp.ParallelFor(len(ts), workers, omp.Schedule{Kind: omp.Dynamic},
-			func(ti, tid int) { supportOne(ti) })
-	} else {
-		for ti := range ts {
-			supportOne(ti)
-		}
-	}
-	return support
+}
+
+// matches reports whether the last scanned mate matches transcript t:
+// at least minMateKmers of its k-mers, or of its reverse complement's,
+// are the transcript's.
+func (ix *mateIndex) matches(t int32) bool {
+	h := &ix.hits[t]
+	return h.epoch == ix.epoch && (h.n[0] >= minMateKmers || h.n[1] >= minMateKmers)
 }
 
 // FilterByPairSupport drops transcripts with support below min within
@@ -137,41 +254,4 @@ func splitMate(id string) (base string, mate int, ok bool) {
 		return id[:len(id)-2], 2, true
 	}
 	return "", 0, false
-}
-
-func transcriptKmerSet(s []byte) map[kmer.Kmer]bool {
-	set := make(map[kmer.Kmer]bool, len(s))
-	it := kmer.NewIterator(s, PairSupportK)
-	for {
-		m, _, ok := it.Next()
-		if !ok {
-			return set
-		}
-		set[m] = true
-	}
-}
-
-// mateMatches reports whether at least minMateKmers k-mers of the read
-// or of its reverse complement are in kmers. The reverse complement's
-// k-mers are the reverse complements of the read's, so one pass over
-// the read counts both orientations.
-func mateMatches(read []byte, kmers map[kmer.Kmer]bool) bool {
-	fwd, rc := 0, 0
-	it := kmer.NewIterator(read, PairSupportK)
-	for {
-		m, _, ok := it.Next()
-		if !ok {
-			return false
-		}
-		if kmers[m] {
-			if fwd++; fwd >= minMateKmers {
-				return true
-			}
-		}
-		if kmers[m.ReverseComplement(PairSupportK)] {
-			if rc++; rc >= minMateKmers {
-				return true
-			}
-		}
-	}
 }

@@ -1,0 +1,7 @@
+//go:build race
+
+package butterfly
+
+// raceEnabled lets the allocation pins skip under the race detector,
+// whose instrumentation allocates on its own.
+const raceEnabled = true

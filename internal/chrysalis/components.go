@@ -54,7 +54,15 @@ func groupAssignments(comps []Component, assignments []Assignment, nreads int) [
 // contigs — the per-component unit of FastaToDeBruijn. The graph sees
 // the contigs in component order, exactly as the serial path adds them.
 func buildComponentGraph(contigs []seq.Record, comp Component, k int) (*ComponentGraph, error) {
-	g, err := dbg.New(k)
+	// Inchworm uses a k-mer once, so the contigs' bases bound their
+	// nodes closely; reads then add only their error k-mers.
+	bases := 0
+	for _, ci := range comp.Contigs {
+		if ci >= 0 && ci < len(contigs) {
+			bases += len(contigs[ci].Seq)
+		}
+	}
+	g, err := dbg.NewSized(k, bases)
 	if err != nil {
 		return nil, fmt.Errorf("chrysalis: component %d: %w", comp.ID, err)
 	}

@@ -12,58 +12,47 @@ import (
 
 // deleteNode removes m and detaches it from its neighbors' edge flags.
 func (g *Graph) deleteNode(m kmer.Kmer) {
-	n, ok := g.nodes[m]
-	if !ok {
-		return
+	if id, ok := g.lookup(m); ok {
+		g.deleteID(id)
 	}
-	for code := uint64(0); code < 4; code++ {
-		if n.in[code] {
-			prev := m.PrependBase(code, g.K)
-			if pn, ok := g.nodes[prev]; ok {
-				pn.out[m.LastBase()] = false
-			}
-		}
-		if n.out[code] {
-			next := m.AppendBase(code, g.K)
-			if nn, ok := g.nodes[next]; ok {
-				nn.in[m.FirstBase(g.K)] = false
-			}
-		}
-	}
-	delete(g.nodes, m)
 }
 
-// chainFrom walks a linear chain starting at m in the given direction
-// (fwd: successors) while degrees stay 1, up to maxLen nodes. It
-// returns the chain and whether it dead-ends (tip) within the limit.
-func (g *Graph) chainFrom(m kmer.Kmer, fwd bool, maxLen int) (chain []kmer.Kmer, deadEnd bool) {
-	cur := m
-	for len(chain) < maxLen {
-		chain = append(chain, cur)
-		var nexts []kmer.Kmer
-		if fwd {
-			nexts = g.Successors(cur)
-		} else {
-			nexts = g.Predecessors(cur)
-		}
-		if len(nexts) == 0 {
-			return chain, true
-		}
-		if len(nexts) != 1 {
-			return chain, false // reached a junction: not a tip end
-		}
-		var degIn int
-		if fwd {
-			degIn = g.InDegree(nexts[0])
-		} else {
-			degIn = g.OutDegree(nexts[0])
-		}
-		if degIn != 1 {
-			return chain, false // next node is a junction
-		}
-		cur = nexts[0]
+func (g *Graph) deleteID(id int32) {
+	m := g.kmers[id]
+	preds, np := g.neighbours(id, false)
+	for _, p := range preds[:np] {
+		g.edges[p] &^= 1 << m.LastBase()
 	}
-	return chain, false
+	succs, ns := g.neighbours(id, true)
+	for _, s := range succs[:ns] {
+		g.edges[s] &^= 16 << m.FirstBase(g.K)
+	}
+	g.edges[id] = 0
+	if g.dead == nil {
+		g.dead = make([]uint64, (cap(g.kmers)+63)/64)
+	}
+	for int(id>>6) >= len(g.dead) {
+		g.dead = append(g.dead, 0)
+	}
+	g.dead[id>>6] |= 1 << (uint(id) & 63)
+	g.live--
+}
+
+// chainFrom walks a linear chain starting at id in the given direction
+// (fwd: successors) while degrees stay 1, up to maxLen nodes, and
+// returns the chain.
+func (g *Graph) chainFrom(id int32, fwd bool, maxLen int) (chain []int32) {
+	for len(chain) < maxLen {
+		chain = append(chain, id)
+		nexts, n := g.neighbours(id, fwd)
+		// Stop at a dead end, at a junction, or before a next node that
+		// is itself a junction.
+		if n != 1 || (fwd && g.inDegree(nexts[0]) != 1) || (!fwd && g.outDegree(nexts[0]) != 1) {
+			return chain
+		}
+		id = nexts[0]
+	}
+	return chain
 }
 
 // ClipTips removes dead-end chains of at most maxLen nodes whose mean
@@ -76,51 +65,34 @@ func (g *Graph) ClipTips(maxLen int, covFrac float64) int {
 	removed := 0
 	for {
 		clippedThisRound := 0
-		for _, m := range g.Nodes() {
-			if _, ok := g.nodes[m]; !ok {
+		for _, id := range g.sortedIDs() {
+			if g.isDead(id) {
 				continue // already removed this round
 			}
 			// A tip starts where the chain has no continuation on one
 			// side and hangs off a junction on the other.
-			var chain []kmer.Kmer
-			var junction kmer.Kmer
-			var haveJunction bool
+			var fwd bool
 			switch {
-			case g.InDegree(m) == 0 && g.OutDegree(m) <= 1:
-				c, _ := g.chainFrom(m, true, maxLen)
-				chain = c
-				if len(c) > 0 {
-					if succs := g.Successors(c[len(c)-1]); len(succs) == 1 {
-						junction, haveJunction = succs[0], true
-					}
-				}
-			case g.OutDegree(m) == 0 && g.InDegree(m) <= 1:
-				c, _ := g.chainFrom(m, false, maxLen)
-				chain = c
-				if len(c) > 0 {
-					if preds := g.Predecessors(c[len(c)-1]); len(preds) == 1 {
-						junction, haveJunction = preds[0], true
-					}
-				}
+			case g.inDegree(id) == 0 && g.outDegree(id) <= 1:
+				fwd = true
+			case g.outDegree(id) == 0 && g.inDegree(id) <= 1:
+				fwd = false
 			default:
 				continue
 			}
-			if len(chain) == 0 || len(chain) >= maxLen {
+			chain := g.chainFrom(id, fwd, maxLen)
+			if len(chain) >= maxLen {
 				continue // too long to be an error artifact
 			}
-			if !haveJunction {
+			ends, n := g.neighbours(chain[len(chain)-1], fwd)
+			if n != 1 {
 				continue // an isolated linear component, not a tip
 			}
-			var covSum float64
-			for _, cm := range chain {
-				covSum += float64(g.Coverage(cm))
-			}
-			mean := covSum / float64(len(chain))
-			if mean >= covFrac*float64(g.Coverage(junction)) {
+			if g.meanCoverage(chain) >= covFrac*float64(g.coverage[ends[0]]) {
 				continue // well-supported: likely a real transcript end
 			}
-			for _, cm := range chain {
-				g.deleteNode(cm)
+			for _, cid := range chain {
+				g.deleteID(cid)
 			}
 			clippedThisRound += len(chain)
 		}
@@ -140,21 +112,18 @@ func (g *Graph) PopBubbles(maxLen int, covFrac float64) int {
 		maxLen = 2 * g.K
 	}
 	removed := 0
-	for _, m := range g.Nodes() {
-		if _, ok := g.nodes[m]; !ok {
+	for _, id := range g.sortedIDs() {
+		if g.isDead(id) || g.outDegree(id) != 2 {
 			continue
 		}
-		succs := g.Successors(m)
-		if len(succs) != 2 {
-			continue
-		}
+		succs, _ := g.neighbours(id, true)
 		armA, endA, okA := g.linearArm(succs[0], maxLen)
 		armB, endB, okB := g.linearArm(succs[1], maxLen)
 		if !okA || !okB || endA != endB {
 			continue
 		}
-		covA := meanCoverage(g, armA)
-		covB := meanCoverage(g, armB)
+		covA := g.meanCoverage(armA)
+		covB := g.meanCoverage(armB)
 		weak, strongCov := armA, covB
 		weakCov := covA
 		if covB < covA {
@@ -164,8 +133,8 @@ func (g *Graph) PopBubbles(maxLen int, covFrac float64) int {
 		if weakCov >= covFrac*strongCov {
 			continue // both arms well supported: a real isoform bubble
 		}
-		for _, cm := range weak {
-			g.deleteNode(cm)
+		for _, cid := range weak {
+			g.deleteID(cid)
 		}
 		removed += len(weak)
 	}
@@ -175,29 +144,29 @@ func (g *Graph) PopBubbles(maxLen int, covFrac float64) int {
 // linearArm follows a strictly linear run from start until the first
 // node with in-degree > 1 (the reconvergence point), returning the arm
 // nodes (excluding that point).
-func (g *Graph) linearArm(start kmer.Kmer, maxLen int) (arm []kmer.Kmer, end kmer.Kmer, ok bool) {
+func (g *Graph) linearArm(start int32, maxLen int) (arm []int32, end int32, ok bool) {
 	cur := start
 	for steps := 0; steps < maxLen; steps++ {
-		if g.InDegree(cur) > 1 {
+		if g.inDegree(cur) > 1 {
 			return arm, cur, len(arm) > 0
 		}
 		arm = append(arm, cur)
-		succs := g.Successors(cur)
-		if len(succs) != 1 {
+		if g.outDegree(cur) != 1 {
 			return nil, 0, false
 		}
+		succs, _ := g.neighbours(cur, true)
 		cur = succs[0]
 	}
 	return nil, 0, false
 }
 
-func meanCoverage(g *Graph, nodes []kmer.Kmer) float64 {
-	if len(nodes) == 0 {
+func (g *Graph) meanCoverage(ids []int32) float64 {
+	if len(ids) == 0 {
 		return 0
 	}
 	var sum float64
-	for _, m := range nodes {
-		sum += float64(g.Coverage(m))
+	for _, id := range ids {
+		sum += float64(g.coverage[id])
 	}
-	return sum / float64(len(nodes))
+	return sum / float64(len(ids))
 }

@@ -15,7 +15,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"gotrinity/internal/jellyfish"
 	"gotrinity/internal/kmer"
@@ -52,16 +52,6 @@ type Stats struct {
 	Partitions     int
 }
 
-// mix spreads k-mer bits across partitions (splitmix64 finaliser).
-func mix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // Count streams the reads' k-mers into partition files and counts each
 // partition independently, returning entries sorted by k-mer value
 // (the same order jellyfish.CountTable.Entries uses).
@@ -77,8 +67,9 @@ func Count(reads []seq.Record, opt Options) ([]jellyfish.Entry, Stats, error) {
 // emits the exact k-mer stream of the ASCII one, so the entries and
 // stats are identical to Count over the decoded records.
 func CountPacked(reads []seq.PackedRecord, opt Options) ([]jellyfish.Entry, Stats, error) {
+	var it kmer.PackedIterator // one iterator, re-aimed read by read: countWith is serial
 	return countWith(opt, len(reads), func(i int) kmerIter {
-		it := kmer.NewPackedIterator(reads[i].Seq, opt.K)
+		it = kmer.NewPackedIterator(reads[i].Seq, opt.K)
 		return &it
 	})
 }
@@ -127,7 +118,7 @@ func countWith(opt Options, n int, iterOf func(i int) kmerIter) ([]jellyfish.Ent
 			if opt.Canonical {
 				m, _ = m.Canonical(opt.K)
 			}
-			p := int(mix(uint64(m)) % uint64(opt.Partitions))
+			p := kmer.OwnerRank(m, opt.Partitions)
 			binary.LittleEndian.PutUint64(buf[:], uint64(m))
 			if _, err := writers[p].Write(buf[:]); err != nil {
 				closeAll(files)
@@ -144,14 +135,16 @@ func countWith(opt Options, n int, iterOf func(i int) kmerIter) ([]jellyfish.Ent
 		}
 	}
 
-	// Pass 2: count each partition independently.
+	// Pass 2: count each partition independently, in one flat counter
+	// emptied between partitions.
 	var entries []jellyfish.Entry
+	counts := kmer.NewCounter(0)
 	for p := range files {
 		if _, err := files[p].Seek(0, io.SeekStart); err != nil {
 			closeAll(files)
 			return nil, st, err
 		}
-		counts := make(map[kmer.Kmer]uint32)
+		counts.Reset()
 		br := bufio.NewReaderSize(files[p], 1<<16)
 		for {
 			if _, err := io.ReadFull(br, buf[:]); err != nil {
@@ -161,19 +154,18 @@ func countWith(opt Options, n int, iterOf func(i int) kmerIter) ([]jellyfish.Ent
 				closeAll(files)
 				return nil, st, fmt.Errorf("dsk: partition %d: %w", p, err)
 			}
-			counts[kmer.Kmer(binary.LittleEndian.Uint64(buf[:]))]++
+			counts.Add(kmer.Kmer(binary.LittleEndian.Uint64(buf[:])), 1)
 		}
-		if len(counts) > st.PeakPartition {
-			st.PeakPartition = len(counts)
-		}
-		st.DistinctKmers += len(counts)
-		for m, c := range counts {
+		st.PeakPartition = max(st.PeakPartition, counts.Len())
+		st.DistinctKmers += counts.Len()
+		entries = slices.Grow(entries, counts.Len())
+		counts.ForEach(func(m kmer.Kmer, c uint32) {
 			entries = append(entries, jellyfish.Entry{Kmer: m, Count: c})
-		}
+		})
 		files[p].Close()
 		files[p] = nil
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Kmer < entries[j].Kmer })
+	jellyfish.SortByKmer(entries)
 	return entries, st, nil
 }
 

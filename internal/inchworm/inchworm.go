@@ -7,7 +7,6 @@ package inchworm
 
 import (
 	"fmt"
-	"sort"
 
 	"gotrinity/internal/jellyfish"
 	"gotrinity/internal/kmer"
@@ -47,13 +46,32 @@ type Stats struct {
 }
 
 // Assembler holds the k-mer dictionary (the "hash table object" that
-// dominates Inchworm's memory footprint, per §II-A).
+// dominates Inchworm's memory footprint, per §II-A): the kept entries
+// in seed order, a FlatSet whose dense ids are positions in that order,
+// and a used bitmap over the ids. Because id order is abundance order
+// (decreasing count, ties by increasing k-mer), the best of several
+// candidate extensions is simply the one with the smallest id.
 type Assembler struct {
-	opt    Options
-	counts map[kmer.Kmer]uint32
-	used   map[kmer.Kmer]bool
-	seeds  []jellyfish.Entry
-	stats  Stats
+	opt         Options
+	seeds       []jellyfish.Entry
+	dict        *kmer.FlatSet
+	used        []uint64
+	left, right []byte // extend's scratch, reused across contigs
+	stats       Stats
+}
+
+// DuplicateKmerError reports a dictionary that names a k-mer twice
+// (a hand-edited dump): which count should seed and rank the k-mer is
+// undefined, so the dictionary is rejected.
+type DuplicateKmerError struct {
+	Kmer   kmer.Kmer
+	K      int
+	Counts [2]uint32 // the two entries' counts, larger first
+}
+
+func (e *DuplicateKmerError) Error() string {
+	return fmt.Sprintf("inchworm: dictionary names k-mer %s twice (counts %d and %d)",
+		e.Kmer.Decode(e.K), e.Counts[0], e.Counts[1]) // ascii-ok: error text
 }
 
 // New builds an assembler from a Jellyfish dictionary. Entries below
@@ -63,11 +81,7 @@ func New(entries []jellyfish.Entry, opt Options) (*Assembler, error) {
 	if err := opt.normalize(); err != nil {
 		return nil, err
 	}
-	a := &Assembler{
-		opt:    opt,
-		counts: make(map[kmer.Kmer]uint32, len(entries)),
-		used:   make(map[kmer.Kmer]bool, len(entries)),
-	}
+	a := &Assembler{opt: opt}
 	a.stats.KmersIn = len(entries)
 	if opt.Threads > 1 {
 		// Threaded hash construction, as the original Inchworm builds
@@ -81,26 +95,31 @@ func New(entries []jellyfish.Entry, opt Options) (*Assembler, error) {
 				}
 			})
 		for _, part := range parts {
-			for _, e := range part {
-				a.counts[e.Kmer] = e.Count
-				a.seeds = append(a.seeds, e)
-			}
+			a.seeds = append(a.seeds, part...)
 		}
 	} else {
+		kept := 0
 		for _, e := range entries {
 			if int(e.Count) >= opt.MinKmerCount {
-				a.counts[e.Kmer] = e.Count
+				kept++
+			}
+		}
+		a.seeds = make([]jellyfish.Entry, 0, kept)
+		for _, e := range entries {
+			if int(e.Count) >= opt.MinKmerCount {
 				a.seeds = append(a.seeds, e)
 			}
 		}
 	}
 	a.stats.KmersKept = len(a.seeds)
-	sort.Slice(a.seeds, func(i, j int) bool {
-		if a.seeds[i].Count != a.seeds[j].Count {
-			return a.seeds[i].Count > a.seeds[j].Count
+	jellyfish.SortByAbundance(a.seeds)
+	a.dict = kmer.NewFlatSet(len(a.seeds))
+	a.used = make([]uint64, (len(a.seeds)+63)/64)
+	for i, e := range a.seeds {
+		if first := a.dict.Add(e.Kmer); int(first) != i {
+			return nil, &DuplicateKmerError{Kmer: e.Kmer, K: opt.K, Counts: [2]uint32{a.seeds[first].Count, e.Count}}
 		}
-		return a.seeds[i].Kmer < a.seeds[j].Kmer
-	})
+	}
 	return a, nil
 }
 
@@ -108,11 +127,11 @@ func New(entries []jellyfish.Entry, opt Options) (*Assembler, error) {
 // contigs as FASTA-ready records named "contigN".
 func (a *Assembler) Assemble() []seq.Record {
 	var contigs []seq.Record
-	for _, s := range a.seeds {
-		if a.used[s.Kmer] {
+	for id, s := range a.seeds {
+		if a.isUsed(int32(id)) {
 			continue
 		}
-		c := a.extend(s.Kmer)
+		c := a.extend(s.Kmer, int32(id))
 		if len(c) >= a.opt.MinContigLen {
 			contigs = append(contigs, seq.Record{
 				ID:   fmt.Sprintf("contig%d", len(contigs)),
@@ -129,57 +148,47 @@ func (a *Assembler) Assemble() []seq.Record {
 // Stats returns assembly statistics; valid after Assemble.
 func (a *Assembler) Stats() Stats { return a.stats }
 
+func (a *Assembler) isUsed(id int32) bool { return a.used[id>>6]&(1<<(uint(id)&63)) != 0 }
+func (a *Assembler) setUsed(id int32)     { a.used[id>>6] |= 1 << (uint(id) & 63) }
+
 // extend grows a contig from seed in both directions, marking every
 // consumed k-mer as used so each k-mer seeds at most one contig.
-func (a *Assembler) extend(seedKmer kmer.Kmer) []byte {
-	k := a.opt.K
-	a.used[seedKmer] = true
-
+func (a *Assembler) extend(seedKmer kmer.Kmer, seedID int32) []byte {
+	a.setUsed(seedID)
 	// Extend rightwards: repeatedly find the most abundant unused
-	// k-mer whose (k-1)-prefix equals the current (k-1)-suffix.
-	var right []byte
-	cur := seedKmer
-	for {
-		next, base, ok := a.bestExtension(cur, true)
-		if !ok {
-			break
+	// k-mer whose (k-1)-prefix equals the current (k-1)-suffix; then
+	// leftwards symmetrically (collected in reverse order).
+	walk := func(fwd bool, bases []byte) []byte {
+		cur := seedKmer
+		for {
+			next, base, ok := a.bestExtension(cur, fwd)
+			if !ok {
+				return bases
+			}
+			bases = append(bases, base)
+			cur = next
 		}
-		right = append(right, base)
-		a.used[next] = true
-		cur = next
 	}
+	a.right = walk(true, a.right[:0])
+	a.left = walk(false, a.left[:0])
 
-	// Extend leftwards symmetrically.
-	var left []byte // collected in reverse order
-	cur = seedKmer
-	for {
-		next, base, ok := a.bestExtension(cur, false)
-		if !ok {
-			break
-		}
-		left = append(left, base)
-		a.used[next] = true
-		cur = next
+	contig := make([]byte, 0, len(a.left)+a.opt.K+len(a.right))
+	for i := len(a.left) - 1; i >= 0; i-- {
+		contig = append(contig, a.left[i])
 	}
-
-	contig := make([]byte, 0, len(left)+k+len(right))
-	for i := len(left) - 1; i >= 0; i-- {
-		contig = append(contig, left[i])
-	}
-	contig = append(contig, seedKmer.Decode(k)...) // ascii-ok: contig record assembly, once per contig
-	contig = append(contig, right...)
-	return contig
+	contig = seedKmer.AppendDecode(contig, a.opt.K) // ascii-ok: contig record assembly, once per contig
+	return append(contig, a.right...)
 }
 
 // bestExtension probes the four possible single-base extensions of cur
-// (to the right if fwd, else to the left) and returns the unused
-// candidate with the highest count.
+// (to the right if fwd, else to the left), marks the unused candidate
+// with the highest count (ties: the smallest k-mer) used and returns
+// it. Four lookups, no allocation.
 func (a *Assembler) bestExtension(cur kmer.Kmer, fwd bool) (kmer.Kmer, byte, bool) {
 	k := a.opt.K
 	var bestK kmer.Kmer
 	var bestBase byte
-	var bestCount uint32
-	found := false
+	best := int32(-1)
 	for code := uint64(0); code < 4; code++ {
 		var cand kmer.Kmer
 		if fwd {
@@ -188,15 +197,19 @@ func (a *Assembler) bestExtension(cur kmer.Kmer, fwd bool) (kmer.Kmer, byte, boo
 			cand = cur.PrependBase(code, k)
 		}
 		a.stats.ExtensionOps++
-		c, ok := a.counts[cand]
-		if !ok || a.used[cand] {
+		id, ok := a.dict.Lookup(cand)
+		if !ok || a.isUsed(id) {
 			continue
 		}
-		if !found || c > bestCount || (c == bestCount && cand < bestK) {
-			bestK, bestBase, bestCount, found = cand, seq.IndexBase(code), c, true
+		if best < 0 || id < best {
+			bestK, bestBase, best = cand, seq.IndexBase(code), id
 		}
 	}
-	return bestK, bestBase, found
+	if best < 0 {
+		return 0, 0, false
+	}
+	a.setUsed(best)
+	return bestK, bestBase, true
 }
 
 // Run is the full Inchworm stage: count dictionary in, contigs out.

@@ -1,22 +1,24 @@
 // Package jellyfish is the k-mer counting stage of the pipeline,
 // mirroring the role of Jellyfish in Trinity: it counts canonical (or
-// stranded) k-mers across millions of reads using a sharded concurrent
-// hash table, and dumps the counts in the text format consumed by
+// stranded) k-mers across millions of reads into hash-partitioned flat
+// counters, and dumps the counts in the text format consumed by
 // Inchworm ("count kmer" per line, like `jellyfish dump -c`).
 package jellyfish
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
+	"unicode"
 
 	"gotrinity/internal/kmer"
+	"gotrinity/internal/omp"
 	"gotrinity/internal/seq"
 )
 
@@ -26,7 +28,7 @@ type Options struct {
 	Canonical bool // count k-mer and reverse complement together
 	MinCount  int  // drop k-mers rarer than this at dump time (error filter)
 	Threads   int  // worker goroutines; 0 means GOMAXPROCS
-	Shards    int  // hash shards; 0 means 4×threads rounded up to pow2
+	Shards    int  // hash partitions; 0 means 4×threads rounded up to pow2
 }
 
 func (o *Options) normalize() error {
@@ -34,7 +36,7 @@ func (o *Options) normalize() error {
 		return fmt.Errorf("jellyfish: k=%d out of range 1..%d", o.K, kmer.MaxK)
 	}
 	if o.Threads <= 0 {
-		o.Threads = runtime.GOMAXPROCS(0)
+		o.Threads = omp.DefaultThreads()
 	}
 	if o.MinCount <= 0 {
 		o.MinCount = 1
@@ -55,79 +57,85 @@ func nextPow2(n int) int {
 	return p
 }
 
-// CountTable holds k-mer counts sharded by hash so that independent
-// goroutines rarely contend on the same lock.
+// CountTable holds k-mer counts in hash partitions, each a flat
+// kmer.Counter (dense ids + a count array) behind its own lock. Bulk
+// counting never takes a lock per k-mer: countWith applies whole
+// batches to a partition (DESIGN.md §8, "the k-mer spine").
 type CountTable struct {
-	K      int
-	shards []shard
-	mask   uint64
+	K     int
+	parts []partition
+	shift uint // a k-mer's partition is the top 64-shift bits of its Hash
 }
 
-type shard struct {
+type partition struct {
 	mu sync.Mutex
-	m  map[kmer.Kmer]uint32
+	c  *kmer.Counter
 }
 
-// NewCountTable allocates an empty table with the given k and shard
-// count (rounded to a power of two).
+// NewCountTable allocates an empty table with the given k and
+// partition count (rounded to a power of two).
 func NewCountTable(k, shards int) *CountTable {
 	shards = nextPow2(shards)
-	t := &CountTable{K: k, shards: make([]shard, shards), mask: uint64(shards - 1)}
-	for i := range t.shards {
-		t.shards[i].m = make(map[kmer.Kmer]uint32)
+	t := &CountTable{K: k, parts: make([]partition, shards), shift: 64}
+	for p := 1; p < shards; p <<= 1 {
+		t.shift--
+	}
+	for i := range t.parts {
+		t.parts[i].c = kmer.NewCounter(0)
 	}
 	return t
 }
 
-// mix is a 64-bit finaliser (splitmix64) spreading k-mer bits across
-// shards.
-func mix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+// part returns m's partition. It takes the hash's top bits because
+// FlatSet probes from the low bits of the same hash: low-bit partitions
+// would leave every k-mer of a partition sharing its home slots' low
+// bits.
+func (t *CountTable) part(m kmer.Kmer) *partition {
+	return &t.parts[m.Hash()>>t.shift]
 }
 
-// Add increments the count of m by delta.
+// Add increments the count of m by delta, saturating at MaxUint32.
 func (t *CountTable) Add(m kmer.Kmer, delta uint32) {
-	s := &t.shards[mix(uint64(m))&t.mask]
-	s.mu.Lock()
-	s.m[m] += delta
-	s.mu.Unlock()
+	p := t.part(m)
+	p.mu.Lock()
+	p.c.Add(m, delta)
+	p.mu.Unlock()
 }
 
 // Get returns the count of m.
 func (t *CountTable) Get(m kmer.Kmer) uint32 {
-	s := &t.shards[mix(uint64(m))&t.mask]
-	s.mu.Lock()
-	c := s.m[m]
-	s.mu.Unlock()
+	p := t.part(m)
+	p.mu.Lock()
+	c := p.c.Get(m)
+	p.mu.Unlock()
 	return c
+}
+
+// each calls fn on every partition's counter in turn, under its lock.
+func (t *CountTable) each(fn func(c *kmer.Counter)) {
+	for i := range t.parts {
+		p := &t.parts[i]
+		p.mu.Lock()
+		fn(p.c)
+		p.mu.Unlock()
+	}
 }
 
 // Distinct returns the number of distinct k-mers stored.
 func (t *CountTable) Distinct() int {
 	n := 0
-	for i := range t.shards {
-		t.shards[i].mu.Lock()
-		n += len(t.shards[i].m)
-		t.shards[i].mu.Unlock()
-	}
+	t.each(func(c *kmer.Counter) { n += c.Len() })
 	return n
 }
 
 // Total returns the total number of k-mer occurrences counted.
 func (t *CountTable) Total() uint64 {
 	var n uint64
-	for i := range t.shards {
-		t.shards[i].mu.Lock()
-		for _, c := range t.shards[i].m {
-			n += uint64(c)
+	t.each(func(c *kmer.Counter) {
+		for _, v := range c.Counts() {
+			n += uint64(v)
 		}
-		t.shards[i].mu.Unlock()
-	}
+	})
 	return n
 }
 
@@ -155,37 +163,13 @@ type frozenEntry struct {
 	count uint32
 }
 
-// Freeze snapshots the table into a Frozen flat table. The snapshot is
-// taken shard by shard under each shard's lock; concurrent Adds that
-// race the freeze land in either the snapshot or only the live table,
-// so callers should freeze only after counting has completed.
+// Freeze snapshots the table into a Frozen flat table, partition by
+// partition under each partition's lock; concurrent Adds that race the
+// freeze land in either the snapshot or only the live table, so callers
+// should freeze only after counting has completed.
 func (t *CountTable) Freeze() *Frozen {
-	distinct := t.Distinct()
-	slots := 16
-	shift := uint(60)
-	for slots < 3*distinct/2+1 {
-		slots <<= 1
-		shift--
-	}
-	f := &Frozen{
-		K:       t.K,
-		entries: make([]frozenEntry, slots),
-		mask:    uint64(slots - 1),
-		shift:   shift,
-		n:       distinct,
-	}
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for m, c := range s.m {
-			j := (uint64(m) * fibMul) >> f.shift
-			for f.entries[j].key != 0 {
-				j = (j + 1) & f.mask
-			}
-			f.entries[j] = frozenEntry{uint64(m)<<1 | 1, c}
-		}
-		s.mu.Unlock()
-	}
+	f := newFrozen(t.K, t.Distinct())
+	t.each(func(c *kmer.Counter) { c.ForEach(f.put) })
 	return f
 }
 
@@ -193,30 +177,34 @@ func (t *CountTable) Freeze() *Frozen {
 // pairs — the constructor the sharded k-mer layer uses for owner-rank
 // shards and remote-answer caches, which materialise partial tables
 // without ever holding a full CountTable. Entries must name distinct
-// k-mers; probe behaviour (and therefore Get results) is identical to
-// a Freeze of a table holding the same pairs.
+// k-mers; Get results are identical to a Freeze of a table holding the
+// same pairs.
 func FrozenFromEntries(k int, entries []Entry) *Frozen {
+	f := newFrozen(k, len(entries))
+	for _, e := range entries {
+		f.put(e.Kmer, e.Count)
+	}
+	return f
+}
+
+// newFrozen allocates an empty snapshot sized for n distinct k-mers.
+func newFrozen(k, n int) *Frozen {
 	slots := 16
 	shift := uint(60)
-	for slots < 3*len(entries)/2+1 {
+	for slots < 3*n/2+1 {
 		slots <<= 1
 		shift--
 	}
-	f := &Frozen{
-		K:       k,
-		entries: make([]frozenEntry, slots),
-		mask:    uint64(slots - 1),
-		shift:   shift,
-		n:       len(entries),
+	return &Frozen{K: k, entries: make([]frozenEntry, slots), mask: uint64(slots - 1), shift: shift, n: n}
+}
+
+// put places a k-mer the snapshot does not hold yet (build phase only).
+func (f *Frozen) put(m kmer.Kmer, count uint32) {
+	j := (uint64(m) * fibMul) >> f.shift
+	for f.entries[j].key != 0 {
+		j = (j + 1) & f.mask
 	}
-	for _, e := range entries {
-		j := (uint64(e.Kmer) * fibMul) >> f.shift
-		for f.entries[j].key != 0 {
-			j = (j + 1) & f.mask
-		}
-		f.entries[j] = frozenEntry{uint64(e.Kmer)<<1 | 1, e.Count}
-	}
-	return f
+	f.entries[j] = frozenEntry{uint64(m)<<1 | 1, count}
 }
 
 // ForEach calls fn for every (k-mer, count) pair in slot order —
@@ -279,84 +267,185 @@ type Entry struct {
 // Entries snapshots the table as a slice filtered by minCount, sorted
 // by k-mer value for deterministic output.
 func (t *CountTable) Entries(minCount int) []Entry {
-	var out []Entry
-	for i := range t.shards {
-		t.shards[i].mu.Lock()
-		for m, c := range t.shards[i].m {
-			if int(c) >= minCount {
-				out = append(out, Entry{m, c})
+	out := t.collect(minCount)
+	SortByKmer(out)
+	return out
+}
+
+// collect returns the entries with count ≥ minCount in an exact-size
+// slice, in no particular order.
+func (t *CountTable) collect(minCount int) []Entry {
+	n := 0
+	t.each(func(c *kmer.Counter) {
+		for _, v := range c.Counts() {
+			if int(v) >= minCount {
+				n++
 			}
 		}
-		t.shards[i].mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Kmer < out[j].Kmer })
+	})
+	out := make([]Entry, 0, n)
+	t.each(func(c *kmer.Counter) {
+		c.ForEach(func(m kmer.Kmer, v uint32) {
+			if int(v) >= minCount {
+				out = append(out, Entry{m, v})
+			}
+		})
+	})
 	return out
+}
+
+// SortByKmer sorts entries by increasing k-mer value — the order
+// Entries and dsk.Count return.
+func SortByKmer(entries []Entry) { radixSort(entries, 8) }
+
+// SortByAbundance sorts entries by decreasing count, ties by
+// increasing k-mer: the dump's line order and Inchworm's seed order.
+func SortByAbundance(entries []Entry) { radixSort(entries, 12) }
+
+// radixSort is a stable LSD radix sort over an entry's first `passes`
+// byte digits: the k-mer's eight bytes, least significant first, then
+// the complemented count's four — so 8 passes order by k-mer and 12 by
+// decreasing count, ties by k-mer. A pass whose digit is the same in
+// every entry is skipped (a 25-mer costs 7 passes, small counts one),
+// as are the k-mer passes of entries that arrive in k-mer order. It
+// replaces sort.Slice, whose reflection-based swaps took longer over a
+// table's entries than counting them did.
+func radixSort(a []Entry, passes int) {
+	digit := func(e *Entry, pass int) uint64 {
+		if pass < 8 {
+			return uint64(e.Kmer) >> (8 * pass) & 255
+		}
+		return uint64(^e.Count) >> (8 * (pass - 8)) & 255
+	}
+	pass := 0
+	if slices.IsSortedFunc(a, func(x, y Entry) int { return cmp.Compare(x.Kmer, y.Kmer) }) {
+		pass = 8
+	}
+	src, dst := a, []Entry(nil)
+	for ; pass < passes && len(a) > 1; pass++ {
+		var offs [256]int
+		for i := range src {
+			offs[digit(&src[i], pass)]++
+		}
+		if offs[digit(&src[0], pass)] == len(src) {
+			continue
+		}
+		if dst == nil {
+			dst = make([]Entry, len(a))
+		}
+		sum := 0
+		for d, n := range offs {
+			offs[d], sum = sum, sum+n
+		}
+		for i := range src {
+			d := digit(&src[i], pass)
+			dst[offs[d]] = src[i]
+			offs[d]++
+		}
+		src, dst = dst, src
+	}
+	if len(a) > 1 && &src[0] != &a[0] {
+		copy(a, src)
+	}
 }
 
 // FromEntries rebuilds a count table from dumped entries — the bridge
 // from external counters (dsk's disk-partitioned pass, LoadFile) into
-// the stages that consume a CountTable. The rebuilt table is
-// indistinguishable from one filled by Count over the same k-mers.
+// the stages that consume a CountTable. It is a bulk build: one
+// partition pre-sized for the entries, filled without locking. The
+// rebuilt table is indistinguishable from one filled by Count over the
+// same k-mers; an entry repeating a k-mer adds to its count.
 func FromEntries(k int, entries []Entry) *CountTable {
-	t := NewCountTable(k, nextPow2(4*runtime.GOMAXPROCS(0)))
+	t := NewCountTable(k, 1)
+	t.parts[0].c = kmer.NewCounter(len(entries))
 	for _, e := range entries {
-		t.Add(e.Kmer, e.Count)
+		t.parts[0].c.Add(e.Kmer, e.Count)
 	}
 	return t
 }
 
 // Count tallies the k-mers of every record into a fresh table.
 func Count(recs []seq.Record, opt Options) (*CountTable, error) {
+	return countWith(opt, len(recs), func(i int, emit func(kmer.Kmer)) {
+		it := kmer.NewIterator(recs[i].Seq, opt.K)
+		for m, _, ok := it.Next(); ok; m, _, ok = it.Next() {
+			emit(m)
+		}
+	})
+}
+
+// batchLen is how many k-mers a worker gathers for one partition before
+// applying them under that partition's lock: long enough that a
+// partition's slots stay in the applying core's cache across a batch
+// (measured 1.6x faster than 256 on both benchmark read sets, flat
+// beyond 4096 — EXPERIMENTS.md "The k-mer spine off Go maps").
+// readBlock is how many reads a worker claims at a time.
+const (
+	batchLen  = 4096
+	readBlock = 64
+)
+
+// countWith is the one counting body behind Count and CountPacked;
+// kmersOf emits read i's k-mers in order. Workers claim blocks of
+// reads and route each k-mer into a worker-local batch for the
+// partition that owns it; a full batch is applied under that
+// partition's lock, so synchronisation is once per batchLen k-mers and
+// batch memory is threads × partitions × batchLen k-mers whatever the
+// input size. Increments commute, so every count — and everything
+// derived from the table — is the same for any Threads × Shards.
+func countWith(opt Options, n int, kmersOf func(i int, emit func(kmer.Kmer))) (*CountTable, error) {
 	if err := opt.normalize(); err != nil {
 		return nil, err
 	}
-	table := NewCountTable(opt.K, opt.Shards)
-	var wg sync.WaitGroup
-	work := make(chan int, opt.Threads)
-	for w := 0; w < opt.Threads; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range work {
-				countRecord(table, recs[idx].Seq, opt)
+	t := NewCountTable(opt.K, opt.Shards)
+	apply := func(p int, batch []kmer.Kmer) {
+		part := &t.parts[p]
+		part.mu.Lock()
+		for _, m := range batch {
+			part.c.Add(m, 1)
+		}
+		part.mu.Unlock()
+	}
+	batches := make([][][]kmer.Kmer, opt.Threads) // [worker][partition]
+	emits := make([]func(kmer.Kmer), opt.Threads)
+	for w := range batches {
+		batch := make([][]kmer.Kmer, len(t.parts))
+		batches[w] = batch
+		emits[w] = func(m kmer.Kmer) {
+			if opt.Canonical {
+				m, _ = m.Canonical(opt.K)
 			}
-		}()
-	}
-	for i := range recs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	return table, nil
-}
-
-func countRecord(table *CountTable, s []byte, opt Options) {
-	it := kmer.NewIterator(s, opt.K)
-	for {
-		m, _, ok := it.Next()
-		if !ok {
-			return
+			p := m.Hash() >> t.shift
+			batch[p] = append(batch[p], m)
+			if len(batch[p]) == batchLen {
+				apply(int(p), batch[p])
+				batch[p] = batch[p][:0]
+			}
 		}
-		if opt.Canonical {
-			m, _ = m.Canonical(opt.K)
-		}
-		table.Add(m, 1)
 	}
+	omp.ParallelFor(n, opt.Threads, omp.Schedule{Kind: omp.Dynamic, Chunk: readBlock},
+		func(i, tid int) { kmersOf(i, emits[tid]) })
+	for _, batch := range batches {
+		for p := range batch {
+			apply(p, batch[p])
+		}
+	}
+	return t, nil
 }
 
 // Dump writes the table as "count<TAB>kmer" lines (decreasing count,
 // then increasing k-mer), the text format Inchworm parses.
 func Dump(w io.Writer, t *CountTable, minCount int) error {
-	entries := t.Entries(minCount)
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Count != entries[j].Count {
-			return entries[i].Count > entries[j].Count
-		}
-		return entries[i].Kmer < entries[j].Kmer
-	})
+	entries := t.collect(minCount)
+	SortByAbundance(entries)
 	bw := bufio.NewWriterSize(w, 1<<16)
+	var line []byte
 	for _, e := range entries {
-		if _, err := fmt.Fprintf(bw, "%d\t%s\n", e.Count, e.Kmer.Decode(t.K)); err != nil { // ascii-ok: dump-file boundary
+		line = strconv.AppendUint(line[:0], uint64(e.Count), 10)
+		line = append(line, '\t')
+		line = e.Kmer.AppendDecode(line, t.K) // ascii-ok: dump-file boundary
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
@@ -379,34 +468,51 @@ func DumpFile(path string, t *CountTable, minCount int) error {
 // Load parses a dump produced by Dump back into entries. k must match
 // the dump's k-mer length.
 func Load(r io.Reader, k int) ([]Entry, error) {
+	return load(r, k, 0)
+}
+
+// load is Load with a capacity hint for the result. Lines are parsed
+// in the scanner's buffer: no string, field slice or k-mer copy is
+// made per line.
+func load(r io.Reader, k, sizeHint int) ([]Entry, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	var out []Entry
+	out := slices.Grow([]Entry(nil), sizeHint) // nil for an empty dump, as ever
 	lineno := 0
 	for sc.Scan() {
 		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		count, rest := nextField(sc.Bytes())
+		if len(count) == 0 {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("jellyfish: dump line %d: want 2 fields, got %d", lineno, len(fields))
+		word, rest := nextField(rest)
+		if extra, _ := nextField(rest); len(word) == 0 || len(extra) != 0 {
+			return nil, fmt.Errorf("jellyfish: dump line %d: want 2 fields, got %d", lineno, len(bytes.Fields(sc.Bytes())))
 		}
-		c, err := strconv.ParseUint(fields[0], 10, 32)
+		c, err := strconv.ParseUint(string(count), 10, 32) // a short string that does not escape: no allocation
 		if err != nil {
-			return nil, fmt.Errorf("jellyfish: dump line %d: bad count %q", lineno, fields[0])
+			return nil, fmt.Errorf("jellyfish: dump line %d: bad count %q", lineno, count)
 		}
-		if len(fields[1]) != k {
-			return nil, fmt.Errorf("jellyfish: dump line %d: k-mer length %d, want %d", lineno, len(fields[1]), k)
+		if len(word) != k {
+			return nil, fmt.Errorf("jellyfish: dump line %d: k-mer length %d, want %d", lineno, len(word), k)
 		}
-		m, ok := kmer.Encode([]byte(fields[1]), k)
+		m, ok := kmer.Encode(word, k)
 		if !ok {
-			return nil, fmt.Errorf("jellyfish: dump line %d: invalid k-mer %q", lineno, fields[1])
+			return nil, fmt.Errorf("jellyfish: dump line %d: invalid k-mer %q", lineno, word)
 		}
 		out = append(out, Entry{m, uint32(c)})
 	}
 	return out, sc.Err()
+}
+
+// nextField splits off s's first whitespace-delimited field, with
+// strings.Fields' notion of whitespace.
+func nextField(s []byte) (field, rest []byte) {
+	s = bytes.TrimLeftFunc(s, unicode.IsSpace)
+	if i := bytes.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, nil
 }
 
 // LoadFile reads a dump file.
@@ -416,5 +522,11 @@ func LoadFile(path string, k int) ([]Entry, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Load(f, k)
+	// A dump line is at least "c\tkmer\n": the file size bounds the
+	// entry count, so the result is allocated once.
+	hint := 0
+	if st, err := f.Stat(); err == nil {
+		hint = int(st.Size() / int64(k+3))
+	}
+	return load(f, k, hint)
 }

@@ -1,54 +1,23 @@
 // Packed-input counting. CountPacked is Count over 2-bit packed reads:
-// the same sharded table, worker pool, and per-record rolling
-// extraction, but fed by kmer.NewPackedIterator so no ASCII decode
-// happens on the hot path. Because the packed iterator emits the exact
-// k-mer stream of the ASCII iterator, the resulting table is identical
-// to Count over the decoded records.
+// the same partitioned table and counting body, fed by
+// kmer.NewPackedIterator so no ASCII decode happens on the hot path.
+// Because the packed iterator emits the exact k-mer stream of the
+// ASCII iterator, the resulting table is identical to Count over the
+// decoded records.
 
 package jellyfish
 
 import (
-	"sync"
-
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/seq"
 )
 
 // CountPacked counts k-mer occurrences across packed reads.
 func CountPacked(recs []seq.PackedRecord, opt Options) (*CountTable, error) {
-	if err := opt.normalize(); err != nil {
-		return nil, err
-	}
-	table := NewCountTable(opt.K, opt.Shards)
-	var wg sync.WaitGroup
-	work := make(chan int, opt.Threads)
-	for w := 0; w < opt.Threads; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range work {
-				countPackedRecord(table, recs[idx].Seq, opt)
-			}
-		}()
-	}
-	for i := range recs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	return table, nil
-}
-
-func countPackedRecord(table *CountTable, p seq.Packed, opt Options) {
-	it := kmer.NewPackedIterator(p, opt.K)
-	for {
-		m, _, ok := it.Next()
-		if !ok {
-			return
+	return countWith(opt, len(recs), func(i int, emit func(kmer.Kmer)) {
+		it := kmer.NewPackedIterator(recs[i].Seq, opt.K)
+		for m, _, ok := it.Next(); ok; m, _, ok = it.Next() {
+			emit(m)
 		}
-		if opt.Canonical {
-			m, _ = m.Canonical(opt.K)
-		}
-		table.Add(m, 1)
-	}
+	})
 }

@@ -58,6 +58,10 @@ func mixKmer(x uint64) uint64 {
 	return x
 }
 
+// Hash is the finaliser of m: the hash FlatSet probes from (its low
+// bits) and OwnerRank and the counting partitions split k-mer space by.
+func (m Kmer) Hash() uint64 { return mixKmer(uint64(m)) }
+
 // maxFlatLen is the dense-id capacity of a FlatSet: ids are int32, so
 // a table holds at most MaxInt32 distinct k-mers. Far beyond any table
 // this pipeline builds, but a pathological insert stream must fail
@@ -122,6 +126,13 @@ func (s *FlatSet) Contains(m Kmer) bool {
 
 // Len returns the number of distinct k-mers added.
 func (s *FlatSet) Len() int { return int(s.n) }
+
+// Reset empties the set, keeping its slot array, so one table can be
+// refilled partition after partition without reallocating.
+func (s *FlatSet) Reset() {
+	clear(s.slots)
+	s.n = 0
+}
 
 // ForEach calls fn for every (k-mer, id) pair, in slot order. Ids are
 // dense and insertion-ordered; slot order is an implementation detail

@@ -39,13 +39,16 @@ func Encode(s []byte, k int) (Kmer, bool) {
 
 // Decode unpacks the k-mer into an ASCII string of length k.
 func (m Kmer) Decode(k int) string {
-	buf := make([]byte, k)
-	v := uint64(m)
+	return string(m.AppendDecode(make([]byte, 0, k), k))
+}
+
+// AppendDecode appends the k-mer's k ASCII bases to dst — Decode
+// without the string, for callers that format into a reused buffer.
+func (m Kmer) AppendDecode(dst []byte, k int) []byte {
 	for i := k - 1; i >= 0; i-- {
-		buf[i] = seq.IndexBase(v)
-		v >>= 2
+		dst = append(dst, seq.IndexBase(uint64(m)>>(2*uint(i))))
 	}
-	return string(buf)
+	return dst
 }
 
 // AppendBase shifts the k-mer left by one base and appends code,
