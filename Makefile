@@ -79,44 +79,44 @@ bench-chrysalis:
 # Hot-path kernel snapshot: each flat/frozen kernel benchmarked
 # against the map-based reference it replaced — the Chrysalis kernels,
 # the packed Bowtie aligner and its seed-table build on deep-shaped
-# input, and the k-mer spine's four stages (counting, Inchworm, graph
-# build + compact, pair support) on deep- and wide-shaped input —
+# input, ReadsToTranscripts on deep-shaped input at one chunk worker and
+# at GOMAXPROCS, and the k-mer spine's four stages (counting, Inchworm,
+# graph build + compact, pair support) on deep- and wide-shaped input —
 # recorded as BENCH_kernels.json so the speedups (and any regressions)
 # show up in review diffs. The file is regenerated whole, stamped with
 # the host it ran on; the micro-kernels run for 1 s each and the
 # whole-stage benchmarks 10 times, so every entry has >= 7 iterations.
-# bench-chrysalis's awk JSON conversion, plus the host entry and minus
-# the -GOMAXPROCS suffix of each name (the host entry carries it).
 KERNEL_MICRO = HarvestWelds|ScanContigForWelds|BuildContigKmerIndex|AssignRead|CountTableGet|PackedIndexBuild
-KERNEL_STAGE = PackedAlignAll|CountPacked|InchwormRun|GraphBuildCompact|PairSupport
+KERNEL_STAGE = PackedAlignAll|R2TAssign|CountPacked|InchwormRun|GraphBuildCompact|PairSupport
 KERNEL_BENCH = $(KERNEL_MICRO)|$(KERNEL_STAGE)
 KERNEL_PKGS = ./internal/chrysalis/ ./internal/jellyfish/ ./internal/bowtie/ ./internal/inchworm/ ./internal/dbg/ ./internal/butterfly/
 BENCH_KERNELS_JSON ?= BENCH_kernels.json
 bench-kernels:
 	{ $(GO) test -run '^$$' -bench 'Benchmark($(KERNEL_MICRO))' -benchmem -benchtime 1s $(KERNEL_PKGS) ; \
 	  $(GO) test -run '^$$' -bench 'Benchmark($(KERNEL_STAGE))' -benchmem -benchtime 10x $(KERNEL_PKGS) ; } \
-	| awk -v host="\"num_cpu\": $$(nproc), \"gomaxprocs\": $${GOMAXPROCS:-$$(nproc)}, \"go\": \"$$($(GO) env GOVERSION)\"" \
+	| $(HOST_STAMPED_JSON) > $(BENCH_KERNELS_JSON)
+	@cat $(BENCH_KERNELS_JSON)
+
+# The host-stamped form of bench-chrysalis's awk JSON conversion: a
+# leading host entry, and each name without its -GOMAXPROCS suffix (the
+# host entry carries it).
+HOST_STAMPED_JSON = awk -v host="\"num_cpu\": $$(nproc), \"gomaxprocs\": $${GOMAXPROCS:-$$(nproc)}, \"go\": \"$$($(GO) env GOVERSION)\"" \
 	      'BEGIN { printf("{\n  \"host\": {%s}", host) } \
 	       /^Benchmark/ { sub(/-[0-9]+$$/, "", $$1); \
 	         printf(",\n  \"%s\": {\"iterations\": %s", $$1, $$2); \
 	         for (i = 3; i < NF; i += 2) printf(", \"%s\": %s", $$(i+1), $$i); \
 	         printf("}") } \
-	       END { printf("\n}\n") }' > $(BENCH_KERNELS_JSON)
-	@cat $(BENCH_KERNELS_JSON)
+	       END { printf("\n}\n") }'
 
 # Pipeline-tail snapshot: the tail worker-pool sweep, recorded as
-# BENCH_pipeline.json (wall tail seconds plus the deterministic LPT
-# makespan model — see DESIGN.md #9) so tail-scaling regressions show
-# up in review diffs. Same awk JSON conversion as bench-chrysalis.
+# BENCH_pipeline.json (wall_* tail seconds plus the deterministic LPT
+# makespan model's model_* — see DESIGN.md #9) so tail-scaling
+# regressions show up in review diffs; 7 iterations per sweep point,
+# host-stamped like bench-kernels.
 BENCH_PIPELINE_JSON ?= BENCH_pipeline.json
 bench-pipeline:
-	$(GO) test -run '^$$' -bench 'BenchmarkPipelineTail' -benchtime 3x -timeout 30m . \
-	| awk 'BEGIN { printf("{\n") } \
-	       /^Benchmark/ { if (n++) printf(",\n"); \
-	         printf("  \"%s\": {\"iterations\": %s", $$1, $$2); \
-	         for (i = 3; i < NF; i += 2) printf(", \"%s\": %s", $$(i+1), $$i); \
-	         printf("}") } \
-	       END { printf("\n}\n") }' > $(BENCH_PIPELINE_JSON)
+	$(GO) test -run '^$$' -bench 'BenchmarkPipelineTail' -benchtime 7x -timeout 30m . \
+	| $(HOST_STAMPED_JSON) > $(BENCH_PIPELINE_JSON)
 	@cat $(BENCH_PIPELINE_JSON)
 
 # Sharded k-mer state snapshot: per-rank resident bytes, lookup

@@ -27,7 +27,9 @@ type Options struct {
 	SeedStride int // distance between consecutive read seeds (default 8)
 	// MaxMismatch is the mismatch budget for verification. The zero
 	// value means exact matches only — what core.Config{}, cmd/trinity
-	// and cmd/bowtie run with; a negative value selects 3.
+	// and cmd/bowtie run with; a negative value selects 3. It also sets
+	// how many pairwise-disjoint seeds the packed aligner probes:
+	// MaxMismatch+1, by the pigeonhole principle.
 	MaxMismatch int
 	MinAlignLen int // shortest read the aligner will attempt (default SeedLen)
 	Threads     int // alignment worker threads (default GOMAXPROCS)
@@ -118,8 +120,8 @@ type Alignment struct {
 type Stats struct {
 	Reads         int64 // reads processed
 	Aligned       int64 // reads with a reported alignment
-	SeedProbes    int64 // index lookups
-	BasesCompared int64 // verification comparisons (work units)
+	SeedProbes    int64 // seed-index lookups made (the packed aligner skips seeds that cannot change the result)
+	BasesCompared int64 // verification comparisons made (work units)
 
 	// MakespanSec and ThreadImbalance summarise the OpenMP section
 	// (wall time of the busiest worker and busiest/least-busy ratio);
@@ -325,22 +327,18 @@ func BestPerRead(als []Alignment) []Alignment {
 		}
 		return a.Pos < b.Pos
 	}
-	best := map[string]Alignment{}
-	var order []string
+	// A read's slot in out is fixed at its first appearance; the map
+	// holds that slot, and a better alignment overwrites it in place.
+	slot := make(map[string]int32, len(als))
+	out := make([]Alignment, 0, len(als))
 	for _, a := range als {
-		cur, ok := best[a.ReadID]
+		i, ok := slot[a.ReadID]
 		if !ok {
-			best[a.ReadID] = a
-			order = append(order, a.ReadID)
-			continue
+			slot[a.ReadID] = int32(len(out))
+			out = append(out, a)
+		} else if better(a, out[i]) {
+			out[i] = a
 		}
-		if better(a, cur) {
-			best[a.ReadID] = a
-		}
-	}
-	out := make([]Alignment, 0, len(order))
-	for _, id := range order {
-		out = append(out, best[id])
 	}
 	return out
 }

@@ -1,10 +1,12 @@
 // Packed-sequence alignment path: a flat CSR seed table over 2-bit
 // packed contigs and an aligner that gathers, orders and verifies
 // candidates as integers on per-thread scratch, with the word-wise
-// Packed.MismatchRange as the verifier. Candidate order, the
-// mismatch-budget selection rule, and every stats counter mirror the
-// ASCII aligner exactly, so alignments and metered work are
-// byte-identical — only the representation differs.
+// Packed.MismatchRange as the verifier. Candidate order and the
+// mismatch-budget selection rule mirror the ASCII aligner, so the
+// alignments are byte-identical; unlike the exhaustive ASCII aligner it
+// probes only the seeds that can decide the answer and stops once the
+// answer is decided, so its SeedProbes and BasesCompared count less
+// work (DESIGN.md §12).
 
 package bowtie
 
@@ -122,13 +124,21 @@ func NewPackedAligner(ix *PackedIndex) *PackedAligner { return &PackedAligner{ix
 // grown to the workload's read length and seed multiplicity, aligning
 // a read allocates nothing.
 type alignScratch struct {
-	rc   seq.Packed // reverse complement of the current read
-	keys []uint64   // candidate keys of the current strand
+	rc    seq.Packed // reverse complement of the current read
+	keys  []uint64   // candidate keys of the current strand
+	seeds []readSeed // accepted seeds of the current strand, in read order
+	picks []readSeed // their first pairwise-disjoint ones
+}
+
+// readSeed is one accepted seed of a read: its k-mer and read offset.
+type readSeed struct {
+	m   kmer.Kmer
+	pos int
 }
 
 // AlignRead aligns a single packed read — the packed twin of
-// Aligner.AlignRead, with identical strand order, tie-breaking, and
-// stats accounting.
+// Aligner.AlignRead, with identical strand order, tie-breaking and
+// result.
 func (a *PackedAligner) AlignRead(rec *seq.PackedRecord, st *Stats) (Alignment, bool) {
 	return a.alignRead(rec, st, new(alignScratch))
 }
@@ -141,9 +151,13 @@ func (a *PackedAligner) alignRead(rec *seq.PackedRecord, st *Stats, sc *alignScr
 		return Alignment{}, false
 	}
 	best, ok := a.alignOneStrand(rec.Seq, false, st, sc)
-	rec.Seq.ReverseComplementInto(&sc.rc)
-	if alt, ok2 := a.alignOneStrand(sc.rc, true, st, sc); ok2 && (!ok || alt.Mismatches < best.Mismatches) {
-		best, ok = alt, true
+	// The reverse strand wins only with strictly fewer mismatches, which
+	// an exact forward placement rules out.
+	if !ok || best.Mismatches > 0 {
+		rec.Seq.ReverseComplementInto(&sc.rc)
+		if alt, ok2 := a.alignOneStrand(sc.rc, true, st, sc); ok2 && (!ok || alt.Mismatches < best.Mismatches) {
+			best, ok = alt, true
+		}
 	}
 	if !ok {
 		return Alignment{}, false
@@ -160,11 +174,18 @@ func (a *PackedAligner) alignRead(rec *seq.PackedRecord, st *Stats, sc *alignScr
 func (a *PackedAligner) alignOneStrand(read seq.Packed, reverse bool, st *Stats, sc *alignScratch) (Alignment, bool) {
 	ix := a.ix
 	opt := ix.opt
-	keys := sc.keys[:0]
 	n := read.Len()
+	// Pigeonhole: a placement with at most MaxMismatch mismatches leaves
+	// one of any MaxMismatch+1 disjoint seed windows mismatch-free, and
+	// that window's contig k-mer is indexed (an accepted seed holds no N,
+	// and N against a base is a mismatch). So the first MaxMismatch+1
+	// pairwise-disjoint accepted seeds vote for every placement the
+	// budget admits; a read with fewer probes every accepted seed.
+	need := opt.MaxMismatch + 1
+	seeds, picks := sc.seeds[:0], sc.picks[:0]
 	it := kmer.NewPackedIterator(read, opt.SeedLen)
-	nextAccept, probes := 0, 0
-	for {
+	nextAccept, nextDisjoint := 0, 0
+	for len(picks) < need {
 		m, pos, ok := it.Next()
 		if !ok {
 			break
@@ -173,12 +194,23 @@ func (a *PackedAligner) alignOneStrand(read seq.Packed, reverse bool, st *Stats,
 			continue
 		}
 		nextAccept = pos + opt.SeedStride
-		probes++
-		if id, ok := ix.seeds.Lookup(m); ok {
+		seeds = append(seeds, readSeed{m, pos})
+		if pos >= nextDisjoint {
+			picks = append(picks, readSeed{m, pos})
+			nextDisjoint = pos + opt.SeedLen
+		}
+	}
+	sc.seeds, sc.picks = seeds, picks
+	if len(picks) == need {
+		seeds = picks
+	}
+	keys := sc.keys[:0]
+	for _, s := range seeds {
+		if id, ok := ix.seeds.Lookup(s.m); ok {
 			for _, h := range ix.hits[ix.offs[id]:ix.offs[id+1]] {
 				// Only a read lying wholly on the contig is a candidate.
-				if start := int(uint32(h)) - pos; start >= 0 && start <= int(ix.lens[h>>32])-n {
-					keys = append(keys, h-uint64(pos))
+				if start := int(uint32(h)) - s.pos; start >= 0 && start <= int(ix.lens[h>>32])-n {
+					keys = append(keys, h-uint64(s.pos))
 				}
 			}
 		}
@@ -205,10 +237,13 @@ func (a *PackedAligner) alignOneStrand(read seq.Packed, reverse bool, st *Stats,
 		if mm < bestMM {
 			bestMM = mm
 			best = Alignment{Contig: int(ci), Pos: start, Reverse: reverse, Mismatches: mm}
+			if mm == 0 {
+				break // the first exact candidate in key order is final
+			}
 		}
 	}
 	if st != nil {
-		st.SeedProbes += int64(probes)
+		st.SeedProbes += int64(len(seeds))
 		st.BasesCompared += int64(verified * n)
 	}
 	// bestMM only ever falls below its start when a candidate was taken.

@@ -2,8 +2,10 @@ package bowtie
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gotrinity/internal/seq"
@@ -118,10 +120,113 @@ func TestPackedAlignerMatchesASCII(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: alignments differ: %d vs %d", tc.name, len(got), len(want))
 		}
-		if gotStats.Reads != wantStats.Reads || gotStats.Aligned != wantStats.Aligned ||
-			gotStats.SeedProbes != wantStats.SeedProbes || gotStats.BasesCompared != wantStats.BasesCompared {
-			t.Fatalf("%s: stats differ: packed %+v ascii %+v", tc.name, gotStats, wantStats)
+		checkWork(t, tc.name, gotStats, wantStats)
+	}
+}
+
+// checkWork compares the packed aligner's stats with the exhaustive
+// ASCII aligner's: the same reads and alignments counted, and no more
+// seed probes or compared bases — the packed aligner probes only the
+// seeds that can decide a read and stops verifying once it is decided.
+func checkWork(t *testing.T, name string, got, want Stats) {
+	t.Helper()
+	if got.Reads != want.Reads || got.Aligned != want.Aligned ||
+		got.SeedProbes > want.SeedProbes || got.BasesCompared > want.BasesCompared {
+		t.Fatalf("%s: stats: packed %+v, ascii %+v (want equal reads and aligned, packed work <= ascii)", name, got, want)
+	}
+}
+
+// TestPackedPigeonholeMatchesOracle pins the pigeonhole seed choice and
+// the early exits against the exhaustive ASCII aligner over every
+// mismatch budget and seed geometry the rule depends on: overlapping
+// (stride < length, once with SeedLen-1 a multiple of the stride),
+// abutting and gapped seeds; reads with one mismatch at every offset,
+// with an N run inside their first seed, too short for MaxMismatch+1
+// disjoint seeds (which probe every accepted seed), or overhanging a
+// contig; a seed repeated more than 64 times; one-mismatch near-copies
+// that sort before the exact contig; and reads whose reverse strand is
+// exact where the forward one is not.
+func TestPackedPigeonholeMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	contigs := makeContigs(rng, 36, 400)
+	unit := append([]byte(nil), contigs[0].Seq[100:150]...)
+	for i := 1; i < len(contigs); i++ { // 70 copies of every seed in unit
+		copy(contigs[i].Seq[30:], unit)
+		copy(contigs[i].Seq[len(contigs[i].Seq)-80:], unit)
+	}
+	mutate := func(s []byte, n int) []byte {
+		for ; n > 0; n-- {
+			s[rng.Intn(len(s))] = "ACGT"[rng.Intn(4)]
 		}
+		return s
+	}
+	sample := func(n int) []byte {
+		c := contigs[rng.Intn(len(contigs))].Seq
+		start := rng.Intn(len(c) - n)
+		return append([]byte(nil), c[start:start+n]...)
+	}
+	var reads []seq.Record
+	var extra []seq.Record
+	for i := 0; i < 60; i++ {
+		// One substitution at offset i; its reverse complement is also a
+		// contig, so the reverse strand is exact and must win.
+		sweep := sample(60)
+		sweep[i] = "ACGT"[(strings.IndexByte("ACGT", sweep[i])+1)%4]
+		reads = append(reads, seq.Record{ID: contigID(i) + "m", Seq: sweep})
+		if i%3 == 0 {
+			extra = append(extra, seq.Record{ID: "d" + contigID(i), Seq: append(seq.ReverseComplement(sweep), sample(20)...)})
+		}
+		// A near-copy ("b…" sorts before "c…") puts a one-mismatch
+		// candidate ahead of the exact one in key order.
+		near := sample(90)
+		reads = append(reads, seq.Record{ID: contigID(i) + "x", Seq: append([]byte(nil), near[15:75]...)})
+		extra = append(extra, seq.Record{ID: "b" + contigID(i), Seq: mutate(near, 1)})
+	}
+	contigs = append(contigs, extra...)
+	reads = append(reads, makeReads(rng, contigs, 200)...)
+	for i := 0; i < 60; i++ {
+		nrun := mutate(sample(60), rng.Intn(4))
+		for j, end := 2, 3+rng.Intn(5); j < end; j++ {
+			nrun[j] = 'N'
+		}
+		short := mutate(sample(10+rng.Intn(40)), rng.Intn(3))
+		unitRead := mutate(append(append([]byte(nil), unit...), sample(10)...), rng.Intn(3))
+		c := contigs[rng.Intn(len(contigs))].Seq
+		head := append(sample(12), c[:48]...)
+		tail := append(append([]byte(nil), c[len(c)-48:]...), sample(12)...)
+		reads = append(reads,
+			seq.Record{ID: contigID(i) + "n", Seq: nrun},
+			seq.Record{ID: contigID(i) + "s", Seq: short},
+			seq.Record{ID: contigID(i) + "u", Seq: seq.ReverseComplement(unitRead)},
+			seq.Record{ID: contigID(i) + "h", Seq: head},
+			seq.Record{ID: contigID(i) + "t", Seq: tail},
+		)
+	}
+	var probes, oracleProbes int64
+	for m := 0; m <= 3; m++ {
+		for _, g := range [][2]int{{16, 8}, {10, 4}, {16, 16}, {12, 20}, {16, 5}} {
+			opt := Options{SeedLen: g[0], SeedStride: g[1], MaxMismatch: m, Threads: 2}
+			ix, err := NewIndex(contigs, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pix, err := NewPackedIndex(seq.PackRecords(contigs), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("m=%d seed=%d stride=%d", m, g[0], g[1])
+			want, wantStats := NewAligner(ix).AlignAll(reads)
+			got, gotStats := NewPackedAligner(pix).AlignAll(seq.PackRecords(reads))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: alignments differ: %d vs %d", name, len(got), len(want))
+			}
+			checkWork(t, name, gotStats, wantStats)
+			probes += gotStats.SeedProbes
+			oracleProbes += wantStats.SeedProbes
+		}
+	}
+	if probes >= oracleProbes {
+		t.Errorf("packed aligner probed %d seeds, the exhaustive one %d: the pigeonhole choice is not in effect", probes, oracleProbes)
 	}
 }
 
@@ -143,9 +248,7 @@ func TestPackedAlignerPerRead(t *testing.T) {
 		if wok != gok || want != got {
 			t.Fatalf("read %d: packed (%+v,%v) vs ascii (%+v,%v)", i, got, gok, want, wok)
 		}
-		if ws != gs {
-			t.Fatalf("read %d: stats %+v vs %+v", i, gs, ws)
-		}
+		checkWork(t, fmt.Sprintf("read %d", i), gs, ws)
 	}
 }
 

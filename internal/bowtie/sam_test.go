@@ -2,6 +2,7 @@ package bowtie
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -117,6 +118,70 @@ func TestBestPerReadOrderingAndTies(t *testing.T) {
 func TestBestPerReadEmpty(t *testing.T) {
 	if got := BestPerRead(nil); len(got) != 0 {
 		t.Errorf("got %v", got)
+	}
+}
+
+// bestPerReadMap is the earlier BestPerRead, which kept whole winning
+// alignments in a map plus a first-seen order list; the reference the
+// slot-indexed reduction is compared against.
+func bestPerReadMap(als []Alignment) []Alignment {
+	better := func(a, b Alignment) bool {
+		if a.Mismatches != b.Mismatches {
+			return a.Mismatches < b.Mismatches
+		}
+		if a.Reverse != b.Reverse {
+			return !a.Reverse
+		}
+		if a.ContigID != b.ContigID {
+			return a.ContigID < b.ContigID
+		}
+		return a.Pos < b.Pos
+	}
+	best := map[string]Alignment{}
+	var order []string
+	for _, a := range als {
+		cur, ok := best[a.ReadID]
+		if !ok {
+			best[a.ReadID] = a
+			order = append(order, a.ReadID)
+			continue
+		}
+		if better(a, cur) {
+			best[a.ReadID] = a
+		}
+	}
+	out := make([]Alignment, 0, len(order))
+	for _, id := range order {
+		out = append(out, best[id])
+	}
+	return out
+}
+
+// TestBestPerReadMatchesMapReference merges partitions whose read IDs
+// repeat across and within partitions, with every tie-break field
+// drawn from a few values so full ties occur, and requires the map
+// reference's output exactly.
+func TestBestPerReadMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 50; trial++ {
+		parts := make([][]Alignment, 1+rng.Intn(5))
+		for p := range parts {
+			for i := rng.Intn(60); i > 0; i-- {
+				parts[p] = append(parts[p], Alignment{
+					ReadID:     contigID(rng.Intn(40)),
+					ReadLen:    60 + rng.Intn(3),
+					Contig:     rng.Intn(8),
+					ContigID:   contigID(rng.Intn(4)),
+					Pos:        rng.Intn(3),
+					Reverse:    rng.Intn(2) == 0,
+					Mismatches: rng.Intn(3),
+				})
+			}
+		}
+		merged := MergeSAM(parts)
+		if got, want := BestPerRead(merged), bestPerReadMap(merged); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: BestPerRead\n%+v\nwant\n%+v", trial, got, want)
+		}
 	}
 }
 

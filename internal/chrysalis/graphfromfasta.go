@@ -17,7 +17,7 @@ type GFFOptions struct {
 	K                 int   // weld seed k-mer length (Trinity: 24/25)
 	MinWeldSupport    int   // read occurrences required for every window k-mer (default 2)
 	MaxWeldsPerContig int   // harvest cap per contig; the tie-break point that makes output run-dependent (default 100)
-	ThreadsPerRank    int   // simulated OpenMP threads per MPI rank (default 16)
+	ThreadsPerRank    int   // OpenMP threads per MPI rank: the cost replay's, and the cap on a rank's chunk workers (default 16)
 	ChunkSize         int   // chunked round-robin chunk size; 0 derives the paper default
 	Seed              int64 // run seed perturbing harvest order (0 = fixed order)
 
@@ -201,8 +201,10 @@ func encodePair(p [2]int32) int64 { return int64(p[0])<<32 | int64(uint32(p[1]))
 func decodePair(enc int64) (weld, contig int32) { return int32(enc >> 32), int32(uint32(enc)) }
 
 // GraphFromFasta clusters contigs into components using `ranks` MPI
-// processes, each simulating opt.ThreadsPerRank OpenMP threads — the
-// paper's hybrid implementation. ranks=1 reproduces the original
+// processes, each running its chunks over up to opt.ThreadsPerRank
+// OpenMP threads (as many as its share of GOMAXPROCS allows; the cost
+// replay always uses opt.ThreadsPerRank) — the paper's hybrid
+// implementation. ranks=1 reproduces the original
 // OpenMP-only behaviour: the algorithm and its result are identical
 // for every rank count (verified by tests), only the work distribution
 // changes.

@@ -2,9 +2,11 @@ package chrysalis
 
 import (
 	"fmt"
+	"runtime"
 
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/mpi"
+	"gotrinity/internal/omp"
 	"gotrinity/internal/trace"
 )
 
@@ -28,19 +30,31 @@ import (
 // array vs the checkpoint store) and in how the ranks settle afterwards
 // (a barrier vs recovery rounds).
 //
+// The OpenMP level is real: a chunk's items run as contiguous blocks
+// over the rank's workers under a dynamic schedule (contig lengths are
+// heavy-tailed, §III-B), and the blocks' outputs are appended in block
+// order, so a chunk's output is the serial kernel's bit for bit. The
+// cost replay still spreads item costs over the logical threads, so
+// profiles and traces do not depend on the host.
+//
 // Invariant: the loop makes exactly the MPI calls and Probe points the
-// three hand-written loops made, in the same per-rank order. Seeded
-// fault plans address operations by per-rank call ordinal, so moving a
-// call would silently retarget every recorded fault scenario.
+// three hand-written loops made, in the same per-rank order, all on the
+// rank's own goroutine — the workers only run the kernel. Seeded fault
+// plans address operations by per-rank call ordinal, so moving a call
+// would silently retarget every recorded fault scenario.
 
 // loopEnv is what the loops of one stage execution share: the world
 // they run in, the cost-replay parameters, and the fault layer's
 // switches and report.
 type loopEnv struct {
 	world    *mpi.World
-	threads  int  // logical OpenMP threads per rank
+	threads  int  // OpenMP threads per rank in the cost replay
 	replicas int  // statistical copies in the cost replay (replicate.go)
 	static   bool // OpenMP static schedule in the cost replay (ablation)
+	// workers is how many goroutines run one chunk's items: the rank's
+	// threads, capped at its share of the host's cores, so ranks that
+	// already fill the cores keep one worker each.
+	workers int
 
 	// active turns on the fault layer: chunks checkpoint, collectives
 	// are the Try* forms, and settle runs recovery rounds. A fault plan
@@ -56,7 +70,8 @@ func newLoopEnv(ranks, threads, replicas int, static bool, faults *mpi.FaultPlan
 	recovery RecoveryOptions, rec *trace.Recorder) *loopEnv {
 	e := &loopEnv{
 		world: mpi.NewWorld(ranks), threads: threads, replicas: replicas, static: static,
-		active: faults != nil || recovery.Enabled, ro: recovery.withDefaults(),
+		workers: min(threads, max(1, runtime.GOMAXPROCS(0)/ranks)),
+		active:  faults != nil || recovery.Enabled, ro: recovery.withDefaults(),
 		rep: &recReport{}, rec: rec, adopted: make([]map[int]bool, ranks),
 	}
 	for r := range e.adopted {
@@ -138,10 +153,11 @@ type hybridLoop[T, L any] struct {
 	encode  func([]T) []byte    // a chunk's payload on the wire (recovery exchange)
 	scan    func(i int) float64 // optional: cost of streaming past item i of another rank's chunk
 
-	costs []float64      // clean run: per-item costs, each written by its chunk's owner
-	store *chunkStore[T] // fault layer: items and costs per chunk, first writer wins
-	led   *fetchLedger   // sharded: the fetch phase's completion ledger
-	ran   []int          // per rank: chunks started
+	costs  []float64      // clean run: per-item costs, each written by its chunk's owner
+	store  *chunkStore[T] // fault layer: items and costs per chunk, first writer wins
+	led    *fetchLedger   // sharded: the fetch phase's completion ledger
+	ran    []int          // per rank: chunks started
+	blocks [][][]T        // per rank: the workers' block outputs, reused chunk to chunk
 }
 
 // newHybridLoop allocates the world-shared state of a described loop.
@@ -150,6 +166,7 @@ type hybridLoop[T, L any] struct {
 // race with the survivors' replay.
 func newHybridLoop[T, L any](lp hybridLoop[T, L]) *hybridLoop[T, L] {
 	lp.ran = make([]int, lp.dist.Ranks)
+	lp.blocks = make([][][]T, lp.dist.Ranks)
 	if lp.env.active {
 		lp.store = newChunkStore[T](lp.dist.Chunks())
 	} else {
@@ -173,20 +190,20 @@ type loopRun[T any] struct {
 	exchanged  int64
 }
 
-// runChunk runs the kernel over one chunk, records the result where the
-// run keeps it, and returns dst extended by the chunk's items plus the
-// units spent. A clean run's kernel appends straight onto dst and writes
-// the shared cost array; the fault layer needs the chunk's items and
-// costs on their own, for the store.
-func (lp *hybridLoop[T, L]) runChunk(ch int, look L, dst []T) ([]T, float64) {
+// runChunk runs the kernel over one of rank's chunks, records the
+// result where the run keeps it, and returns dst extended by the chunk's
+// items plus the units spent. A clean run's kernel appends straight onto
+// dst and writes the shared cost array; the fault layer needs the
+// chunk's items and costs on their own, for the store.
+func (lp *hybridLoop[T, L]) runChunk(rank, ch int, look L, dst []T) ([]T, float64) {
 	lo, hi := lp.dist.ChunkRange(ch)
 	var costs []float64
 	if lp.store == nil {
 		costs = lp.costs[lo:hi]
-		dst = lp.kernel(lo, hi, look, costs, dst)
+		dst = lp.parallelKernel(rank, lo, hi, look, costs, dst)
 	} else {
 		costs = make([]float64, hi-lo)
-		items := lp.kernel(lo, hi, look, costs, nil)
+		items := lp.parallelKernel(rank, lo, hi, look, costs, nil)
 		lp.store.put(ch, items, costs)
 		dst = append(dst, items...)
 	}
@@ -195,6 +212,35 @@ func (lp *hybridLoop[T, L]) runChunk(ch int, look L, dst []T) ([]T, float64) {
 		units += u
 	}
 	return dst, units
+}
+
+// blocksPerWorker is how many contiguous blocks a chunk is cut into per
+// worker: enough for the dynamic schedule to even out heavy-tailed item
+// costs, few enough that a block amortises its kernel call.
+const blocksPerWorker = 8
+
+// parallelKernel runs the kernel over items [lo, hi) on the env's
+// workers and appends the items to dst in item order. Each block writes
+// its own slots of costs and its own reused output buffer of rank's, so
+// the result is the serial kernel's exactly.
+func (lp *hybridLoop[T, L]) parallelKernel(rank, lo, hi int, look L, costs []float64, dst []T) []T {
+	n := hi - lo
+	if lp.env.workers <= 1 || n <= 1 {
+		return lp.kernel(lo, hi, look, costs, dst)
+	}
+	nb := min(n, blocksPerWorker*lp.env.workers)
+	if k := nb - len(lp.blocks[rank]); k > 0 {
+		lp.blocks[rank] = append(lp.blocks[rank], make([][]T, k)...)
+	}
+	bufs := lp.blocks[rank][:nb]
+	omp.ParallelFor(nb, lp.env.workers, omp.Schedule{Kind: omp.Dynamic}, func(b, _ int) {
+		blo, bhi := lo+b*n/nb, lo+(b+1)*n/nb
+		bufs[b] = lp.kernel(blo, bhi, look, costs[blo-lo:bhi-lo], bufs[b][:0])
+	})
+	for _, buf := range bufs {
+		dst = append(dst, buf...)
+	}
+	return dst
 }
 
 // run executes this rank's chunks: straight through against the full
@@ -210,7 +256,7 @@ func (lp *hybridLoop[T, L]) run(c *Comm) (loopRun[T], error) {
 			lp.ran[rank]++
 			c.Probe() // fault point: a rank can die between chunks
 			var u float64
-			out.mine, u = lp.runChunk(ch, look, out.mine)
+			out.mine, u = lp.runChunk(rank, ch, look, out.mine)
 			units += u
 		}
 		return units
@@ -264,7 +310,7 @@ func (lp *hybridLoop[T, L]) settle(c *Comm) error {
 	}
 	return recoverChunks(c, lp.stage, lp.env.ro, lp.env.rep, lp.env.rec, lp.store.missing,
 		func(ch int) ([]byte, float64) {
-			items, units := lp.runChunk(ch, lp.full(), nil)
+			items, units := lp.runChunk(c.Rank(), ch, lp.full(), nil)
 			return lp.encode(items), units
 		})
 }

@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -120,6 +123,49 @@ func runToyStage(lp *hybridLoop[int64, toyTable]) ([]*toyOutcome, []error) {
 	return outs, errs
 }
 
+// toyRecord is what a toy-stage run must reproduce at every worker
+// count: each rank's items in the order its chunks produced them, its
+// pooled items and replayed makespan, the item costs, the chunks each
+// rank started and the recovery report, its reassigned chunks sorted
+// (survivors record them concurrently). When a sharded run loses a
+// rank, whether the dying rank's fetch frames arrived before its death
+// was seen decides the tile order, the shard cleanup rounds and the
+// adoptions at any worker count, so those are left out: tiles compare
+// as sorted items.
+type toyRecord struct {
+	mine     [][]int64
+	pooled   [][]int64
+	makespan []float64
+	costs    []float64
+	ran      []int
+	report   *RecoveryReport
+}
+
+func recordToy(lp *hybridLoop[int64, toyTable], outs []*toyOutcome, shardFaults bool) toyRecord {
+	rec := toyRecord{costs: lp.itemCosts(), ran: lp.ran, report: lp.env.report("toy")}
+	for _, out := range outs {
+		if out == nil {
+			out = &toyOutcome{makespan: -1}
+		}
+		if shardFaults {
+			slices.Sort(out.run.mine)
+		}
+		rec.mine = append(rec.mine, out.run.mine)
+		rec.pooled = append(rec.pooled, out.pooled)
+		rec.makespan = append(rec.makespan, out.makespan)
+	}
+	if rec.report != nil {
+		sort.Ints(rec.report.ReassignedChunks)
+		if shardFaults {
+			rec.report.ShardRounds, rec.report.ReassignedShards = 0, nil
+		}
+	}
+	return rec
+}
+
+// TestHybridLoop runs every scenario with 1, 2 and 4 workers per rank:
+// the OpenMP level must not change what a rank computes, records or
+// replays.
 func TestHybridLoop(t *testing.T) {
 	const chunkSize, threads, victim = 2, 2, 1
 	for _, ranks := range []int{1, 3, 4, 16} {
@@ -145,25 +191,31 @@ func TestHybridLoop(t *testing.T) {
 				if sharded {
 					firstProbe, firstColl = 2*(ranks-1)*(tiles+1), 1 // AgreeDead of the fetch cleanup is collective 0
 				}
-				faults := map[string]*mpi.FaultPlan{"clean": nil}
+				faults := map[string][]mpi.Fault{"clean": nil}
 				if ranks > 1 {
-					faults["recovery enabled"] = mpi.NewFaultPlan()
-					faults["kill between chunks"] = mpi.NewFaultPlan(
-						mpi.Fault{Kind: mpi.FaultKill, Rank: victim, AtCall: firstProbe + 1})
-					faults["dropped contribution"] = mpi.NewFaultPlan(
-						mpi.Fault{Kind: mpi.FaultDropContribution, Rank: victim, AtCall: firstColl + 1})
+					faults["recovery enabled"] = []mpi.Fault{}
+					faults["kill between chunks"] = []mpi.Fault{{Kind: mpi.FaultKill, Rank: victim, AtCall: firstProbe + 1}}
+					faults["dropped contribution"] = []mpi.Fault{{Kind: mpi.FaultDropContribution, Rank: victim, AtCall: firstColl + 1}}
 					if sharded {
-						faults["kill with a tile in flight"] = mpi.NewFaultPlan(
-							mpi.Fault{Kind: mpi.FaultKill, Rank: victim, AtCall: 4*(ranks-1) + 1})
+						faults["kill with a tile in flight"] = []mpi.Fault{{Kind: mpi.FaultKill, Rank: victim, AtCall: 4*(ranks-1) + 1}}
 					}
 				}
-				for faultName, plan := range faults {
+				for faultName, fs := range faults {
 					name := fmt.Sprintf("ranks=%d/%s/sharded=%v/%s", ranks, sizeName, sharded, faultName)
 					t.Run(name, func(t *testing.T) {
-						guard(t, 30*time.Second, func() {
+						var first toyRecord
+						for _, workers := range []int{1, 2, 4} {
+							var plan *mpi.FaultPlan
+							if fs != nil {
+								plan = mpi.NewFaultPlan(fs...)
+							}
 							dist := Distribution{N: n, Ranks: ranks, ChunkSize: chunkSize}
 							env := newLoopEnv(ranks, threads, 1, false, plan, RecoveryOptions{}, nil)
-							outs, errs := runToyStage(newToyLoop(env, dist, sharded))
+							env.workers = workers
+							lp := newToyLoop(env, dist, sharded)
+							var outs []*toyOutcome
+							var errs []error
+							guard(t, 30*time.Second, func() { outs, errs = runToyStage(lp) })
 
 							want := make([]float64, n)
 							for i := range want {
@@ -199,14 +251,89 @@ func TestHybridLoop(t *testing.T) {
 							}
 							// On the large input every scheduled kill lands inside
 							// the victim's loop, so the scenario is what its name says.
-							if killed := plan != nil && len(plan.Faults()) > 0 && plan.Faults()[0].Kind == mpi.FaultKill; killed &&
+							if killed := len(fs) > 0 && fs[0].Kind == mpi.FaultKill; killed &&
 								sizeName == "exact multiple" && outs[victim] != nil {
 								t.Errorf("victim rank %d survived its kill", victim)
 							}
-						})
+							if rec := recordToy(lp, outs, sharded && len(fs) > 0); workers == 1 {
+								first = rec
+							} else if !reflect.DeepEqual(rec, first) {
+								t.Errorf("workers=%d: %+v %+v\nworkers=1: %+v %+v", workers, rec, rec.report, first, first.report)
+							}
+						}
 					})
 				}
 			}
+		}
+	}
+}
+
+// TestStagesIdenticalAcrossWorkers runs GraphFromFasta and
+// ReadsToTranscripts with one worker per rank and with four — the
+// rank's ThreadsPerRank is 4 and GOMAXPROCS is set to ranks × workers,
+// the only input the worker count is derived from — and requires the
+// identical result: replicated (ASCII and packed) and sharded, clean
+// runs field for field including profiles, and a run that loses a rank
+// in its output.
+func TestStagesIdenticalAcrossWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	gff := buildWeldScenario(t, 40, 20, 2)
+	r2t := buildR2TScenario(t, 44, 2000)
+	for _, tc := range []struct {
+		name          string
+		ranks         int
+		packed, shard bool
+		kill          bool
+	}{
+		{"ascii", 1, false, false, false},
+		{"packed", 1, true, false, false},
+		{"packed ranks=2", 2, true, false, false},
+		{"sharded ranks=2", 2, false, true, false},
+		{"packed ranks=3 kill", 3, true, false, true},
+	} {
+		var gffs []*GFFResult
+		var r2ts []*R2TResult
+		for _, workers := range []int{1, 4} {
+			runtime.GOMAXPROCS(tc.ranks * workers)
+			var faults1, faults2 *mpi.FaultPlan
+			if tc.kill {
+				faults1, faults2 = mpi.RandomKillPlan(5, tc.ranks, 1, 5), mpi.RandomKillPlan(5, tc.ranks, 1, 5)
+			}
+			var g *GFFResult
+			var r *R2TResult
+			guard(t, 30*time.Second, func() {
+				var err error
+				if g, err = GraphFromFasta(gff.contigs, gff.kmers, tc.ranks, GFFOptions{
+					K: gff.k, ThreadsPerRank: 4, Packed: tc.packed, ShardKmers: tc.shard, Faults: faults1}); err != nil {
+					t.Error(err)
+					return
+				}
+				r, err = ReadsToTranscripts(r2t.reads, r2t.contigs, r2t.comps, tc.ranks, R2TOptions{
+					K: r2t.k, ThreadsPerRank: 4, MaxMemReads: 200, Packed: tc.packed, ShardKmers: tc.shard, Faults: faults2})
+				if err != nil {
+					t.Error(err)
+				}
+			})
+			if g == nil || r == nil {
+				t.Fatalf("%s workers=%d: no result", tc.name, workers)
+			}
+			gffs, r2ts = append(gffs, g), append(r2ts, r)
+		}
+		if len(gffs[0].Welds) == 0 || len(r2ts[0].Assignments) == 0 {
+			t.Fatalf("%s: the scenario welded or assigned nothing", tc.name)
+		}
+		if tc.kill {
+			sameGFF(t, tc.name, gffs[1], gffs[0])
+			if !reflect.DeepEqual(r2ts[1].Assignments, r2ts[0].Assignments) {
+				t.Errorf("%s: assignments differ", tc.name)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(gffs[1], gffs[0]) {
+			t.Errorf("%s: GraphFromFasta at 4 workers differs from 1 worker", tc.name)
+		}
+		if !reflect.DeepEqual(r2ts[1], r2ts[0]) {
+			t.Errorf("%s: ReadsToTranscripts at 4 workers differs from 1 worker", tc.name)
 		}
 	}
 }

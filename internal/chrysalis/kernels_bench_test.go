@@ -1,6 +1,12 @@
 package chrysalis
 
-import "testing"
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"gotrinity/internal/seq"
+)
 
 // Kernel benchmarks for the zero-allocation rewrite, each paired with
 // its map-based reference so the speedup is measured in one run.
@@ -98,4 +104,83 @@ func BenchmarkAssignRead(b *testing.B) {
 			assignRead(sc.reads[i%len(sc.reads)].Seq, t, 1, scr)
 		}
 	})
+}
+
+var benchSink int
+
+// deepShapedR2T builds the input shape of the benchmark's `deep`
+// workload at ReadsToTranscripts: 100 transcripts of 600 bases, each a
+// component together with the short one-error near-copies Inchworm
+// leaves over the highly expressed ones (1 500 contigs in all), and
+// 80 000 76-base reads at 0.5 % error on both strands, drawn with the
+// same expression skew.
+func deepShapedR2T() (reads, contigs []seq.Record, comps []Component) {
+	rng := rand.New(rand.NewSource(15))
+	mutate := func(s []byte, perBase int) {
+		for j := range s {
+			if rng.Intn(perBase) == 0 {
+				s[j] = "ACGT"[rng.Intn(4)]
+			}
+		}
+	}
+	txs := make([][]byte, 100)
+	comps = make([]Component, len(txs))
+	for t := range txs {
+		txs[t] = make([]byte, 600)
+		mutate(txs[t], 1)
+		comps[t] = Component{ID: t, Contigs: []int{len(contigs)}}
+		contigs = append(contigs, seq.Record{ID: "c", Seq: txs[t]})
+	}
+	expressed := func() int { return int(rng.ExpFloat64()*6) % len(txs) }
+	for len(contigs) < 1500 {
+		t := expressed()
+		n := 40 + rng.Intn(160)
+		start := rng.Intn(len(txs[t]) - n)
+		s := append([]byte(nil), txs[t][start:start+n]...)
+		s[rng.Intn(n)] = "ACGT"[rng.Intn(4)]
+		comps[t].Contigs = append(comps[t].Contigs, len(contigs))
+		contigs = append(contigs, seq.Record{ID: "c", Seq: s})
+	}
+	for i := 0; i < 80000; i++ {
+		tx := txs[expressed()]
+		start := rng.Intn(len(tx) - 76)
+		s := append([]byte(nil), tx[start:start+76]...)
+		mutate(s, 200)
+		if rng.Intn(2) == 0 {
+			s = seq.ReverseComplement(s)
+		}
+		reads = append(reads, seq.Record{ID: "r", Seq: s})
+	}
+	return reads, contigs, comps
+}
+
+// BenchmarkR2TAssign runs ReadsToTranscripts as the pipeline does on
+// deep-shaped input — one rank, packed reads, 1 000-read chunks — with
+// one chunk worker and with GOMAXPROCS of them (a rank's workers are
+// min(ThreadsPerRank, GOMAXPROCS/ranks)).
+func BenchmarkR2TAssign(b *testing.B) {
+	reads, contigs, comps := deepShapedR2T()
+	preads := seq.PackRecords(reads)
+	threads := []int{1}
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		threads = append(threads, n)
+	}
+	for _, th := range threads {
+		name := "workers=1"
+		if th > 1 {
+			name = "workers=gomaxprocs"
+		}
+		b.Run(name, func(b *testing.B) {
+			opt := R2TOptions{K: 25, ThreadsPerRank: th, Packed: true, PackedReads: preads}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := ReadsToTranscripts(reads, contigs, comps, 1, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += len(res.Assignments)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reads)), "ns/read")
+		})
+	}
 }

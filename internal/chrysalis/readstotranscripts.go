@@ -16,7 +16,7 @@ import (
 type R2TOptions struct {
 	K              int     // k-mer length shared with the bundles (default: GFF's K)
 	MaxMemReads    int     // reads uploaded into memory per chunk (the max_mem_reads flag)
-	ThreadsPerRank int     // simulated OpenMP threads per rank (default 16)
+	ThreadsPerRank int     // OpenMP threads per rank: the cost replay's, and the cap on a rank's chunk workers (default 16)
 	MinKmerMatches int     // minimum shared k-mers for an assignment (default 1)
 	IOScanFactor   float64 // relative cost of streaming past a discarded chunk (default 0.02)
 

@@ -31,7 +31,7 @@ import (
 type Config struct {
 	K              int   // pipeline k-mer length (Trinity default 25)
 	Ranks          int   // MPI processes for the hybrid Chrysalis (the Trinity.pl nprocs argument)
-	ThreadsPerRank int   // OpenMP threads per rank (default 16)
+	ThreadsPerRank int   // OpenMP threads per rank (default 16): the Chrysalis cost model's, and the cap on each rank's real workers, at most GOMAXPROCS/Ranks
 	Seed           int64 // run seed; perturbs the weld harvest order (stochastic output)
 
 	MinKmerCount   int // Inchworm error filter (default 2)
@@ -380,7 +380,9 @@ func RunStage(name string, art FileArtifacts, cfg Config) (*Result, error) {
 // candidates for the same bundle (§III-A's combination of Bowtie
 // output with welding pairs).
 func ScaffoldPairs(als []bowtie.Alignment) [][2]int32 {
-	mate := map[string]int{} // pair base id -> contig of the first-seen mate
+	// One pair base per two aligned mates; the contig pairs found are a
+	// few hundred, so seen is left to grow.
+	mate := make(map[string]int, len(als)/2) // pair base id -> contig of the first-seen mate
 	seen := map[[2]int32]bool{}
 	var out [][2]int32
 	for _, a := range als {

@@ -239,7 +239,8 @@ func runBowtie(p *pipeline) error {
 // renumbers the hits to global contig indices via the partition's
 // offset table (local index → global index, a slice lookup). The
 // packed default indexes and verifies the partition 2-bit packed;
-// alignments and stats are byte-identical to the ASCII path.
+// alignments are byte-identical to the ASCII path, whose exhaustive
+// aligner reports more seed probes and compared bases.
 func alignPartition(p *pipeline, pcontigs []seq.Packed, ids []int, inner int) (als []bowtie.Alignment, st bowtie.Stats, bases int, err error) {
 	contigs := p.res.Contigs
 	opt := p.cfg.Bowtie
