@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadSAM -fuzztime 10s ./internal/bowtie/
 	$(GO) test -run '^$$' -fuzz FuzzAlignDegenerateReads -fuzztime 10s ./internal/bowtie/
 	$(GO) test -run '^$$' -fuzz FuzzFlatSet -fuzztime 10s ./internal/kmer/
+	$(GO) test -run '^$$' -fuzz FuzzMultimap -fuzztime 10s ./internal/kmer/
 	$(GO) test -run '^$$' -fuzz FuzzCountTable -fuzztime 10s ./internal/jellyfish/
 
 bench:
@@ -86,7 +87,7 @@ bench-chrysalis:
 # show up in review diffs. The file is regenerated whole, stamped with
 # the host it ran on; the micro-kernels run for 1 s each and the
 # whole-stage benchmarks 10 times, so every entry has >= 7 iterations.
-KERNEL_MICRO = HarvestWelds|ScanContigForWelds|BuildContigKmerIndex|AssignRead|CountTableGet|PackedIndexBuild
+KERNEL_MICRO = HarvestWelds|ScanContigForWelds|BuildContigKmerIndex|BuildWeldIndex|AssignRead|CountTableGet|PackedIndexBuild
 KERNEL_STAGE = PackedAlignAll|R2TAssign|CountPacked|InchwormRun|GraphBuildCompact|PairSupport
 KERNEL_BENCH = $(KERNEL_MICRO)|$(KERNEL_STAGE)
 KERNEL_PKGS = ./internal/chrysalis/ ./internal/jellyfish/ ./internal/bowtie/ ./internal/inchworm/ ./internal/dbg/ ./internal/butterfly/
@@ -182,10 +183,12 @@ lint-ascii:
 	@echo "lint-ascii: clean"
 
 # Map gate for the k-mer spine: counting, the Inchworm dictionary, the
-# de Bruijn graph, dsk's partition pass and pair support hold k-mers in
-# kmer.FlatSet ids and dense arrays; a Go map keyed by k-mer may appear
-# in these packages only as a _test.go oracle.
-LINT_MAPS_PKGS = internal/jellyfish internal/inchworm internal/dbg internal/dsk internal/butterfly
+# de Bruijn graph, dsk's partition pass, pair support, the Chrysalis
+# tables, the shard stores and the validation prefilter hold k-mers in
+# kmer.FlatSet ids, kmer.Multimap rows and dense arrays; a Go map keyed
+# by k-mer may appear in these packages only as a _test.go oracle.
+LINT_MAPS_PKGS = internal/jellyfish internal/inchworm internal/dbg internal/dsk internal/butterfly \
+	internal/chrysalis internal/shard internal/kmer internal/validate
 lint-maps:
 	@bad=$$(grep -n 'map\[kmer\.Kmer\]' $$(find $(LINT_MAPS_PKGS) -name '*.go' ! -name '*_test.go') /dev/null; true); \
 	if [ -n "$$bad" ]; then \

@@ -1,4 +1,4 @@
-// Packed-sequence alignment path: a flat CSR seed table over 2-bit
+// Packed-sequence alignment path: a flat seed table over 2-bit
 // packed contigs and an aligner that gathers, orders and verifies
 // candidates as integers on per-thread scratch, with the word-wise
 // Packed.MismatchRange as the verifier. Candidate order and the
@@ -21,19 +21,16 @@ import (
 )
 
 // PackedIndex locates seed k-mers in packed target contigs through a
-// CSR table: FlatSet gives a seed its dense id, offs[id]:offs[id+1]
-// bounds its occurrences in hits.
+// kmer.Multimap from each seed to its occurrences.
 type PackedIndex struct {
 	opt     Options
 	contigs []seq.PackedRecord
-	seeds   *kmer.FlatSet
-	offs    []int32
-	// hits holds every seed occurrence as contig rank<<32 | position,
+	// seeds holds every seed occurrence as contig rank<<32 | position,
 	// in contig-then-position order within a seed. Subtracting a read
 	// offset turns a hit into a candidate key, rank<<32 | start of the
 	// read on the contig, and ascending key order is the aligner's
 	// candidate order: contig name, then start.
-	hits []uint64
+	seeds *kmer.Multimap[uint64]
 	// byRank maps a contig's rank (by ID, equal IDs by index) back to
 	// its index, and lens holds contig lengths by rank. Ranking by name
 	// makes the winner among equal-mismatch candidates the same whether
@@ -68,45 +65,21 @@ func NewPackedIndex(contigs []seq.PackedRecord, opt Options) (*PackedIndex, erro
 		rankKey[ci] = uint64(r) << 32
 		ix.lens[r] = int32(contigs[ci].Seq.Len())
 	}
-	// Pass 1 walks the contigs once, assigning seed ids and counting
-	// occurrences; pass 2 is a counting sort of the occurrences by id,
-	// stable, so each seed's hits keep the order they were found in.
-	ix.seeds = kmer.NewFlatSet(total)
-	ids := make([]int32, 0, total)
-	keys := make([]uint64, 0, total)
-	ix.offs = make([]int32, 1, total+1)
+	ix.seeds = kmer.NewMultimap[uint64](total, total)
 	for ci := range contigs {
 		it := kmer.NewPackedIterator(contigs[ci].Seq, opt.SeedLen)
-		for {
-			m, pos, ok := it.Next()
-			if !ok {
-				break
-			}
-			id := ix.seeds.Add(m)
-			if int(id)+1 == len(ix.offs) {
-				ix.offs = append(ix.offs, 0)
-			}
-			ix.offs[id+1]++
-			ids = append(ids, id)
-			keys = append(keys, rankKey[ci]+uint64(pos))
+		for m, pos, ok := it.Next(); ok; m, pos, ok = it.Next() {
+			ix.seeds.Add(m, rankKey[ci]+uint64(pos))
 		}
 	}
-	for id := 1; id < len(ix.offs); id++ {
-		ix.offs[id] += ix.offs[id-1]
-	}
-	next := slices.Clone(ix.offs)
-	ix.hits = make([]uint64, len(keys))
-	for j, id := range ids {
-		ix.hits[next[id]] = keys[j]
-		next[id]++
-	}
+	ix.seeds.Freeze()
 	return ix, nil
 }
 
 // MemoryFootprint estimates the index's resident bytes (8 per distinct
 // seed and 8 per occurrence, matching the ASCII accounting).
 func (ix *PackedIndex) MemoryFootprint() int {
-	return 8*ix.seeds.Len() + 8*len(ix.hits)
+	return 8*ix.seeds.Len() + 8*len(ix.seeds.Values())
 }
 
 // Contigs returns the indexed packed target records.
@@ -206,12 +179,10 @@ func (a *PackedAligner) alignOneStrand(read seq.Packed, reverse bool, st *Stats,
 	}
 	keys := sc.keys[:0]
 	for _, s := range seeds {
-		if id, ok := ix.seeds.Lookup(s.m); ok {
-			for _, h := range ix.hits[ix.offs[id]:ix.offs[id+1]] {
-				// Only a read lying wholly on the contig is a candidate.
-				if start := int(uint32(h)) - s.pos; start >= 0 && start <= int(ix.lens[h>>32])-n {
-					keys = append(keys, h-uint64(s.pos))
-				}
+		for _, h := range ix.seeds.Row(s.m) {
+			// Only a read lying wholly on the contig is a candidate.
+			if start := int(uint32(h)) - s.pos; start >= 0 && start <= int(ix.lens[h>>32])-n {
+				keys = append(keys, h-uint64(s.pos))
 			}
 		}
 	}

@@ -123,16 +123,15 @@ func pairSupport(ts []Transcript, graphs []*chrysalis.ComponentGraph, reads []se
 }
 
 // mateIndex maps every PairSupportK-mer of one component's transcripts
-// to the transcripts that hold it (a FlatSet id into a CSR of positions
-// within the component, each transcript listed once per k-mer), and
-// carries the per-transcript hit counters one mate scan fills.
+// to the transcripts that hold it (positions within the component, each
+// transcript listed once per k-mer), and carries the per-transcript hit
+// counters one mate scan fills.
 type mateIndex struct {
-	kmers       *kmer.FlatSet
-	offs, items []int32 // transcripts holding k-mer id: items[offs[id]:offs[id+1]]
-	last        []int32 // build scratch: the last transcript to list k-mer id
-	hits        []txHits
-	touched     []int32 // transcripts the current scan has hit
-	epoch       int32   // the current scan's number
+	txs     kmer.Multimap[int32]
+	last    []int32 // build scratch: the last transcript to list k-mer id
+	hits    []txHits
+	touched []int32 // transcripts the current scan has hit
+	epoch   int32   // the current scan's number
 }
 
 // txHits is one transcript's state within a component's scans.
@@ -142,45 +141,29 @@ type txHits struct {
 	mate1 int32    // pair (1-based) whose first mate matched
 }
 
-// build indexes transcripts ts[tis[0]], ts[tis[1]], ... as 0, 1, ...:
-// a counting sort of (k-mer id, transcript) listings in two passes over
-// the transcripts' k-mers, sizes then places.
+// build indexes transcripts ts[tis[0]], ts[tis[1]], ... as 0, 1, ...,
+// reusing the previous component's buffers.
 func (ix *mateIndex) build(ts []Transcript, tis []int) {
 	bases := 0
 	for _, ti := range tis {
 		bases += len(ts[ti].Seq)
 	}
-	ix.kmers = kmer.NewFlatSet(bases)
-	ix.offs, ix.last = append(ix.offs[:0], 0), ix.last[:0]
-	for pass := 0; pass < 2; pass++ {
-		for t, ti := range tis {
-			mark := int32(pass*len(tis) + t)
-			it := kmer.NewIterator(ts[ti].Seq, PairSupportK)
-			for m, _, ok := it.Next(); ok; m, _, ok = it.Next() {
-				id := ix.kmers.Add(m)
-				if int(id) == len(ix.last) {
-					ix.last, ix.offs = append(ix.last, -1), append(ix.offs, 0)
-				}
-				switch {
-				case ix.last[id] == mark: // t lists this k-mer already
-				case pass == 0:
-					ix.offs[id+1]++
-				default:
-					ix.items[ix.offs[id]] = int32(t)
-					ix.offs[id]++
-				}
-				ix.last[id] = mark
+	ix.txs.Reset(bases, bases)
+	ix.last = ix.last[:0]
+	for t, ti := range tis {
+		it := kmer.NewIterator(ts[ti].Seq, PairSupportK)
+		for m, _, ok := it.Next(); ok; m, _, ok = it.Next() {
+			id := ix.txs.Key(m)
+			if int(id) == len(ix.last) {
+				ix.last = append(ix.last, -1)
 			}
-		}
-		if pass == 0 {
-			for id := 1; id < len(ix.offs); id++ {
-				ix.offs[id] += ix.offs[id-1]
+			if ix.last[id] != int32(t) { // t lists this k-mer once
+				ix.last[id] = int32(t)
+				ix.txs.Put(id, int32(t))
 			}
-			ix.items = append(ix.items[:0], make([]int32, ix.offs[len(ix.offs)-1])...)
 		}
 	}
-	copy(ix.offs[1:], ix.offs) // placing left offs[id] at id's end: shift back
-	ix.offs[0] = 0
+	ix.txs.Freeze()
 	ix.hits = append(ix.hits[:0], make([]txHits, len(tis))...)
 	ix.epoch = 0
 }
@@ -195,11 +178,7 @@ func (ix *mateIndex) scan(read []byte) {
 	it := kmer.NewIterator(read, PairSupportK)
 	for m, _, ok := it.Next(); ok; m, _, ok = it.Next() {
 		for strand, q := range [2]kmer.Kmer{m, m.ReverseComplement(PairSupportK)} {
-			id, ok := ix.kmers.Lookup(q)
-			if !ok {
-				continue
-			}
-			for _, t := range ix.items[ix.offs[id]:ix.offs[id+1]] {
+			for _, t := range ix.txs.Row(q) {
 				h := &ix.hits[t]
 				if h.epoch != ix.epoch {
 					h.epoch, h.n = ix.epoch, [2]int32{}

@@ -166,32 +166,27 @@ type GFFResult struct {
 	Recovery   *RecoveryReport  // non-nil when the fault layer was active
 }
 
-// weldLookup is what loop 1's kernel probes: the contig k-mer occurrence
-// index, in the form the run's kernels take, and the read counts.
+// weldLookup is what loop 1's kernel probes: the contig k-mer
+// occurrence index and the read counts.
 type weldLookup struct {
-	ix    *contigKmerIndex   // ASCII kernels
-	pix   *packedContigIndex // packed kernels
+	occs  *kmer.Multimap[occurrence]
 	reads *jellyfish.Frozen
 }
 
-func (l weldLookup) memBytes() int64 {
-	if l.pix != nil {
-		return l.reads.MemBytes() + l.pix.memBytes()
-	}
-	return l.reads.MemBytes() + l.ix.memBytes()
-}
+func (l weldLookup) memBytes() int64 { return l.reads.MemBytes() + l.occs.MemBytes() }
 
-// pairLookup is what loop 2's kernel probes: the pooled weld index.
+// pairLookup is what loop 2's kernel probes: the pooled weld index, in
+// the form the run's kernels take.
 type pairLookup struct {
-	ix  *weldIndex       // ASCII kernels
-	pix *packedWeldIndex // packed kernels
+	ix  *weldIndex[string]     // ASCII kernels
+	pix *weldIndex[seq.Packed] // packed kernels
 }
 
 func (l pairLookup) memBytes() int64 {
 	if l.pix != nil {
-		return l.pix.memBytes()
+		return l.pix.memBytes(seq.Packed.MemBytes)
 	}
-	return l.ix.memBytes()
+	return l.ix.memBytes(func(w string) int { return len(w) })
 }
 
 // encodePair packs one (weld id, contig id) incidence into the int64
@@ -266,11 +261,10 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 	var pooledOnce sync.Once
 	var pooled []string
 	var pooledPacked []seq.Packed
+	source := buildGFFSource(seqs, pseqs, opt.K, frozenReads)
+	setupUnits := float64(len(source.keys))
 	look1 := sync.OnceValue(func() weldLookup {
-		if opt.Packed {
-			return weldLookup{pix: buildPackedContigIndex(pseqs, opt.K), reads: frozenReads}
-		}
-		return weldLookup{ix: buildContigKmerIndex(seqs, opt.K), reads: frozenReads}
+		return weldLookup{occs: source.occs(0, 0), reads: frozenReads}
 	})
 	look2 := sync.OnceValue(func() pairLookup {
 		if opt.Packed {
@@ -281,11 +275,9 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 	// Under ShardKmers every rank holds one shard of those tables,
 	// rebuilt from the shared source, and the full ones above are built
 	// only if chunk recovery needs them.
-	var source *gffSource
 	var shards1 *shardedLookup[weldLookup]
 	var shards2 *shardedLookup[pairLookup]
 	if opt.ShardKmers {
-		source = buildGFFSource(seqs, opt.K, frozenReads)
 		shards1 = weldShards(source, ranks)
 		shards2 = pairShards(source, ranks, func() []string { return pooled })
 	}
@@ -299,7 +291,7 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 			defer packedWeldScratchPool.Put(sc)
 			for i := lo; i < hi; i++ {
 				rot := harvestRotation(opt.Seed, i, pseqs[i].Len())
-				ws, u := harvestWeldsPacked(pseqs[i], i, look.pix, look.reads, opt, rot, sc)
+				ws, u := harvestWeldsPacked(pseqs[i], i, pseqs, look.occs, look.reads, opt, rot, sc)
 				costs[i-lo] = u * opt.LoopOpWeight
 				welds = append(welds, encodeWeldFrames(ws)...)
 			}
@@ -309,7 +301,7 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 		defer weldScratchPool.Put(sc)
 		for i := lo; i < hi; i++ {
 			rot := harvestRotation(opt.Seed, i, len(seqs[i]))
-			ws, u := harvestWelds(seqs[i], i, look.ix, look.reads, opt, rot, sc)
+			ws, u := harvestWelds(seqs[i], i, seqs, look.occs, look.reads, opt, rot, sc)
 			costs[i-lo] = u * opt.LoopOpWeight
 			welds = append(welds, ws...)
 		}
@@ -357,13 +349,7 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 		// builds the k-mer occurrence index (GraphFromFasta "reads the
 		// entire file into memory", §III-C), or scans it for its own
 		// shard of the distributed tables.
-		if opt.ShardKmers {
-			prof.SetupUnits = float64(len(source.keys))
-		} else if opt.Packed {
-			prof.SetupUnits = float64(look1().pix.buildOps)
-		} else {
-			prof.SetupUnits = float64(look1().ix.buildOps)
-		}
+		prof.SetupUnits = setupUnits
 
 		// --- Loop 1: harvest welds over this rank's chunks.
 		r1, err := loop1.run(c)

@@ -36,7 +36,7 @@ func BenchmarkHarvestWelds(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ci := i % len(sc.contigs)
-			harvestWelds(sc.contigs[ci], ci, ix, sc.frozen, opt, i, scr)
+			harvestWelds(sc.contigs[ci], ci, sc.contigs, ix, sc.frozen, opt, i, scr)
 		}
 	})
 }
@@ -76,6 +76,42 @@ func BenchmarkBuildContigKmerIndex(b *testing.B) {
 	b.Run("flat", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			buildContigKmerIndex(sc.contigs, sc.k)
+		}
+	})
+	// The pipeline's default path: the same table from packed contigs.
+	b.Run("packed", func(b *testing.B) {
+		pcontigs := make([]seq.Packed, len(sc.contigs))
+		for i, c := range sc.contigs {
+			pcontigs[i] = seq.Pack(c)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buildPackedContigIndex(pcontigs, sc.k)
+		}
+	})
+}
+
+func BenchmarkBuildWeldIndex(b *testing.B) {
+	sc := benchScenario(b)
+	welds := pooledWelds(b, sc)
+	b.Run("map-ref", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			buildRefWeldIndex(welds, sc.k)
+		}
+	})
+	b.Run("flat", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			buildWeldIndex(welds, sc.k)
+		}
+	})
+	b.Run("packed", func(b *testing.B) {
+		pwelds := make([]seq.Packed, len(welds))
+		for i, w := range welds {
+			pwelds[i] = seq.Pack([]byte(w))
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buildPackedWeldIndex(pwelds, sc.k)
 		}
 	})
 }

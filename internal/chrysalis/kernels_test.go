@@ -12,7 +12,7 @@ import (
 )
 
 // Differential battery for the zero-allocation kernel rewrite: every
-// frozen flat structure (CSR contig index, CSR weld index, flat bundle
+// frozen flat structure (contig and weld Multimap indexes, flat bundle
 // table, frozen count table) and every scratch-reuse loop body is
 // pinned against the map-based reference implementation it replaced —
 // same results, same work-unit meters — on randomized inputs that
@@ -271,6 +271,16 @@ func refAssignRead(read []byte, t *refBundleKmerTable, minMatches int) (int32, i
 	return best, bestN, units
 }
 
+// buildContigKmerIndex and buildPackedContigIndex build the replicated
+// occurrence index GraphFromFasta probes, from ASCII or packed contigs.
+func buildContigKmerIndex(contigs [][]byte, k int) *kmer.Multimap[occurrence] {
+	return buildGFFSource(contigs, nil, k, nil).occs(0, 0)
+}
+
+func buildPackedContigIndex(contigs []seq.Packed, k int) *kmer.Multimap[occurrence] {
+	return buildGFFSource(nil, contigs, k, nil).occs(0, 0)
+}
+
 // --- randomized scenario --------------------------------------------
 
 // kernelScenario builds contigs that genuinely weld: random backbones
@@ -341,23 +351,24 @@ func buildKernelScenario(t testing.TB, seed int64, nContigs int) *kernelScenario
 func TestContigKmerIndexDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		sc := buildKernelScenario(t, seed, 20)
-		flat := buildContigKmerIndex(sc.contigs, sc.k)
+		src := buildGFFSource(sc.contigs, nil, sc.k, nil)
+		flat := src.occs(0, 0)
 		ref := buildRefContigKmerIndex(sc.contigs, sc.k)
-		if flat.buildOps != ref.buildOps {
-			t.Fatalf("seed %d: buildOps %d vs %d", seed, flat.buildOps, ref.buildOps)
+		if buildOps := int64(len(src.keys)); buildOps != ref.buildOps {
+			t.Fatalf("seed %d: buildOps %d vs %d", seed, buildOps, ref.buildOps)
 		}
-		if flat.set.Len() != len(ref.occs) {
-			t.Fatalf("seed %d: distinct %d vs %d", seed, flat.set.Len(), len(ref.occs))
+		if flat.Len() != len(ref.occs) {
+			t.Fatalf("seed %d: distinct %d vs %d", seed, flat.Len(), len(ref.occs))
 		}
 		for m, want := range ref.occs {
-			if got := flat.lookup(m); !reflect.DeepEqual(got, want) {
+			if got := flat.Row(m); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: occs(%v) = %v, want %v", seed, m, got, want)
 			}
 		}
 		rng := rand.New(rand.NewSource(seed * 77))
 		for i := 0; i < 300; i++ {
 			m := kmer.Kmer(rng.Uint64() & ((1 << uint(2*sc.k)) - 1))
-			got, want := flat.lookup(m), ref.occs[m]
+			got, want := flat.Row(m), ref.occs[m]
 			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 				t.Fatalf("seed %d: random occs(%v) = %v, want %v", seed, m, got, want)
 			}
@@ -380,7 +391,7 @@ func TestHarvestWeldsDifferential(t *testing.T) {
 					} else {
 						rot = 0
 					}
-					gotW, gotU := harvestWelds(contig, ci, flat, sc.frozen, opt, rot, scr)
+					gotW, gotU := harvestWelds(contig, ci, sc.contigs, flat, sc.frozen, opt, rot, scr)
 					wantW, wantU := refHarvestWelds(contig, ci, ref, sc.table, opt, rot)
 					if !reflect.DeepEqual(gotW, wantW) {
 						t.Fatalf("seed %d contig %d rot %d cap %d: welds %v vs %v",
@@ -442,11 +453,11 @@ func TestWeldIndexDifferential(t *testing.T) {
 		if !reflect.DeepEqual(flat.rcWelds, ref.rcWelds) {
 			t.Fatalf("seed %d: rcWelds differ", seed)
 		}
-		if flat.set.Len() != len(ref.byCore) {
-			t.Fatalf("seed %d: distinct cores %d vs %d", seed, flat.set.Len(), len(ref.byCore))
+		if flat.refs.Len() != len(ref.byCore) {
+			t.Fatalf("seed %d: distinct cores %d vs %d", seed, flat.refs.Len(), len(ref.byCore))
 		}
 		for m, want := range ref.byCore {
-			if got := flat.lookup(m); !reflect.DeepEqual(got, want) {
+			if got := flat.refs.Row(m); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: refs(%v) = %v, want %v", seed, m, got, want)
 			}
 		}
@@ -611,7 +622,7 @@ func TestHarvestWeldsZeroAllocs(t *testing.T) {
 		}
 	}
 	if avg := testing.AllocsPerRun(50, func() {
-		harvestWelds(contig, 0, ix, empty, opt, 3, scr)
+		harvestWelds(contig, 0, sc.contigs, ix, empty, opt, 3, scr)
 	}); avg != 0 {
 		t.Errorf("harvestWelds allocates %.1f per run, want 0", avg)
 	}

@@ -162,7 +162,7 @@ func buildR2TCache(k int, ncomp int32, queries []kmer.Kmer, bodies [][]byte) (*b
 		if v == 0 {
 			continue
 		}
-		if err := cacheKey(t.set, m, len(t.owner)); err != nil {
+		if err := cacheKey(t.set.Add(m), m, len(t.owner)); err != nil {
 			return nil, err
 		}
 		t.owner = append(t.owner, int32(v-1))

@@ -21,7 +21,8 @@ import (
 // sharding, k-mer space is partitioned by kmer.OwnerRank and each rank
 // holds only its shard of each table, rebuilt deterministically from
 // the shared source data (the contig file and the jellyfish dump, which
-// on a real cluster live on the shared filesystem).
+// on a real cluster live on the shared filesystem) by the same build as
+// the replicated table, filtered by owner (shardTable, r2tSource.table).
 //
 // Lookups are batched, not chased one by one: for each tile of its
 // chunk list (overlap.go) a rank collects the distinct k-mers the
@@ -141,12 +142,12 @@ func eachKmer(s []byte, k int, withRC bool, add func(kmer.Kmer)) {
 	}
 }
 
-// appendRow encodes one CSR row as an answer body: the uvarint word
-// count, then the 8-byte words in row order.
-func appendRow(dst []byte, row []uint64) []byte {
+// appendRow encodes one table row as an answer body: the uvarint word
+// count, then each value packed into an 8-byte word, in row order.
+func appendRow[V any](dst []byte, row []V, pack func(V) uint64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(row)))
 	for _, v := range row {
-		dst = binary.LittleEndian.AppendUint64(dst, v)
+		dst = binary.LittleEndian.AppendUint64(dst, pack(v))
 	}
 	return dst
 }
@@ -163,55 +164,50 @@ func answerHead(m kmer.Kmer, b []byte, skip int) (v uint64, rest []byte, err err
 	return 0, nil, fmt.Errorf("chrysalis: shard answer for %v truncated (%d bytes)", m, len(b))
 }
 
-// cacheKey gives m the next dense id of a partial replica's key set;
-// ids must come out in answer order, so a repeated query is an error.
-func cacheKey(set *kmer.FlatSet, m kmer.Kmer, want int) error {
-	if id := set.Add(m); int(id) != want {
+// cacheKey checks that a partial replica gave m the dense id want: ids
+// must come out in answer order, so a repeated query is an error.
+func cacheKey(id int32, m kmer.Kmer, want int) error {
+	if int(id) != want {
 		return fmt.Errorf("chrysalis: duplicate query k-mer %v", m)
 	}
 	return nil
 }
 
-// decodeRows materialises the CSR half of a tile replica from the
+// decodeRows materialises the table half of a tile replica from the
 // owners' answers: every queried k-mer with a non-empty row gets the
-// next dense id of set, and its row (appendRow's encoding, skip bytes
-// into the body) is unpacked behind starts. Shard rows preserve the
-// replicated tables' row order, so every probe of the replica returns
-// exactly what the full table would.
-func decodeRows[V any](set *kmer.FlatSet, queries []kmer.Kmer, bodies [][]byte, skip int,
-	unpack func(uint64) V) (starts []int32, vals []V, err error) {
-	var counts []int32
+// next dense id, and its row (appendRow's encoding, skip bytes into the
+// body) is unpacked into it. Shard rows preserve the replicated tables'
+// row order, so every probe of the replica returns exactly what the
+// full table would.
+func decodeRows[V any](queries []kmer.Kmer, bodies [][]byte, skip int, unpack func(uint64) V) (*kmer.Multimap[V], error) {
 	total := 0
-	rows := make([][]byte, 0, len(queries)) // payload per non-empty row, in id order
 	for i, m := range queries {
 		n, rest, err := answerHead(m, bodies[i], skip)
 		if err == nil && n > uint64(len(rest))/8 {
 			err = fmt.Errorf("chrysalis: shard row for %v truncated", m)
 		}
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
+		total += int(n)
+	}
+	t := kmer.NewMultimap[V](len(queries), total)
+	for i, m := range queries {
+		n, rest, _ := answerHead(m, bodies[i], skip)
 		if n == 0 {
 			continue
 		}
-		if err := cacheKey(set, m, len(counts)); err != nil {
-			return nil, nil, err
+		want := t.Len()
+		id := t.Key(m)
+		if err := cacheKey(id, m, want); err != nil {
+			return nil, err
 		}
-		counts = append(counts, int32(n))
-		rows = append(rows, rest[:n*8])
-		total += int(n)
-	}
-	starts = make([]int32, len(counts)+1)
-	for id, n := range counts {
-		starts[id+1] = starts[id] + n
-	}
-	vals = make([]V, 0, total)
-	for _, row := range rows {
-		for o := 0; o < len(row); o += 8 {
-			vals = append(vals, unpack(binary.LittleEndian.Uint64(row[o:])))
+		for o := 0; o < int(n)*8; o += 8 {
+			t.Put(id, unpack(binary.LittleEndian.Uint64(rest[o:])))
 		}
 	}
-	return starts, vals, nil
+	t.Freeze()
+	return t, nil
 }
 
 // packOcc/unpackOcc move an occurrence through a shard row word.
@@ -236,47 +232,6 @@ func unpackRef(v uint64) weldRef {
 	return weldRef{id: int32(uint32(v)), rc: v&(1<<32) != 0}
 }
 
-// gffSource is the shared source data every shard is a deterministic
-// function of: the flattened global k-mer scan of the contig set and
-// the full frozen read-count table. It stands in for the contig file
-// and jellyfish dump on the shared filesystem — shards are rebuilt
-// from it both at startup and when a survivor adopts a dead owner's
-// shard, so no shard is ever lost with its rank.
-type gffSource struct {
-	k     int
-	seqs  [][]byte
-	keys  []kmer.Kmer // global scan order: contig-ascending, position-ascending
-	poss  []int32
-	off   []int32 // keys[off[i]:off[i+1]] belong to contig i
-	reads *jellyfish.Frozen
-}
-
-func buildGFFSource(seqs [][]byte, k int, reads *jellyfish.Frozen) *gffSource {
-	keys, poss, off := flattenKmers(seqs, k)
-	return &gffSource{k: k, seqs: seqs, keys: keys, poss: poss, off: off, reads: reads}
-}
-
-// buildOccShard filters the global k-mer scan down to shard s,
-// preserving scan order so shard rows are byte-identical to the
-// corresponding rows of the replicated contigKmerIndex — on whichever
-// rank builds them.
-func buildOccShard(src *gffSource, ranks, s int) *shard.CSR {
-	var keys []kmer.Kmer
-	var vals []uint64
-	ci := 0
-	for j, m := range src.keys {
-		for int32(j) >= src.off[ci+1] {
-			ci++
-		}
-		if kmer.OwnerRank(m, ranks) != s {
-			continue
-		}
-		keys = append(keys, m)
-		vals = append(vals, packOcc(occurrence{contig: int32(ci), pos: src.poss[j]}))
-	}
-	return shard.NewCSR(keys, vals)
-}
-
 // buildCountShard carves shard s out of the full frozen read table.
 func buildCountShard(reads *jellyfish.Frozen, ranks, s int) *jellyfish.Frozen {
 	var entries []jellyfish.Entry
@@ -286,36 +241,6 @@ func buildCountShard(reads *jellyfish.Frozen, ranks, s int) *jellyfish.Frozen {
 		}
 	})
 	return jellyfish.FrozenFromEntries(reads.K, entries)
-}
-
-// buildRefShard builds shard s of the weld index from the pooled weld
-// list (identical on every rank after pooling), mirroring
-// buildWeldIndex's core/rc-core emission order so shard rows equal the
-// replicated index's rows.
-func buildRefShard(pooled []string, k, ranks, s int) *shard.CSR {
-	flank := k / 2
-	var keys []kmer.Kmer
-	var vals []uint64
-	add := func(m kmer.Kmer, ref weldRef) {
-		if kmer.OwnerRank(m, ranks) == s {
-			keys = append(keys, m)
-			vals = append(vals, packRef(ref))
-		}
-	}
-	for id, w := range pooled {
-		if len(w) < flank+k {
-			continue
-		}
-		core, valid := kmer.Encode([]byte(w[flank:flank+k]), k)
-		if !valid {
-			continue
-		}
-		add(core, weldRef{id: int32(id), rc: false})
-		if rc := core.ReverseComplement(k); rc != core {
-			add(rc, weldRef{id: int32(id), rc: true})
-		}
-	}
-	return shard.NewCSR(keys, vals)
 }
 
 // weldShards describes loop 1's distributed tables — the read counts
@@ -330,16 +255,19 @@ func weldShards(src *gffSource, ranks int) *shardedLookup[weldLookup] {
 		label: "graphfromfasta/loop1", tagBase: overlapTagLoop1,
 		iterate: func(i int, add func(kmer.Kmer)) { eachKmer(src.seqs[i], src.k, true, add) },
 		build: func(s int) tableShard {
-			occs, counts := buildOccShard(src, ranks, s), buildCountShard(src.reads, ranks, s)
+			occs, counts := src.occs(ranks, s), buildCountShard(src.reads, ranks, s)
 			return tableShard{bytes: occs.MemBytes() + counts.MemBytes(),
 				answer: func(m kmer.Kmer, dst []byte) []byte {
 					dst = binary.LittleEndian.AppendUint32(dst, counts.Get(m))
-					return appendRow(dst, occs.Lookup(m))
+					return appendRow(dst, occs.Row(m), packOcc)
 				}}
 		},
 		cache: func(queries []kmer.Kmer, bodies [][]byte) (weldLookup, int64, error) {
-			look, err := buildLoop1Cache(src.seqs, src.k, queries, bodies)
-			return look, look.memBytes(), err
+			look, err := buildLoop1Cache(src.k, queries, bodies)
+			if err != nil {
+				return weldLookup{}, 0, err
+			}
+			return look, look.memBytes(), nil
 		},
 	}
 }
@@ -354,16 +282,17 @@ func pairShards(src *gffSource, ranks int, pooled func() []string) *shardedLooku
 		label: "graphfromfasta/loop2", tagBase: overlapTagLoop2,
 		iterate: func(i int, add func(kmer.Kmer)) { eachKmer(src.seqs[i], src.k, false, add) },
 		build: func(s int) tableShard {
-			refs := buildRefShard(pooled(), src.k, ranks, s)
+			refs := shardTable(ranks, s, 0, weldCoreRefs(pooled(), src.k, asciiCore(src.k)))
 			return tableShard{bytes: refs.MemBytes(),
-				answer: func(m kmer.Kmer, dst []byte) []byte { return appendRow(dst, refs.Lookup(m)) }}
+				answer: func(m kmer.Kmer, dst []byte) []byte { return appendRow(dst, refs.Row(m), packRef) }}
 		},
 		cache: func(queries []kmer.Kmer, bodies [][]byte) (pairLookup, int64, error) {
 			ix, err := buildLoop2Cache(pooled(), src.k, queries, bodies)
 			if err != nil {
 				return pairLookup{}, 0, err
 			}
-			return pairLookup{ix: ix}, ix.memBytes(), nil
+			look := pairLookup{ix: ix}
+			return look, look.memBytes(), nil
 		},
 	}
 }
@@ -498,10 +427,10 @@ func firstAlive(owners []int) int {
 	return -1
 }
 
-// buildLoop1Cache materialises the partial replica loop 1 runs on: a
-// contigKmerIndex and frozen read table holding exactly the queried
+// buildLoop1Cache materialises the partial replica loop 1 runs on: an
+// occurrence index and frozen read table holding exactly the queried
 // k-mers, with rows and counts as the owners returned them.
-func buildLoop1Cache(seqs [][]byte, k int, queries []kmer.Kmer, bodies [][]byte) (weldLookup, error) {
+func buildLoop1Cache(k int, queries []kmer.Kmer, bodies [][]byte) (weldLookup, error) {
 	var entries []jellyfish.Entry
 	for i, m := range queries {
 		if len(bodies[i]) < 4 {
@@ -511,31 +440,25 @@ func buildLoop1Cache(seqs [][]byte, k int, queries []kmer.Kmer, bodies [][]byte)
 			entries = append(entries, jellyfish.Entry{Kmer: m, Count: cnt})
 		}
 	}
-	ix := &contigKmerIndex{k: k, contigs: seqs, set: kmer.NewFlatSet(len(queries))}
-	var err error
-	if ix.starts, ix.occs, err = decodeRows(ix.set, queries, bodies, 4, unpackOcc); err != nil {
+	occs, err := decodeRows(queries, bodies, 4, unpackOcc)
+	if err != nil {
 		return weldLookup{}, err
 	}
-	return weldLookup{ix: ix, reads: jellyfish.FrozenFromEntries(k, entries)}, nil
+	return weldLookup{occs: occs, reads: jellyfish.FrozenFromEntries(k, entries)}, nil
 }
 
 // buildLoop2Cache materialises the partial weldIndex loop 2 runs on.
 // It shares the pooled weld list (identical on every rank) and
 // materialises reverse complements only for the welds its cached rows
 // actually reference in RC orientation.
-func buildLoop2Cache(pooled []string, k int, queries []kmer.Kmer, bodies [][]byte) (*weldIndex, error) {
-	ix := &weldIndex{
-		k:       k,
-		set:     kmer.NewFlatSet(len(queries)),
-		welds:   pooled,
-		rcWelds: make([]string, len(pooled)),
-	}
-	var err error
-	if ix.starts, ix.refs, err = decodeRows(ix.set, queries, bodies, 0, unpackRef); err != nil {
+func buildLoop2Cache(pooled []string, k int, queries []kmer.Kmer, bodies [][]byte) (*weldIndex[string], error) {
+	refs, err := decodeRows(queries, bodies, 0, unpackRef)
+	if err != nil {
 		return nil, err
 	}
+	ix := &weldIndex[string]{k: k, refs: refs, welds: pooled, rcWelds: make([]string, len(pooled))}
 	var rcbuf []byte
-	for _, ref := range ix.refs {
+	for _, ref := range refs.Values() {
 		if ref.rc && ix.rcWelds[ref.id] == "" {
 			rcbuf = append(rcbuf[:0], pooled[ref.id]...)
 			seq.ReverseComplementInPlace(rcbuf)
@@ -543,19 +466,4 @@ func buildLoop2Cache(pooled []string, k int, queries []kmer.Kmer, bodies [][]byt
 		}
 	}
 	return ix, nil
-}
-
-// memBytes of the flat lookup structures, for the per-rank resident
-// meter. The pooled weld strings themselves are excluded — they are
-// stage output, identical under both paths.
-func (ix *contigKmerIndex) memBytes() int64 {
-	return ix.set.MemBytes() + int64(len(ix.starts))*4 + int64(len(ix.occs))*8
-}
-
-func (ix *weldIndex) memBytes() int64 {
-	n := ix.set.MemBytes() + int64(len(ix.starts))*4 + int64(len(ix.refs))*8
-	for _, w := range ix.rcWelds {
-		n += int64(len(w))
-	}
-	return n
 }

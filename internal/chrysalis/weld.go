@@ -3,7 +3,7 @@ package chrysalis
 import (
 	"encoding/binary"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"gotrinity/internal/jellyfish"
@@ -22,14 +22,13 @@ import (
 // loop 1's comparison work comes from exactly these pairs.
 //
 // The lookup structures here are the pipeline's hottest data: both
-// loops probe them once per contig position. They are therefore built
-// as frozen flat tables — a kmer.FlatSet assigning each distinct
-// k-mer a dense id, payloads in flat arrays addressed by that id, CSR
-// (prefix-sum offsets + one occurrence array) for the one-to-many
-// indexes — and read lock-free by every rank goroutine. The occurrence
-// order within each k-mer's CSR row reproduces the append order of the
-// map-based implementation (contig-ascending, position-ascending), so
-// probe-until-first-match unit meters are byte-identical to it.
+// loops probe them once per contig position. They are therefore frozen
+// kmer.Multimap tables read lock-free by every rank goroutine: the
+// contig occurrence index (k-mer → occurrence) for loop 1 and the weld
+// index (core k-mer → weldRef) for loop 2. Rows keep emission order —
+// contig-ascending, position-ascending for occurrences, weld-id order
+// for references — the append order of the map-based implementation,
+// so probe-until-first-match unit meters are byte-identical to it.
 
 // occurrence records one position of a k-mer within the contig set.
 type occurrence struct {
@@ -37,23 +36,47 @@ type occurrence struct {
 	pos    int32
 }
 
-// contigKmerIndex maps each k-mer to every contig position containing
-// it, in CSR layout: occs[starts[id]:starts[id+1]] lists the positions
-// of the k-mer with dense id `id`, in contig-then-position scan order.
-// Building it is part of GraphFromFasta's non-parallel setup; the
-// k-mer extraction passes fan out over real goroutines (each contig
-// owns a precomputed range of the flat key array, so the layout is
-// deterministic regardless of scheduling), while the hash insertion
-// and CSR fill stay single-threaded to keep slot assignment and row
-// order deterministic.
-type contigKmerIndex struct {
-	k       int
-	contigs [][]byte
-	set     *kmer.FlatSet
-	starts  []int32
-	occs    []occurrence
-	// buildOps counts the work performed, in k-mer insertions.
-	buildOps int64
+// gffSource is the data loop 1's tables are a deterministic function
+// of: the flattened k-mer scan of the contig set and the full frozen
+// read-count table. The replicated occurrence index is built from it,
+// and under sharding it stands in for the contig file and jellyfish
+// dump on the shared filesystem — shards are rebuilt from it both at
+// startup and when a survivor adopts a dead owner's shard, so no shard
+// is ever lost with its rank.
+type gffSource struct {
+	k     int
+	seqs  [][]byte    // ASCII contigs, nil under the packed kernels
+	keys  []kmer.Kmer // global scan order: contig-ascending, position-ascending
+	poss  []int32
+	off   []int32 // keys[off[i]:off[i+1]] belong to contig i
+	reads *jellyfish.Frozen
+}
+
+// buildGFFSource scans the packed contigs when pseqs is non-nil and
+// the ASCII ones otherwise; the two k-mer streams are equal.
+func buildGFFSource(seqs [][]byte, pseqs []seq.Packed, k int, reads *jellyfish.Frozen) *gffSource {
+	src := &gffSource{k: k, seqs: seqs, reads: reads}
+	if pseqs != nil {
+		src.keys, src.poss, src.off = flattenKmersPacked(pseqs, k)
+	} else {
+		src.keys, src.poss, src.off = flattenKmers(seqs, k)
+	}
+	return src
+}
+
+// occs builds shard s (of ranks; 0 = the full, replicated table) of the
+// contig occurrence index: each scanned k-mer's (contig, position), in
+// scan order.
+func (src *gffSource) occs(ranks, s int) *kmer.Multimap[occurrence] {
+	return shardTable(ranks, s, len(src.keys), func(add func(kmer.Kmer, occurrence)) {
+		ci := 0
+		for j, m := range src.keys {
+			for int32(j) >= src.off[ci+1] {
+				ci++
+			}
+			add(m, occurrence{int32(ci), src.poss[j]})
+		}
+	})
 }
 
 // flattenKmers extracts every valid k-mer of every sequence into flat
@@ -108,57 +131,6 @@ func fillKmerRange(seqs [][]byte, keys []kmer.Kmer, poss []int32, off []int32, l
 			j++
 		}
 	}
-}
-
-func buildContigKmerIndex(contigs [][]byte, k int) *contigKmerIndex {
-	keys, poss, off := flattenKmers(contigs, k)
-	ix := &contigKmerIndex{
-		k:        k,
-		contigs:  contigs,
-		set:      kmer.NewFlatSet(len(keys)),
-		buildOps: int64(len(keys)),
-	}
-	// Count pass: discover distinct k-mers (dense ids in first-seen
-	// order) and their occurrence counts.
-	counts := make([]int32, 0, len(keys))
-	for _, m := range keys {
-		id := ix.set.Add(m)
-		if int(id) == len(counts) {
-			counts = append(counts, 0)
-		}
-		counts[id]++
-	}
-	// Prefix-sum pass: CSR row offsets.
-	ix.starts = make([]int32, len(counts)+1)
-	for id, c := range counts {
-		ix.starts[id+1] = ix.starts[id] + c
-	}
-	// Fill pass: walk the flat keys in global scan order so each row
-	// lists its occurrences contig-ascending, position-ascending —
-	// exactly the append order of a per-key slice map.
-	ix.occs = make([]occurrence, len(keys))
-	next := make([]int32, len(counts))
-	copy(next, ix.starts[:len(counts)])
-	ci := 0
-	for j, m := range keys {
-		for int32(j) >= off[ci+1] {
-			ci++
-		}
-		id, _ := ix.set.Lookup(m)
-		ix.occs[next[id]] = occurrence{int32(ci), poss[j]}
-		next[id]++
-	}
-	return ix
-}
-
-// lookup returns the CSR occurrence row of m (nil if absent).
-// Wait-free after the build.
-func (ix *contigKmerIndex) lookup(m kmer.Kmer) []occurrence {
-	id, ok := ix.set.Lookup(m)
-	if !ok {
-		return nil
-	}
-	return ix.occs[ix.starts[id]:ix.starts[id+1]]
 }
 
 // weldScratch holds the reusable buffers of the loop-1 and loop-2
@@ -315,7 +287,7 @@ func weldSupport(window []byte, k int, reads *jellyfish.Frozen, minSupport int) 
 // returns the welds and the work units (index probes, window
 // comparisons, support probes) performed. sc supplies the reusable
 // buffers; the steady-state inner loop performs no allocations.
-func harvestWelds(contig []byte, ci int, ix *contigKmerIndex, reads *jellyfish.Frozen,
+func harvestWelds(contig []byte, ci int, contigs [][]byte, ix *kmer.Multimap[occurrence], reads *jellyfish.Frozen,
 	opt GFFOptions, rot int, sc *weldScratch) ([]string, float64) {
 	k := opt.K
 	flank := k / 2
@@ -346,11 +318,11 @@ func harvestWelds(contig []byte, ci int, ix *contigKmerIndex, reads *jellyfish.F
 		// The welding subsequence must "match sub-regions of other
 		// contigs": same strand first, then the reverse complement.
 		matched := false
-		for _, o := range ix.lookup(m) {
+		for _, o := range ix.Row(m) {
 			if int(o.contig) == ci {
 				continue
 			}
-			other := ix.contigs[o.contig]
+			other := contigs[o.contig]
 			olo := int(o.pos) - flank
 			units += float64(window)
 			if olo >= 0 && olo+window <= len(other) && string(other[olo:olo+window]) == string(w) {
@@ -363,11 +335,11 @@ func harvestWelds(contig []byte, ci int, ix *contigKmerIndex, reads *jellyfish.F
 			units++
 			rcWin := sc.reverseComplementInto(w)
 			// Within RC(w), the RC seed starts at offset k-flank.
-			for _, o := range ix.lookup(rcSeed) {
+			for _, o := range ix.Row(rcSeed) {
 				if int(o.contig) == ci {
 					continue
 				}
-				other := ix.contigs[o.contig]
+				other := contigs[o.contig]
 				olo := int(o.pos) - (k - flank)
 				units += float64(window)
 				if olo >= 0 && olo+window <= len(other) && string(other[olo:olo+window]) == string(rcWin) {
@@ -445,7 +417,7 @@ func uvarintLen(v uint64) int {
 // candidate is built in one reusable buffer and only materialised as a
 // string when it actually wins the comparison.
 func poolWelds(parts [][]byte) []string {
-	set := map[string]bool{}
+	out := []string{} // non-nil when empty, as decodeWelds' is on the packed path
 	var rcbuf []byte
 	for _, p := range parts {
 		for _, w := range unpackWelds(p) {
@@ -457,15 +429,11 @@ func poolWelds(parts [][]byte) []string {
 			if string(rcbuf) < w {
 				w = string(rcbuf)
 			}
-			set[w] = true
+			out = append(out, w)
 		}
 	}
-	out := make([]string, 0, len(set))
-	for w := range set {
-		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // weldRef points at a pooled weld in one orientation.
@@ -474,92 +442,102 @@ type weldRef struct {
 	rc bool
 }
 
-// weldIndex locates welds in contigs during loop 2: welds are keyed by
-// their central seed k-mer (both orientations) in CSR layout —
-// refs[starts[id]:starts[id+1]] lists the weld references of the core
-// k-mer with dense id `id`, in weld-id order — so a contig scan does
-// one lock-free flat-table probe per position and verifies the full
-// window only on a hit.
-type weldIndex struct {
+// weldIndex locates welds in contigs during loop 2: refs keys every
+// weld under both orientations of its central core k-mer, in weld-id
+// order, so a contig scan does one lock-free probe per position and
+// verifies the full window only on a hit. W is the weld payload — ASCII
+// strings or packed sequences — with rcWelds[id] the reverse complement
+// of welds[id].
+type weldIndex[W any] struct {
 	k       int
-	set     *kmer.FlatSet
-	starts  []int32
-	refs    []weldRef
-	welds   []string
-	rcWelds []string // precomputed reverse complements
+	refs    *kmer.Multimap[weldRef]
+	welds   []W
+	rcWelds []W
 }
 
-func buildWeldIndex(welds []string, k int) *weldIndex {
-	flank := k / 2
-	ix := &weldIndex{
-		k:       k,
-		set:     kmer.NewFlatSet(2 * len(welds)),
-		welds:   welds,
-		rcWelds: make([]string, len(welds)),
-	}
-	// Pass 1: materialise RCs, discover distinct cores, count refs.
-	cores := make([]kmer.Kmer, len(welds))
-	ok := make([]bool, len(welds))
-	var counts []int32
-	bump := func(m kmer.Kmer) {
-		id := ix.set.Add(m)
-		if int(id) == len(counts) {
-			counts = append(counts, 0)
-		}
-		counts[id]++
-	}
+// newWeldIndex indexes welds (rc reverse-complements one, core reads
+// its core k-mer).
+func newWeldIndex[W any](welds []W, k int, rc func(W) W, core func(W) (kmer.Kmer, bool)) *weldIndex[W] {
+	ix := &weldIndex[W]{k: k, welds: welds, rcWelds: make([]W, len(welds))}
 	for id, w := range welds {
-		b := append([]byte(nil), w...)
-		seq.ReverseComplementInPlace(b)
-		ix.rcWelds[id] = string(b)
-		if len(w) < flank+k {
-			continue
-		}
-		core, valid := kmer.Encode([]byte(w[flank:flank+k]), k)
-		if !valid {
-			continue
-		}
-		cores[id], ok[id] = core, true
-		bump(core)
-		if rc := core.ReverseComplement(k); rc != core {
-			bump(rc)
-		}
+		ix.rcWelds[id] = rc(w)
 	}
-	// Pass 2: prefix-sum offsets, then fill in the same order as pass 1
-	// — the append order of the map-based implementation.
-	ix.starts = make([]int32, len(counts)+1)
-	for id, c := range counts {
-		ix.starts[id+1] = ix.starts[id] + c
-	}
-	ix.refs = make([]weldRef, ix.starts[len(counts)])
-	next := make([]int32, len(counts))
-	copy(next, ix.starts[:len(counts)])
-	place := func(m kmer.Kmer, ref weldRef) {
-		id, _ := ix.set.Lookup(m)
-		ix.refs[next[id]] = ref
-		next[id]++
-	}
-	for id := range welds {
-		if !ok[id] {
-			continue
-		}
-		core := cores[id]
-		place(core, weldRef{int32(id), false})
-		if rc := core.ReverseComplement(k); rc != core {
-			place(rc, weldRef{int32(id), true})
-		}
-	}
+	ix.refs = shardTable(0, 0, 2*len(welds), weldCoreRefs(welds, k, core))
 	return ix
 }
 
-// lookup returns the CSR weld-reference row of core k-mer m (nil if
-// absent). Wait-free after the build.
-func (ix *weldIndex) lookup(m kmer.Kmer) []weldRef {
-	id, ok := ix.set.Lookup(m)
-	if !ok {
-		return nil
+func buildWeldIndex(welds []string, k int) *weldIndex[string] {
+	return newWeldIndex(welds, k, func(w string) string {
+		b := []byte(w)
+		seq.ReverseComplementInPlace(b)
+		return string(b)
+	}, asciiCore(k))
+}
+
+// memBytes is the lookup structures plus the RC materialisations; the
+// pooled welds themselves are stage output, identical under every path.
+func (ix *weldIndex[W]) memBytes(size func(W) int) int64 {
+	n := ix.refs.MemBytes()
+	for _, w := range ix.rcWelds {
+		n += int64(size(w))
 	}
-	return ix.refs[ix.starts[id]:ix.starts[id+1]]
+	return n
+}
+
+// weldCoreRefs emits, in weld-id order, each weld's core k-mer as a
+// forward reference and — unless the core is its own reverse
+// complement — the reverse-complemented core as an RC reference: the
+// keys loop 2 probes to find a weld on either strand. Welds too short
+// for a core, or with an ambiguous one, emit nothing.
+func weldCoreRefs[W any](welds []W, k int, core func(W) (kmer.Kmer, bool)) func(add func(kmer.Kmer, weldRef)) {
+	return func(add func(kmer.Kmer, weldRef)) {
+		for id, w := range welds {
+			m, ok := core(w)
+			if !ok {
+				continue
+			}
+			add(m, weldRef{int32(id), false})
+			if rc := m.ReverseComplement(k); rc != m {
+				add(rc, weldRef{int32(id), true})
+			}
+		}
+	}
+}
+
+// asciiCore reads an ASCII weld's core: the k bases after its flank.
+func asciiCore(k int) func(string) (kmer.Kmer, bool) {
+	flank := k / 2
+	return func(w string) (kmer.Kmer, bool) {
+		if len(w) < flank+k {
+			return 0, false
+		}
+		return kmer.Encode([]byte(w[flank:flank+k]), k)
+	}
+}
+
+// shardTable builds the table of the (k-mer, value) pairs emit yields,
+// rows in emission order, keeping the pairs whose k-mer kmer.OwnerRank
+// assigns to shard s of ranks. ranks 0 keeps every pair, in a table
+// sized for hint keys; a shard is sized for the pairs it keeps, counted
+// by a first run of emit. Replicated tables and shard stores are thus
+// one build, and a shard's rows equal the full table's.
+func shardTable[V any](ranks, s, hint int, emit func(add func(kmer.Kmer, V))) *kmer.Multimap[V] {
+	if ranks > 0 {
+		hint = 0
+		emit(func(m kmer.Kmer, _ V) {
+			if kmer.OwnerRank(m, ranks) == s {
+				hint++
+			}
+		})
+	}
+	t := kmer.NewMultimap[V](hint, hint)
+	emit(func(m kmer.Kmer, v V) {
+		if kmer.OwnerRank(m, ranks) == s {
+			t.Add(m, v)
+		}
+	})
+	t.Freeze()
+	return t
 }
 
 // scanContigForWelds runs loop 2's per-contig body: it reports every
@@ -567,7 +545,7 @@ func (ix *weldIndex) lookup(m kmer.Kmer) []weldRef {
 // spent. The returned slice is backed by sc and only valid until the
 // next call with the same scratch; the steady-state inner loop
 // performs no allocations.
-func scanContigForWelds(contig []byte, ci int, ix *weldIndex, sc *weldScratch) ([][2]int32, float64) {
+func scanContigForWelds(contig []byte, ci int, ix *weldIndex[string], sc *weldScratch) ([][2]int32, float64) {
 	k := ix.k
 	flank := k / 2
 	window := 2 * k
@@ -591,7 +569,7 @@ func scanContigForWelds(contig []byte, ci int, ix *weldIndex, sc *weldScratch) (
 			break
 		}
 		units++
-		refs := ix.lookup(m)
+		refs := ix.refs.Row(m)
 		if len(refs) == 0 {
 			continue
 		}

@@ -1,7 +1,7 @@
 package chrysalis
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"gotrinity/internal/jellyfish"
@@ -19,27 +19,16 @@ import (
 // control flow and work-unit formulas exactly (units per position,
 // float64(window) per candidate comparison, one unit per support
 // probe), the packed iterators emit the identical k-mer streams, and
-// Packed.Compare reproduces bytes.Compare — so dense ids, CSR row
+// Packed.Compare reproduces bytes.Compare — so dense ids, table row
 // orders, dedup decisions, harvested weld sets, pooled order, and
-// metered profiles all match the ASCII path bit for bit.
+// metered profiles all match the ASCII path bit for bit. The lookup
+// tables themselves are shared: both kernel sets probe the same
+// occurrence index and the same weldIndex refs.
 //
 // Welds travel between ranks as wire frames: each harvested window is
 // seq.Packed.Encode()d and the bytes ride as an opaque string through
 // the existing packWelds framing, chunk checkpoint stores, and
-// Allgatherv exchange. Equal sequences have equal canonical encodings,
-// so frame strings double as dedup keys during pooling.
-
-// packedContigIndex is contigKmerIndex over packed contigs: identical
-// FlatSet ids, CSR layout, and occurrence order, because the packed
-// k-mer stream equals the ASCII one.
-type packedContigIndex struct {
-	k        int
-	contigs  []seq.Packed
-	set      *kmer.FlatSet
-	starts   []int32
-	occs     []occurrence
-	buildOps int64
-}
+// Allgatherv exchange.
 
 // flattenKmersPacked is flattenKmers over packed sequences: a serial
 // counting pass via the N-run sidecar sizes per-sequence ranges, then
@@ -67,56 +56,6 @@ func flattenKmersPacked(seqs []seq.Packed, k int) (keys []kmer.Kmer, poss []int3
 		}
 	}
 	return keys, poss, off
-}
-
-func buildPackedContigIndex(contigs []seq.Packed, k int) *packedContigIndex {
-	keys, poss, off := flattenKmersPacked(contigs, k)
-	ix := &packedContigIndex{
-		k:        k,
-		contigs:  contigs,
-		set:      kmer.NewFlatSet(len(keys)),
-		buildOps: int64(len(keys)),
-	}
-	counts := make([]int32, 0, len(keys))
-	for _, m := range keys {
-		id := ix.set.Add(m)
-		if int(id) == len(counts) {
-			counts = append(counts, 0)
-		}
-		counts[id]++
-	}
-	ix.starts = make([]int32, len(counts)+1)
-	for id, c := range counts {
-		ix.starts[id+1] = ix.starts[id] + c
-	}
-	ix.occs = make([]occurrence, len(keys))
-	next := make([]int32, len(counts))
-	copy(next, ix.starts[:len(counts)])
-	ci := 0
-	for j, m := range keys {
-		for int32(j) >= off[ci+1] {
-			ci++
-		}
-		id, _ := ix.set.Lookup(m)
-		ix.occs[next[id]] = occurrence{int32(ci), poss[j]}
-		next[id]++
-	}
-	return ix
-}
-
-func (ix *packedContigIndex) lookup(m kmer.Kmer) []occurrence {
-	id, ok := ix.set.Lookup(m)
-	if !ok {
-		return nil
-	}
-	return ix.occs[ix.starts[id]:ix.starts[id+1]]
-}
-
-// memBytes mirrors contigKmerIndex.memBytes (lookup structures only,
-// contig payload excluded) so ResidentKmerBytes stays comparable
-// between the packed and ASCII paths.
-func (ix *packedContigIndex) memBytes() int64 {
-	return ix.set.MemBytes() + int64(len(ix.starts))*4 + int64(len(ix.occs))*8
 }
 
 // packedWeldScratch extends weldScratch with the packed-window
@@ -245,7 +184,7 @@ func weldSupportPacked(contig seq.Packed, lo, hi, k int, reads *jellyfish.Frozen
 // support gate, and per-contig cap as harvestWelds, with identical
 // unit accounting. Emitted welds are fresh packed values (results, not
 // scratch).
-func harvestWeldsPacked(contig seq.Packed, ci int, ix *packedContigIndex, reads *jellyfish.Frozen,
+func harvestWeldsPacked(contig seq.Packed, ci int, contigs []seq.Packed, ix *kmer.Multimap[occurrence], reads *jellyfish.Frozen,
 	opt GFFOptions, rot int, sc *packedWeldScratch) ([]seq.Packed, float64) {
 	k := opt.K
 	flank := k / 2
@@ -276,11 +215,11 @@ func harvestWeldsPacked(contig seq.Packed, ci int, ix *packedContigIndex, reads 
 		// Same strand first, then the reverse complement — identical
 		// candidate order and unit charges to the ASCII kernel.
 		matched := false
-		for _, o := range ix.lookup(m) {
+		for _, o := range ix.Row(m) {
 			if int(o.contig) == ci {
 				continue
 			}
-			other := ix.contigs[o.contig]
+			other := contigs[o.contig]
 			olo := int(o.pos) - flank
 			units += float64(window)
 			if olo >= 0 && olo+window <= other.Len() && other.EqualRange(olo, contig, lo, window) {
@@ -293,11 +232,11 @@ func harvestWeldsPacked(contig seq.Packed, ci int, ix *packedContigIndex, reads 
 			units++
 			sc.win.ReverseComplementInto(&sc.rc)
 			// Within RC(w), the RC seed starts at offset k-flank.
-			for _, o := range ix.lookup(rcSeed) {
+			for _, o := range ix.Row(rcSeed) {
 				if int(o.contig) == ci {
 					continue
 				}
-				other := ix.contigs[o.contig]
+				other := contigs[o.contig]
 				olo := int(o.pos) - (k - flank)
 				units += float64(window)
 				if olo >= 0 && olo+window <= other.Len() && other.EqualRange(olo, sc.rc, 0, window) {
@@ -341,10 +280,8 @@ func encodeWeldFrames(welds []seq.Packed) []string {
 // sort.Strings order of the decoded ASCII, so every downstream dense
 // id matches the ASCII path.
 func poolWeldsPacked(parts [][]byte) []seq.Packed {
-	seen := map[string]bool{}
 	var pool []seq.Packed
 	var rc seq.Packed
-	var keybuf []byte
 	for _, p := range parts {
 		for _, frame := range unpackWelds(p) {
 			w, _, err := seq.DecodePacked([]byte(frame))
@@ -358,111 +295,29 @@ func poolWeldsPacked(parts [][]byte) []seq.Packed {
 				// scratch, so detach it before the next iteration reuses it.
 				w = w.Slice(0, w.Len())
 			}
-			keybuf = w.AppendEncode(keybuf[:0])
-			if seen[string(keybuf)] {
-				continue
-			}
-			seen[string(keybuf)] = true
 			pool = append(pool, w)
 		}
 	}
-	sort.Slice(pool, func(i, j int) bool { return pool[i].Compare(pool[j]) < 0 })
-	return pool
+	slices.SortFunc(pool, seq.Packed.Compare)
+	return slices.CompactFunc(pool, seq.Packed.Equal)
 }
 
-// packedWeldIndex is weldIndex over packed welds: CSR rows keyed by
-// the central core k-mer in both orientations, identical ids and ref
-// order.
-type packedWeldIndex struct {
-	k       int
-	set     *kmer.FlatSet
-	starts  []int32
-	refs    []weldRef
-	welds   []seq.Packed
-	rcWelds []seq.Packed // precomputed reverse complements
-}
-
-func buildPackedWeldIndex(welds []seq.Packed, k int) *packedWeldIndex {
+// buildPackedWeldIndex is buildWeldIndex over packed welds: identical
+// keys, ids and row order.
+func buildPackedWeldIndex(welds []seq.Packed, k int) *weldIndex[seq.Packed] {
 	flank := k / 2
-	ix := &packedWeldIndex{
-		k:       k,
-		set:     kmer.NewFlatSet(2 * len(welds)),
-		welds:   welds,
-		rcWelds: make([]seq.Packed, len(welds)),
-	}
-	cores := make([]kmer.Kmer, len(welds))
-	ok := make([]bool, len(welds))
-	var counts []int32
-	bump := func(m kmer.Kmer) {
-		id := ix.set.Add(m)
-		if int(id) == len(counts) {
-			counts = append(counts, 0)
+	return newWeldIndex(welds, k, seq.Packed.ReverseComplement, func(w seq.Packed) (kmer.Kmer, bool) {
+		if w.Len() < flank+k {
+			return 0, false
 		}
-		counts[id]++
-	}
-	for id := range welds {
-		ix.rcWelds[id] = welds[id].ReverseComplement()
-		if welds[id].Len() < flank+k {
-			continue
-		}
-		core, valid := kmer.PackedEncodeAt(welds[id], flank, k)
-		if !valid {
-			continue
-		}
-		cores[id], ok[id] = core, true
-		bump(core)
-		if rc := core.ReverseComplement(k); rc != core {
-			bump(rc)
-		}
-	}
-	ix.starts = make([]int32, len(counts)+1)
-	for id, c := range counts {
-		ix.starts[id+1] = ix.starts[id] + c
-	}
-	ix.refs = make([]weldRef, ix.starts[len(counts)])
-	next := make([]int32, len(counts))
-	copy(next, ix.starts[:len(counts)])
-	place := func(m kmer.Kmer, ref weldRef) {
-		id, _ := ix.set.Lookup(m)
-		ix.refs[next[id]] = ref
-		next[id]++
-	}
-	for id := range welds {
-		if !ok[id] {
-			continue
-		}
-		core := cores[id]
-		place(core, weldRef{int32(id), false})
-		if rc := core.ReverseComplement(k); rc != core {
-			place(rc, weldRef{int32(id), true})
-		}
-	}
-	return ix
-}
-
-func (ix *packedWeldIndex) lookup(m kmer.Kmer) []weldRef {
-	id, ok := ix.set.Lookup(m)
-	if !ok {
-		return nil
-	}
-	return ix.refs[ix.starts[id]:ix.starts[id+1]]
-}
-
-// memBytes mirrors weldIndex.memBytes (lookup structures plus the RC
-// materialisations; the pooled welds themselves are stage output) —
-// the RC side is where packing shrinks the resident set.
-func (ix *packedWeldIndex) memBytes() int64 {
-	n := ix.set.MemBytes() + int64(len(ix.starts))*4 + int64(len(ix.refs))*8
-	for i := range ix.rcWelds {
-		n += int64(ix.rcWelds[i].MemBytes())
-	}
-	return n
+		return kmer.PackedEncodeAt(w, flank, k)
+	})
 }
 
 // scanContigForWeldsPacked is loop 2's per-contig body over packed
 // data: identical probe order, window verification, per-weld stamping,
 // and unit accounting to scanContigForWelds.
-func scanContigForWeldsPacked(contig seq.Packed, ci int, ix *packedWeldIndex, sc *packedWeldScratch) ([][2]int32, float64) {
+func scanContigForWeldsPacked(contig seq.Packed, ci int, ix *weldIndex[seq.Packed], sc *packedWeldScratch) ([][2]int32, float64) {
 	k := ix.k
 	flank := k / 2
 	window := 2 * k
@@ -486,7 +341,7 @@ func scanContigForWeldsPacked(contig seq.Packed, ci int, ix *packedWeldIndex, sc
 			break
 		}
 		units++
-		refs := ix.lookup(m)
+		refs := ix.refs.Row(m)
 		if len(refs) == 0 {
 			continue
 		}

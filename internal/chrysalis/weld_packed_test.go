@@ -151,18 +151,18 @@ func TestHarvestWeldsPackedDifferential(t *testing.T) {
 		pseqs[i] = seq.Pack(sc.contigs[i].Seq)
 	}
 	frozen := sc.kmers.Freeze()
-	ix := buildContigKmerIndex(seqs, opt.K)
-	pix := buildPackedContigIndex(pseqs, opt.K)
-	if ix.buildOps != pix.buildOps {
-		t.Fatalf("buildOps %d vs %d", pix.buildOps, ix.buildOps)
+	src, psrc := buildGFFSource(seqs, nil, opt.K, nil), buildGFFSource(nil, pseqs, opt.K, nil)
+	if len(src.keys) != len(psrc.keys) {
+		t.Fatalf("buildOps %d vs %d", len(psrc.keys), len(src.keys))
 	}
+	ix, pix := src.occs(0, 0), psrc.occs(0, 0)
 	asc := new(weldScratch)
 	psc := new(packedWeldScratch)
 	var allWelds []string
 	for i := range seqs {
 		rot := harvestRotation(3, i, len(seqs[i]))
-		want, wu := harvestWelds(seqs[i], i, ix, frozen, opt, rot, asc)
-		got, gu := harvestWeldsPacked(pseqs[i], i, pix, frozen, opt, rot, psc)
+		want, wu := harvestWelds(seqs[i], i, seqs, ix, frozen, opt, rot, asc)
+		got, gu := harvestWeldsPacked(pseqs[i], i, pseqs, pix, frozen, opt, rot, psc)
 		if wu != gu {
 			t.Errorf("contig %d: units %v vs %v", i, gu, wu)
 		}
@@ -257,11 +257,11 @@ func TestPackedWeldKernelAllocs(t *testing.T) {
 	sc := new(packedWeldScratch)
 	// Warm up: grows every scratch buffer to steady state.
 	for i := range contigs {
-		harvestWeldsPacked(contigs[i], i, pix, frozen, opt, 0, sc)
+		harvestWeldsPacked(contigs[i], i, contigs, pix, frozen, opt, 0, sc)
 	}
 	if avg := testing.AllocsPerRun(20, func() {
 		for i := range contigs {
-			harvestWeldsPacked(contigs[i], i, pix, frozen, opt, 0, sc)
+			harvestWeldsPacked(contigs[i], i, contigs, pix, frozen, opt, 0, sc)
 		}
 	}); avg > 0 {
 		t.Errorf("harvestWeldsPacked allocates %.1f per sweep; want 0", avg)

@@ -5,7 +5,7 @@ import "fmt"
 // FlatSet is an open-addressing, linear-probing set of k-mers that
 // assigns every distinct k-mer a dense id (0..Len()-1) in insertion
 // order. It is the shared substrate of the Chrysalis performance
-// kernels: the CSR occurrence indexes, the frozen read-count table and
+// kernels: the Multimap row tables, the frozen read-count table and
 // the bundle ownership table all key their payload arrays by FlatSet
 // ids instead of boxing slices inside a Go map.
 //

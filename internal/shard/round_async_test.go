@@ -10,11 +10,11 @@ import (
 	"gotrinity/internal/mpi"
 )
 
-// tableAnswer serves lookups from a CSR in the 8-byte-word row format
+// tableAnswer serves lookups from a shard store in the 8-byte-word row format
 // the Round tests use.
-func tableAnswer(store *CSR) func(kmer.Kmer, []byte) []byte {
+func tableAnswer(store *kmer.Multimap[uint64]) func(kmer.Kmer, []byte) []byte {
 	return func(m kmer.Kmer, dst []byte) []byte {
-		for _, v := range store.Lookup(m) {
+		for _, v := range store.Row(m) {
 			var b [8]byte
 			binary.LittleEndian.PutUint64(b[:], v)
 			dst = append(dst, b[:]...)
@@ -44,7 +44,7 @@ func TestAsyncRoundMatchesRound(t *testing.T) {
 					vals = append(vals, v)
 				}
 			}
-			store := NewCSR(keys, vals)
+			store := newStore(keys, vals)
 			// Tile t queries the keys congruent to t mod tiles, each routed
 			// to its owner.
 			tileQueries := make([][][]kmer.Kmer, tiles)
@@ -132,7 +132,7 @@ func TestAsyncRoundOwnerDeath(t *testing.T) {
 				vals = append(vals, v)
 			}
 		}
-		store := NewCSR(keys, vals)
+		store := newStore(keys, vals)
 		queries := make([][]kmer.Kmer, ranks)
 		for m := range table {
 			o := kmer.OwnerRank(m, ranks)

@@ -5,12 +5,14 @@
 // land on a remote shard are batched into aggregated exchange rounds
 // over the pairwise Alltoallv instead of being replicated everywhere.
 //
-// The package provides the three shard-layer primitives that are
-// independent of what is being looked up: the deterministic owner map
-// under rank deaths (Owners), a frozen CSR row store keyed by k-mer
-// (CSR), and the two-collective query/reply round (Round). What a row
-// means — contig occurrences, weld references — is the caller's
-// encoding.
+// The package provides the shard-layer primitives that are independent
+// of what is being looked up: the deterministic owner map under rank
+// deaths (Owners), the k-mer query wire format (PackKmers), and the
+// two-collective query/reply round (Round) with its nonblocking,
+// double-buffered form (AsyncRound). The shard stores themselves are
+// kmer.Multimap tables, the same build as the replicated ones; what a
+// row means — contig occurrences, weld references — and how it is
+// encoded in an answer is the caller's.
 package shard
 
 import (
@@ -54,61 +56,6 @@ func Owners(worldSize int, dead []int) []int {
 		}
 	}
 	return owners
-}
-
-// CSR is a frozen k-mer → row store in the flat two-array layout of
-// the Chrysalis kernels: a FlatSet maps a k-mer to a dense id, and the
-// id indexes a prefix-summed row of opaque uint64 values. Build once
-// with NewCSR, then Lookup is wait-free for any number of readers.
-type CSR struct {
-	set    *kmer.FlatSet
-	starts []int32
-	rows   []uint64
-}
-
-// NewCSR builds a store from parallel (key, value) pairs; repeated
-// keys accumulate into one row whose values keep their input order, so
-// feeding pairs in a globally deterministic order yields rows that are
-// byte-identical on every rank that builds the same shard.
-func NewCSR(keys []kmer.Kmer, vals []uint64) *CSR {
-	set := kmer.NewFlatSet(len(keys))
-	ids := make([]int32, len(keys))
-	for i, m := range keys {
-		ids[i] = set.Add(m)
-	}
-	n := set.Len()
-	starts := make([]int32, n+1)
-	for _, id := range ids {
-		starts[id+1]++
-	}
-	for i := 0; i < n; i++ {
-		starts[i+1] += starts[i]
-	}
-	rows := make([]uint64, len(vals))
-	next := make([]int32, n)
-	for i, id := range ids {
-		rows[starts[id]+next[id]] = vals[i]
-		next[id]++
-	}
-	return &CSR{set: set, starts: starts, rows: rows}
-}
-
-// Lookup returns m's row (nil if m is not in the store). The returned
-// slice aliases the store; callers must not mutate it.
-func (s *CSR) Lookup(m kmer.Kmer) []uint64 {
-	id, ok := s.set.Lookup(m)
-	if !ok {
-		return nil
-	}
-	return s.rows[s.starts[id]:s.starts[id+1]]
-}
-
-// Len returns the number of distinct keys stored.
-func (s *CSR) Len() int { return s.set.Len() }
-
-// MemBytes returns the resident size of the store's backing arrays.
-func (s *CSR) MemBytes() int64 {
-	return s.set.MemBytes() + int64(len(s.starts))*4 + int64(len(s.rows))*8
 }
 
 // PackKmers encodes k-mers as fixed 8-byte little-endian words — the

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -41,38 +40,15 @@ func TestOwners(t *testing.T) {
 	}
 }
 
-// TestCSRDifferential pins the flat store against a map of slices.
-func TestCSRDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 30; trial++ {
-		n := rng.Intn(500)
-		keys := make([]kmer.Kmer, n)
-		vals := make([]uint64, n)
-		ref := map[kmer.Kmer][]uint64{}
-		for i := 0; i < n; i++ {
-			keys[i] = kmer.Kmer(rng.Uint64() % 64) // force repeats
-			vals[i] = rng.Uint64()
-			ref[keys[i]] = append(ref[keys[i]], vals[i])
-		}
-		s := NewCSR(keys, vals)
-		if s.Len() != len(ref) {
-			t.Fatalf("trial %d: Len = %d, want %d", trial, s.Len(), len(ref))
-		}
-		for m, want := range ref {
-			if got := s.Lookup(m); !reflect.DeepEqual(append([]uint64{}, got...), want) {
-				t.Fatalf("trial %d: Lookup(%v) = %v, want %v", trial, m, got, want)
-			}
-		}
-		for i := 0; i < 50; i++ {
-			m := kmer.Kmer(rng.Uint64())
-			if _, seen := ref[m]; !seen && s.Lookup(m) != nil {
-				t.Fatalf("trial %d: Lookup(%v) hit for absent key", trial, m)
-			}
-		}
-		if s.MemBytes() <= 0 && n > 0 {
-			t.Fatalf("trial %d: MemBytes = %d", trial, s.MemBytes())
-		}
+// newStore builds a shard store: pairs with a repeated key accumulate
+// into one row in input order.
+func newStore(keys []kmer.Kmer, vals []uint64) *kmer.Multimap[uint64] {
+	t := kmer.NewMultimap[uint64](len(keys), len(keys))
+	for i, m := range keys {
+		t.Add(m, vals[i])
 	}
+	t.Freeze()
+	return t
 }
 
 func TestPackKmersRoundtrip(t *testing.T) {
@@ -87,7 +63,7 @@ func TestPackKmersRoundtrip(t *testing.T) {
 }
 
 // TestRound runs a clean lookup round at several world sizes: each
-// rank owns a CSR shard of a shared table and every rank queries every
+// rank owns a shard of a shared table and every rank queries every
 // key, so every frame must come back with the owner's row.
 func TestRound(t *testing.T) {
 	for _, ranks := range []int{1, 2, 4, 7} {
@@ -106,7 +82,7 @@ func TestRound(t *testing.T) {
 					vals = append(vals, v)
 				}
 			}
-			store := NewCSR(keys, vals)
+			store := newStore(keys, vals)
 			// Query every key, routed to its owner.
 			queries := make([][]kmer.Kmer, ranks)
 			for m := range table {
@@ -114,7 +90,7 @@ func TestRound(t *testing.T) {
 				queries[o] = append(queries[o], m)
 			}
 			resps, err := Round(c, queries, func(m kmer.Kmer, dst []byte) []byte {
-				row := store.Lookup(m)
+				row := store.Row(m)
 				for _, v := range row {
 					dst = append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
 						byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
@@ -168,7 +144,7 @@ func TestRoundOwnerDeath(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		table[kmer.Kmer(i*7+3)] = uint64(i)
 	}
-	buildStore := func(rank int, owners []int) *CSR {
+	buildStore := func(rank int, owners []int) *kmer.Multimap[uint64] {
 		var keys []kmer.Kmer
 		var vals []uint64
 		for m, v := range table {
@@ -177,15 +153,15 @@ func TestRoundOwnerDeath(t *testing.T) {
 				vals = append(vals, v)
 			}
 		}
-		return NewCSR(keys, vals)
+		return newStore(keys, vals)
 	}
 	_, errs := world.RunE(func(c *mpi.Comm) error {
 		if c.Rank() == victim {
 			c.Probe() // fault point: dies here
 		}
-		answer := func(store *CSR) func(kmer.Kmer, []byte) []byte {
+		answer := func(store *kmer.Multimap[uint64]) func(kmer.Kmer, []byte) []byte {
 			return func(m kmer.Kmer, dst []byte) []byte {
-				for _, v := range store.Lookup(m) {
+				for _, v := range store.Row(m) {
 					var b [8]byte
 					for i := range b {
 						b[i] = byte(v >> (8 * i))

@@ -5,7 +5,7 @@
 package validate
 
 import (
-	"sort"
+	"slices"
 
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/rnaseq"
@@ -41,55 +41,64 @@ func (c SWComparison) Total() int {
 	return c.FullIdentical + c.FullNonIdentical + c.Partial + c.Unmatched
 }
 
-// kmerIndex maps prefilter k-mers to the records containing them.
+// kmerIndex maps prefilter k-mers to the records containing them, each
+// record listed once per k-mer, and holds the shared-k-mer counters of
+// one candidates call.
 type kmerIndex struct {
-	ids map[kmer.Kmer][]int32
+	recs    *kmer.Multimap[int32]
+	shared  []int32 // per record: k-mers shared with the current query
+	touched []int32 // records with shared > 0
 }
 
 func indexRecords(recs []seq.Record) *kmerIndex {
-	ix := &kmerIndex{ids: make(map[kmer.Kmer][]int32)}
+	bases := 0
+	for i := range recs {
+		bases += len(recs[i].Seq)
+	}
+	ix := &kmerIndex{recs: kmer.NewMultimap[int32](bases, bases), shared: make([]int32, len(recs))}
+	var last []int32 // the last record to list k-mer id
 	for i := range recs {
 		it := kmer.NewIterator(recs[i].Seq, prefilterK)
-		for {
-			m, _, ok := it.Next()
-			if !ok {
-				break
+		for m, _, ok := it.Next(); ok; m, _, ok = it.Next() {
+			id := ix.recs.Key(m)
+			if int(id) == len(last) {
+				last = append(last, -1)
 			}
-			lst := ix.ids[m]
-			if len(lst) > 0 && lst[len(lst)-1] == int32(i) {
-				continue // already indexed for this record
+			if last[id] != int32(i) { // already indexed for this record otherwise
+				last[id] = int32(i)
+				ix.recs.Put(id, int32(i))
 			}
-			ix.ids[m] = append(lst, int32(i))
 		}
 	}
+	ix.recs.Freeze()
 	return ix
 }
 
 // candidates returns record ids sharing at least minSharedKmers
-// prefilter k-mers with s (either strand).
+// prefilter k-mers with s (either strand), ascending.
 func (ix *kmerIndex) candidates(s []byte) []int32 {
-	counts := map[int32]int{}
 	tally := func(b []byte) {
 		it := kmer.NewIterator(b, prefilterK)
-		for {
-			m, _, ok := it.Next()
-			if !ok {
-				return
-			}
-			for _, id := range ix.ids[m] {
-				counts[id]++
+		for m, _, ok := it.Next(); ok; m, _, ok = it.Next() {
+			for _, id := range ix.recs.Row(m) {
+				if ix.shared[id] == 0 {
+					ix.touched = append(ix.touched, id)
+				}
+				ix.shared[id]++
 			}
 		}
 	}
 	tally(s)
 	tally(seq.ReverseComplement(s))
 	var out []int32
-	for id, n := range counts {
-		if n >= minSharedKmers {
+	for _, id := range ix.touched {
+		if ix.shared[id] >= minSharedKmers {
 			out = append(out, id)
 		}
+		ix.shared[id] = 0
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	ix.touched = ix.touched[:0]
+	slices.Sort(out)
 	return out
 }
 

@@ -2,8 +2,11 @@ package validate
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
+	"gotrinity/internal/kmer"
 	"gotrinity/internal/rnaseq"
 	"gotrinity/internal/seq"
 	"gotrinity/internal/sw"
@@ -166,5 +169,85 @@ func TestEmptyInputs(t *testing.T) {
 	fu := FusedTranscripts(nil, nil, 0.9, 0.9)
 	if fu.Genes != 0 || fu.Isoforms != 0 {
 		t.Errorf("empty fusion: %+v", fu)
+	}
+}
+
+// candidatesMapRef is the prefilter the kmerIndex table replaced: a map
+// of record lists, each record listed once per k-mer, and a map of
+// shared-k-mer counts per query.
+func candidatesMapRef(recs []seq.Record, s []byte) []int32 {
+	ids := map[kmer.Kmer][]int32{}
+	for i := range recs {
+		it := kmer.NewIterator(recs[i].Seq, prefilterK)
+		for m, _, ok := it.Next(); ok; m, _, ok = it.Next() {
+			if lst := ids[m]; len(lst) == 0 || lst[len(lst)-1] != int32(i) {
+				ids[m] = append(lst, int32(i))
+			}
+		}
+	}
+	counts := map[int32]int{}
+	for _, b := range [][]byte{s, seq.ReverseComplement(s)} {
+		it := kmer.NewIterator(b, prefilterK)
+		for m, _, ok := it.Next(); ok; m, _, ok = it.Next() {
+			for _, id := range ids[m] {
+				counts[id]++
+			}
+		}
+	}
+	var out []int32
+	for id, n := range counts {
+		if n >= minSharedKmers {
+			out = append(out, id)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// TestCandidatesMatchMapOracle pins the prefilter against the map
+// version on records built from shared segments (so queries share
+// k-mers with several records, on either strand, and records repeat
+// k-mers internally), query after query on one index.
+func TestCandidatesMatchMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	segs := make([][]byte, 6)
+	for i := range segs {
+		segs[i] = randDNA(rng, 30+rng.Intn(40))
+	}
+	build := func() []byte {
+		var s []byte
+		for j := 0; j < 1+rng.Intn(4); j++ {
+			seg := segs[rng.Intn(len(segs))]
+			if rng.Intn(2) == 0 {
+				seg = seq.ReverseComplement(seg)
+			}
+			s = append(append(s, seg...), randDNA(rng, rng.Intn(8))...)
+		}
+		return s
+	}
+	var recs []seq.Record
+	for i := 0; i < 40; i++ {
+		recs = append(recs, seq.Record{ID: "r", Seq: build()})
+	}
+	// A record holding a 22-base segment twice shares its two k-mers
+	// with a query of that segment alone: two, not four, below the
+	// threshold of three — a record counts once per k-mer.
+	short := randDNA(rng, 22)
+	recs = append(recs, seq.Record{ID: "r", Seq: append(append(append([]byte(nil), short...), randDNA(rng, 5)...), short...)})
+	ix := indexRecords(recs)
+	hits := 0
+	for q := 0; q < 200; q++ {
+		s := build()
+		if q%10 == 0 {
+			s = append(append([]byte(nil), short...), randDNA(rng, 4)...)
+		}
+		got, want := ix.candidates(s), candidatesMapRef(recs, s)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d: candidates %v, want %v", q, got, want)
+		}
+		hits += len(got)
+	}
+	if hits == 0 {
+		t.Fatal("no query had a candidate")
 	}
 }
