@@ -81,14 +81,15 @@ bench-chrysalis:
 # against the map-based reference it replaced — the Chrysalis kernels,
 # the packed Bowtie aligner and its seed-table build on deep-shaped
 # input, ReadsToTranscripts on deep-shaped input at one chunk worker and
-# at GOMAXPROCS, and the k-mer spine's four stages (counting, Inchworm,
-# graph build + compact, pair support) on deep- and wide-shaped input —
+# at GOMAXPROCS, FastaToDeBruijn + Quantify on the same input, and the
+# k-mer spine's four stages (counting, Inchworm, graph build + compact,
+# pair support) on deep- and wide-shaped input —
 # recorded as BENCH_kernels.json so the speedups (and any regressions)
 # show up in review diffs. The file is regenerated whole, stamped with
 # the host it ran on; the micro-kernels run for 1 s each and the
 # whole-stage benchmarks 10 times, so every entry has >= 7 iterations.
 KERNEL_MICRO = HarvestWelds|ScanContigForWelds|BuildContigKmerIndex|BuildWeldIndex|AssignRead|CountTableGet|PackedIndexBuild
-KERNEL_STAGE = PackedAlignAll|R2TAssign|CountPacked|InchwormRun|GraphBuildCompact|PairSupport
+KERNEL_STAGE = PackedAlignAll|R2TAssign|Quantify|CountPacked|InchwormRun|GraphBuildCompact|PairSupport
 KERNEL_BENCH = $(KERNEL_MICRO)|$(KERNEL_STAGE)
 KERNEL_PKGS = ./internal/chrysalis/ ./internal/jellyfish/ ./internal/bowtie/ ./internal/inchworm/ ./internal/dbg/ ./internal/butterfly/
 BENCH_KERNELS_JSON ?= BENCH_kernels.json

@@ -39,7 +39,7 @@ func main() {
 	externalBudget := flag.Int("external-budget-mb", 0, "advisory resident-memory budget for --external in MiB (0 = unbudgeted; reported, not enforced)")
 	externalTmp := flag.String("external-tmp", "", "directory for --external partition files (default: system temp dir)")
 	externalParts := flag.Int("external-partitions", 0, "disk partitions for --external counting (0 = default 8)")
-	minPairs := flag.Int("min-pair-support", 0, "drop transcripts spanned by fewer mate pairs (0 = keep all)")
+	minPairs := flag.Int("min-pair-support", 0, "drop transcripts spanned by fewer mate pairs (0 = keep all, and count no pairs)")
 	tailWorkers := flag.Int("tail-workers", 0, "pipeline-tail worker pool (0 = GOMAXPROCS)")
 	showTrace := flag.Bool("trace", false, "print the per-stage Collectl-style trace")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the run (chrome://tracing, Perfetto)")

@@ -64,18 +64,6 @@ type Transcript struct {
 	Coverage  float64 // mean coverage along the path
 }
 
-// Reconstruct enumerates transcripts for every component graph. The
-// graphs should already carry read coverage (QuantifyGraph) so that
-// branch choices reflect expression.
-func Reconstruct(graphs []*chrysalis.ComponentGraph, opt Options) []Transcript {
-	opt.normalize()
-	var out []Transcript
-	for _, cg := range graphs {
-		out = append(out, componentTranscripts(cg, opt)...)
-	}
-	return out
-}
-
 // ReconstructParallel enumerates transcripts with a bounded worker
 // pool, one component per work item. Components run largest first (LPT
 // order over graph nodes plus assigned reads) under a dynamic schedule,

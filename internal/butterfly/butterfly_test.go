@@ -10,6 +10,18 @@ import (
 	"gotrinity/internal/seq"
 )
 
+// Reconstruct enumerates transcripts for every component graph, one
+// after another: the serial reconstruction ReconstructParallel is
+// checked against.
+func Reconstruct(graphs []*chrysalis.ComponentGraph, opt Options) []Transcript {
+	opt.normalize()
+	var out []Transcript
+	for _, cg := range graphs {
+		out = append(out, componentTranscripts(cg, opt)...)
+	}
+	return out
+}
+
 func graphFor(t *testing.T, k int, seqs ...string) *chrysalis.ComponentGraph {
 	t.Helper()
 	g, err := dbg.New(k)
@@ -167,10 +179,6 @@ func TestEndToEndFromChrysalisGraphs(t *testing.T) {
 	s := randDNA(rng, 400)
 	contigs := []seq.Record{{ID: "c0", Seq: []byte(s)}}
 	comps := []chrysalis.Component{{ID: 0, Contigs: []int{0}}}
-	graphs, err := chrysalis.FastaToDeBruijn(contigs, comps, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var reads []seq.Record
 	for i := 0; i+60 <= len(s); i += 15 {
 		reads = append(reads, seq.Record{ID: "r", Seq: []byte(s[i : i+60])})
@@ -179,7 +187,10 @@ func TestEndToEndFromChrysalisGraphs(t *testing.T) {
 	for i := range reads {
 		assigns[i] = chrysalis.Assignment{Read: int32(i), Component: 0, Matches: 1}
 	}
-	chrysalis.QuantifyGraph(graphs, reads, assigns)
+	graphs, _, _, err := chrysalis.FastaToDeBruijnParallel(contigs, comps, 15, reads, assigns, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := Reconstruct(graphs, Options{})
 	if len(ts) == 0 {
 		t.Fatal("no transcripts")

@@ -24,18 +24,14 @@ const PairSupportK = 21
 // for the mate to count as matching.
 const minMateKmers = 3
 
-// PairSupport counts, for each transcript, the read pairs assigned to
-// its component whose two mates both match the transcript sequence.
-// The result is indexed like ts.
-func PairSupport(ts []Transcript, graphs []*chrysalis.ComponentGraph, reads []seq.Record) []int {
-	return pairSupport(ts, graphs, reads, 1)
-}
-
-// PairSupportParallel is PairSupport over a bounded worker pool, one
-// component per work item: a component's pairs are scanned against an
-// index of its own transcripts and every transcript's count is written
-// by the one worker that holds its component, so the result is
-// identical to the serial count for any worker count.
+// PairSupportParallel counts, for each transcript, the read pairs
+// assigned to its component whose two mates both match the transcript
+// sequence; the result is indexed like ts. It runs over a bounded
+// worker pool, one component per work item: a component's pairs are
+// scanned against an index of its own transcripts and every
+// transcript's count is written by the one worker that holds its
+// component, so the result is identical to the serial count for any
+// worker count.
 func PairSupportParallel(ts []Transcript, graphs []*chrysalis.ComponentGraph, reads []seq.Record, workers int) []int {
 	return pairSupport(ts, graphs, reads, workers)
 }

@@ -10,6 +10,12 @@ import (
 	"gotrinity/internal/seq"
 )
 
+// PairSupport is the serial count PairSupportParallel is checked
+// against.
+func PairSupport(ts []Transcript, graphs []*chrysalis.ComponentGraph, reads []seq.Record) []int {
+	return pairSupport(ts, graphs, reads, 1)
+}
+
 func TestSplitMate(t *testing.T) {
 	if b, m, ok := splitMate("read9/1"); !ok || b != "read9" || m != 1 {
 		t.Errorf("splitMate = %q %d %v", b, m, ok)

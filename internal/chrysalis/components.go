@@ -16,20 +16,6 @@ type ComponentGraph struct {
 	Reads     []int32 // indices of reads ReadsToTranscripts assigned here
 }
 
-// FastaToDeBruijn builds one de Bruijn graph per component from the
-// component's contigs — the FastaToDebruijn sub-step of Chrysalis.
-func FastaToDeBruijn(contigs []seq.Record, comps []Component, k int) ([]*ComponentGraph, error) {
-	out := make([]*ComponentGraph, 0, len(comps))
-	for _, comp := range comps {
-		cg, err := buildComponentGraph(contigs, comp, k)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, cg)
-	}
-	return out, nil
-}
-
 // groupAssignments groups the assigned read indices by component
 // position, preserving assignment order — the per-component read order
 // QuantifyGraph's single pass produces. Assignments to unknown
@@ -88,15 +74,15 @@ func quantifyComponent(cg *ComponentGraph, reads []seq.Record, assigned []int32)
 	}
 }
 
-// FastaToDeBruijnParallel fuses FastaToDeBruijn and QuantifyGraph into
-// one component-parallel phase: each component's graph is built from
+// FastaToDeBruijnParallel fuses Chrysalis's FastaToDeBruijn and
+// QuantifyGraph sub-steps into one component-parallel phase: each component's graph is built from
 // its contigs and quantified with its assigned reads by a bounded
 // worker pool. Components are dispatched largest first (LPT order over
 // contig plus assigned-read bases) under a dynamic schedule to tame the
 // highly skewed component-size distribution, and every result lands in
 // a pre-sized slice cell indexed by component position, so the output
 // is identical to the serial FastaToDeBruijn + QuantifyGraph
-// composition regardless of worker count or interleaving: per
+// composition (kept as the test oracle) regardless of worker count or interleaving: per
 // component, the graph sees the same AddSequence calls in the same
 // order (contigs first, then reads in assignment order).
 //
@@ -138,23 +124,4 @@ func FastaToDeBruijnParallel(contigs []seq.Record, comps []Component, k int,
 			out[i] = cg
 		})
 	return out, units, prof, nil
-}
-
-// QuantifyGraph threads each assigned read through its component's
-// graph, adding coverage — the QuantityGraph sub-step that gives
-// Butterfly its read support. Reads assigned to unknown components are
-// ignored.
-func QuantifyGraph(graphs []*ComponentGraph, reads []seq.Record, assignments []Assignment) {
-	byID := map[int]*ComponentGraph{}
-	for _, cg := range graphs {
-		byID[cg.Component.ID] = cg
-	}
-	for _, a := range assignments {
-		cg, ok := byID[int(a.Component)]
-		if !ok || int(a.Read) >= len(reads) {
-			continue
-		}
-		cg.Graph.AddSequence(reads[a.Read].Seq, 1)
-		cg.Reads = append(cg.Reads, a.Read)
-	}
 }

@@ -11,6 +11,41 @@ type kmerT = kmer.Kmer
 
 func encodeKmer(s string) (kmerT, bool) { return kmer.Encode([]byte(s), len(s)) }
 
+// FastaToDeBruijn builds one de Bruijn graph per component from the
+// component's contigs — the FastaToDebruijn sub-step of Chrysalis. With
+// QuantifyGraph it is the serial composition FastaToDeBruijnParallel
+// is checked against.
+func FastaToDeBruijn(contigs []seq.Record, comps []Component, k int) ([]*ComponentGraph, error) {
+	out := make([]*ComponentGraph, 0, len(comps))
+	for _, comp := range comps {
+		cg, err := buildComponentGraph(contigs, comp, k)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, cg)
+	}
+	return out, nil
+}
+
+// QuantifyGraph threads each assigned read through its component's
+// graph, adding coverage — the QuantityGraph sub-step that gives
+// Butterfly its read support. Reads assigned to unknown components are
+// ignored.
+func QuantifyGraph(graphs []*ComponentGraph, reads []seq.Record, assignments []Assignment) {
+	byID := map[int]*ComponentGraph{}
+	for _, cg := range graphs {
+		byID[cg.Component.ID] = cg
+	}
+	for _, a := range assignments {
+		cg, ok := byID[int(a.Component)]
+		if !ok || int(a.Read) >= len(reads) {
+			continue
+		}
+		cg.Graph.AddSequence(reads[a.Read].Seq, 1)
+		cg.Reads = append(cg.Reads, a.Read)
+	}
+}
+
 func TestFastaToDeBruijn(t *testing.T) {
 	contigs := []seq.Record{
 		{ID: "a", Seq: []byte("ACGTACGTACGTACGT")},

@@ -140,6 +140,21 @@ func BenchmarkAssignRead(b *testing.B) {
 			assignRead(sc.reads[i%len(sc.reads)].Seq, t, 1, scr)
 		}
 	})
+	// The kernel the pipeline runs: packed reads against the table
+	// built from packed contigs.
+	b.Run("packed", func(b *testing.B) {
+		pcontigs := make([]seq.Packed, len(sc.records))
+		for i := range sc.records {
+			pcontigs[i] = seq.Pack(sc.records[i].Seq)
+		}
+		t := buildBundleKmerTablePacked(sc.records, pcontigs, comps, sc.k)
+		preads := seq.PackRecords(sc.reads)
+		scr := new(assignScratch)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			assignReadPacked(preads[i%len(preads)].Seq, t, 1, scr)
+		}
+	})
 }
 
 var benchSink int
@@ -219,4 +234,26 @@ func BenchmarkR2TAssign(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reads)), "ns/read")
 		})
 	}
+}
+
+// BenchmarkQuantify runs FastaToDeBruijn + QuantifyGraph as the
+// pipeline does on deep-shaped input: every component's graph built
+// from its contigs and threaded with the reads ReadsToTranscripts
+// assigned it, on one worker.
+func BenchmarkQuantify(b *testing.B) {
+	reads, contigs, comps := deepShapedR2T()
+	r2t, err := ReadsToTranscripts(reads, contigs, comps, 1, R2TOptions{K: 25, Packed: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		graphs, _, _, err := FastaToDeBruijnParallel(contigs, comps, 25, reads, r2t.Assignments, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += len(graphs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(r2t.Assignments)), "ns/read")
 }

@@ -500,13 +500,34 @@ func TestBundleKmerTableDifferential(t *testing.T) {
 		if flat.ops != ref.ops {
 			t.Fatalf("seed %d: ops %d vs %d", seed, flat.ops, ref.ops)
 		}
-		if flat.set.Len() != len(ref.owner) {
-			t.Fatalf("seed %d: distinct %d vs %d", seed, flat.set.Len(), len(ref.owner))
+		// One id per canonical k-mer; each answers both orientations.
+		owner := func(m kmer.Kmer) int32 {
+			if c, ok := ref.owner[m]; ok {
+				return c
+			}
+			return -1
 		}
-		for m, want := range ref.owner {
-			got, ok := flat.lookup(m)
-			if !ok || got != want {
-				t.Fatalf("seed %d: owner(%v) = (%d,%v), want %d", seed, m, got, ok, want)
+		canon := map[kmer.Kmer]bool{}
+		for m := range ref.owner {
+			c, _ := m.Canonical(sc.k)
+			canon[c] = true
+			gotF, gotR := flat.lookup2(m)
+			if wantF, wantR := owner(m), owner(m.ReverseComplement(sc.k)); gotF != wantF || gotR != wantR {
+				t.Fatalf("seed %d: lookup2(%v) = (%d,%d), want (%d,%d)", seed, m, gotF, gotR, wantF, wantR)
+			}
+		}
+		if flat.set.Len() != len(canon) {
+			t.Fatalf("seed %d: distinct %d vs %d canonical", seed, flat.set.Len(), len(canon))
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for misses := 0; misses < 200; {
+			m := kmer.Kmer(rng.Uint64() & (1<<uint(2*sc.k) - 1))
+			if owner(m) >= 0 || owner(m.ReverseComplement(sc.k)) >= 0 {
+				continue
+			}
+			misses++
+			if gotF, gotR := flat.lookup2(m); gotF != -1 || gotR != -1 {
+				t.Fatalf("seed %d: absent %v: lookup2 = (%d,%d), want (-1,-1)", seed, m, gotF, gotR)
 			}
 		}
 		// Assignments must agree read by read, including unit meters.

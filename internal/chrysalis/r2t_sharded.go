@@ -2,6 +2,7 @@ package chrysalis
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/seq"
@@ -81,8 +82,9 @@ func (src *r2tSource) table(ranks, s int) *bundleKmerTable {
 	if ranks > 0 {
 		hint = hint/ranks + 1
 	}
-	t := &bundleKmerTable{k: src.k, set: kmer.NewFlatSet(hint), ncomp: src.ncomp, ops: int64(len(src.keys))}
-	owner := make([]int32, 0, hint/2)
+	// Each key adds at most one id, of two owner cells.
+	t := &bundleKmerTable{k: src.k, set: kmer.NewFlatSet(hint), ncomp: src.ncomp, ops: int64(len(src.keys)),
+		owner: make([]int32, 0, 2*hint)}
 	si := 0
 	for j, m := range src.keys {
 		for int32(j) >= src.off[si+1] {
@@ -91,14 +93,12 @@ func (src *r2tSource) table(ranks, s int) *bundleKmerTable {
 		if kmer.OwnerRank(m, ranks) != s {
 			continue
 		}
-		id := t.set.Add(m)
-		if int(id) == len(owner) {
-			owner = append(owner, src.compOf[si])
-		} else if src.compOf[si] < owner[id] {
-			owner[id] = src.compOf[si]
+		comp := src.compOf[si]
+		i, j := t.cells(m)
+		if o := t.owner[i]; o < 0 || comp < o {
+			t.owner[i], t.owner[j] = comp, comp
 		}
 	}
-	t.owner = owner
 	return t
 }
 
@@ -123,10 +123,8 @@ func bundleShards(src *r2tSource, ranks int, iterate func(i int, add func(kmer.K
 		build: func(s int) tableShard {
 			t := src.table(ranks, s)
 			return tableShard{bytes: t.memBytes(), answer: func(m kmer.Kmer, dst []byte) []byte {
-				if comp, ok := t.lookup(m); ok {
-					return binary.AppendUvarint(dst, uint64(comp)+1)
-				}
-				return binary.AppendUvarint(dst, 0)
+				comp, _ := t.lookup2(m)
+				return binary.AppendUvarint(dst, uint64(comp+1))
 			}}
 		},
 		cache: func(queries []kmer.Kmer, bodies [][]byte) (*bundleKmerTable, int64, error) {
@@ -141,8 +139,11 @@ func bundleShards(src *r2tSource, ranks int, iterate func(i int, add func(kmer.K
 
 // buildR2TCache materialises the partial bundle table the assignment
 // loop runs on: exactly the queried k-mers that belong to a bundle,
-// with the owners the shards returned. Absent k-mers stay absent, so
-// lookups miss exactly where the replicated table misses.
+// with the owners the shards returned, folded into canonical cells —
+// a read's probes are both strands, so m and rc(m) fill the two cells
+// of one id. Cells no answer fills stay −1, so lookups miss exactly
+// where the replicated table misses. A cell filled twice means a
+// repeated query.
 func buildR2TCache(k int, ncomp int32, queries []kmer.Kmer, bodies [][]byte) (*bundleKmerTable, error) {
 	// Size the set by the hits only: roughly half the queries are the
 	// reverse-complement strand's probes, which the forward-built bundle
@@ -153,7 +154,7 @@ func buildR2TCache(k int, ncomp int32, queries []kmer.Kmer, bodies [][]byte) (*b
 			hits++
 		}
 	}
-	t := &bundleKmerTable{k: k, set: kmer.NewFlatSet(hits), ncomp: ncomp}
+	t := &bundleKmerTable{k: k, set: kmer.NewFlatSet(hits), ncomp: ncomp, owner: make([]int32, 0, 2*hits)}
 	for i, m := range queries {
 		v, _, err := answerHead(m, bodies[i], 0)
 		if err != nil {
@@ -162,10 +163,11 @@ func buildR2TCache(k int, ncomp int32, queries []kmer.Kmer, bodies [][]byte) (*b
 		if v == 0 {
 			continue
 		}
-		if err := cacheKey(t.set.Add(m), m, len(t.owner)); err != nil {
-			return nil, err
+		i, j := t.cells(m)
+		if t.owner[i] >= 0 {
+			return nil, fmt.Errorf("chrysalis: duplicate query k-mer %v", m)
 		}
-		t.owner = append(t.owner, int32(v-1))
+		t.owner[i], t.owner[j] = int32(v-1), int32(v-1)
 	}
 	return t, nil
 }

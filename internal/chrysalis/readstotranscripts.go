@@ -149,73 +149,82 @@ type R2TResult struct {
 	Recovery    *RecoveryReport // non-nil when the fault layer was active
 }
 
-// bundleKmerTable maps k-mers to the component owning them, as a
-// frozen flat table: a kmer.FlatSet assigns each distinct k-mer a
-// dense id and owner[id] holds the winning component. Ties go to the
-// smaller component id so the table is deterministic (min-merge is
+// bundleKmerTable maps k-mers to the components owning them, as a
+// frozen flat table keyed by canonical k-mer: a kmer.FlatSet assigns
+// each distinct canonical k-mer c a dense id, owner[2·id] holds the
+// winning component of c and owner[2·id+1] that of its reverse
+// complement, −1 where that orientation occurs in no contig. One probe
+// thus answers both strands of a read k-mer. Ties go to the smaller
+// component id so the table is deterministic (min-merge is
 // order-independent). The main loop's per-read probes then run
 // lock-free against the immutable arrays.
 type bundleKmerTable struct {
 	k     int
 	set   *kmer.FlatSet
-	owner []int32
-	ncomp int32 // 1 + max component id, for scratch sizing
+	owner []int32 // two cells per id: canonical orientation, then its reverse complement
+	ncomp int32   // 1 + max component id, for scratch sizing
 	ops   int64
 }
 
-// lookup returns the owning component of m. Wait-free after the build.
-func (t *bundleKmerTable) lookup(m kmer.Kmer) (int32, bool) {
-	id, ok := t.set.Lookup(m)
-	if !ok {
-		return 0, false
+// cells interns m's canonical k-mer and returns the indices of m's
+// owner cells: i twice, or both cells of the id for a k-mer that is its
+// own reverse complement (possible at even k only).
+func (t *bundleKmerTable) cells(m kmer.Kmer) (i, j int) {
+	c, fwd := m.Canonical(t.k)
+	id := int(t.set.Add(c))
+	if 2*id == len(t.owner) {
+		t.owner = append(t.owner, -1, -1)
 	}
-	return t.owner[id], true
+	switch {
+	case m == m.ReverseComplement(t.k):
+		return 2 * id, 2*id + 1
+	case fwd:
+		return 2 * id, 2 * id
+	}
+	return 2*id + 1, 2*id + 1
 }
 
-// assignScratch holds the reusable buffers of assignRead: a dense
-// per-component match counter reset sparsely via the touched list, and
-// a reverse-complement buffer. One scratch serves one goroutine at a
-// time.
+// lookup2 returns the owning components of m and of its reverse
+// complement, −1 for an orientation in no bundle, from one probe.
+// Wait-free after the build.
+func (t *bundleKmerTable) lookup2(m kmer.Kmer) (fwd, rev int32) {
+	c, isFwd := m.Canonical(t.k)
+	id, ok := t.set.Lookup(c)
+	if !ok {
+		return -1, -1
+	}
+	if isFwd {
+		return t.owner[2*id], t.owner[2*id+1]
+	}
+	return t.owner[2*id+1], t.owner[2*id]
+}
+
+// assignScratch holds the reusable tally of assignRead: a dense
+// per-component match counter reset sparsely via the touched list. One
+// scratch serves one goroutine at a time.
 type assignScratch struct {
 	counts  []int32 // per component id; zero except for touched entries
 	touched []int32 // component ids with non-zero counts, encounter order
-	rcbuf   []byte
-	rcp     seq.Packed // packed reverse-complement buffer (assignReadPacked)
 }
 
 var assignScratchPool = sync.Pool{New: func() any { return new(assignScratch) }}
 
-// assignRead links one read to the bundle with which it "shares the
-// largest number of k-mers" (§II-A), trying both strands. It returns
-// the winning component, the match count, and the work units spent.
-// The winner is the maximum match count with ties to the smaller
-// component id — order-independent, so replacing the map tally with
-// the dense scratch counter cannot change any assignment.
-func assignRead(read []byte, t *bundleKmerTable, minMatches int, sc *assignScratch) (int32, int32, float64) {
-	var units float64
-	if len(sc.counts) < int(t.ncomp) {
-		sc.counts = make([]int32, t.ncomp)
+// bump counts one shared k-mer for comp (−1: none).
+func (sc *assignScratch) bump(comp int32) {
+	if comp < 0 {
+		return
 	}
-	tally := func(s []byte) {
-		it := kmer.NewIterator(s, t.k)
-		for {
-			m, _, ok := it.Next()
-			if !ok {
-				return
-			}
-			units++
-			if comp, ok := t.lookup(m); ok {
-				if sc.counts[comp] == 0 {
-					sc.touched = append(sc.touched, comp)
-				}
-				sc.counts[comp]++
-			}
-		}
+	if sc.counts[comp] == 0 {
+		sc.touched = append(sc.touched, comp)
 	}
-	tally(read)
-	sc.rcbuf = append(sc.rcbuf[:0], read...)
-	seq.ReverseComplementInPlace(sc.rcbuf)
-	tally(sc.rcbuf)
+	sc.counts[comp]++
+}
+
+// winner picks the maximum match count with ties to the smaller
+// component id — order-independent, so neither the dense counter nor
+// the order the strands are tallied in can change an assignment — and
+// clears the tally.
+func (sc *assignScratch) winner(minMatches int) (int32, int32) {
 	best := int32(-1)
 	var bestN int32
 	for _, comp := range sc.touched {
@@ -223,15 +232,35 @@ func assignRead(read []byte, t *bundleKmerTable, minMatches int, sc *assignScrat
 		if n > bestN || (n == bestN && best >= 0 && comp < best) {
 			best, bestN = comp, n
 		}
-	}
-	for _, comp := range sc.touched {
 		sc.counts[comp] = 0
 	}
 	sc.touched = sc.touched[:0]
 	if bestN < int32(minMatches) {
-		return -1, 0, units
+		return -1, 0
 	}
-	return best, bestN, units
+	return best, bestN
+}
+
+// assignRead links one read to the bundle with which it "shares the
+// largest number of k-mers" (§II-A), trying both strands. It returns
+// the winning component, the match count, and the work units spent.
+// The reverse strand's k-mers are the reverse complements of the
+// forward ones, so one canonical probe per forward k-mer tallies both
+// strands, and each k-mer is charged as the two probes it answers.
+func assignRead(read []byte, t *bundleKmerTable, minMatches int, sc *assignScratch) (int32, int32, float64) {
+	if len(sc.counts) < int(t.ncomp) {
+		sc.counts = make([]int32, t.ncomp)
+	}
+	var units float64
+	it := kmer.NewIterator(read, t.k)
+	for m, _, ok := it.Next(); ok; m, _, ok = it.Next() {
+		units += 2
+		fwd, rev := t.lookup2(m)
+		sc.bump(fwd)
+		sc.bump(rev)
+	}
+	best, n := sc.winner(minMatches)
+	return best, n, units
 }
 
 // ReadsToTranscripts assigns every read to an Inchworm bundle using

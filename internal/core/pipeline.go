@@ -138,7 +138,10 @@ type Result struct {
 	R2T         *chrysalis.R2TResult // read assignments + per-rank profiles
 	Graphs      []*chrysalis.ComponentGraph
 	Transcripts []butterfly.Transcript
-	PairSupport []int             // mate pairs spanning each transcript (indexed like Transcripts)
+	// PairSupport counts the mate pairs spanning each transcript
+	// (indexed like Transcripts). It is computed only to filter, so it is
+	// nil unless MinPairSupport > 0.
+	PairSupport []int
 	Trace       *collectl.Trace   // measured stage trace (laptop scale)
 	Samples     []collectl.Sample // background samples (when SampleInterval > 0)
 	Marks       []collectl.Mark   // stage-boundary marks for the samples

@@ -402,14 +402,12 @@ func runButterfly(p *pipeline) error {
 		fmt.Sprintf("components=%d transcripts=%d workers=%d makespan=%.6fs imbalance=%.3f",
 			len(res.Graphs), len(res.Transcripts), prof.Threads,
 			prof.Makespan().Seconds(), prof.Imbalance()))
-	// Pair support is computed only where something consumes it: the
-	// Result of an in-memory run, or the filter. It filters in lockstep
-	// with the transcripts — a transcript's support is independent of
-	// which other transcripts survive, so no second read scan is needed.
-	if p.art == nil || cfg.MinPairSupport > 0 {
-		res.PairSupport = butterfly.PairSupportParallel(res.Transcripts, res.Graphs, p.reads, cfg.TailWorkers)
-	}
+	// Pair support is computed only where it filters. It filters in
+	// lockstep with the transcripts — a transcript's support is
+	// independent of which other transcripts survive, so no second read
+	// scan is needed.
 	if cfg.MinPairSupport > 0 {
+		res.PairSupport = butterfly.PairSupportParallel(res.Transcripts, res.Graphs, p.reads, cfg.TailWorkers)
 		res.Transcripts, res.PairSupport = butterfly.FilterByPairSupport(
 			res.Transcripts, res.PairSupport, cfg.MinPairSupport)
 	}

@@ -60,7 +60,15 @@ func (g *Graph) AddSequence(s []byte, weight uint32) {
 		if !ok {
 			return
 		}
-		id := g.nodes.Add(m)
+		// A sequence that follows one already threaded (a read along a
+		// contig) meets its k-mers at consecutive ids: ids are unique per
+		// k-mer, so a match at prevID+1 is the id Add would return.
+		var id int32
+		if next := prevID + 1; pos == prevPos+1 && int(next) < len(g.kmers) && g.kmers[next] == m {
+			id = next
+		} else {
+			id = g.nodes.Add(m)
+		}
 		switch {
 		case int(id) == len(g.kmers):
 			g.kmers = append(g.kmers, m)

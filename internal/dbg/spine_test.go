@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/rnaseq"
+	"gotrinity/internal/seq"
 )
 
 // spineSeqs is what a component graph is built from — a generated
@@ -113,6 +115,77 @@ func TestGraphMatchesMapOracle(t *testing.T) {
 				ref.AddSequence(s, 2)
 			}
 			sameGraph(t, "rethreaded", g, ref)
+		}
+	}
+}
+
+// TestAddSequenceNextIDShortcut drives AddSequence's next-id probe (a
+// k-mer found at prevID+1 skips the hash) through the shapes where it
+// fires, where it must not, and where it meets a deleted node, against
+// the map oracle. Every id must still name its own k-mer in the set.
+func TestAddSequenceNextIDShortcut(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	rnd := func(n int) []byte {
+		s := make([]byte, n)
+		for i := range s {
+			s[i] = "ACGT"[rng.Intn(4)]
+		}
+		return s
+	}
+	for _, k := range []int{3, 5, 25} {
+		g, err := NewSized(k, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newMapGraph(k)
+		add := func(s []byte, w uint32) {
+			g.AddSequence(s, w)
+			ref.AddSequence(s, w)
+		}
+		contigs := [][]byte{rnd(300), rnd(120), bytes.Repeat([]byte("ACGTTGCA"), 12)}
+		for _, c := range contigs {
+			add(c, 1)
+		}
+		for i := 0; i < 200; i++ {
+			c := contigs[rng.Intn(len(contigs))]
+			lo := rng.Intn(len(c) - 40)
+			read := append([]byte(nil), c[lo:lo+40]...)
+			switch i % 5 {
+			case 1: // substitution errors: the path leaves the contig's ids and rejoins them
+				for e := 0; e < 1+rng.Intn(3); e++ {
+					read[rng.Intn(len(read))] = "ACGT"[rng.Intn(4)]
+				}
+			case 2: // an N break: the next k-mer is not pos+1 of the last
+				read[rng.Intn(len(read))] = 'N'
+			case 3: // reverse strand: the contig's ids run backwards
+				read = seq.ReverseComplement(read)
+			}
+			add(read, 1)
+		}
+		// Homopolymers and short cycles revisit a k-mer, so the id after
+		// the previous one is some other k-mer's.
+		for _, s := range []string{strings.Repeat("A", 60), strings.Repeat("AC", 30),
+			strings.Repeat("ACG", 20), strings.Repeat("AAC", 20) + strings.Repeat("A", 10)} {
+			add([]byte(s), 2)
+		}
+		sameGraph(t, "threaded", g, ref)
+
+		// Delete nodes in the middle of the first contig, then thread it
+		// again: its next-id probes land on dead ids and must revive them.
+		c := contigs[0]
+		for _, pos := range []int{40, 41, 150} {
+			m, _ := kmer.Encode(c[pos:], k)
+			g.deleteNode(m)
+			ref.deleteNode(m)
+		}
+		sameGraph(t, "deleted", g, ref)
+		add(c, 3)
+		add(c[30:200], 1)
+		sameGraph(t, "revived", g, ref)
+		for id, m := range g.kmers {
+			if got, ok := g.nodes.Lookup(m); !ok || got != int32(id) {
+				t.Fatalf("k=%d: id %d holds %v, which the set maps to %d", k, id, m, got)
+			}
 		}
 	}
 }

@@ -71,20 +71,24 @@ func ReverseComplementInPlace(s []byte) {
 	}
 }
 
+// baseCode maps each byte to its 2-bit code, or 4 for an ambiguous
+// base. A table load does not mispredict on random bases the way a
+// switch over them does.
+var baseCode = func() (t [256]uint8) {
+	for i := range t {
+		t[i] = 4
+	}
+	for code, b := range "ACGT" {
+		t[b], t[b+'a'-'A'] = uint8(code), uint8(code)
+	}
+	return t
+}()
+
 // BaseIndex returns the 2-bit code of a base (A=0, C=1, G=2, T=3) and
 // true, or 0 and false for an ambiguous base.
 func BaseIndex(b byte) (uint64, bool) {
-	switch b {
-	case 'A', 'a':
-		return 0, true
-	case 'C', 'c':
-		return 1, true
-	case 'G', 'g':
-		return 2, true
-	case 'T', 't':
-		return 3, true
-	}
-	return 0, false
+	c := baseCode[b]
+	return uint64(c & 3), c < 4
 }
 
 // IndexBase is the inverse of BaseIndex for codes 0..3.

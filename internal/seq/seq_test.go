@@ -66,6 +66,34 @@ func TestBaseIndexRoundTrip(t *testing.T) {
 	}
 }
 
+// switchBaseIndex is the switch BaseIndex was before it became a table
+// lookup: the oracle for the exhaustive check below.
+func switchBaseIndex(b byte) (uint64, bool) {
+	switch b {
+	case 'A', 'a':
+		return 0, true
+	case 'C', 'c':
+		return 1, true
+	case 'G', 'g':
+		return 2, true
+	case 'T', 't':
+		return 3, true
+	}
+	return 0, false
+}
+
+// TestBaseIndexTableExhaustive checks the table-driven BaseIndex
+// against the switch on every byte value.
+func TestBaseIndexTableExhaustive(t *testing.T) {
+	for i := 0; i < 256; i++ {
+		gotC, gotOK := BaseIndex(byte(i))
+		wantC, wantOK := switchBaseIndex(byte(i))
+		if gotC != wantC || gotOK != wantOK {
+			t.Errorf("BaseIndex(%#02x) = (%d,%v), want (%d,%v)", i, gotC, gotOK, wantC, wantOK)
+		}
+	}
+}
+
 func TestUpperNormalises(t *testing.T) {
 	got := Upper([]byte("acgtXn-7"))
 	if string(got) != "ACGTNNNN" {
