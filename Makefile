@@ -54,6 +54,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFlatSet -fuzztime 10s ./internal/kmer/
 	$(GO) test -run '^$$' -fuzz FuzzMultimap -fuzztime 10s ./internal/kmer/
 	$(GO) test -run '^$$' -fuzz FuzzCountTable -fuzztime 10s ./internal/jellyfish/
+	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s ./internal/jellyfish/
+	$(GO) test -run '^$$' -fuzz FuzzFastaReader -fuzztime 10s ./internal/seq/
+	$(GO) test -run '^$$' -fuzz FuzzFastqReader -fuzztime 10s ./internal/seq/
+	$(GO) test -run '^$$' -fuzz FuzzNextField -fuzztime 10s ./internal/textio/
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -81,17 +85,19 @@ bench-chrysalis:
 # against the map-based reference it replaced — the Chrysalis kernels,
 # the packed Bowtie aligner and its seed-table build on deep-shaped
 # input, ReadsToTranscripts on deep-shaped input at one chunk worker and
-# at GOMAXPROCS, FastaToDeBruijn + Quantify on the same input, and the
+# at GOMAXPROCS, FastaToDeBruijn + Quantify on the same input, the
 # k-mer spine's four stages (counting, Inchworm, graph build + compact,
-# pair support) on deep- and wide-shaped input —
+# pair support) on deep- and wide-shaped input, and the external mode's
+# disk-partitioned count and stage-boundary files (reads FASTA, SAM
+# write and read, k-mer dump load) at deep scale —
 # recorded as BENCH_kernels.json so the speedups (and any regressions)
 # show up in review diffs. The file is regenerated whole, stamped with
 # the host it ran on; the micro-kernels run for 1 s each and the
 # whole-stage benchmarks 10 times, so every entry has >= 7 iterations.
 KERNEL_MICRO = HarvestWelds|ScanContigForWelds|BuildContigKmerIndex|BuildWeldIndex|AssignRead|CountTableGet|PackedIndexBuild
-KERNEL_STAGE = PackedAlignAll|R2TAssign|Quantify|CountPacked|InchwormRun|GraphBuildCompact|PairSupport
+KERNEL_STAGE = PackedAlignAll|R2TAssign|Quantify|CountPacked|InchwormRun|GraphBuildCompact|PairSupport|DSKCountPacked|ReadFasta|WriteSAM|ReadSAM|LoadDump
 KERNEL_BENCH = $(KERNEL_MICRO)|$(KERNEL_STAGE)
-KERNEL_PKGS = ./internal/chrysalis/ ./internal/jellyfish/ ./internal/bowtie/ ./internal/inchworm/ ./internal/dbg/ ./internal/butterfly/
+KERNEL_PKGS = ./internal/chrysalis/ ./internal/jellyfish/ ./internal/bowtie/ ./internal/inchworm/ ./internal/dbg/ ./internal/butterfly/ ./internal/dsk/ ./internal/seq/
 BENCH_KERNELS_JSON ?= BENCH_kernels.json
 bench-kernels:
 	{ $(GO) test -run '^$$' -bench 'Benchmark($(KERNEL_MICRO))' -benchmem -benchtime 1s $(KERNEL_PKGS) ; \
@@ -143,18 +149,15 @@ bench-shard:
 # throughput, the word-wise vs byte-loop reverse complement, and the
 # packed vs ASCII k-mer extraction (the no-regression pin), recorded
 # as BENCH_seq.json so representation regressions show up in review
-# diffs. Same awk JSON conversion as bench-chrysalis.
+# diffs. Host-stamped like bench-kernels; the micro-benchmarks run for
+# 1 s each (far more than 7 iterations) and dsk's deep-scale count 10
+# times.
 BENCH_SEQ_JSON ?= BENCH_seq.json
 bench-seq:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSeq(PackedResidentBytes|Pack$$|RevComp)' -benchtime 1s ./internal/seq/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkKmerIter' -benchtime 1s ./internal/kmer/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkDSKCount' -benchtime 1s ./internal/dsk/ ; } \
-	| awk 'BEGIN { printf("{\n") } \
-	       /^Benchmark/ { if (n++) printf(",\n"); \
-	         printf("  \"%s\": {\"iterations\": %s", $$1, $$2); \
-	         for (i = 3; i < NF; i += 2) printf(", \"%s\": %s", $$(i+1), $$i); \
-	         printf("}") } \
-	       END { printf("\n}\n") }' > $(BENCH_SEQ_JSON)
+	  $(GO) test -run '^$$' -bench 'BenchmarkDSKCountPacked' -benchtime 10x ./internal/dsk/ ; } \
+	| $(HOST_STAMPED_JSON) > $(BENCH_SEQ_JSON)
 	@cat $(BENCH_SEQ_JSON)
 
 # The end-to-end, layer-attributed assembly benchmark (bench/README.md):

@@ -54,7 +54,8 @@ func main() {
 			K: *k, Canonical: *canonical, Partitions: *partitions,
 		})
 		table = jellyfish.FromEntries(*k, entries)
-		how = fmt.Sprintf(" via %d disk partitions (peak %d in memory)", st.Partitions, st.PeakPartition)
+		how = fmt.Sprintf(" via %d disk partitions (%d counted at once, largest %d k-mers)",
+			st.Partitions, dsk.Workers(st.Partitions), st.PeakPartition)
 	default:
 		log.Fatalf("unknown counter %q (use jellyfish or dsk)", *counter)
 	}

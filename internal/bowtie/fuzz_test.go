@@ -12,7 +12,10 @@ func FuzzReadSAM(f *testing.F) {
 	f.Add("@HD\tVN:1.6\nr1\t0\tc1\t5\t42\t10M\t*\t0\t0\t*\t*\tNM:i:1\n")
 	f.Add("r1\t4\t*\t0\t0\t*\t*\t0\t0\t*\t*\n")
 	f.Add("broken\tline\n")
+	f.Add("r1\t16\tc2\t3\t42\t+4M\t*\t0\t0\t*\t*\t\tNM:i:7\r\n")
+	contigs := []seq.Record{{ID: "c1", Seq: make([]byte, 20)}, {ID: "c2", Seq: make([]byte, 8)}}
 	f.Fuzz(func(t *testing.T, data string) {
+		checkSAMParity(t, data, contigs)
 		als, err := ReadSAM(strings.NewReader(data))
 		if err != nil {
 			return

@@ -2,13 +2,16 @@ package bowtie
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
 	"gotrinity/internal/seq"
+	"gotrinity/internal/textio"
 )
 
 // SAM flag bits used by the writer.
@@ -23,35 +26,60 @@ type SAMHeaderEntry struct {
 	Length int
 }
 
-// WriteSAMRecords renders a minimal, sorted SAM file.
+// WriteSAMRecords renders a minimal SAM file, its records sorted by
+// (ContigID, Pos). Each line is built in one reused buffer.
 func WriteSAMRecords(w io.Writer, refs []SAMHeaderEntry, alignments []Alignment) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := fmt.Fprintf(bw, "@HD\tVN:1.6\tSO:unsorted\n"); err != nil {
+	line := append(make([]byte, 0, 256), "@HD\tVN:1.6\tSO:unsorted\n"...)
+	if _, err := bw.Write(line); err != nil {
 		return err
 	}
 	for _, r := range refs {
-		if _, err := fmt.Fprintf(bw, "@SQ\tSN:%s\tLN:%d\n", r.Name, r.Length); err != nil {
+		line = append(line[:0], "@SQ\tSN:"...)
+		line = append(line, r.Name...)
+		line = append(line, "\tLN:"...)
+		line = strconv.AppendInt(line, int64(r.Length), 10)
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
-	sorted := append([]Alignment(nil), alignments...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].ContigID != sorted[j].ContigID {
-			return sorted[i].ContigID < sorted[j].ContigID
+	// Sort record indices, not the records: pdqsort's moves depend only
+	// on comparison results, so the order (ties included) is the one
+	// sorting the records themselves gives.
+	order := make([]int32, len(alignments))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(i, j int32) int {
+		a, b := &alignments[i], &alignments[j]
+		if c := strings.Compare(a.ContigID, b.ContigID); c != 0 {
+			return c
 		}
-		return sorted[i].Pos < sorted[j].Pos
+		return cmp.Compare(a.Pos, b.Pos)
 	})
-	for _, a := range sorted {
+	for _, i := range order {
+		a := &alignments[i]
 		flag := 0
 		if a.Reverse {
 			flag |= flagReverse
 		}
-		mapq := 42 - 10*a.Mismatches
-		if mapq < 0 {
-			mapq = 0
-		}
-		if _, err := fmt.Fprintf(bw, "%s\t%d\t%s\t%d\t%d\t%dM\t*\t0\t0\t*\t*\tNM:i:%d\n",
-			a.ReadID, flag, a.ContigID, a.Pos+1, mapq, a.ReadLen, a.Mismatches); err != nil {
+		mapq := max(42-10*a.Mismatches, 0)
+		line = append(line[:0], a.ReadID...)
+		line = append(line, '\t')
+		line = strconv.AppendInt(line, int64(flag), 10)
+		line = append(line, '\t')
+		line = append(line, a.ContigID...)
+		line = append(line, '\t')
+		line = strconv.AppendInt(line, int64(a.Pos+1), 10)
+		line = append(line, '\t')
+		line = strconv.AppendInt(line, int64(mapq), 10)
+		line = append(line, '\t')
+		line = strconv.AppendInt(line, int64(a.ReadLen), 10)
+		line = append(line, "M\t*\t0\t0\t*\t*\tNM:i:"...)
+		line = strconv.AppendInt(line, int64(a.Mismatches), 10)
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
@@ -88,81 +116,101 @@ func (e *SAMRefError) Error() string {
 // ReadSAMFor is ReadSAM for a known contig set: each record's RNAME is
 // resolved to its index in contigs (Alignment.Contig) and its span is
 // checked against that contig's length. The first record that does not
-// fit returns a *SAMRefError.
+// fit returns a *SAMRefError. A record's ContigID is the matched
+// contig's own ID string.
 func ReadSAMFor(r io.Reader, contigs []seq.Record) ([]Alignment, error) {
 	index := make(map[string]int, len(contigs))
 	for i := range contigs {
 		index[contigs[i].ID] = i
 	}
-	return readSAM(r, func(line int, a Alignment) (int, error) {
-		ci, ok := index[a.ContigID]
+	return readSAM(r, func(line int, read, rname []byte, a Alignment) (Alignment, error) {
+		ci, ok := index[string(rname)]
 		n := -1
 		if ok {
 			n = len(contigs[ci].Seq)
 		}
 		if !ok || a.ReadLen < 0 || a.Pos >= n || a.Pos+a.ReadLen > n {
-			return 0, &SAMRefError{Line: line, ReadID: a.ReadID, ContigID: a.ContigID, Pos: a.Pos, ReadLen: a.ReadLen, ContigLen: n}
+			return a, &SAMRefError{Line: line, ReadID: string(read), ContigID: string(rname),
+				Pos: a.Pos, ReadLen: a.ReadLen, ContigLen: n}
 		}
-		return ci, nil
+		a.Contig, a.ContigID = ci, contigs[ci].ID
+		return a, nil
 	})
 }
 
-// readSAM is the shared parser; resolve, when non-nil, vets each mapped
-// record and returns its Contig index before the record is kept. (By
-// value: a pointer into the loop would put every record on the heap.)
-func readSAM(r io.Reader, resolve func(line int, a Alignment) (int, error)) ([]Alignment, error) {
+// readSAM is the shared parser. Lines are parsed in the scanner's
+// buffer; the read IDs become substrings of one string at the end.
+// resolve, when non-nil, vets each mapped record and fills in its
+// contig from its RNAME; when nil, ContigID is one string per distinct
+// RNAME. (Records pass by value: a pointer into the loop would put
+// every record on the heap.)
+func readSAM(r io.Reader, resolve func(line int, read, rname []byte, a Alignment) (Alignment, error)) ([]Alignment, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	var out []Alignment
+	var out textio.Blocks[Alignment]
+	var readIDs textio.Strings
+	rnames := map[string]string{}
 	lineno := 0
 	for sc.Scan() {
 		lineno++
-		line := sc.Text()
-		if line == "" || line[0] == '@' {
+		line := sc.Bytes()
+		if len(line) == 0 || line[0] == '@' {
 			continue
 		}
-		fields := strings.Split(line, "\t")
-		if len(fields) < 11 {
-			return nil, fmt.Errorf("bowtie: sam line %d: %d fields", lineno, len(fields))
+		// The 11 mandatory fields; tags holds the optional ones.
+		var f [11][]byte
+		if n := 1 + bytes.Count(line, tab); n < len(f) {
+			return nil, fmt.Errorf("bowtie: sam line %d: %d fields", lineno, n)
 		}
-		flag, err := strconv.Atoi(fields[1])
+		tags := line
+		for i := range f {
+			f[i], tags, _ = bytes.Cut(tags, tab)
+		}
+		flag, err := strconv.Atoi(string(f[1]))
 		if err != nil {
-			return nil, fmt.Errorf("bowtie: sam line %d: bad flag %q", lineno, fields[1])
+			return nil, fmt.Errorf("bowtie: sam line %d: bad flag %q", lineno, f[1])
 		}
-		if flag&flagUnmapped != 0 || fields[2] == "*" {
+		if flag&flagUnmapped != 0 || string(f[2]) == "*" {
 			continue
 		}
-		pos, err := strconv.Atoi(fields[3])
+		pos, err := strconv.Atoi(string(f[3]))
 		if err != nil || pos < 1 {
-			return nil, fmt.Errorf("bowtie: sam line %d: bad pos %q", lineno, fields[3])
+			return nil, fmt.Errorf("bowtie: sam line %d: bad pos %q", lineno, f[3])
 		}
-		a := Alignment{
-			ReadID:   fields[0],
-			ContigID: fields[2],
-			Pos:      pos - 1,
-			Reverse:  flag&flagReverse != 0,
-		}
+		a := Alignment{Pos: pos - 1, Reverse: flag&flagReverse != 0}
 		// CIGAR "<n>M" carries the read length; NM:i carries mismatches.
-		if c := fields[5]; strings.HasSuffix(c, "M") {
-			if n, err := strconv.Atoi(c[:len(c)-1]); err == nil {
+		if c, ok := bytes.CutSuffix(f[5], []byte("M")); ok {
+			if n, err := strconv.Atoi(string(c)); err == nil {
 				a.ReadLen = n
 			}
 		}
-		for _, f := range fields[11:] {
-			if v, ok := strings.CutPrefix(f, "NM:i:"); ok {
-				if n, err := strconv.Atoi(v); err == nil {
+		for len(tags) > 0 {
+			var tag []byte
+			tag, tags, _ = bytes.Cut(tags, tab)
+			if v, ok := bytes.CutPrefix(tag, []byte("NM:i:")); ok {
+				if n, err := strconv.Atoi(string(v)); err == nil {
 					a.Mismatches = n
 				}
 			}
 		}
 		if resolve != nil {
-			ci, err := resolve(lineno, a)
-			if err != nil {
+			if a, err = resolve(lineno, f[0], f[2], a); err != nil {
 				return nil, err
 			}
-			a.Contig = ci
+		} else {
+			id, ok := rnames[string(f[2])]
+			if !ok {
+				id = string(f[2])
+				rnames[id] = id
+			}
+			a.ContigID = id
 		}
-		out = append(out, a)
+		readIDs.Add(f[0])
+		out.Append(a)
 	}
-	return out, sc.Err()
+	als := out.Slice()
+	readIDs.Each(func(i int, id string) { als[i].ReadID = id })
+	return als, sc.Err()
 }
+
+var tab = []byte{'\t'}

@@ -13,7 +13,9 @@ func FuzzReadComponents(f *testing.F) {
 	f.Add("component 0:\ncomponent 1: 5\n")
 	f.Add("garbage\n")
 	f.Add("component x: y\n")
+	f.Add(" component 7 :\t1\u00a02 \r\n")
 	f.Fuzz(func(t *testing.T, data string) {
+		checkComponentsParity(t, data)
 		comps, err := ReadComponents(strings.NewReader(data))
 		if err != nil {
 			return
@@ -37,7 +39,9 @@ func FuzzReadAssignments(f *testing.F) {
 	f.Add("1 2 3\n4 5 6\n")
 	f.Add("1 2\n")
 	f.Add("a b c\n")
+	f.Add(" 1\t2\u20033 \r\n")
 	f.Fuzz(func(t *testing.T, data string) {
+		checkAssignmentsParity(t, data)
 		as, err := ReadAssignments(strings.NewReader(data))
 		if err != nil {
 			return

@@ -2,11 +2,13 @@ package chrysalis
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
-	"strings"
+
+	"gotrinity/internal/textio"
 )
 
 // File formats used between the stage executables, mirroring how the
@@ -16,26 +18,28 @@ import (
 // Assignments: one line per read, "<read> <component> <matches>".
 
 // WriteComponents renders components in the text format ReadComponents
-// parses.
+// parses, each line built in one reused buffer.
 func WriteComponents(w io.Writer, comps []Component) error {
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriterSize(w, 1<<16)
+	var line []byte
 	for _, c := range comps {
-		if _, err := fmt.Fprintf(bw, "component %d:", c.ID); err != nil {
-			return err
-		}
+		line = append(line[:0], "component "...)
+		line = strconv.AppendInt(line, int64(c.ID), 10)
+		line = append(line, ':')
 		for _, ci := range c.Contigs {
-			if _, err := fmt.Fprintf(bw, " %d", ci); err != nil {
-				return err
-			}
+			line = append(line, ' ')
+			line = strconv.AppendInt(line, int64(ci), 10)
 		}
-		if err := bw.WriteByte('\n'); err != nil {
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// ReadComponents parses the WriteComponents format.
+// ReadComponents parses the WriteComponents format, each line in the
+// scanner's buffer.
 func ReadComponents(r io.Reader) ([]Component, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
@@ -43,25 +47,25 @@ func ReadComponents(r io.Reader) ([]Component, error) {
 	lineno := 0
 	for sc.Scan() {
 		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		rest, ok := strings.CutPrefix(line, "component ")
+		rest, ok := bytes.CutPrefix(line, []byte("component "))
 		if !ok {
 			return nil, fmt.Errorf("chrysalis: components line %d: missing prefix", lineno)
 		}
-		head, tail, ok := strings.Cut(rest, ":")
+		head, tail, ok := bytes.Cut(rest, []byte(":"))
 		if !ok {
 			return nil, fmt.Errorf("chrysalis: components line %d: missing ':'", lineno)
 		}
-		id, err := strconv.Atoi(strings.TrimSpace(head))
+		id, err := strconv.Atoi(string(bytes.TrimSpace(head)))
 		if err != nil {
 			return nil, fmt.Errorf("chrysalis: components line %d: bad id %q", lineno, head)
 		}
 		comp := Component{ID: id}
-		for _, f := range strings.Fields(tail) {
-			ci, err := strconv.Atoi(f)
+		for f, rest := textio.NextField(tail); len(f) > 0; f, rest = textio.NextField(rest) {
+			ci, err := strconv.Atoi(string(f))
 			if err != nil {
 				return nil, fmt.Errorf("chrysalis: components line %d: bad contig index %q", lineno, f)
 			}
@@ -96,44 +100,57 @@ func ReadComponentsFile(path string) ([]Component, error) {
 }
 
 // WriteAssignments renders read assignments as whitespace-separated
-// triples.
+// triples, each line built in one reused buffer.
 func WriteAssignments(w io.Writer, as []Assignment) error {
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriterSize(w, 1<<16)
+	var line []byte
 	for _, a := range as {
-		if _, err := fmt.Fprintf(bw, "%d %d %d\n", a.Read, a.Component, a.Matches); err != nil {
+		line = strconv.AppendInt(line[:0], int64(a.Read), 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(a.Component), 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(a.Matches), 10)
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// ReadAssignments parses the WriteAssignments format.
+// ReadAssignments parses the WriteAssignments format, each line in the
+// scanner's buffer.
 func ReadAssignments(r io.Reader) ([]Assignment, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	var out []Assignment
+	var out textio.Blocks[Assignment]
 	lineno := 0
 	for sc.Scan() {
 		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		var fields [4][]byte // a fourth is one too many
+		n, rest := 0, sc.Bytes()
+		for ; n < len(fields); n++ {
+			if fields[n], rest = textio.NextField(rest); len(fields[n]) == 0 {
+				break
+			}
+		}
+		if n == 0 {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("chrysalis: assignments line %d: want 3 fields, got %d", lineno, len(fields))
+		if n != 3 {
+			return nil, fmt.Errorf("chrysalis: assignments line %d: want 3 fields, got %d", lineno, len(bytes.Fields(sc.Bytes())))
 		}
 		var vals [3]int64
-		for i, f := range fields {
-			v, err := strconv.ParseInt(f, 10, 32)
+		for i, f := range fields[:3] {
+			v, err := strconv.ParseInt(string(f), 10, 32)
 			if err != nil {
 				return nil, fmt.Errorf("chrysalis: assignments line %d: bad value %q", lineno, f)
 			}
 			vals[i] = v
 		}
-		out = append(out, Assignment{Read: int32(vals[0]), Component: int32(vals[1]), Matches: int32(vals[2])})
+		out.Append(Assignment{Read: int32(vals[0]), Component: int32(vals[1]), Matches: int32(vals[2])})
 	}
-	return out, sc.Err()
+	return out.Slice(), sc.Err()
 }
 
 // WriteAssignmentsFile writes assignments to path.

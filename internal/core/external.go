@@ -3,9 +3,10 @@
 // table, and the resident sequences stay 2-bit packed end-to-end
 // (Chrysalis probes packed state, ReadsToTranscripts scans the packed
 // reads via the PackedReads hand-off). Peak counting memory is bounded
-// by the largest disk partition instead of the full distinct-k-mer
-// set, so a dataset whose ASCII working set exceeds the configured
-// budget still completes. Output is byte-identical to the in-memory
+// by the largest disk partition times the partitions counted at once
+// (dsk.Workers) instead of the full distinct-k-mer set, so a dataset
+// whose ASCII working set exceeds the configured budget still
+// completes. Output is byte-identical to the in-memory
 // path — only where the bytes live changes.
 package core
 
@@ -52,9 +53,11 @@ type ExternalReport struct {
 	PackedSeqBytes int64
 	ASCIISeqBytes  int64
 
-	// CountingPeakBytes is the counting pass's peak resident bytes
-	// (largest partition × bytes per table entry); InMemoryCountBytes
-	// is the full distinct-k-mer table the in-memory path holds.
+	// CountingPeakBytes is the counting pass's peak resident bytes:
+	// dsk counts dsk.Workers(partitions) partitions at once, so it is
+	// that many largest partitions × bytes per table entry.
+	// InMemoryCountBytes is the full distinct-k-mer table the in-memory
+	// path holds.
 	CountingPeakBytes  int64
 	InMemoryCountBytes int64
 
@@ -111,7 +114,7 @@ func externalCount(reads []seq.Record, preads []seq.PackedRecord, cfg *Config) (
 	rep := &ExternalReport{
 		Counting:           st,
 		BudgetBytes:        cfg.External.MemoryBudget,
-		CountingPeakBytes:  int64(st.PeakPartition) * countEntryBytes,
+		CountingPeakBytes:  int64(dsk.Workers(st.Partitions)) * int64(st.PeakPartition) * countEntryBytes,
 		InMemoryCountBytes: int64(st.DistinctKmers) * countEntryBytes,
 	}
 	for i := range reads {

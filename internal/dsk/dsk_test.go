@@ -1,8 +1,9 @@
 package dsk
 
 import (
-	"math/rand"
 	"os"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"gotrinity/internal/jellyfish"
@@ -113,21 +114,83 @@ func osReadDir(dir string) ([]string, error) {
 	return f.Readdirnames(-1)
 }
 
-func BenchmarkDSKCount(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	reads := make([]seq.Record, 500)
-	for i := range reads {
-		s := make([]byte, 100)
-		for j := range s {
-			s[j] = "ACGT"[rng.Intn(4)]
+// TestCountSameForEveryWorkerCount pins both concurrent passes: the
+// entries and Stats are those of one worker for every GOMAXPROCS,
+// partition count and stranding, and match in-memory Jellyfish.
+func TestCountSameForEveryWorkerCount(t *testing.T) {
+	reads := seq.PackRecords(noisyReads(21, 400, 90))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, canonical := range []bool{false, true} {
+		jf, err := jellyfish.CountPacked(reads, jellyfish.Options{K: 21, Canonical: canonical})
+		if err != nil {
+			t.Fatal(err)
 		}
-		reads[i] = seq.Record{Seq: s}
+		want := jf.Entries(1)
+		for _, parts := range []int{1, 3, 5, 8} {
+			var ref Stats
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				got, st, err := CountPacked(reads, Options{K: 21, Partitions: parts, TmpDir: t.TempDir(), Canonical: canonical})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("canonical=%v partitions=%d GOMAXPROCS=%d: entries differ from jellyfish (%d vs %d)",
+						canonical, parts, procs, len(got), len(want))
+				}
+				if procs == 1 {
+					ref = st
+				} else if st != ref {
+					t.Fatalf("canonical=%v partitions=%d GOMAXPROCS=%d: stats %+v, one worker %+v",
+						canonical, parts, procs, st, ref)
+				}
+			}
+		}
 	}
+}
+
+// TestTempDirRemovedOnWriteFailure makes every partition write fail:
+// the count must report the error and leave no temp file behind.
+func TestTempDirRemovedOnWriteFailure(t *testing.T) {
+	defer func(create func(string) (*os.File, error)) { createPartition = create }(createPartition)
+	createPartition = func(path string) (*os.File, error) {
+		f, err := os.Create(path)
+		if err != nil {
+			return nil, err
+		}
+		f.Close()
+		return os.Open(path) // read-only: every write fails
+	}
+	dir := t.TempDir()
+	reads := noisyReads(22, 50, 80)
+	if _, _, err := Count(reads, Options{K: 15, Partitions: 3, TmpDir: dir}); err == nil {
+		t.Fatal("count succeeded with unwritable partitions")
+	}
+	entries, err := osReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Errorf("temp dir not cleaned after a write failure: %v", entries)
+	}
+}
+
+// BenchmarkDSKCountPacked counts deep-shaped reads (the benchmark's
+// deep workload at half its depth) at k=25 over 8 partitions, as
+// external mode does.
+func BenchmarkDSKCountPacked(b *testing.B) {
+	p := rnaseq.Sugarbeet(1)
+	p.Genes, p.LongGeneFrac, p.Reads = 75, 0, 40000
+	reads := seq.PackRecords(rnaseq.Generate(p).Reads)
 	dir := b.TempDir()
+	b.ReportAllocs()
 	b.ResetTimer()
+	var st Stats
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Count(reads, Options{K: 25, Partitions: 8, TmpDir: dir}); err != nil {
+		var err error
+		if _, st, err = CountPacked(reads, Options{K: 25, Partitions: 8, TmpDir: dir}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*st.TotalKmers), "ns/kmer")
 }

@@ -49,7 +49,9 @@ func MemoryFootprints(l *Lab) ([]MemoryRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	add("kmer-counter", "dsk (16 disk partitions)", int64(st.PeakPartition)*16)
+	// dsk counts dsk.Workers(16) partitions at once; the row is one
+	// counting worker's share, the largest partition.
+	add("kmer-counter", "dsk (16 disk partitions, per counting worker)", int64(st.PeakPartition)*16)
 
 	// Aligner index: the seed hash table.
 	hashIx, err := bowtie.NewIndex(p.contigs, bowtie.Options{SeedLen: 16})

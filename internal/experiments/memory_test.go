@@ -25,7 +25,7 @@ func TestMemoryFootprints(t *testing.T) {
 	// DSK's peak must be well under the in-memory counter — the reason
 	// the paper mentions it.
 	jf := byVariant["jellyfish (in-memory)"]
-	dk := byVariant["dsk (16 disk partitions)"]
+	dk := byVariant["dsk (16 disk partitions, per counting worker)"]
 	if dk.Bytes >= jf.Bytes/2 {
 		t.Errorf("dsk peak %d not well below jellyfish %d", dk.Bytes, jf.Bytes)
 	}

@@ -1,6 +1,7 @@
 package jellyfish
 
 import (
+	"bytes"
 	"testing"
 
 	"gotrinity/internal/rnaseq"
@@ -48,4 +49,27 @@ func BenchmarkCountPacked(b *testing.B) {
 		}
 		perKmer(b)
 	})
+}
+
+// BenchmarkLoadDump reads back the dump of deep-shaped reads' k=25
+// counts, as the inchworm stage of a file-exchanging run does.
+func BenchmarkLoadDump(b *testing.B) {
+	table, err := CountPacked(seq.PackRecords(deepShaped()), Options{K: 25})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Dump(&buf, table, 1); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		entries, err := load(bytes.NewReader(buf.Bytes()), 25, buf.Len()/28)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += len(entries)
+	}
 }

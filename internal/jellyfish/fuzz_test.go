@@ -3,10 +3,14 @@ package jellyfish
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"gotrinity/internal/kmer"
 )
@@ -16,11 +20,19 @@ func FuzzLoad(f *testing.F) {
 	f.Add("x\tACGTA\n", 5)
 	f.Add("", 5)
 	f.Add("1\tACGN\n", 4)
+	f.Add(" 2 ACGTA\u3000\r\n\n", 5)
+	f.Add("2\xffACGTA\n", 5)
 	f.Fuzz(func(t *testing.T, data string, k int) {
 		if k < 1 || k > 31 {
 			return
 		}
+		// Load agrees with the strings.Fields parser (mapLoad) it
+		// replaced: the same entries, or the same error.
 		entries, err := Load(strings.NewReader(data), k)
+		want, wantErr := mapLoad(strings.NewReader(data), k)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(entries, want) {
+			t.Fatalf("Load = %v, %v; mapLoad %v, %v", entries, err, want, wantErr)
+		}
 		if err != nil {
 			return
 		}
@@ -82,4 +94,19 @@ func FuzzCountTable(f *testing.F) {
 			}
 		}
 	})
+}
+
+// failingReader yields data and then fails with errRead.
+func failingReader(data string) io.Reader {
+	return io.MultiReader(strings.NewReader(data), iotest.ErrReader(errRead))
+}
+
+var errRead = errors.New("read failed")
+
+// TestLoadReportsReadErrors: a dump whose reader fails after whole
+// lines is a failed read, not a short dump.
+func TestLoadReportsReadErrors(t *testing.T) {
+	if _, err := Load(failingReader("3\tACGTA\n1\tTTTTT\n"), 5); !errors.Is(err, errRead) {
+		t.Errorf("Load: error %v, want %v", err, errRead)
+	}
 }

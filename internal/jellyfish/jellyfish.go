@@ -15,11 +15,11 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"unicode"
 
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/omp"
 	"gotrinity/internal/seq"
+	"gotrinity/internal/textio"
 )
 
 // Options configures a counting run.
@@ -272,26 +272,28 @@ func (t *CountTable) Entries(minCount int) []Entry {
 	return out
 }
 
-// collect returns the entries with count ≥ minCount in an exact-size
-// slice, in no particular order.
+// collect returns the entries with count ≥ minCount, partition by
+// partition, each partition's in dense-id (first-insertion) order. A
+// table FromEntries built from sorted entries so collects them sorted,
+// and the radix sort skips their k-mer passes.
 func (t *CountTable) collect(minCount int) []Entry {
-	n := 0
+	out := make([]Entry, t.Distinct())
+	base := 0
 	t.each(func(c *kmer.Counter) {
-		for _, v := range c.Counts() {
-			if int(v) >= minCount {
-				n++
-			}
-		}
-	})
-	out := make([]Entry, 0, n)
-	t.each(func(c *kmer.Counter) {
-		c.ForEach(func(m kmer.Kmer, v uint32) {
-			if int(v) >= minCount {
-				out = append(out, Entry{m, v})
-			}
+		counts := c.Counts()
+		c.ForEachID(func(m kmer.Kmer, id int32) {
+			out[base+int(id)] = Entry{m, counts[id]}
 		})
+		base += len(counts)
 	})
-	return out
+	n := 0
+	for _, e := range out {
+		if int(e.Count) >= minCount {
+			out[n] = e
+			n++
+		}
+	}
+	return out[:n]
 }
 
 // SortByKmer sorts entries by increasing k-mer value — the order
@@ -307,15 +309,21 @@ func SortByAbundance(entries []Entry) { radixSort(entries, 12) }
 // the complemented count's four — so 8 passes order by k-mer and 12 by
 // decreasing count, ties by k-mer. A pass whose digit is the same in
 // every entry is skipped (a 25-mer costs 7 passes, small counts one),
-// as are the k-mer passes of entries that arrive in k-mer order. It
-// replaces sort.Slice, whose reflection-based swaps took longer over a
-// table's entries than counting them did.
+// as are the k-mer passes of entries that arrive in k-mer order, and
+// every pass of entries that arrive in abundance order (a dump read
+// back). It replaces sort.Slice, whose reflection-based swaps took
+// longer over a table's entries than counting them did.
 func radixSort(a []Entry, passes int) {
 	digit := func(e *Entry, pass int) uint64 {
 		if pass < 8 {
 			return uint64(e.Kmer) >> (8 * pass) & 255
 		}
 		return uint64(^e.Count) >> (8 * (pass - 8)) & 255
+	}
+	if passes == 12 && slices.IsSortedFunc(a, func(x, y Entry) int {
+		return cmp.Or(cmp.Compare(y.Count, x.Count), cmp.Compare(x.Kmer, y.Kmer))
+	}) {
+		return
 	}
 	pass := 0
 	if slices.IsSortedFunc(a, func(x, y Entry) int { return cmp.Compare(x.Kmer, y.Kmer) }) {
@@ -481,12 +489,12 @@ func load(r io.Reader, k, sizeHint int) ([]Entry, error) {
 	lineno := 0
 	for sc.Scan() {
 		lineno++
-		count, rest := nextField(sc.Bytes())
+		count, rest := textio.NextField(sc.Bytes())
 		if len(count) == 0 {
 			continue
 		}
-		word, rest := nextField(rest)
-		if extra, _ := nextField(rest); len(word) == 0 || len(extra) != 0 {
+		word, rest := textio.NextField(rest)
+		if extra, _ := textio.NextField(rest); len(word) == 0 || len(extra) != 0 {
 			return nil, fmt.Errorf("jellyfish: dump line %d: want 2 fields, got %d", lineno, len(bytes.Fields(sc.Bytes())))
 		}
 		c, err := strconv.ParseUint(string(count), 10, 32) // a short string that does not escape: no allocation
@@ -503,16 +511,6 @@ func load(r io.Reader, k, sizeHint int) ([]Entry, error) {
 		out = append(out, Entry{m, uint32(c)})
 	}
 	return out, sc.Err()
-}
-
-// nextField splits off s's first whitespace-delimited field, with
-// strings.Fields' notion of whitespace.
-func nextField(s []byte) (field, rest []byte) {
-	s = bytes.TrimLeftFunc(s, unicode.IsSpace)
-	if i := bytes.IndexFunc(s, unicode.IsSpace); i >= 0 {
-		return s[:i], s[i:]
-	}
-	return s, nil
 }
 
 // LoadFile reads a dump file.

@@ -55,6 +55,10 @@ func (c *Counter) Reset() {
 	c.counts = c.counts[:0]
 }
 
+// ForEachID calls fn for every (k-mer, dense id) pair, in slot order;
+// Counts()[id] is the k-mer's count.
+func (c *Counter) ForEachID(fn func(m Kmer, id int32)) { c.set.ForEach(fn) }
+
 // ForEach calls fn for every (k-mer, count) pair, in slot order.
 func (c *Counter) ForEach(fn func(m Kmer, count uint32)) {
 	c.set.ForEach(func(m Kmer, id int32) { fn(m, c.counts[id]) })

@@ -8,6 +8,7 @@ package kmer
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"gotrinity/internal/seq"
 )
@@ -45,10 +46,13 @@ func (m Kmer) Decode(k int) string {
 // AppendDecode appends the k-mer's k ASCII bases to dst — Decode
 // without the string, for callers that format into a reused buffer.
 func (m Kmer) AppendDecode(dst []byte, k int) []byte {
+	dst = slices.Grow(dst, k)
+	out := dst[len(dst) : len(dst)+k]
 	for i := k - 1; i >= 0; i-- {
-		dst = append(dst, seq.IndexBase(uint64(m)>>(2*uint(i))))
+		out[i] = seq.IndexBase(uint64(m))
+		m >>= 2
 	}
-	return dst
+	return dst[:len(dst)+k]
 }
 
 // AppendBase shifts the k-mer left by one base and appends code,

@@ -2,28 +2,38 @@ package seq
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"strings"
+
+	"gotrinity/internal/textio"
 )
 
 // FastaReader streams records from FASTA input. It handles multi-line
 // sequences and arbitrarily large files without loading them whole.
+// Lines are parsed in the input buffer; each record costs its header
+// string and one exact-size sequence.
 type FastaReader struct {
-	br   *bufio.Reader
-	next []byte // buffered header line beginning with '>'
-	eof  bool
+	lines lineReader
+	next  []byte // buffered header line beginning with '>', valid until the next read
+	body  []byte // the record's sequence lines, reused
+	eof   bool
 }
 
 // NewFastaReader wraps r in a streaming FASTA parser.
 func NewFastaReader(r io.Reader) *FastaReader {
-	return &FastaReader{br: bufio.NewReaderSize(r, 1<<16)}
+	return &FastaReader{lines: lineReader{br: bufio.NewReaderSize(r, 1<<16)}}
 }
 
 // Read returns the next record, or io.EOF when the input is exhausted.
 func (fr *FastaReader) Read() (Record, error) {
+	return fr.read(nil)
+}
+
+// read is Read, or, with a batch, ReadAll's step: the sequence is
+// carved from the batch's block and the header left to the batch.
+func (fr *FastaReader) read(b *batch) (Record, error) {
 	var rec Record
 	header, err := fr.headerLine()
 	if err != nil {
@@ -32,10 +42,14 @@ func (fr *FastaReader) Read() (Record, error) {
 	if len(header) == 0 || header[0] != '>' {
 		return rec, fmt.Errorf("seq: malformed FASTA header %q", truncate(header))
 	}
-	rec.ID, rec.Desc = splitHeader(header[1:])
-	var body bytes.Buffer
+	if b == nil {
+		rec.ID, rec.Desc = splitHeader(string(header[1:]))
+	} else {
+		b.headers.Add(header[1:])
+	}
+	fr.body = fr.body[:0]
 	for {
-		line, err := fr.line()
+		line, err := fr.lines.line()
 		if err == io.EOF {
 			fr.eof = true
 			break
@@ -47,24 +61,36 @@ func (fr *FastaReader) Read() (Record, error) {
 			fr.next = line
 			break
 		}
-		body.Write(line)
+		fr.body = append(fr.body, line...)
 	}
-	rec.Seq = Upper(body.Bytes())
+	if len(fr.body) > 0 {
+		rec.Seq = b.alloc(len(fr.body))
+		upperInto(rec.Seq, fr.body)
+	}
 	return rec, nil
 }
 
-// ReadAll drains the reader into a slice of records.
+// ReadAll drains the reader into a slice of records. Their sequences
+// are carved out of shared blocks, each capped at its own length, and
+// their IDs and descriptions are substrings of one string.
 func (fr *FastaReader) ReadAll() ([]Record, error) {
-	var recs []Record
+	var recs textio.Blocks[Record]
+	var b batch
 	for {
-		rec, err := fr.Read()
-		if err == io.EOF {
-			return recs, nil
-		}
+		rec, err := fr.read(&b)
 		if err != nil {
-			return recs, err
+			out := recs.Slice()
+			b.headers.Each(func(i int, h string) {
+				if i < len(out) { // not the header of a record that failed
+					out[i].ID, out[i].Desc = splitHeader(h)
+				}
+			})
+			if err == io.EOF {
+				err = nil
+			}
+			return out, err
 		}
-		recs = append(recs, rec)
+		recs.Append(rec)
 	}
 }
 
@@ -78,7 +104,7 @@ func (fr *FastaReader) headerLine() ([]byte, error) {
 		return nil, io.EOF
 	}
 	for {
-		line, err := fr.line()
+		line, err := fr.lines.line()
 		if err != nil {
 			return nil, err
 		}
@@ -89,24 +115,63 @@ func (fr *FastaReader) headerLine() ([]byte, error) {
 	}
 }
 
-// line reads one trimmed line; it returns io.EOF only when no bytes
-// remain at all.
-func (fr *FastaReader) line() ([]byte, error) {
-	raw, err := fr.br.ReadBytes('\n')
-	if len(raw) == 0 && err != nil {
-		return nil, io.EOF
-	}
-	raw = bytes.TrimRight(raw, "\r\n")
-	out := make([]byte, len(raw))
-	copy(out, raw)
-	if err != nil && err != io.EOF {
-		return nil, err
-	}
-	return out, nil
+// lineReader reads lines in a bufio.Reader's own buffer.
+type lineReader struct {
+	br   *bufio.Reader
+	long []byte // a line longer than br's buffer, assembled here
+	last bool   // the line just returned had no '\n': the input ended
 }
 
-func splitHeader(h []byte) (id, desc string) {
-	s := strings.TrimSpace(string(h))
+// line returns the next line without its trailing run of '\r' and
+// '\n'. The slice is valid until the next call. It returns io.EOF only
+// when no bytes remain at all, and any other read error as it is.
+func (lr *lineReader) line() ([]byte, error) {
+	raw, err := lr.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		lr.long = append(lr.long[:0], raw...)
+		for err == bufio.ErrBufferFull {
+			raw, err = lr.br.ReadSlice('\n')
+			lr.long = append(lr.long, raw...)
+		}
+		raw = lr.long
+	}
+	if err != nil && (err != io.EOF || len(raw) == 0) {
+		return nil, err
+	}
+	lr.last = err != nil
+	n := len(raw)
+	for n > 0 && (raw[n-1] == '\n' || raw[n-1] == '\r') {
+		n--
+	}
+	return raw[:n], nil
+}
+
+// batchBlock is the size of the blocks ReadAll carves sequences from;
+// a sequence over an eighth of it gets its own allocation.
+const batchBlock = 256 << 10
+
+// batch is what ReadAll's records share: the block their sequences are
+// carved from (exact-length, capped slices) and their headers. A nil
+// batch allocates each sequence on its own.
+type batch struct {
+	block   []byte
+	headers textio.Strings
+}
+
+func (b *batch) alloc(n int) []byte {
+	if b == nil || n > batchBlock/8 {
+		return make([]byte, n)
+	}
+	if cap(b.block)-len(b.block) < n {
+		b.block = make([]byte, 0, batchBlock)
+	}
+	i := len(b.block)
+	b.block = b.block[:i+n]
+	return b.block[i : i+n : i+n]
+}
+
+func splitHeader(h string) (id, desc string) {
+	s := strings.TrimSpace(h)
 	if i := strings.IndexByte(s, ' '); i >= 0 {
 		return s[:i], strings.TrimSpace(s[i+1:])
 	}

@@ -9,12 +9,12 @@ import (
 
 // FastqReader streams records from four-line FASTQ input.
 type FastqReader struct {
-	br *bufio.Reader
+	lines lineReader
 }
 
 // NewFastqReader wraps r in a streaming FASTQ parser.
 func NewFastqReader(r io.Reader) *FastqReader {
-	return &FastqReader{br: bufio.NewReaderSize(r, 1<<16)}
+	return &FastqReader{lines: lineReader{br: bufio.NewReaderSize(r, 1<<16)}}
 }
 
 // Read returns the next record, or io.EOF when input is exhausted.
@@ -27,26 +27,39 @@ func (fr *FastqReader) Read() (Record, error) {
 	if len(header) == 0 || header[0] != '@' {
 		return rec, fmt.Errorf("seq: malformed FASTQ header %q", truncate(header))
 	}
-	rec.ID, rec.Desc = splitHeader(header[1:])
+	rec.ID, rec.Desc = splitHeader(string(header[1:]))
 	s, err := fr.line()
 	if err != nil {
-		return rec, fmt.Errorf("seq: truncated FASTQ record %s", rec.ID)
+		return rec, truncated(err, "seq: truncated FASTQ record %s", rec.ID)
 	}
-	rec.Seq = Upper(s)
+	rec.Seq = make([]byte, len(s))
+	upperInto(rec.Seq, s)
 	plus, err := fr.line()
+	if err != nil && err != io.EOF {
+		return rec, err
+	}
 	if err != nil || len(plus) == 0 || plus[0] != '+' {
 		return rec, fmt.Errorf("seq: missing '+' line in FASTQ record %s", rec.ID)
 	}
 	q, err := fr.line()
 	if err != nil {
-		return rec, fmt.Errorf("seq: truncated quality in FASTQ record %s", rec.ID)
+		return rec, truncated(err, "seq: truncated quality in FASTQ record %s", rec.ID)
 	}
 	if len(q) != len(rec.Seq) {
 		return rec, fmt.Errorf("seq: quality length %d != sequence length %d in %s",
 			len(q), len(rec.Seq), rec.ID)
 	}
-	rec.Qual = q
+	rec.Qual = bytes.Clone(q)
 	return rec, nil
+}
+
+// truncated reports a record cut short: at the end of the input as the
+// formatted message, on a read error as that error.
+func truncated(err error, format, id string) error {
+	if err == io.EOF {
+		return fmt.Errorf(format, id)
+	}
+	return err
 }
 
 // ReadAll drains the reader into a slice of records.
@@ -64,22 +77,14 @@ func (fr *FastqReader) ReadAll() ([]Record, error) {
 	}
 }
 
+// line returns the next line, skipping stray blank ones; the slice is
+// valid until the next call.
 func (fr *FastqReader) line() ([]byte, error) {
 	for {
-		raw, err := fr.br.ReadBytes('\n')
-		if len(raw) == 0 && err != nil {
-			return nil, io.EOF
+		line, err := fr.lines.line()
+		if err != nil || len(line) > 0 || fr.lines.last {
+			return line, err
 		}
-		raw = bytes.TrimRight(raw, "\r\n")
-		if len(raw) == 0 && err == nil {
-			continue // tolerate stray blank lines
-		}
-		out := make([]byte, len(raw))
-		copy(out, raw)
-		if err != nil && err != io.EOF {
-			return nil, err
-		}
-		return out, nil
 	}
 }
 

@@ -6,7 +6,8 @@ import (
 )
 
 // The parsers must never panic on arbitrary input — they parse files
-// users hand the pipeline.
+// users hand the pipeline — and must agree with their oracles
+// (oracle_test.go) on every input.
 
 func FuzzFastaReader(f *testing.F) {
 	f.Add([]byte(">a desc\nACGT\nNNNN\n>b\nTT\n"))
@@ -14,7 +15,9 @@ func FuzzFastaReader(f *testing.F) {
 	f.Add([]byte(">"))
 	f.Add([]byte("no header\nACGT"))
 	f.Add([]byte(">x\n\n\n>y"))
+	f.Add([]byte(">a b\r\nacgtRY\r\n\r\n>c\nA\r"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFastaParity(t, data)
 		recs, err := NewFastaReader(bytes.NewReader(data)).ReadAll()
 		if err != nil {
 			return
@@ -36,7 +39,9 @@ func FuzzFastqReader(f *testing.F) {
 	f.Add([]byte("@a\nACGT\n+"))
 	f.Add([]byte("@\n\n+\n\n"))
 	f.Add([]byte("garbage"))
+	f.Add([]byte("@a\nA\n+\nI\n\r"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFastqParity(t, data)
 		recs, err := NewFastqReader(bytes.NewReader(data)).ReadAll()
 		if err != nil {
 			return

@@ -96,25 +96,31 @@ func IndexBase(code uint64) byte {
 	return "ACGT"[code&3]
 }
 
+// upperBase maps each byte to its upper-case base, or 'N' for any
+// byte that is not a base.
+var upperBase = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 'N'
+	}
+	for _, b := range "ACGT" {
+		t[b], t[b+'a'-'A'] = byte(b), byte(b)
+	}
+	return t
+}()
+
 // Upper upper-cases a sequence in place and returns it. Non-ACGT bytes
 // become 'N'.
 func Upper(s []byte) []byte {
-	for i, b := range s {
-		switch b {
-		case 'A', 'C', 'G', 'T':
-		case 'a':
-			s[i] = 'A'
-		case 'c':
-			s[i] = 'C'
-		case 'g':
-			s[i] = 'G'
-		case 't':
-			s[i] = 'T'
-		default:
-			s[i] = 'N'
-		}
-	}
+	upperInto(s, s)
 	return s
+}
+
+// upperInto writes src upper-cased, non-ACGT bytes as 'N', into dst
+// (at least as long).
+func upperInto(dst, src []byte) {
+	for i, b := range src {
+		dst[i] = upperBase[b]
+	}
 }
 
 // Stats summarises a set of sequence lengths.
