@@ -58,6 +58,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFastaReader -fuzztime 10s ./internal/seq/
 	$(GO) test -run '^$$' -fuzz FuzzFastqReader -fuzztime 10s ./internal/seq/
 	$(GO) test -run '^$$' -fuzz FuzzNextField -fuzztime 10s ./internal/textio/
+	$(GO) test -run '^$$' -fuzz FuzzRoundCodec -fuzztime 10s ./internal/shard/
+	$(GO) test -run '^$$' -fuzz FuzzPackedRoundTrip -fuzztime 10s ./internal/seq/
+	$(GO) test -run '^$$' -fuzz FuzzHistogram -fuzztime 10s ./internal/stats/
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -127,21 +130,16 @@ bench-pipeline:
 	| $(HOST_STAMPED_JSON) > $(BENCH_PIPELINE_JSON)
 	@cat $(BENCH_PIPELINE_JSON)
 
-# Sharded k-mer state snapshot: per-rank resident bytes, lookup
-# exchange bytes and the overlapped tile pipeline's hidden-fetch
-# fraction for the replicated vs ShardKmers GraphFromFasta and
-# ReadsToTranscripts at ranks {1,4,16}, recorded as BENCH_shard.json
-# so the memory-vs-bytes trade shows up in review diffs. Same awk JSON
-# conversion as bench-chrysalis.
+# Sharded k-mer state snapshot: per-rank resident bytes and lookup
+# exchange bytes (exact meters), and the overlapped tile pipeline's
+# modelled hidden-fetch fraction (model_*), for the replicated vs
+# ShardKmers GraphFromFasta and ReadsToTranscripts at ranks {1,4,16},
+# recorded as BENCH_shard.json so the memory-vs-bytes trade shows up in
+# review diffs; 7 iterations, host-stamped like bench-kernels.
 BENCH_SHARD_JSON ?= BENCH_shard.json
 bench-shard:
-	$(GO) test -run '^$$' -bench 'BenchmarkShardScaling' -benchtime 3x -timeout 30m . \
-	| awk 'BEGIN { printf("{\n") } \
-	       /^Benchmark/ { if (n++) printf(",\n"); \
-	         printf("  \"%s\": {\"iterations\": %s", $$1, $$2); \
-	         for (i = 3; i < NF; i += 2) printf(", \"%s\": %s", $$(i+1), $$i); \
-	         printf("}") } \
-	       END { printf("\n}\n") }' > $(BENCH_SHARD_JSON)
+	$(GO) test -run '^$$' -bench 'BenchmarkShardScaling' -benchtime 7x -timeout 30m . \
+	| $(HOST_STAMPED_JSON) > $(BENCH_SHARD_JSON)
 	@cat $(BENCH_SHARD_JSON)
 
 # Packed-sequence snapshot: resident-byte ratio of the 2-bit

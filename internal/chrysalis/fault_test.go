@@ -39,7 +39,7 @@ func buildFaultScenario(t *testing.T) *testScenario {
 
 // buildWeldScenario generates `pairs` welded contig pairs plus `lone`
 // unwelded contigs, each tiled `reps` times over by 50-base reads.
-func buildWeldScenario(t *testing.T, pairs, lone, reps int) *testScenario {
+func buildWeldScenario(t testing.TB, pairs, lone, reps int) *testScenario {
 	t.Helper()
 	const k = 15
 	rng := rand.New(rand.NewSource(99))

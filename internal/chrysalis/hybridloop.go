@@ -7,6 +7,7 @@ import (
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/mpi"
 	"gotrinity/internal/omp"
+	"gotrinity/internal/shard"
 	"gotrinity/internal/trace"
 )
 
@@ -64,6 +65,7 @@ type loopEnv struct {
 	rep     *recReport
 	rec     *trace.Recorder
 	adopted []map[int]bool // per rank: shards it has rebuilt for a dead owner
+	fetch   []fetchState   // per rank: the sharded fetch buffers its loops reuse
 }
 
 func newLoopEnv(ranks, threads, replicas int, static bool, faults *mpi.FaultPlan,
@@ -73,6 +75,7 @@ func newLoopEnv(ranks, threads, replicas int, static bool, faults *mpi.FaultPlan
 		workers: min(threads, max(1, runtime.GOMAXPROCS(0)/ranks)),
 		active:  faults != nil || recovery.Enabled, ro: recovery.withDefaults(),
 		rep: &recReport{}, rec: rec, adopted: make([]map[int]bool, ranks),
+		fetch: make([]fetchState, ranks),
 	}
 	for r := range e.adopted {
 		e.adopted[r] = map[int]bool{}
@@ -269,19 +272,35 @@ func (lp *hybridLoop[T, L]) run(c *Comm) (loopRun[T], error) {
 	}
 	set := &shardSet{env: lp.env, ranks: lp.dist.Ranks, rank: rank, build: sh.build, held: map[int]tableShard{}}
 	set.shard(rank)
+	tiles := tileCount(func(r int) int { return len(lp.dist.RankChunks(r)) }, lp.dist.Ranks)
+	// eachItem visits the items of tile t's chunks.
+	eachItem := func(t int, fn func(i int)) {
+		for _, ch := range tileSlice(mine, t) {
+			lo, hi := lp.dist.ChunkRange(ch)
+			for i := lo; i < hi; i++ {
+				fn(i)
+			}
+		}
+	}
+	bound := 0
+	for t := 0; t < tiles; t++ {
+		span := 0
+		eachItem(t, func(i int) { span += sh.span(i) })
+		bound = max(bound, span)
+	}
 	f := &overlapFetcher{
 		c: c, env: lp.env, stage: sh.label, exchanged: &out.exchanged, led: lp.led, tagBase: sh.tagBase,
-		tiles: tileCount(func(r int) int { return len(lp.dist.RankChunks(r)) }, lp.dist.Ranks),
-		collect: func(t int) []kmer.Kmer {
-			return collectQueryKmers(lp.dist, tileSlice(mine, t), sh.iterate)
+		tiles: tiles, bound: bound, state: &lp.env.fetch[rank],
+		collect: func(t int, add func(kmer.Kmer)) {
+			eachItem(t, func(i int) { sh.iterate(i, add) })
 		},
 		answer: set.answer,
-		compute: func(t int, queries []kmer.Kmer, bodies [][]byte) (float64, error) {
+		compute: func(t int, queries []kmer.Kmer, b *shard.Batch) (float64, error) {
 			chunks := tileSlice(mine, t)
 			if len(chunks) == 0 {
 				return 0, nil
 			}
-			look, bytes, err := sh.cache(queries, bodies)
+			look, bytes, err := sh.cache(queries, b)
 			if err != nil {
 				return 0, err
 			}

@@ -13,6 +13,7 @@ import (
 
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/mpi"
+	"gotrinity/internal/shard"
 )
 
 // The scheme pinned once, independent of welds: a toy loop whose items
@@ -57,19 +58,20 @@ func newToyLoop(env *loopEnv, dist Distribution, sharded bool) *hybridLoop[int64
 		lp.sharded = &shardedLookup[toyTable]{
 			label: "toy/fetch", tagBase: overlapTagLoop1,
 			iterate: func(i int, add func(kmer.Kmer)) { add(kmer.Kmer(i)) },
+			span:    func(int) int { return 1 },
 			build: func(s int) tableShard {
 				rows := slice(dist.Ranks, s)
 				return tableShard{bytes: int64(16 * len(rows)), answer: func(m kmer.Kmer, dst []byte) []byte {
 					return binary.LittleEndian.AppendUint64(dst, rows[m])
 				}}
 			},
-			cache: func(queries []kmer.Kmer, bodies [][]byte) (toyTable, int64, error) {
+			cache: func(queries []kmer.Kmer, b *shard.Batch) (toyTable, int64, error) {
 				t := toyTable{}
 				for i, m := range queries {
-					if len(bodies[i]) != 8 {
-						return nil, 0, fmt.Errorf("toy answer for %v is %d bytes", m, len(bodies[i]))
+					if body := b.Body(i); len(body) != 8 {
+						return nil, 0, fmt.Errorf("toy answer for %v is %d bytes", m, len(body))
 					}
-					t[m] = binary.LittleEndian.Uint64(bodies[i])
+					t[m] = binary.LittleEndian.Uint64(b.Body(i))
 				}
 				return t, int64(16 * len(t)), nil
 			},

@@ -1,6 +1,8 @@
 package chrysalis
 
 import (
+	"slices"
+
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/mpi"
 	"gotrinity/internal/shard"
@@ -49,6 +51,7 @@ const fetchTileChunks = 8
 // double-buffering hid (tile t+1's fetch runs under tile t's compute).
 type TileMeter struct {
 	Fetch        mpi.Stats // this tile's lookup-round traffic (this rank's view)
+	Queries      int       // distinct k-mers the tile looked up
 	ComputeUnits float64   // work units computed on this tile's answers
 	Deferred     bool      // lost frames pushed this tile through the cleanup path
 }
@@ -83,11 +86,12 @@ func tileSlice(chunks []int, t int) []int {
 }
 
 // overlapFetcher drives one phase's double-buffered tile pipeline.
-// collect builds tile t's query list, answer serves one incoming
-// k-mer from this rank's shards, and compute consumes tile t's
-// answers (bodies parallel to queries, all non-nil) returning the
-// work units it spent. env, stage, exchanged and led parameterise the
-// blocking fetchShardAnswers pass that re-requests anything the
+// collect emits tile t's probes (duplicates included), at most bound
+// per tile; answer serves one incoming k-mer from this rank's shards;
+// and compute consumes tile t's answers (b.Body(i) answers queries[i],
+// all non-nil) returning the work units it spent. state holds the
+// buffers the rank reuses. env, stage, exchanged and led parameterise
+// the blocking fetchShardAnswers pass that re-requests anything the
 // pipeline lost.
 type overlapFetcher struct {
 	c         *Comm
@@ -97,21 +101,63 @@ type overlapFetcher struct {
 	led       *fetchLedger
 	tagBase   int
 	tiles     int
-	collect   func(tile int) []kmer.Kmer
+	bound     int
+	state     *fetchState
+	collect   func(tile int, add func(kmer.Kmer))
 	answer    func(m kmer.Kmer, dst []byte) []byte
-	compute   func(tile int, queries []kmer.Kmer, bodies [][]byte) (float64, error)
+	compute   func(tile int, queries []kmer.Kmer, b *shard.Batch) (float64, error)
 }
 
-// overlapTile is one tile's in-flight bookkeeping: the flat query
-// list, its routing (qs[d]/idxs[d] = queries and flat indices
-// addressed to rank d under the static owner map), and the answer
-// bodies filled in as frames arrive.
-type overlapTile struct {
+// fetchState is what one rank's tile pipelines reuse, tile after tile
+// and phase after phase (GraphFromFasta's two loops share it): the
+// dedup set, sized once for the largest tile it has had to hold, and
+// the two-state ring.
+type fetchState struct {
+	seen  *kmer.FlatSet
+	sized int
+	ring  [2]*tileState
+}
+
+// tileState is one tile's flat state: its distinct queries in
+// first-seen order (the order replica ids follow) and the batch that
+// routes them owner-major and holds their answers. The pipeline keeps
+// two and reuses them tile after tile; a deferred tile keeps its own
+// until the cleanup has answered it.
+type tileState struct {
+	tile    int
 	queries []kmer.Kmer
-	qs      [][]kmer.Kmer
-	idxs    [][]int
-	bodies  [][]byte
-	missing int
+	batch   shard.Batch
+}
+
+// fill collects tile t's distinct probes through seen, whose dense ids
+// are first-seen order, and routes them by the static owner map.
+// Deduplication is per tile — a k-mer probed by two tiles is fetched by
+// both, the price of not holding the union resident.
+func (f *overlapFetcher) fill(st *tileState, t int, seen *kmer.FlatSet) {
+	seen.Reset()
+	f.collect(t, func(m kmer.Kmer) { seen.Add(m) })
+	n := seen.Len()
+	st.tile = t
+	st.queries = slices.Grow(st.queries[:0], n)[:n]
+	seen.ForEach(func(m kmer.Kmer, id int32) { st.queries[id] = m })
+	// Static owner routing only: remapping needs an agreement
+	// collective, which cannot run while tiles are in flight. A dead
+	// owner's frames come back nil and route through the cleanup.
+	size := f.c.Size()
+	st.batch.Route(size, st.queries, func(m kmer.Kmer) int { return kmer.OwnerRank(m, size) })
+}
+
+// missing counts st's unanswered queries.
+func (st *tileState) missing() int {
+	n := 0
+	for _, bs := range st.batch.Bodies {
+		for _, b := range bs {
+			if b == nil {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // run executes the pipeline: Start(0), then for each tile Start(t+1)
@@ -120,37 +166,32 @@ type overlapTile struct {
 // drain, the blocking cleanup answers the leftovers and the deferred
 // tiles compute in order. Returned meters are indexed by tile.
 func (f *overlapFetcher) run() ([]TileMeter, error) {
-	size := f.c.Size()
 	meters := make([]TileMeter, f.tiles)
-	states := make([]*overlapTile, f.tiles)
+	// One dedup set sized for the largest tile, and a two-state ring:
+	// tile t+1 fills one state while tile t computes on the other.
+	fs := f.state
+	if fs.seen == nil || f.bound > fs.sized {
+		fs.seen, fs.sized = kmer.NewFlatSet(f.bound), f.bound
+	}
+	if fs.ring[0] == nil {
+		fs.ring = [2]*tileState{{}, {}}
+	}
+	seen, ring := fs.seen, &fs.ring
 	ar := shard.NewAsyncRound(f.c, f.tagBase, f.answer)
 	start := func(t int) {
-		st := &overlapTile{
-			queries: f.collect(t),
-			qs:      make([][]kmer.Kmer, size),
-			idxs:    make([][]int, size),
-		}
-		// Static owner routing only: remapping needs an agreement
-		// collective, which cannot run while tiles are in flight. A dead
-		// owner's frames come back nil and route through the cleanup.
-		for i, m := range st.queries {
-			o := kmer.OwnerRank(m, size)
-			st.qs[o] = append(st.qs[o], m)
-			st.idxs[o] = append(st.idxs[o], i)
-		}
-		st.bodies = make([][]byte, len(st.queries))
-		states[t] = st
-		ar.Start(t, st.qs)
+		st := ring[t%2]
+		f.fill(st, t, seen)
+		ar.Start(t, &st.batch)
 	}
 	start(0)
-	var deferred []int
+	var deferred []*tileState
 	for t := 0; t < f.tiles; t++ {
 		if t+1 < f.tiles {
 			start(t + 1)
 		}
-		st := states[t]
-		resps, stats, rerr := ar.Wait(t)
-		meters[t].Fetch = stats
+		st := ring[t%2]
+		stats, rerr := ar.Wait(t)
+		meters[t].Fetch, meters[t].Queries = stats, len(st.queries)
 		*f.exchanged += stats.BytesSent + stats.BytesRecv
 		if rerr != nil {
 			// Faults are routable — the lost frames defer their tile to
@@ -160,26 +201,18 @@ func (f *overlapFetcher) run() ([]TileMeter, error) {
 				return meters, rerr
 			}
 		}
-		for d := range resps {
-			for j, frame := range resps[d] {
-				if frame != nil {
-					st.bodies[st.idxs[d][j]] = frame
-				} else {
-					st.missing++
-				}
-			}
-		}
-		if st.missing > 0 {
+		if st.missing() > 0 {
+			// The deferred tile keeps its state; tile t+2 gets a new one.
 			meters[t].Deferred = true
-			deferred = append(deferred, t)
+			deferred = append(deferred, st)
+			ring[t%2] = &tileState{}
 			continue
 		}
-		units, cerr := f.compute(t, st.queries, st.bodies)
+		units, cerr := f.compute(t, st.queries, &st.batch)
 		if cerr != nil {
 			return meters, cerr
 		}
 		meters[t].ComputeUnits = units
-		states[t] = nil
 	}
 
 	// Cleanup: every rank enters (it contains collectives — the ledger
@@ -187,14 +220,16 @@ func (f *overlapFetcher) run() ([]TileMeter, error) {
 	// answer a survivor's re-request). With nothing lost anywhere the
 	// all-zero ledger exits it after a single agreement round.
 	var leftQ []kmer.Kmer
-	type framePos struct{ tile, i int }
+	type framePos struct {
+		st *tileState
+		i  int
+	}
 	var leftPos []framePos
-	for _, t := range deferred {
-		st := states[t]
-		for i, b := range st.bodies {
-			if b == nil {
-				leftQ = append(leftQ, st.queries[i])
-				leftPos = append(leftPos, framePos{t, i})
+	for _, st := range deferred {
+		for i, m := range st.queries {
+			if st.batch.Body(i) == nil {
+				leftQ = append(leftQ, m)
+				leftPos = append(leftPos, framePos{st, i})
 			}
 		}
 	}
@@ -204,16 +239,14 @@ func (f *overlapFetcher) run() ([]TileMeter, error) {
 	}
 	for j, b := range bodies {
 		p := leftPos[j]
-		states[p.tile].bodies[p.i] = b
+		p.st.batch.SetBody(p.i, b)
 	}
-	for _, t := range deferred {
-		st := states[t]
-		units, cerr := f.compute(t, st.queries, st.bodies)
+	for _, st := range deferred {
+		units, cerr := f.compute(st.tile, st.queries, &st.batch)
 		if cerr != nil {
 			return meters, cerr
 		}
-		meters[t].ComputeUnits = units
-		states[t] = nil
+		meters[st.tile].ComputeUnits = units
 	}
 	return meters, nil
 }

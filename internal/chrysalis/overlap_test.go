@@ -1,12 +1,16 @@
 package chrysalis
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"gotrinity/internal/kmer"
 	"gotrinity/internal/mpi"
+	"gotrinity/internal/shard"
 )
 
 // Determinism battery for the sharded fetch pipeline: rank counts ×
@@ -177,7 +181,7 @@ func TestR2TShardKmersBlockingFaults(t *testing.T) {
 // per rank — five tiles of fetchTileChunks, the last one short or, for
 // R2T ranks 2 and 3, empty; over 16 ranks it is 8–9 per rank, so the
 // first few ranks run two tiles and the rest pad the second.
-func buildTileScenario(t *testing.T) *testScenario {
+func buildTileScenario(t testing.TB) *testScenario {
 	t.Helper()
 	return buildWeldScenario(t, 63, 8, 4)
 }
@@ -229,12 +233,28 @@ func deferredLaterTile(meters ...[]TileMeter) bool {
 	return false
 }
 
+// deferredMiddleTile reports whether some rank deferred a tile t ≥ 1
+// and still had chunks in tile t+2 — the tile that takes over the
+// deferred one's slot of the two-state ring while it waits for the
+// cleanup. perRank[r] is rank r's chunk count.
+func deferredMiddleTile(perRank []int, meters func(rank int) []TileMeter) bool {
+	for r, n := range perRank {
+		for t, m := range meters(r) {
+			if t > 0 && m.Deferred && n > (t+2)*fetchTileChunks {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // tileFault is one fault aimed at a pipeline with tiles in flight.
 type tileFault struct {
 	name    string
 	plan    *mpi.FaultPlan
 	timeout time.Duration // RankTimeout, for the drops only a receive timeout reveals
 	later   bool          // must defer a tile past the first
+	middle  bool          // must defer a middle tile (deferredMiddleTile)
 }
 
 // tileFaultCases builds the faulted half of the tile batteries. A tile
@@ -249,7 +269,9 @@ func tileFaultCases(ranks, tiles int) []tileFault {
 	cases := []tileFault{
 		{name: "kill in Wait(0) with tile 1 in flight", later: true,
 			plan: mpi.NewFaultPlan(mpi.Fault{Kind: mpi.FaultKill, Rank: 1, AtCall: 4*(ranks-1) + 1})},
-		{name: "dropped tile-1 query", later: true, timeout: 300 * time.Millisecond,
+		// With four or more tiles, rank 1 defers tile 1 and runs tiles 2
+		// and 3 on the ring before the cleanup answers it.
+		{name: "dropped tile-1 query", later: true, middle: tiles >= 4, timeout: 300 * time.Millisecond,
 			plan: mpi.NewFaultPlan(mpi.Fault{Kind: mpi.FaultDropMsg, Rank: 1, Dst: 2, AtCall: 1})},
 		{name: "dropped tile-0 reply under tile 1", timeout: 300 * time.Millisecond,
 			plan: mpi.NewFaultPlan(mpi.Fault{Kind: mpi.FaultDropMsg, Rank: 1, Dst: 2, AtCall: 2})},
@@ -301,6 +323,9 @@ func TestGFFTilePipelineBattery(t *testing.T) {
 						t.Errorf("ranks=%d %s: no tile past the first was deferred", ranks, tc.name)
 					}
 				}
+				if tc.middle && !deferredMiddleTile(perRank, func(r int) []TileMeter { return res.Profiles[r].Overlap1 }) {
+					t.Errorf("ranks=%d %s: no rank deferred a middle tile with two more behind it", ranks, tc.name)
+				}
 			})
 		}
 	}
@@ -322,7 +347,8 @@ func TestR2TTilePipelineBattery(t *testing.T) {
 			t.Errorf("ranks=%d: sharded assignments differ from replicated", ranks)
 		}
 		nChunks := (len(sc.reads) + opt.MaxMemReads - 1) / opt.MaxMemReads
-		tiles := wantTileShape(t, "r2t", roundRobinCounts(nChunks, ranks),
+		perRank := roundRobinCounts(nChunks, ranks)
+		tiles := wantTileShape(t, "r2t", perRank,
 			func(r int) []TileMeter { return res.Profiles[r].Overlap }, true)
 		for r, p := range res.Profiles {
 			if deferredLaterTile(p.Overlap) || p.Overlap[0].Deferred {
@@ -350,6 +376,9 @@ func TestR2TTilePipelineBattery(t *testing.T) {
 					if !deferredLaterTile(all...) {
 						t.Errorf("ranks=%d %s: no tile past the first was deferred", ranks, tc.name)
 					}
+				}
+				if tc.middle && !deferredMiddleTile(perRank, func(r int) []TileMeter { return res.Profiles[r].Overlap }) {
+					t.Errorf("ranks=%d %s: no rank deferred a middle tile with two more behind it", ranks, tc.name)
 				}
 			})
 		}
@@ -398,4 +427,91 @@ func TestOverlapHiddenSeconds(t *testing.T) {
 	if hidden != 6 {
 		t.Errorf("hidden = %v, want 6", hidden)
 	}
+}
+
+// TestOverlapFetcherDeferredTileKeepsState drives the fetcher directly
+// with a dropped tile-1 query, so rank 1 defers the middle tile of its
+// four while tiles 2 and 3 cycle through the two-state ring. Every
+// tile, deferred or not, must compute once, on exactly the distinct
+// queries it collected in first-seen order, each answered with its own
+// value: a deferred tile whose state a later tile reused would compute
+// on that tile's queries.
+func TestOverlapFetcherDeferredTileKeepsState(t *testing.T) {
+	guard(t, 60*time.Second, func() {
+		const ranks, tiles = 3, 4
+		plan := mpi.NewFaultPlan(mpi.Fault{Kind: mpi.FaultDropMsg, Rank: 1, Dst: 2, AtCall: 1})
+		env := newLoopEnv(ranks, 1, 1, false, plan, RecoveryOptions{RankTimeout: 300 * time.Millisecond}, nil)
+		led := newFetchLedger(ranks)
+		value := func(m kmer.Kmer) uint64 { return uint64(m)*31 + 7 }
+		// Tile t of rank r probes 40 k-mers of its own, each twice, then
+		// 10 that every tile of the rank probes.
+		probes := func(r, t int, add func(kmer.Kmer)) {
+			for j := 0; j < 40; j++ {
+				m := kmer.Kmer(r<<20 | t<<10 | j)
+				add(m)
+				add(m)
+			}
+			for j := 0; j < 10; j++ {
+				add(kmer.Kmer(1<<30 | r<<20 | j))
+			}
+		}
+		computed := make([][]int, ranks)
+		meters := make([][]TileMeter, ranks)
+		_, errs := env.world.RunE(func(c *Comm) error {
+			r := c.Rank()
+			var exchanged int64
+			f := &overlapFetcher{
+				c: c, env: env, stage: "test/fetch", exchanged: &exchanged, led: led,
+				tagBase: overlapTagLoop1, tiles: tiles, bound: 90, state: &fetchState{},
+				collect: func(t int, add func(kmer.Kmer)) { probes(r, t, add) },
+				answer: func(m kmer.Kmer, dst []byte) []byte {
+					return binary.LittleEndian.AppendUint64(dst, value(m))
+				},
+				compute: func(t int, queries []kmer.Kmer, b *shard.Batch) (float64, error) {
+					var want []kmer.Kmer
+					seen := map[kmer.Kmer]bool{}
+					probes(r, t, func(m kmer.Kmer) {
+						if !seen[m] {
+							seen[m] = true
+							want = append(want, m)
+						}
+					})
+					if !reflect.DeepEqual(queries, want) {
+						return 0, fmt.Errorf("rank %d tile %d computed on %d other queries", r, t, len(queries))
+					}
+					for i, m := range queries {
+						if body := b.Body(i); len(body) != 8 || binary.LittleEndian.Uint64(body) != value(m) {
+							return 0, fmt.Errorf("rank %d tile %d: answer to %v is %x", r, t, m, body)
+						}
+					}
+					computed[r] = append(computed[r], t)
+					return float64(len(queries)), nil
+				},
+			}
+			var err error
+			meters[r], err = f.run()
+			return err
+		})
+		for r, err := range errs {
+			if err != nil {
+				t.Fatalf("rank %d: %v", r, err)
+			}
+			got := slices.Clone(computed[r])
+			slices.Sort(got)
+			if !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
+				t.Errorf("rank %d computed tiles %v, want each of 0..3 once", r, computed[r])
+			}
+			for tile, m := range meters[r] {
+				if m.Queries != 50 {
+					t.Errorf("rank %d tile %d: %d queries metered, want 50", r, tile, m.Queries)
+				}
+			}
+		}
+		if m := meters[1]; !m[1].Deferred || m[2].Deferred || m[3].Deferred {
+			t.Errorf("rank 1 deferred %v, want the middle tile 1 alone", []bool{m[0].Deferred, m[1].Deferred, m[2].Deferred, m[3].Deferred})
+		}
+		if !reflect.DeepEqual(computed[1], []int{0, 2, 3, 1}) {
+			t.Errorf("rank 1 computed tiles in order %v, want the deferred tile 1 last", computed[1])
+		}
+	})
 }

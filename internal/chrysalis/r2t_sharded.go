@@ -6,19 +6,24 @@ import (
 
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/seq"
+	"gotrinity/internal/shard"
 )
 
 // The k-mer→bundle table of ReadsToTranscripts, replicated or sharded
 // (R2TOptions.ShardKmers; the machinery is in sharded.go).
 //
 // Both forms are min-merges over one staged scan of the contig set: the
-// replicated table merges every key, shard s merges the keys
-// kmer.OwnerRank assigns to s. A sharded rank fetches the owners of the
-// distinct k-mers its kept chunks' reads will probe (both strands);
-// the answers materialise a partial bundleKmerTable in which a k-mer
-// the shards do not hold is simply absent, so every lookup the
-// unchanged assignment kernels make — hit or miss — matches the
-// replicated table, and the assignments are byte-identical.
+// replicated table merges every key, shard s merges the keys whose
+// canonical form kmer.OwnerRank assigns to s — so both orientations of
+// a k-mer, the two cells of one table id, live on one shard. A sharded
+// rank fetches, once per read k-mer, the canonical form of the distinct
+// k-mers its kept chunks' reads hold; the owner answers both
+// orientations from one lookup2, which is exactly what the assignment
+// kernel's one canonical probe reads. The answers materialise a partial
+// bundleKmerTable in which a k-mer the shards do not hold is simply
+// absent, so every lookup the unchanged assignment kernels make — hit
+// or miss — matches the replicated table, and the assignments are
+// byte-identical.
 
 // r2tSource is the shared data every bundle table is a deterministic
 // function of: the flattened contig k-mer scan in component order with
@@ -72,8 +77,9 @@ func buildR2TSource(contigs []seq.Record, pcontigs []seq.Packed, comps []Compone
 
 // table min-merges shard s (of ranks) of the source scan into a
 // bundleKmerTable; ranks = 0 is the unpartitioned, replicated table. A
-// k-mer goes to the smallest component id holding it — per key and
-// order-independent, so a shard's owners equal the full table's. ops
+// shard keeps the keys whose canonical form it owns. A k-mer goes to
+// the smallest component id holding it — per key and order-independent,
+// so a shard's owners equal the full table's. ops
 // records the full scan length either way: sharding divides the
 // resident insertion state, not the shared-file scan every rank still
 // streams.
@@ -90,8 +96,10 @@ func (src *r2tSource) table(ranks, s int) *bundleKmerTable {
 		for int32(j) >= src.off[si+1] {
 			si++
 		}
-		if kmer.OwnerRank(m, ranks) != s {
-			continue
+		if ranks > 1 {
+			if c, _ := m.Canonical(src.k); kmer.OwnerRank(c, ranks) != s {
+				continue
+			}
 		}
 		comp := src.compOf[si]
 		i, j := t.cells(m)
@@ -112,23 +120,25 @@ func (t *bundleKmerTable) memBytes() int64 {
 	return t.set.MemBytes() + int64(len(t.owner))*4
 }
 
-// bundleShards describes the distributed bundle table: a query is
-// answered with uvarint(owner+1), or uvarint(0) when the k-mer is in no
-// bundle — a present frame either way, distinct from the nil frame of a
-// lost exchange. iterate emits one read's probes (see readKmers).
-func bundleShards(src *r2tSource, ranks int, iterate func(i int, add func(kmer.Kmer))) *shardedLookup[*bundleKmerTable] {
+// bundleShards describes the distributed bundle table: a query is a
+// canonical k-mer, answered with two uvarints, owner+1 of the k-mer and
+// of its reverse complement (0 = in no bundle) — from one lookup2, and
+// a present frame either way, distinct from the nil frame of a lost
+// exchange. iterate emits the canonical form of each of one read's
+// k-mers, at most span(i) of them.
+func bundleShards(src *r2tSource, ranks int, iterate func(i int, add func(kmer.Kmer)), span func(i int) int) *shardedLookup[*bundleKmerTable] {
 	return &shardedLookup[*bundleKmerTable]{
 		label: "readstotranscripts/table", tagBase: overlapTagR2T,
-		iterate: iterate,
+		iterate: iterate, span: span,
 		build: func(s int) tableShard {
 			t := src.table(ranks, s)
 			return tableShard{bytes: t.memBytes(), answer: func(m kmer.Kmer, dst []byte) []byte {
-				comp, _ := t.lookup2(m)
-				return binary.AppendUvarint(dst, uint64(comp+1))
+				fwd, rev := t.lookup2(m)
+				return binary.AppendUvarint(binary.AppendUvarint(dst, uint64(fwd+1)), uint64(rev+1))
 			}}
 		},
-		cache: func(queries []kmer.Kmer, bodies [][]byte) (*bundleKmerTable, int64, error) {
-			t, err := buildR2TCache(src.k, src.ncomp, queries, bodies)
+		cache: func(queries []kmer.Kmer, b *shard.Batch) (*bundleKmerTable, int64, error) {
+			t, err := buildR2TCache(src.k, src.ncomp, queries, b)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -137,37 +147,53 @@ func bundleShards(src *r2tSource, ranks int, iterate func(i int, add func(kmer.K
 	}
 }
 
+// r2tAnswer reads one canonical query's answer: the owners of the
+// k-mer and of its reverse complement, −1 for an orientation in no
+// bundle.
+func r2tAnswer(m kmer.Kmer, body []byte) (fwd, rev int32, err error) {
+	f, rest, err := answerHead(m, body, 0)
+	if err != nil {
+		return 0, 0, err
+	}
+	r, rest, err := answerHead(m, rest, 0)
+	if err == nil && len(rest) > 0 {
+		err = fmt.Errorf("chrysalis: shard answer for %v has %d trailing bytes", m, len(rest))
+	}
+	return int32(f) - 1, int32(r) - 1, err
+}
+
 // buildR2TCache materialises the partial bundle table the assignment
-// loop runs on: exactly the queried k-mers that belong to a bundle,
-// with the owners the shards returned, folded into canonical cells —
-// a read's probes are both strands, so m and rc(m) fill the two cells
-// of one id. Cells no answer fills stay −1, so lookups miss exactly
-// where the replicated table misses. A cell filled twice means a
-// repeated query.
-func buildR2TCache(k int, ncomp int32, queries []kmer.Kmer, bodies [][]byte) (*bundleKmerTable, error) {
-	// Size the set by the hits only: roughly half the queries are the
-	// reverse-complement strand's probes, which the forward-built bundle
-	// table misses, and absent k-mers are never inserted.
+// loop runs on: exactly the queried canonical k-mers that belong to a
+// bundle on either strand, each one id whose two cells are the owners
+// the shard returned — the cells the replicated table holds for it.
+// Cells no answer fills stay −1, so lookups miss exactly where the
+// replicated table misses. A query that is not canonical, or repeats
+// an earlier one, is an error.
+func buildR2TCache(k int, ncomp int32, queries []kmer.Kmer, b *shard.Batch) (*bundleKmerTable, error) {
 	hits := 0
-	for _, b := range bodies {
-		if len(b) > 0 && b[0] != 0 {
+	for i, m := range queries {
+		if c, _ := m.Canonical(k); c != m {
+			return nil, fmt.Errorf("chrysalis: query k-mer %v is not canonical", m)
+		}
+		fwd, rev, err := r2tAnswer(m, b.Body(i))
+		if err != nil {
+			return nil, err
+		}
+		if fwd >= 0 || rev >= 0 {
 			hits++
 		}
 	}
 	t := &bundleKmerTable{k: k, set: kmer.NewFlatSet(hits), ncomp: ncomp, owner: make([]int32, 0, 2*hits)}
 	for i, m := range queries {
-		v, _, err := answerHead(m, bodies[i], 0)
-		if err != nil {
-			return nil, err
-		}
-		if v == 0 {
+		fwd, rev, _ := r2tAnswer(m, b.Body(i))
+		if fwd < 0 && rev < 0 {
 			continue
 		}
-		i, j := t.cells(m)
-		if t.owner[i] >= 0 {
-			return nil, fmt.Errorf("chrysalis: duplicate query k-mer %v", m)
+		want := t.set.Len()
+		if err := cacheKey(t.set.Add(m), m, want); err != nil {
+			return nil, err
 		}
-		t.owner[i], t.owner[j] = int32(v-1), int32(v-1)
+		t.owner = append(t.owner, fwd, rev)
 	}
 	return t, nil
 }

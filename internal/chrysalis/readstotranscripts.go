@@ -307,20 +307,24 @@ func ReadsToTranscripts(reads []seq.Record, contigs []seq.Record, comps []Compon
 	var shards *shardedLookup[*bundleKmerTable]
 	if opt.ShardKmers {
 		src = buildR2TSource(contigs, opt.PackedContigs, comps, opt.K, opt.Packed)
-		// A read's probes are its forward k-mers and their reverse
-		// complements — both strands of the assignment tally (the RC
-		// read's valid windows mirror the forward ones).
+		// A read k-mer's probe is one canonical lookup2, which answers
+		// both strands of the assignment tally — so the query is the
+		// canonical form, once per read k-mer.
 		shards = bundleShards(src, ranks, func(i int, add func(kmer.Kmer)) {
 			if !opt.Packed {
-				eachKmer(reads[i].Seq, opt.K, true, add)
+				it := kmer.NewIterator(reads[i].Seq, opt.K)
+				for m, _, ok := it.Next(); ok; m, _, ok = it.Next() {
+					c, _ := m.Canonical(opt.K)
+					add(c)
+				}
 				return
 			}
 			it := kmer.NewPackedIterator(preads[i].Seq, opt.K)
 			for m, _, ok := it.Next(); ok; m, _, ok = it.Next() {
-				add(m)
-				add(m.ReverseComplement(opt.K))
+				c, _ := m.Canonical(opt.K)
+				add(c)
 			}
-		})
+		}, func(i int) int { return windows(readLen(i), opt.K) })
 	}
 	fullTable := sync.OnceValue(func() *bundleKmerTable {
 		if src != nil {

@@ -27,14 +27,15 @@ import (
 // Lookups are batched, not chased one by one: for each tile of its
 // chunk list (overlap.go) a rank collects the distinct k-mers the
 // kernel will probe over those items and fetches the answers in one
-// aggregated lookup round. The answers materialise a partial replica of
-// the same flat structure the replicated path uses, so the kernels run
-// unchanged and their results, probe counts and work units are
-// byte-identical to the replicated reference — the property the
-// differential batteries pin. A stage describes one distributed table
-// to the hybrid loop as a shardedLookup; this file holds that type, the
-// machinery behind it, and GraphFromFasta's two tables
-// (r2t_sharded.go holds ReadsToTranscripts').
+// aggregated lookup round (a shard.Batch: the queries routed
+// owner-major, the answers decoded in place). The answers materialise
+// a partial replica of the same flat structure the replicated path
+// uses, so the kernels run unchanged and their results, probe counts
+// and work units are byte-identical to the replicated reference — the
+// property the differential batteries pin. A stage describes one
+// distributed table to the hybrid loop as a shardedLookup; this file
+// holds that type, the machinery behind it, and GraphFromFasta's two
+// tables (r2t_sharded.go holds ReadsToTranscripts').
 //
 // Fault composition mirrors the chunk-recovery layer: if an owner dies
 // mid-fetch, the survivors agree on the dead set (AgreeDead), recompute
@@ -47,15 +48,17 @@ import (
 type shardedLookup[L any] struct {
 	label   string // fetch-phase label in errors and lookup_round events
 	tagBase int    // tag range of the phase's nonblocking rounds
-	// iterate emits every k-mer the kernel will probe for one item.
+	// iterate emits every k-mer the kernel will probe for one item;
+	// span bounds how many it emits, which sizes a tile's dedup set.
 	iterate func(item int, add func(kmer.Kmer))
+	span    func(item int) int
 	// build materialises shard s from the shared source — at startup
 	// for a rank's own shard, on demand when it adopts a dead owner's.
 	build func(s int) tableShard
-	// cache turns one tile's answers (bodies parallel to queries, all
+	// cache turns one tile's answers (b.Body(i) answers queries[i], all
 	// non-nil) into the partial replica the kernel runs on, and reports
 	// the replica's resident bytes.
-	cache func(queries []kmer.Kmer, bodies [][]byte) (look L, bytes int64, err error)
+	cache func(queries []kmer.Kmer, b *shard.Batch) (look L, bytes int64, err error)
 }
 
 // tableShard is one built shard: how it answers a query (appending the
@@ -104,27 +107,8 @@ func (ss *shardSet) bytes() int64 {
 	return n
 }
 
-// collectQueryKmers gathers the distinct k-mers the kernel will probe
-// over the items of the given chunks, in first-seen order.
-// Deduplication is per tile — a k-mer probed by two tiles is fetched by
-// both, the price of not holding the union resident.
-func collectQueryKmers(dist Distribution, chunks []int, iterate func(item int, add func(kmer.Kmer))) []kmer.Kmer {
-	seen := kmer.NewFlatSet(0)
-	var out []kmer.Kmer
-	add := func(m kmer.Kmer) {
-		n := int32(seen.Len())
-		if seen.Add(m) == n {
-			out = append(out, m)
-		}
-	}
-	for _, ch := range chunks {
-		lo, hi := dist.ChunkRange(ch)
-		for i := lo; i < hi; i++ {
-			iterate(i, add)
-		}
-	}
-	return out
-}
+// windows is how many k-mer windows a sequence of length n has.
+func windows(n, k int) int { return max(0, n-k+1) }
 
 // eachKmer emits the valid k-mers of s in scan order, each followed by
 // its reverse complement when withRC is set.
@@ -179,21 +163,24 @@ func cacheKey(id int32, m kmer.Kmer, want int) error {
 // body) is unpacked into it. Shard rows preserve the replicated tables'
 // row order, so every probe of the replica returns exactly what the
 // full table would.
-func decodeRows[V any](queries []kmer.Kmer, bodies [][]byte, skip int, unpack func(uint64) V) (*kmer.Multimap[V], error) {
-	total := 0
+func decodeRows[V any](queries []kmer.Kmer, b *shard.Batch, skip int, unpack func(uint64) V) (*kmer.Multimap[V], error) {
+	keys, total := 0, 0
 	for i, m := range queries {
-		n, rest, err := answerHead(m, bodies[i], skip)
+		n, rest, err := answerHead(m, b.Body(i), skip)
 		if err == nil && n > uint64(len(rest))/8 {
 			err = fmt.Errorf("chrysalis: shard row for %v truncated", m)
 		}
 		if err != nil {
 			return nil, err
 		}
+		if n > 0 {
+			keys++
+		}
 		total += int(n)
 	}
-	t := kmer.NewMultimap[V](len(queries), total)
+	t := kmer.NewMultimap[V](keys, total)
 	for i, m := range queries {
-		n, rest, _ := answerHead(m, bodies[i], skip)
+		n, rest, _ := answerHead(m, b.Body(i), skip)
 		if n == 0 {
 			continue
 		}
@@ -232,15 +219,23 @@ func unpackRef(v uint64) weldRef {
 	return weldRef{id: int32(uint32(v)), rc: v&(1<<32) != 0}
 }
 
-// buildCountShard carves shard s out of the full frozen read table.
+// buildCountShard carves shard s out of the full frozen read table:
+// one pass counts the shard's k-mers, a second puts them in the full
+// table's slot order.
 func buildCountShard(reads *jellyfish.Frozen, ranks, s int) *jellyfish.Frozen {
-	var entries []jellyfish.Entry
-	reads.ForEach(func(m kmer.Kmer, c uint32) {
+	n := 0
+	reads.ForEach(func(m kmer.Kmer, _ uint32) {
 		if kmer.OwnerRank(m, ranks) == s {
-			entries = append(entries, jellyfish.Entry{Kmer: m, Count: c})
+			n++
 		}
 	})
-	return jellyfish.FrozenFromEntries(reads.K, entries)
+	return jellyfish.FrozenOf(reads.K, n, func(put func(kmer.Kmer, uint32)) {
+		reads.ForEach(func(m kmer.Kmer, c uint32) {
+			if kmer.OwnerRank(m, ranks) == s {
+				put(m, c)
+			}
+		})
+	})
 }
 
 // weldShards describes loop 1's distributed tables — the read counts
@@ -254,6 +249,7 @@ func weldShards(src *gffSource, ranks int) *shardedLookup[weldLookup] {
 	return &shardedLookup[weldLookup]{
 		label: "graphfromfasta/loop1", tagBase: overlapTagLoop1,
 		iterate: func(i int, add func(kmer.Kmer)) { eachKmer(src.seqs[i], src.k, true, add) },
+		span:    func(i int) int { return 2 * windows(len(src.seqs[i]), src.k) },
 		build: func(s int) tableShard {
 			occs, counts := src.occs(ranks, s), buildCountShard(src.reads, ranks, s)
 			return tableShard{bytes: occs.MemBytes() + counts.MemBytes(),
@@ -262,8 +258,8 @@ func weldShards(src *gffSource, ranks int) *shardedLookup[weldLookup] {
 					return appendRow(dst, occs.Row(m), packOcc)
 				}}
 		},
-		cache: func(queries []kmer.Kmer, bodies [][]byte) (weldLookup, int64, error) {
-			look, err := buildLoop1Cache(src.k, queries, bodies)
+		cache: func(queries []kmer.Kmer, b *shard.Batch) (weldLookup, int64, error) {
+			look, err := buildLoop1Cache(src.k, queries, b)
 			if err != nil {
 				return weldLookup{}, 0, err
 			}
@@ -281,13 +277,14 @@ func pairShards(src *gffSource, ranks int, pooled func() []string) *shardedLooku
 	return &shardedLookup[pairLookup]{
 		label: "graphfromfasta/loop2", tagBase: overlapTagLoop2,
 		iterate: func(i int, add func(kmer.Kmer)) { eachKmer(src.seqs[i], src.k, false, add) },
+		span:    func(i int) int { return windows(len(src.seqs[i]), src.k) },
 		build: func(s int) tableShard {
 			refs := shardTable(ranks, s, 0, weldCoreRefs(pooled(), src.k, asciiCore(src.k)))
 			return tableShard{bytes: refs.MemBytes(),
 				answer: func(m kmer.Kmer, dst []byte) []byte { return appendRow(dst, refs.Row(m), packRef) }}
 		},
-		cache: func(queries []kmer.Kmer, bodies [][]byte) (pairLookup, int64, error) {
-			ix, err := buildLoop2Cache(pooled(), src.k, queries, bodies)
+		cache: func(queries []kmer.Kmer, b *shard.Batch) (pairLookup, int64, error) {
+			ix, err := buildLoop2Cache(pooled(), src.k, queries, b)
 			if err != nil {
 				return pairLookup{}, 0, err
 			}
@@ -359,6 +356,9 @@ func fetchShardAnswers(c *Comm, env *loopEnv, stage string, exchanged *int64, le
 	size := c.Size()
 	bodies := make([][]byte, len(queries))
 	remaining := len(queries)
+	var b shard.Batch
+	var left []kmer.Kmer // this round's unanswered queries
+	var at []int         // their indices in queries
 	for round := 0; ; round++ {
 		led.set(c.Rank(), remaining)
 		dead, aerr := c.AgreeDead()
@@ -380,21 +380,19 @@ func fetchShardAnswers(c *Comm, env *loopEnv, stage string, exchanged *int64, le
 		if c.Rank() == firstAlive(owners) {
 			env.rep.addShardRound() // one retry round, recorded once
 		}
-		qs := make([][]kmer.Kmer, size)
-		idxs := make([][]int, size)
+		left, at = left[:0], at[:0]
 		for i, m := range queries {
 			if bodies[i] != nil {
 				continue
 			}
-			o := owners[kmer.OwnerRank(m, size)]
-			if o < 0 {
+			if owners[kmer.OwnerRank(m, size)] < 0 {
 				return bodies, &UnrecoverableError{Stage: stage, Rounds: round, Dead: dead}
 			}
-			qs[o] = append(qs[o], m)
-			idxs[o] = append(idxs[o], i)
+			left, at = append(left, m), append(at, i)
 		}
+		b.Route(size, left, func(m kmer.Kmer) int { return owners[kmer.OwnerRank(m, size)] })
 		before := c.Stats
-		resps, rerr := shard.Round(c, qs, answer)
+		rerr := shard.Round(c, &b, answer)
 		*exchanged += (c.Stats.BytesSent - before.BytesSent) + (c.Stats.BytesRecv - before.BytesRecv)
 		if rerr != nil {
 			if fe, ok := mpi.AsFault(rerr); !ok || fe.Evicted {
@@ -402,13 +400,11 @@ func fetchShardAnswers(c *Comm, env *loopEnv, stage string, exchanged *int64, le
 			}
 		}
 		answered := 0
-		for d := range resps {
-			for j, frame := range resps[d] {
-				if frame != nil && bodies[idxs[d][j]] == nil {
-					bodies[idxs[d][j]] = frame
-					remaining--
-					answered++
-				}
+		for j, i := range at {
+			if body := b.Body(j); body != nil {
+				bodies[i] = body
+				remaining--
+				answered++
 			}
 		}
 		env.rec.Event("shard", "lookup_round", c.Rank(),
@@ -429,30 +425,39 @@ func firstAlive(owners []int) int {
 
 // buildLoop1Cache materialises the partial replica loop 1 runs on: an
 // occurrence index and frozen read table holding exactly the queried
-// k-mers, with rows and counts as the owners returned them.
-func buildLoop1Cache(k int, queries []kmer.Kmer, bodies [][]byte) (weldLookup, error) {
-	var entries []jellyfish.Entry
+// k-mers, with rows and counts as the owners returned them. The read
+// table is counted before it is filled.
+func buildLoop1Cache(k int, queries []kmer.Kmer, b *shard.Batch) (weldLookup, error) {
+	counted := 0
 	for i, m := range queries {
-		if len(bodies[i]) < 4 {
-			return weldLookup{}, fmt.Errorf("chrysalis: shard answer for %v truncated (%d bytes)", m, len(bodies[i]))
+		body := b.Body(i)
+		if len(body) < 4 {
+			return weldLookup{}, fmt.Errorf("chrysalis: shard answer for %v truncated (%d bytes)", m, len(body))
 		}
-		if cnt := binary.LittleEndian.Uint32(bodies[i]); cnt > 0 {
-			entries = append(entries, jellyfish.Entry{Kmer: m, Count: cnt})
+		if binary.LittleEndian.Uint32(body) > 0 {
+			counted++
 		}
 	}
-	occs, err := decodeRows(queries, bodies, 4, unpackOcc)
+	occs, err := decodeRows(queries, b, 4, unpackOcc)
 	if err != nil {
 		return weldLookup{}, err
 	}
-	return weldLookup{occs: occs, reads: jellyfish.FrozenFromEntries(k, entries)}, nil
+	reads := jellyfish.FrozenOf(k, counted, func(put func(kmer.Kmer, uint32)) {
+		for i, m := range queries {
+			if cnt := binary.LittleEndian.Uint32(b.Body(i)); cnt > 0 {
+				put(m, cnt)
+			}
+		}
+	})
+	return weldLookup{occs: occs, reads: reads}, nil
 }
 
 // buildLoop2Cache materialises the partial weldIndex loop 2 runs on.
 // It shares the pooled weld list (identical on every rank) and
 // materialises reverse complements only for the welds its cached rows
 // actually reference in RC orientation.
-func buildLoop2Cache(pooled []string, k int, queries []kmer.Kmer, bodies [][]byte) (*weldIndex[string], error) {
-	refs, err := decodeRows(queries, bodies, 0, unpackRef)
+func buildLoop2Cache(pooled []string, k int, queries []kmer.Kmer, b *shard.Batch) (*weldIndex[string], error) {
+	refs, err := decodeRows(queries, b, 0, unpackRef)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package chrysalis
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -220,4 +221,79 @@ func TestRecoverChunksEvictionPropagates(t *testing.T) {
 			t.Errorf("survivors left chunks unrecovered: %v", miss)
 		}
 	})
+}
+
+// shardedFetchRun runs GraphFromFasta and ReadsToTranscripts over sc
+// on four ranks with sharded tables and returns how many distinct
+// k-mers their tiles looked up.
+func shardedFetchRun(tb testing.TB, sc *testScenario) (queries int) {
+	tb.Helper()
+	const ranks = 4
+	gopt := gffOpts(sc)
+	gopt.ShardKmers = true
+	gff, err := GraphFromFasta(sc.contigs, sc.kmers, ranks, gopt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ropt := r2tOpts(sc)
+	ropt.ShardKmers = true
+	r2t, err := ReadsToTranscripts(sc.reads, sc.contigs, gff.Components, ranks, ropt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, p := range gff.Profiles {
+		for _, m := range append(p.Overlap1, p.Overlap2...) {
+			queries += m.Queries
+		}
+	}
+	for _, p := range r2t.Profiles {
+		for _, m := range p.Overlap {
+			queries += m.Queries
+		}
+	}
+	return queries
+}
+
+// maxBytesPerFetchedQuery bounds what a sharded GFF+R2T run allocates
+// per k-mer its tiles look up, set from the flat tile state: the run
+// over the tile scenario allocates about 160 bytes per query (about
+// 190 under the race detector). Per-owner append routing, per-tile
+// frame tables and both-strand R2T queries took about 310 bytes per
+// query over 35 % more queries — 420 per query of today's count.
+const maxBytesPerFetchedQuery = 240
+
+// TestShardedFetchAllocs guards the sharded fetch path's allocation per
+// query: routing, collection, the wire buffers and the replicas must
+// stay proportional to what a tile holds.
+func TestShardedFetchAllocs(t *testing.T) {
+	sc := buildTileScenario(t)
+	shardedFetchRun(t, sc) // warm the sync.Pools and the lazily built tables
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	queries := shardedFetchRun(t, sc)
+	runtime.ReadMemStats(&after)
+	if queries == 0 {
+		t.Fatal("no queries fetched")
+	}
+	perQuery := float64(after.TotalAlloc-before.TotalAlloc) / float64(queries)
+	t.Logf("%d queries, %.0f bytes allocated per query", queries, perQuery)
+	if perQuery > maxBytesPerFetchedQuery {
+		t.Errorf("%.0f bytes allocated per fetched query, bound %d", perQuery, maxBytesPerFetchedQuery)
+	}
+}
+
+// BenchmarkShardedFetch times one sharded GFF+R2T run over the tile
+// scenario on four ranks and reports its allocation per fetched query.
+func BenchmarkShardedFetch(b *testing.B) {
+	sc := buildTileScenario(b)
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	queries := 0
+	for i := 0; i < b.N; i++ {
+		queries += shardedFetchRun(b, sc)
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(queries), "B/query")
 }

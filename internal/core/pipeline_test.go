@@ -1,12 +1,14 @@
 package core
 
 import (
-	"time"
-
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"gotrinity/internal/bowtie"
+	"gotrinity/internal/inchworm"
+	"gotrinity/internal/jellyfish"
 	"gotrinity/internal/rnaseq"
 	"gotrinity/internal/sw"
 )
@@ -261,5 +263,40 @@ func TestPipelineShardKmersIdentical(t *testing.T) {
 	}
 	if len(res.GFF.Welds) != len(base.GFF.Welds) || len(res.R2T.Assignments) != len(base.R2T.Assignments) {
 		t.Error("intermediate products differ from replicated run")
+	}
+}
+
+// TestInchwormDictionaryFilter pins the filtered dictionary hand-off:
+// runInchworm takes only the entries Inchworm's error filter keeps, so
+// its contigs and kept count must equal an Inchworm run over the whole
+// table at the same threshold — including MinKmerCount 1, where every
+// singleton must survive — and KmersIn must still count every distinct
+// k-mer offered.
+func TestInchwormDictionaryFilter(t *testing.T) {
+	d := rnaseq.Generate(rnaseq.Tiny(3))
+	for _, minCount := range []int{0, 1, 3} {
+		cfg := tinyConfig()
+		cfg.MinKmerCount = minCount
+		res, err := Run(d.Reads, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table, err := jellyfish.Count(d.Reads, jellyfish.Options{K: cfg.K})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, st, err := inchworm.Run(table.Entries(1), inchworm.Options{K: cfg.K, MinKmerCount: minCount})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Contigs, want) {
+			t.Errorf("MinKmerCount=%d: contigs differ from Inchworm over the unfiltered dictionary", minCount)
+		}
+		if res.InchwormStats != st {
+			t.Errorf("MinKmerCount=%d: stats %+v, want %+v", minCount, res.InchwormStats, st)
+		}
+		if minCount == 1 && st.KmersKept != st.KmersIn {
+			t.Errorf("MinKmerCount=1 dropped k-mers: kept %d of %d", st.KmersKept, st.KmersIn)
+		}
 	}
 }

@@ -117,15 +117,23 @@ func runJellyfish(p *pipeline) (err error) {
 }
 
 // runInchworm assembles greedy contigs from the k-mer dictionary: the
-// dump's entries when it was read back, else the count table's.
+// dump's entries when it was read back, else the count table's. From
+// the table it takes only the entries Inchworm's error filter keeps —
+// the filter's effective threshold, so a MinKmerCount of 1 still keeps
+// singletons — and reports every distinct k-mer as offered.
 func runInchworm(p *pipeline) error {
 	entries := p.entries
 	p.entries = nil
+	offered := len(entries)
 	if entries == nil {
 		if p.table == nil {
 			return errors.New("no k-mer dump to read the dictionary from")
 		}
-		entries = p.table.Entries(1)
+		minCount := p.cfg.MinKmerCount
+		if minCount <= 0 {
+			minCount = 2 // inchworm.Options' default
+		}
+		entries, offered = p.table.Entries(minCount), p.table.Distinct()
 	}
 	contigs, st, err := inchworm.Run(entries, inchworm.Options{
 		K:            p.cfg.K,
@@ -134,6 +142,7 @@ func runInchworm(p *pipeline) error {
 	if err != nil {
 		return err
 	}
+	st.KmersIn = offered
 	if len(contigs) == 0 {
 		return errors.New("no contigs (too few reads?)")
 	}

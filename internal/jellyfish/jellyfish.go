@@ -180,10 +180,27 @@ func (t *CountTable) Freeze() *Frozen {
 // k-mers; Get results are identical to a Freeze of a table holding the
 // same pairs.
 func FrozenFromEntries(k int, entries []Entry) *Frozen {
-	f := newFrozen(k, len(entries))
-	for _, e := range entries {
-		f.put(e.Kmer, e.Count)
-	}
+	return FrozenOf(k, len(entries), func(put func(kmer.Kmer, uint32)) {
+		for _, e := range entries {
+			put(e.Kmer, e.Count)
+		}
+	})
+}
+
+// FrozenOf builds a Frozen table from the distinct (k-mer, count) pairs
+// fill puts, sized for n of them — FrozenFromEntries without the entry
+// slice, for callers that can count their pairs before producing them.
+// Putting more than n pairs panics.
+func FrozenOf(k, n int, fill func(put func(m kmer.Kmer, count uint32))) *Frozen {
+	f := newFrozen(k, n)
+	f.n = 0
+	fill(func(m kmer.Kmer, count uint32) {
+		if f.n == n {
+			panic(fmt.Sprintf("jellyfish: FrozenOf sized for %d k-mers was given more", n))
+		}
+		f.put(m, count)
+		f.n++
+	})
 	return f
 }
 

@@ -250,3 +250,45 @@ func TestAppendDecode(t *testing.T) {
 		t.Errorf("Decode(all-A) = %q", got)
 	}
 }
+
+// meanProbes is the mean number of slots a successful Lookup reads over
+// the keys of s: one plus each key's displacement from its home slot.
+func meanProbes(s *FlatSet) float64 {
+	total := 0
+	s.ForEach(func(m Kmer, _ int32) {
+		home := m.Hash() & s.mask
+		i := home
+		for s.slots[i] != uint64(m)<<1|1 {
+			i = (i + 1) & s.mask
+		}
+		total += 1 + int((i-home)&s.mask)
+	})
+	return float64(total) / float64(s.Len())
+}
+
+// TestOwnerShardProbes pins the owner map's independence from FlatSet's
+// home slots: a set holding only one owner's keys must probe like a set
+// of unfiltered keys at the same load. An owner taken from the same
+// bits the set probes from crowds every shard's home slots.
+func TestOwnerShardProbes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 40000
+	fill := func(keep func(Kmer) bool) *FlatSet {
+		s := NewFlatSet(n)
+		for s.Len() < n {
+			if m := Kmer(rng.Uint64() & mask(25)); keep(m) {
+				s.Add(m)
+			}
+		}
+		return s
+	}
+	base := meanProbes(fill(func(Kmer) bool { return true }))
+	for _, ranks := range []int{2, 4, 8} {
+		for _, owner := range []int{0, ranks - 1} {
+			got := meanProbes(fill(func(m Kmer) bool { return OwnerRank(m, ranks) == owner }))
+			if got > 1.1*base {
+				t.Errorf("ranks=%d owner=%d: shard set probes %.3f per lookup, unfiltered %.3f", ranks, owner, got, base)
+			}
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"gotrinity/internal/kmer"
@@ -13,9 +12,9 @@ import (
 // nonblocking Isend/Irecv and returns immediately, so the caller can
 // compute on the previous tile's answers while the network moves this
 // one; Wait serves the incoming queries, exchanges the replies, and
-// decodes the frames. The wire protocol per tile is the same
-// two-phase query/reply exchange as Round — PackKmers query segments,
-// uvarint-framed replies — carried on per-tile point-to-point tags
+// decodes the frames into the tile's Batch. The wire protocol per tile
+// is the same two-phase query/reply exchange as Round — AppendKmers
+// query segments, uvarint-framed replies — carried on per-tile point-to-point tags
 // instead of the Alltoallv collective, with exact addressed-byte
 // metering per tile (TileStats).
 //
@@ -27,8 +26,13 @@ import (
 // tiles may be in flight (Started but not Waited); the double-buffered
 // pipeline keeps exactly one.
 //
+// A tile allocates only what the wire hands it: Start packs every
+// segment into one reused buffer and Wait builds every reply in
+// another (Isend copies its payload), incoming queries are read in
+// place, and each reply decodes straight into the caller's Batch.
+//
 // Fault composition matches Round: answers from owners that die
-// mid-tile (or whose segments are dropped) surface as nil frames for
+// mid-tile (or whose segments are dropped) surface as nil bodies for
 // the caller's retry loop — the caller re-requests them through the
 // blocking fetchLedger/AgreeDead path after the pipeline drains, under
 // a freshly agreed owner map.
@@ -37,14 +41,18 @@ type AsyncRound struct {
 	tagBase int
 	answer  func(m kmer.Kmer, dst []byte) []byte
 	tiles   map[int]*asyncTile
+	pack    []byte // Start's query segment, reused: Isend copies it
+	reply   []byte // Wait's reply segment, reused likewise
+	scratch []byte // one answer, before its frame header
 }
 
-// asyncTile is one in-flight tile: the queries this rank addressed,
-// the posted query-leg receives, and the per-tile byte meter.
+// asyncTile is one in-flight tile: the batch this rank routed and its
+// answers decode into, the posted query-leg receives, and the per-tile
+// byte meter.
 type asyncTile struct {
-	queries [][]kmer.Kmer
-	qrecv   []*mpi.Request
-	stats   mpi.Stats
+	b     *Batch
+	qrecv []*mpi.Request
+	stats mpi.Stats
 }
 
 // NewAsyncRound builds the per-phase pipeline state. tagBase reserves
@@ -59,27 +67,28 @@ func NewAsyncRound(c *mpi.Comm, tagBase int, answer func(m kmer.Kmer, dst []byte
 func (a *AsyncRound) qtag(tile int) int { return a.tagBase + 2*tile }
 func (a *AsyncRound) rtag(tile int) int { return a.tagBase + 2*tile + 1 }
 
-// Start posts tile's query segments: queries[d] are the k-mers this
-// rank addresses to rank d (self-addressed queries are answered
-// locally in Wait and move no wire bytes). Every peer gets a segment —
-// empty when this rank has nothing to ask it — because the peer's
-// Wait(tile) expects one query segment per live rank.
-func (a *AsyncRound) Start(tile int, queries [][]kmer.Kmer) {
+// Start posts tile's query segments from a routed batch: b.Queries[d]
+// are the k-mers this rank addresses to rank d (self-addressed queries
+// are answered locally in Wait and move no wire bytes). Every peer gets
+// a segment — empty when this rank has nothing to ask it — because the
+// peer's Wait(tile) expects one query segment per live rank. b belongs
+// to the tile until Wait(tile) returns.
+func (a *AsyncRound) Start(tile int, b *Batch) {
 	size, rank := a.c.Size(), a.c.Rank()
-	if len(queries) != size {
-		panic(fmt.Sprintf("shard: async round needs %d query sets, got %d", size, len(queries)))
+	if len(b.Queries) != size {
+		panic(fmt.Sprintf("shard: async round needs %d query sets, got %d", size, len(b.Queries)))
 	}
 	if _, dup := a.tiles[tile]; dup {
 		panic(fmt.Sprintf("shard: tile %d already started", tile))
 	}
-	t := &asyncTile{queries: queries, qrecv: make([]*mpi.Request, size)}
+	t := &asyncTile{b: b, qrecv: make([]*mpi.Request, size)}
 	// Send legs walk rank-shifted orders like Alltoallv, so the pairwise
 	// traffic does not converge on rank 0 first.
 	for off := 1; off < size; off++ {
 		dst := (rank + off) % size
-		blob := PackKmers(queries[dst])
-		a.c.Isend(dst, a.qtag(tile), blob)
-		t.stats.BytesSent += int64(len(blob))
+		a.pack = AppendKmers(a.pack[:0], b.Queries[dst])
+		a.c.Isend(dst, a.qtag(tile), a.pack)
+		t.stats.BytesSent += int64(len(a.pack))
 		t.stats.Messages++
 	}
 	for off := 1; off < size; off++ {
@@ -91,21 +100,22 @@ func (a *AsyncRound) Start(tile int, queries [][]kmer.Kmer) {
 
 // Wait completes a started tile: it collects the peers' query
 // segments, serves them through the answer callback, exchanges the
-// framed replies, and returns resps parallel to the Start queries —
-// resps[d][i] is the answer frame for queries[d][i], nil when it was
-// lost (dead owner, dropped segment, timeout). stats meters the exact
+// framed replies, and decodes them into the batch Start got —
+// b.Bodies[d][i] is the answer to b.Queries[d][i], nil when it was lost
+// (dead owner, dropped segment, timeout). stats meters the exact
 // addressed wire bytes this tile moved from this rank's perspective
 // (query + reply legs, sends and receives; self-answers move none).
-// The first observed failure is returned alongside the partial resps;
+// The first observed failure is returned alongside the partial bodies;
 // a malformed reply blob from a live peer returns a non-fault decode
 // error.
-func (a *AsyncRound) Wait(tile int) (resps [][][]byte, stats mpi.Stats, err error) {
+func (a *AsyncRound) Wait(tile int) (stats mpi.Stats, err error) {
 	t, ok := a.tiles[tile]
 	if !ok {
 		panic(fmt.Sprintf("shard: tile %d not started", tile))
 	}
 	delete(a.tiles, tile)
 	size, rank := a.c.Size(), a.c.Rank()
+	b := t.b
 
 	// Query leg: one segment per peer. A dead source or timeout leaves
 	// in[src] nil — distinct from a live peer's empty segment.
@@ -130,65 +140,54 @@ func (a *AsyncRound) Wait(tile int) (resps [][][]byte, stats mpi.Stats, err erro
 
 	// Serve and reply. Every peer whose segment arrived gets a reply —
 	// even an empty one — because it has a reply-leg receive posted.
-	var scratch []byte
 	for off := 1; off < size; off++ {
 		dst := (rank + off) % size
 		if !got[dst] {
 			continue
 		}
-		var buf []byte
-		for _, m := range UnpackKmers(in[dst]) {
-			scratch = a.answer(m, scratch[:0])
-			buf = binary.AppendUvarint(buf, uint64(len(scratch)))
-			buf = append(buf, scratch...)
-		}
-		a.c.Isend(dst, a.rtag(tile), buf)
-		t.stats.BytesSent += int64(len(buf))
+		a.reply = appendAnswers(a.reply[:0], in[dst], a.answer, &a.scratch)
+		a.c.Isend(dst, a.rtag(tile), a.reply)
+		t.stats.BytesSent += int64(len(a.reply))
 		t.stats.Messages++
 	}
 
 	// Reply leg, plus the local answers for self-addressed queries —
-	// encoded and decoded through the same frame format so present
-	// frames are non-nil under exactly the same conditions as Round's.
+	// framed into the batch's own buffer (its bodies alias it, so it
+	// lives as long as the batch) and decoded through the same frame
+	// format, so present bodies are non-nil under exactly the same
+	// conditions as Round's.
 	rrecv := make([]*mpi.Request, size)
 	for off := 1; off < size; off++ {
 		src := (rank - off + size) % size
 		rrecv[src] = a.c.Irecv(src, a.rtag(tile))
 	}
 	var decErr error
-	resps = make([][][]byte, size)
 	for d := 0; d < size; d++ {
 		if d == rank {
-			var buf []byte
-			for _, m := range t.queries[d] {
-				scratch = a.answer(m, scratch[:0])
-				buf = binary.AppendUvarint(buf, uint64(len(scratch)))
-				buf = append(buf, scratch...)
+			b.self = b.self[:0]
+			for _, m := range b.Queries[d] {
+				b.self = appendFrame(b.self, m, a.answer, &a.scratch)
 			}
-			frames, ferr := decodeFrames(buf, len(t.queries[d]))
-			resps[d] = frames
-			if ferr != nil && decErr == nil {
+			if ferr := decodeInto(b.self, b.Bodies[d]); ferr != nil && decErr == nil {
 				decErr = fmt.Errorf("shard: self reply: %w", ferr)
 			}
 			continue
 		}
 		data, err := rrecv[d].TryWait(0)
 		if err != nil {
-			resps[d] = make([][]byte, len(t.queries[d]))
+			clear(b.Bodies[d])
 			if faultErr == nil {
 				faultErr = err
 			}
 			continue
 		}
 		t.stats.BytesRecv += int64(len(data))
-		frames, ferr := decodeFrames(data, len(t.queries[d]))
-		resps[d] = frames
-		if ferr != nil && decErr == nil {
+		if ferr := decodeInto(data, b.Bodies[d]); ferr != nil && decErr == nil {
 			decErr = fmt.Errorf("shard: reply from rank %d: %w", d, ferr)
 		}
 	}
 	if err = decErr; err == nil {
 		err = faultErr
 	}
-	return resps, t.stats, err
+	return t.stats, err
 }

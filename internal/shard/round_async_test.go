@@ -61,24 +61,26 @@ func TestAsyncRoundMatchesRound(t *testing.T) {
 			// and the outstanding Irecv matchers would steal each other's
 			// messages — the documented Recv/Irecv mixing hazard).
 			ar := NewAsyncRound(c, 0x1000, tableAnswer(store))
-			ar.Start(0, tileQueries[0])
+			batches := make([]*Batch, tiles)
+			for tt := range batches {
+				batches[tt] = batchOf(tileQueries[tt])
+			}
+			ar.Start(0, batches[0])
 			var wire int64
-			gotTiles := make([][][][]byte, tiles)
 			for tt := 0; tt < tiles; tt++ {
 				if tt+1 < tiles {
-					ar.Start(tt+1, tileQueries[tt+1])
+					ar.Start(tt+1, batches[tt+1])
 				}
-				got, stats, err := ar.Wait(tt)
+				stats, err := ar.Wait(tt)
 				if err != nil {
 					t.Errorf("ranks=%d rank=%d tile=%d: %v", ranks, c.Rank(), tt, err)
 					return
 				}
 				wire += stats.BytesSent + stats.BytesRecv
-				gotTiles[tt] = got
 			}
 			for tt := 0; tt < tiles; tt++ {
-				got := gotTiles[tt]
-				want, err := Round(c, tileQueries[tt], tableAnswer(store))
+				got := batches[tt].Bodies
+				want, err := roundFrames(c, tileQueries[tt], tableAnswer(store))
 				if err != nil {
 					t.Errorf("ranks=%d rank=%d tile=%d reference: %v", ranks, c.Rank(), tt, err)
 					return
@@ -142,8 +144,10 @@ func TestAsyncRoundOwnerDeath(t *testing.T) {
 		const tiles = 3
 		sawFault := false
 		for tt := 0; tt < tiles; tt++ {
-			ar.Start(tt, queries)
-			got, _, err := ar.Wait(tt)
+			b := batchOf(queries)
+			ar.Start(tt, b)
+			_, err := ar.Wait(tt)
+			got := b.Bodies
 			if err != nil {
 				if _, ok := mpi.AsFault(err); !ok {
 					t.Errorf("rank %d tile %d: non-fault error %v", c.Rank(), tt, err)
@@ -172,9 +176,34 @@ func TestAsyncRoundOwnerDeath(t *testing.T) {
 	})
 }
 
-// TestDecodeFramesContract pins the explicit-error semantics: an empty
-// blob is a lost segment (all-nil frames, no error); a non-empty blob
-// must frame exactly want answers covering the whole payload.
+// decodeBoth decodes blob into want frames with decodeInto (over a
+// table holding stale frames, as a reused batch does) and with the
+// decodeFrames oracle, and fails unless the two agree frame for frame —
+// nil-ness included — and on whether the blob is rejected.
+func decodeBoth(t *testing.T, blob []byte, want int) ([][]byte, error) {
+	t.Helper()
+	ref, refErr := decodeFrames(blob, want)
+	got := make([][]byte, want)
+	for i := range got {
+		got[i] = []byte("stale")
+	}
+	err := decodeInto(blob, got)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("decodeInto err = %v, decodeFrames err = %v", err, refErr)
+	}
+	for i := range ref {
+		if (got[i] == nil) != (ref[i] == nil) || !bytes.Equal(got[i], ref[i]) {
+			t.Fatalf("frame %d: decodeInto %q, decodeFrames %q", i, got[i], ref[i])
+		}
+	}
+	return got, err
+}
+
+// TestDecodeFramesContract pins the explicit-error semantics of the
+// reply decoder, checked against the decodeFrames oracle on every case:
+// an empty blob is a lost segment (all-nil frames, no error); a
+// non-empty blob must frame exactly want answers covering the whole
+// payload.
 func TestDecodeFramesContract(t *testing.T) {
 	enc := func(frames ...[]byte) []byte {
 		var b []byte
@@ -184,34 +213,38 @@ func TestDecodeFramesContract(t *testing.T) {
 		}
 		return b
 	}
-	if frames, err := decodeFrames(nil, 3); err != nil || len(frames) != 3 || frames[0] != nil {
+	if frames, err := decodeBoth(t, nil, 3); err != nil || len(frames) != 3 || frames[0] != nil {
 		t.Errorf("empty blob: frames=%v err=%v, want 3 nils and no error", frames, err)
 	}
 	good := enc([]byte("ab"), nil, []byte("xyz"))
-	frames, err := decodeFrames(good, 3)
+	frames, err := decodeBoth(t, good, 3)
 	if err != nil || string(frames[0]) != "ab" || frames[1] == nil || len(frames[1]) != 0 || string(frames[2]) != "xyz" {
 		t.Errorf("well-formed blob: frames=%q err=%v", frames, err)
 	}
-	if _, err := decodeFrames(good[:len(good)-1], 3); err == nil {
+	if _, err := decodeBoth(t, good[:len(good)-1], 3); err == nil {
 		t.Error("truncated blob: no error")
 	}
-	if _, err := decodeFrames(append(good, 0), 3); err == nil {
+	if _, err := decodeBoth(t, append(good, 0), 3); err == nil {
 		t.Error("trailing bytes: no error")
 	}
-	if _, err := decodeFrames([]byte{0xff}, 1); err == nil {
+	if _, err := decodeBoth(t, []byte{0xff}, 1); err == nil {
 		t.Error("dangling uvarint: no error")
 	}
 	huge := binary.AppendUvarint(nil, 1<<62)
-	if _, err := decodeFrames(huge, 1); err == nil {
+	if _, err := decodeBoth(t, huge, 1); err == nil {
 		t.Error("absurd frame length: no error")
+	}
+	if _, err := decodeBoth(t, []byte{0x81, 0x00}, 1); err == nil {
+		t.Error("non-minimal length prefix: no error")
 	}
 }
 
 // FuzzRoundCodec shakes the round wire formats against corrupted
-// blobs: PackKmers/UnpackKmers must round-trip every whole word, and
-// decodeFrames must never panic, never silently truncate a non-empty
-// blob (it either decodes exactly want whole-payload frames or
-// errors), and must re-encode losslessly when it accepts.
+// blobs: AppendKmers must reproduce every whole word it is given back,
+// and the reply decoder must agree with the decodeFrames oracle, never
+// panic, never silently truncate a non-empty blob (it either decodes
+// exactly want whole-payload frames or errors), and re-encode
+// losslessly when it accepts.
 func FuzzRoundCodec(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0, 0, 2, 'h', 'i'}, uint8(3))
@@ -222,16 +255,12 @@ func FuzzRoundCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, blob []byte, wantByte uint8) {
 		// Kmer packing: decode-encode must reproduce the whole-word
 		// prefix.
-		ms := UnpackKmers(blob)
-		re := PackKmers(ms)
-		if !bytes.Equal(re, blob[:len(ms)*8]) {
-			t.Errorf("PackKmers(UnpackKmers(b)) != b[:8n]")
+		ms := unpackKmers(blob)
+		if re := AppendKmers(nil, ms); !bytes.Equal(re, blob[:len(ms)*8]) {
+			t.Errorf("AppendKmers(unpackKmers(b)) != b[:8n]")
 		}
 		want := int(wantByte) % 64
-		frames, err := decodeFrames(blob, want)
-		if len(frames) != want {
-			t.Fatalf("decodeFrames returned %d frames, want %d", len(frames), want)
-		}
+		frames, err := decodeBoth(t, blob, want)
 		if len(blob) == 0 {
 			if err != nil {
 				t.Fatalf("empty blob errored: %v", err)

@@ -7,9 +7,10 @@
 //
 // The package provides the shard-layer primitives that are independent
 // of what is being looked up: the deterministic owner map under rank
-// deaths (Owners), the k-mer query wire format (PackKmers), and the
-// two-collective query/reply round (Round) with its nonblocking,
-// double-buffered form (AsyncRound). The shard stores themselves are
+// deaths (Owners), the k-mer query wire format (AppendKmers), the
+// caller-owned round state that routes queries and holds their answers
+// (Batch), and the two-collective query/reply round (Round) with its
+// nonblocking, double-buffered form (AsyncRound). The shard stores themselves are
 // kmer.Multimap tables, the same build as the replicated ones; what a
 // row means — contig occurrences, weld references — and how it is
 // encoded in an answer is the caller's.
@@ -18,6 +19,7 @@ package shard
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/mpi"
@@ -58,52 +60,124 @@ func Owners(worldSize int, dead []int) []int {
 	return owners
 }
 
-// PackKmers encodes k-mers as fixed 8-byte little-endian words — the
-// query wire format of a lookup round.
-func PackKmers(ms []kmer.Kmer) []byte {
-	out := make([]byte, 8*len(ms))
-	for i, m := range ms {
-		binary.LittleEndian.PutUint64(out[8*i:], uint64(m))
+// AppendKmers appends k-mers to dst as fixed 8-byte little-endian
+// words — the query wire format of a lookup round.
+func AppendKmers(dst []byte, ms []kmer.Kmer) []byte {
+	for _, m := range ms {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(m))
 	}
-	return out
+	return dst
 }
 
-// UnpackKmers decodes a PackKmers payload, ignoring a trailing partial
-// word (possible only on a corrupted exchange).
-func UnpackKmers(b []byte) []kmer.Kmer {
-	n := len(b) / 8
-	out := make([]kmer.Kmer, n)
-	for i := 0; i < n; i++ {
-		out[i] = kmer.Kmer(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
+// Batch is one lookup round's caller-owned state: the queries routed to
+// their owners in one owner-major array, and the table their answers
+// decode into. Route refills it in place, so a batch reused round after
+// round allocates only when a round outgrows every earlier one. A batch
+// must not be reused while the bodies of its last round are still
+// needed: they alias its buffers.
+type Batch struct {
+	// Queries[d] are the k-mers addressed to rank d, and Bodies[d][i] is
+	// the answer to Queries[d][i]: non-nil (possibly empty) once it
+	// arrived, nil while it is lost. Each is a set of sub-slices of one
+	// owner-major array.
+	Queries [][]kmer.Kmer
+	Bodies  [][][]byte
+	slot    []int32 // slot[i]: where query i of the last Route sits in flat
+	flat    []kmer.Kmer
+	table   [][]byte
+	split   []int  // owner d's queries are flat[split[d]:split[d+1]]
+	self    []byte // this rank's answers to its own queries, framed
 }
 
-// Round runs one aggregated remote-lookup round: queries[d] are the
-// k-mers this rank addresses to rank d (self-addressed queries are
-// answered locally through the same path and move no wire bytes), and
-// answer encodes this rank's reply to one incoming k-mer by appending
-// the row payload to dst and returning the extended slice. Two
-// pairwise Alltoallv collectives move the batched queries and the
-// uvarint-framed replies; resps[d][i] is the answer frame for
-// queries[d][i], non-nil (possibly empty) when it arrived and nil when
-// it was lost — an owner that died mid-round, a dropped segment, or a
-// dropped contribution all surface as nil frames for the caller's
-// retry loop to re-request under a freshly agreed owner map.
+// Route addresses queries to the ranks owner names, in [0, size), with
+// one counting pass: rank d's sub-slice keeps the queries' order, and
+// every body starts out nil.
+func (b *Batch) Route(size int, queries []kmer.Kmer, owner func(kmer.Kmer) int) {
+	n := len(queries)
+	b.slot = slices.Grow(b.slot[:0], n)[:n]
+	b.flat = slices.Grow(b.flat[:0], n)[:n]
+	b.table = slices.Grow(b.table[:0], n)[:n]
+	clear(b.table)
+	b.split = slices.Grow(b.split[:0], size+1)[:size+1]
+	clear(b.split)
+	for i, m := range queries {
+		o := owner(m)
+		b.slot[i] = int32(o)
+		b.split[o+1]++
+	}
+	for d := 0; d < size; d++ {
+		b.split[d+1] += b.split[d]
+	}
+	// split[o] walks owner o's slots and ends on the next owner's start,
+	// so a shift restores it.
+	for i, m := range queries {
+		o := b.slot[i]
+		p := b.split[o]
+		b.split[o]++
+		b.flat[p] = m
+		b.slot[i] = int32(p)
+	}
+	copy(b.split[1:], b.split[:size])
+	b.split[0] = 0
+	b.Queries = slices.Grow(b.Queries[:0], size)[:size]
+	b.Bodies = slices.Grow(b.Bodies[:0], size)[:size]
+	for d := 0; d < size; d++ {
+		lo, hi := b.split[d], b.split[d+1]
+		b.Queries[d] = b.flat[lo:hi:hi]
+		b.Bodies[d] = b.table[lo:hi:hi]
+	}
+}
+
+// Body returns the answer to query i of the last Route: nil while it
+// is lost.
+func (b *Batch) Body(i int) []byte { return b.table[b.slot[i]] }
+
+// SetBody records body as the answer to query i of the last Route — an
+// answer a later round fetched for it.
+func (b *Batch) SetBody(i int, body []byte) { b.table[b.slot[i]] = body }
+
+// appendAnswers frames answer's reply to every whole 8-byte query word
+// of in onto dst, reading the queries in place; scratch is the reused
+// buffer answer appends into.
+func appendAnswers(dst, in []byte, answer func(kmer.Kmer, []byte) []byte, scratch *[]byte) []byte {
+	for o := 0; o+8 <= len(in); o += 8 {
+		dst = appendFrame(dst, kmer.Kmer(binary.LittleEndian.Uint64(in[o:])), answer, scratch)
+	}
+	return dst
+}
+
+// appendFrame appends one uvarint-framed answer to m onto dst.
+func appendFrame(dst []byte, m kmer.Kmer, answer func(kmer.Kmer, []byte) []byte, scratch *[]byte) []byte {
+	*scratch = answer(m, (*scratch)[:0])
+	dst = binary.AppendUvarint(dst, uint64(len(*scratch)))
+	return append(dst, *scratch...)
+}
+
+// Round runs one aggregated remote-lookup round over b's routed
+// queries (self-addressed queries are answered locally through the same
+// path and move no wire bytes); answer encodes this rank's reply to one
+// incoming k-mer by appending the row payload to dst and returning the
+// extended slice. Two pairwise Alltoallv collectives move the batched
+// queries and the uvarint-framed replies, which decode into b.Bodies:
+// non-nil (possibly empty) when an answer arrived and nil when it was
+// lost — an owner that died mid-round, a dropped segment, or a dropped
+// contribution all surface as nil bodies for the caller's retry loop to
+// re-request under a freshly agreed owner map.
 //
 // The error is the first collective failure observed (eviction of this
 // rank aborts the round before the reply leg; peer deaths and timeouts
-// still return the partial resps).
-func Round(c *mpi.Comm, queries [][]kmer.Kmer, answer func(m kmer.Kmer, dst []byte) []byte) (resps [][][]byte, err error) {
+// still fill the partial bodies).
+func Round(c *mpi.Comm, b *Batch, answer func(m kmer.Kmer, dst []byte) []byte) error {
 	size := c.Size()
+	packed := AppendKmers(nil, b.flat)
 	send := make([][]byte, size)
 	for d := 0; d < size; d++ {
-		send[d] = PackKmers(queries[d])
+		send[d] = packed[8*b.split[d] : 8*b.split[d+1]]
 	}
 	in, qerr := c.TryAlltoallv(send)
 	if qerr != nil {
 		if fe, ok := mpi.AsFault(qerr); ok && fe.Evicted {
-			return nil, qerr
+			return qerr
 		}
 	}
 	// Serve whatever arrived, even on a degraded exchange: every frame
@@ -111,72 +185,64 @@ func Round(c *mpi.Comm, queries [][]kmer.Kmer, answer func(m kmer.Kmer, dst []by
 	reply := make([][]byte, size)
 	var scratch []byte
 	for s, blob := range in {
-		qs := UnpackKmers(blob)
-		if len(qs) == 0 {
-			continue
+		if len(blob) >= 8 {
+			reply[s] = appendAnswers(nil, blob, answer, &scratch)
 		}
-		var buf []byte
-		for _, m := range qs {
-			scratch = answer(m, scratch[:0])
-			buf = binary.AppendUvarint(buf, uint64(len(scratch)))
-			buf = append(buf, scratch...)
-		}
-		reply[s] = buf
 	}
 	out, rerr := c.TryAlltoallv(reply)
 	if rerr != nil {
 		if fe, ok := mpi.AsFault(rerr); ok && fe.Evicted {
-			return nil, rerr
+			return rerr
 		}
 	}
 	var decErr error
-	resps = make([][][]byte, size)
 	for d := 0; d < size; d++ {
-		frames, ferr := decodeFrames(out[d], len(queries[d]))
-		resps[d] = frames
-		if ferr != nil && decErr == nil {
+		if ferr := decodeInto(out[d], b.Bodies[d]); ferr != nil && decErr == nil {
 			decErr = fmt.Errorf("shard: reply from rank %d: %w", d, ferr)
 		}
 	}
 	// A malformed blob from a live peer is corruption, not a fault the
 	// retry loop can route around — it outranks the collective errors.
-	if err = decErr; err == nil {
-		if err = qerr; err == nil {
-			err = rerr
-		}
+	if decErr != nil {
+		return decErr
 	}
-	return resps, err
+	if qerr != nil {
+		return qerr
+	}
+	return rerr
 }
 
-// decodeFrames splits a reply blob into want uvarint-framed answers.
-// An empty blob is a lost or dropped segment: every frame decodes as
-// nil (the caller's retry loop re-requests them) and there is no
-// error. A non-empty blob must frame exactly want answers covering the
-// whole payload — anything else is a malformed reply and returns an
-// explicit error alongside the frames decoded so far, instead of
-// silently truncating.
-func decodeFrames(blob []byte, want int) ([][]byte, error) {
-	frames := make([][]byte, want)
+// decodeInto splits a reply blob into len(frames) uvarint-framed
+// answers, each aliasing blob. An empty blob is a lost or dropped
+// segment: every frame decodes as nil (the caller's retry loop
+// re-requests them) and there is no error. A non-empty blob must frame
+// exactly len(frames) answers covering the whole payload — anything
+// else is a malformed reply and returns an explicit error, with the
+// frames decoded so far set and the rest nil, instead of silently
+// truncating.
+func decodeInto(blob []byte, frames [][]byte) error {
 	if len(blob) == 0 {
-		return frames, nil
+		clear(frames)
+		return nil
 	}
 	off := 0
-	for i := 0; i < want; i++ {
+	for i := range frames {
 		n, w := binary.Uvarint(blob[off:])
 		// Replies are framed with AppendUvarint, so a non-minimal length
 		// prefix is corruption too: accepted blobs are exactly the
 		// canonical wire form (decode∘encode is the identity).
 		if w <= 0 || w != uvarintLen(n) || n > uint64(len(blob)) || off+w+int(n) > len(blob) {
-			return frames, fmt.Errorf("malformed frame %d/%d at offset %d of %d-byte blob", i, want, off, len(blob))
+			clear(frames[i:])
+			return fmt.Errorf("malformed frame %d/%d at offset %d of %d-byte blob", i, len(frames), off, len(blob))
 		}
 		off += w
 		frames[i] = blob[off : off+int(n) : off+int(n)]
 		off += int(n)
 	}
 	if off != len(blob) {
-		return frames, fmt.Errorf("%d trailing bytes after %d frames", len(blob)-off, want)
+		return fmt.Errorf("%d trailing bytes after %d frames", len(blob)-off, len(frames))
 	}
-	return frames, nil
+	return nil
 }
 
 // uvarintLen is the canonical encoded width of v.

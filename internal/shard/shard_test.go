@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"encoding/binary"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -51,14 +53,14 @@ func newStore(keys []kmer.Kmer, vals []uint64) *kmer.Multimap[uint64] {
 	return t
 }
 
-func TestPackKmersRoundtrip(t *testing.T) {
+func TestAppendKmersRoundtrip(t *testing.T) {
 	ms := []kmer.Kmer{0, 1, 42, 1<<62 - 1}
-	got := UnpackKmers(PackKmers(ms))
+	got := unpackKmers(AppendKmers(nil, ms))
 	if !reflect.DeepEqual(got, ms) {
 		t.Fatalf("roundtrip = %v, want %v", got, ms)
 	}
-	if len(UnpackKmers(nil)) != 0 {
-		t.Fatal("UnpackKmers(nil) not empty")
+	if len(AppendKmers(nil, nil)) != 0 {
+		t.Fatal("AppendKmers(nil, nil) not empty")
 	}
 }
 
@@ -89,7 +91,7 @@ func TestRound(t *testing.T) {
 				o := kmer.OwnerRank(m, ranks)
 				queries[o] = append(queries[o], m)
 			}
-			resps, err := Round(c, queries, func(m kmer.Kmer, dst []byte) []byte {
+			resps, err := roundFrames(c, queries, func(m kmer.Kmer, dst []byte) []byte {
 				row := store.Row(m)
 				for _, v := range row {
 					dst = append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
@@ -177,7 +179,7 @@ func TestRoundOwnerDeath(t *testing.T) {
 		for m := range table {
 			queries[kmer.OwnerRank(m, ranks)] = append(queries[kmer.OwnerRank(m, ranks)], m)
 		}
-		resps, rerr := Round(c, queries, answer(store))
+		resps, rerr := roundFrames(c, queries, answer(store))
 		if rerr == nil {
 			return nil // the death may land after the round on slow schedules
 		}
@@ -205,7 +207,7 @@ func TestRoundOwnerDeath(t *testing.T) {
 			o := owners[kmer.OwnerRank(m, ranks)]
 			retry[o] = append(retry[o], m)
 		}
-		resps, rerr = Round(c, retry, answer(store))
+		resps, rerr = roundFrames(c, retry, answer(store))
 		if rerr != nil {
 			if fe, ok := mpi.AsFault(rerr); ok && !fe.Evicted && !fe.Timeout {
 				rerr = nil // stale death report; frames are what matter
@@ -232,6 +234,49 @@ func TestRoundOwnerDeath(t *testing.T) {
 		}
 		if err != nil {
 			t.Errorf("rank %d: %v", r, err)
+		}
+	}
+}
+
+// TestBatchRoute pins the counting-pass router against per-owner
+// appends: each owner's sub-slice keeps the queries' order, Body(i)
+// reads query i's answer from its owner-major position, and a reused
+// batch starts every round with all bodies nil whatever the last round
+// left.
+func TestBatchRoute(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var b Batch
+	for round, n := range []int{500, 0, 37, 1200, 5} {
+		ranks := 1 + round%5
+		queries := make([]kmer.Kmer, n)
+		want := make([][]kmer.Kmer, ranks)
+		for i := range queries {
+			queries[i] = kmer.Kmer(rng.Uint64() >> 2)
+			o := kmer.OwnerRank(queries[i], ranks)
+			want[o] = append(want[o], queries[i])
+		}
+		b.Route(ranks, queries, func(m kmer.Kmer) int { return kmer.OwnerRank(m, ranks) })
+		if len(b.Queries) != ranks || len(b.Bodies) != ranks {
+			t.Fatalf("round %d: %d query sets, %d body sets, want %d", round, len(b.Queries), len(b.Bodies), ranks)
+		}
+		for d := range want {
+			if len(want[d])+len(b.Queries[d]) > 0 && !reflect.DeepEqual(b.Queries[d], want[d]) {
+				t.Fatalf("round %d: owner %d got %v, want %v", round, d, b.Queries[d], want[d])
+			}
+			if len(b.Bodies[d]) != len(want[d]) {
+				t.Fatalf("round %d: owner %d has %d bodies for %d queries", round, d, len(b.Bodies[d]), len(want[d]))
+			}
+			for i := range b.Bodies[d] {
+				if b.Bodies[d][i] != nil {
+					t.Fatalf("round %d: owner %d body %d not nil after Route", round, d, i)
+				}
+				b.Bodies[d][i] = binary.LittleEndian.AppendUint64(nil, uint64(b.Queries[d][i]))
+			}
+		}
+		for i, m := range queries {
+			if got := b.Body(i); binary.LittleEndian.Uint64(got) != uint64(m) {
+				t.Fatalf("round %d: Body(%d) answers %x, want %v", round, i, got, m)
+			}
 		}
 	}
 }
