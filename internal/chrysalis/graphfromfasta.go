@@ -144,7 +144,8 @@ type GFFRankProfile struct {
 
 	// ResidentKmerBytes is the rank's peak resident k-mer lookup state:
 	// the full replicated tables, or — under ShardKmers — the rank's
-	// shards plus the largest single tile's partial replica.
+	// shards plus the largest single tile's replica (its dedup set and
+	// the answer columns over it).
 	ResidentKmerBytes int64
 	// ShardExchangeBytes counts the addressed bytes this rank moved
 	// through sharded lookup rounds (0 unless ShardKmers).
@@ -167,13 +168,38 @@ type GFFResult struct {
 }
 
 // weldLookup is what loop 1's kernel probes: the contig k-mer
-// occurrence index and the read counts.
+// occurrence index and the read counts — the full frozen table, or a
+// tile replica's count column (only the ASCII kernels run sharded).
 type weldLookup struct {
 	occs  *kmer.Multimap[occurrence]
-	reads *jellyfish.Frozen
+	reads readCounts
 }
 
 func (l weldLookup) memBytes() int64 { return l.reads.MemBytes() + l.occs.MemBytes() }
+
+// readCounts is what weld support probes: a k-mer's read count, 0 for
+// a k-mer no read holds.
+type readCounts interface {
+	Get(m kmer.Kmer) uint32
+	MemBytes() int64
+}
+
+// tileCounts is a tile replica's read-count column: counts[id] is the
+// count of the dedup set's k-mer id. The set is the replica's, and is
+// charged with its rows.
+type tileCounts struct {
+	set    *kmer.FlatSet
+	counts []uint32
+}
+
+func (c *tileCounts) Get(m kmer.Kmer) uint32 {
+	if id, ok := c.set.Lookup(m); ok {
+		return c.counts[id]
+	}
+	return 0
+}
+
+func (c *tileCounts) MemBytes() int64 { return int64(len(c.counts)) * 4 }
 
 // pairLookup is what loop 2's kernel probes: the pooled weld index, in
 // the form the run's kernels take.
@@ -248,11 +274,13 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 			seqs[i] = contigs[i].Seq
 		}
 	}
-	// Freeze the read k-mer table once, before the world starts: every
-	// rank goroutine then probes the immutable flat table lock-free.
-	// On a real cluster each rank holds its own copy anyway; the freeze
-	// is not metered, matching the unmetered jellyfish load it replaces.
-	frozenReads := readKmers.Freeze()
+	// The replicated loops probe a frozen copy of the read k-mer table,
+	// shared lock-free by every rank goroutine (on a real cluster each
+	// rank holds its own copy anyway; the freeze is not metered, matching
+	// the unmetered jellyfish load it replaces). A sharded run serves its
+	// count shards from readKmers itself, and freezes only if chunk
+	// recovery asks for the full tables.
+	frozenReads := sync.OnceValue(readKmers.Freeze)
 
 	// In a real cluster every rank builds these identical read-only
 	// structures independently; here they are built once and shared,
@@ -261,10 +289,10 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 	var pooledOnce sync.Once
 	var pooled []string
 	var pooledPacked []seq.Packed
-	source := buildGFFSource(seqs, pseqs, opt.K, frozenReads)
+	source := buildGFFSource(seqs, pseqs, opt.K, readKmers)
 	setupUnits := float64(len(source.keys))
 	look1 := sync.OnceValue(func() weldLookup {
-		return weldLookup{occs: source.occs(0, 0), reads: frozenReads}
+		return weldLookup{occs: source.occs(0, 0), reads: frozenReads()}
 	})
 	look2 := sync.OnceValue(func() pairLookup {
 		if opt.Packed {
@@ -289,9 +317,10 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 		if opt.Packed {
 			sc := packedWeldScratchPool.Get().(*packedWeldScratch)
 			defer packedWeldScratchPool.Put(sc)
+			reads := look.reads.(*jellyfish.Frozen) // packed runs are never sharded (normalize)
 			for i := lo; i < hi; i++ {
 				rot := harvestRotation(opt.Seed, i, pseqs[i].Len())
-				ws, u := harvestWeldsPacked(pseqs[i], i, pseqs, look.occs, look.reads, opt, rot, sc)
+				ws, u := harvestWeldsPacked(pseqs[i], i, pseqs, look.occs, reads, opt, rot, sc)
 				costs[i-lo] = u * opt.LoopOpWeight
 				welds = append(welds, encodeWeldFrames(ws)...)
 			}

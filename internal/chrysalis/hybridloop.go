@@ -248,9 +248,8 @@ func (lp *hybridLoop[T, L]) parallelKernel(rank, lo, hi int, look L, costs []flo
 
 // run executes this rank's chunks: straight through against the full
 // tables, or — over sharded tables — tile by tile, tile t+1's lookup
-// round in flight while tile t's chunks compute on its just-built
-// partial replica (overlap.go). The meters are returned even with an
-// error.
+// round in flight while tile t's chunks compute on its replica
+// (overlap.go). The meters are returned even with an error.
 func (lp *hybridLoop[T, L]) run(c *Comm) (loopRun[T], error) {
 	rank := c.Rank()
 	var out loopRun[T]
@@ -295,12 +294,12 @@ func (lp *hybridLoop[T, L]) run(c *Comm) (loopRun[T], error) {
 			eachItem(t, func(i int) { sh.iterate(i, add) })
 		},
 		answer: set.answer,
-		compute: func(t int, queries []kmer.Kmer, b *shard.Batch) (float64, error) {
+		compute: func(t int, set *kmer.FlatSet, queries []kmer.Kmer, b *shard.Batch) (float64, error) {
 			chunks := tileSlice(mine, t)
 			if len(chunks) == 0 {
 				return 0, nil
 			}
-			look, bytes, err := sh.cache(queries, b)
+			look, bytes, err := sh.replica(set, queries, b)
 			if err != nil {
 				return 0, err
 			}

@@ -65,7 +65,7 @@ func newToyLoop(env *loopEnv, dist Distribution, sharded bool) *hybridLoop[int64
 					return binary.LittleEndian.AppendUint64(dst, rows[m])
 				}}
 			},
-			cache: func(queries []kmer.Kmer, b *shard.Batch) (toyTable, int64, error) {
+			replica: func(_ *kmer.FlatSet, queries []kmer.Kmer, b *shard.Batch) (toyTable, int64, error) {
 				t := toyTable{}
 				for i, m := range queries {
 					if body := b.Body(i); len(body) != 8 {

@@ -14,8 +14,13 @@ import (
 // pipelines them with one tile of lookahead: while tile t's answers are
 // being computed on, tile t+1's lookup round is already in flight over
 // nonblocking Isend/Irecv (shard.AsyncRound), so the fetch latency
-// hides behind compute. Results are byte-identical to the replicated
-// path — every probe gets the answer the full tables would give.
+// hides behind compute. Each tile state owns a dedup set: it collects
+// the tile's distinct probes, its ids order the queries on the wire,
+// and it is then the key half of the tile's replica, the answers
+// decoded beside it as columns by id — so a tile hashes each query once.
+// Two states alternate, because tile t+1 fills while tile t computes.
+// Results are byte-identical to the replicated path — every probe gets
+// the answer the full tables would give.
 //
 // Fault composition: during the pipeline, queries are routed by the
 // static owner map only (no per-tile agreement — agreement is a
@@ -88,8 +93,9 @@ func tileSlice(chunks []int, t int) []int {
 // overlapFetcher drives one phase's double-buffered tile pipeline.
 // collect emits tile t's probes (duplicates included), at most bound
 // per tile; answer serves one incoming k-mer from this rank's shards;
-// and compute consumes tile t's answers (b.Body(i) answers queries[i],
-// all non-nil) returning the work units it spent. state holds the
+// and compute consumes tile t's answers — set is the tile's dedup set,
+// whose ids are the queries' indices, and b.Body(i) answers queries[i],
+// all non-nil — returning the work units it spent. state holds the
 // buffers the rank reuses. env, stage, exchanged and led parameterise
 // the blocking fetchShardAnswers pass that re-requests anything the
 // pipeline lost.
@@ -105,38 +111,58 @@ type overlapFetcher struct {
 	state     *fetchState
 	collect   func(tile int, add func(kmer.Kmer))
 	answer    func(m kmer.Kmer, dst []byte) []byte
-	compute   func(tile int, queries []kmer.Kmer, b *shard.Batch) (float64, error)
+	compute   func(tile int, set *kmer.FlatSet, queries []kmer.Kmer, b *shard.Batch) (float64, error)
 }
 
 // fetchState is what one rank's tile pipelines reuse, tile after tile
 // and phase after phase (GraphFromFasta's two loops share it): the
-// dedup set, sized once for the largest tile it has had to hold, and
-// the two-state ring.
+// two-state ring, and the distinct-query count of the last tile filled,
+// which sizes the next dedup set the ring has to allocate.
 type fetchState struct {
-	seen  *kmer.FlatSet
-	sized int
-	ring  [2]*tileState
+	ring     [2]*tileState
+	distinct int
 }
 
-// tileState is one tile's flat state: its distinct queries in
-// first-seen order (the order replica ids follow) and the batch that
-// routes them owner-major and holds their answers. The pipeline keeps
-// two and reuses them tile after tile; a deferred tile keeps its own
-// until the cleanup has answered it.
+// tileState is one tile's flat state: its dedup set, whose dense ids
+// are first-seen order and index the tile replica's answer columns,
+// its distinct queries in that order, and the batch that routes them
+// owner-major and holds their answers. The pipeline keeps two and
+// reuses them tile after tile (a pipeline of one tile never allocates
+// the second set); a deferred tile keeps its own until the cleanup has
+// answered it and it has computed.
 type tileState struct {
 	tile    int
+	seen    *kmer.FlatSet
 	queries []kmer.Kmer
 	batch   shard.Batch
 }
 
-// fill collects tile t's distinct probes through seen, whose dense ids
-// are first-seen order, and routes them by the static owner map.
-// Deduplication is per tile — a k-mer probed by two tiles is fetched by
-// both, the price of not holding the union resident.
-func (f *overlapFetcher) fill(st *tileState, t int, seen *kmer.FlatSet) {
-	seen.Reset()
+// fill collects tile t's distinct probes into st's dedup set and routes
+// them by the static owner map. Deduplication is per tile — a k-mer
+// probed by two tiles is fetched by both, the price of not holding the
+// union resident. A new set starts from the last tile's distinct count,
+// or half the phase's emission bound, grows if that was low, and is fit
+// to what it holds if that was high: the bound counts every repeat, so
+// at high read coverage even half of it is many times the distinct
+// count.
+func (f *overlapFetcher) fill(st *tileState, t int) {
+	fresh := st.seen == nil
+	if fresh {
+		hint := f.state.distinct
+		if hint == 0 {
+			hint = f.bound / 2
+		}
+		st.seen = kmer.NewFlatSet(hint)
+	} else {
+		st.seen.Reset()
+	}
+	seen := st.seen
 	f.collect(t, func(m kmer.Kmer) { seen.Add(m) })
+	if fresh {
+		seen.Fit()
+	}
 	n := seen.Len()
+	f.state.distinct = n
 	st.tile = t
 	st.queries = slices.Grow(st.queries[:0], n)[:n]
 	seen.ForEach(func(m kmer.Kmer, id int32) { st.queries[id] = m })
@@ -147,19 +173,6 @@ func (f *overlapFetcher) fill(st *tileState, t int, seen *kmer.FlatSet) {
 	st.batch.Route(size, st.queries, func(m kmer.Kmer) int { return kmer.OwnerRank(m, size) })
 }
 
-// missing counts st's unanswered queries.
-func (st *tileState) missing() int {
-	n := 0
-	for _, bs := range st.batch.Bodies {
-		for _, b := range bs {
-			if b == nil {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // run executes the pipeline: Start(0), then for each tile Start(t+1)
 // before Wait(t) so exactly one lookahead round is in flight during
 // every compute. Tiles with lost frames are deferred; after the
@@ -167,20 +180,17 @@ func (st *tileState) missing() int {
 // tiles compute in order. Returned meters are indexed by tile.
 func (f *overlapFetcher) run() ([]TileMeter, error) {
 	meters := make([]TileMeter, f.tiles)
-	// One dedup set sized for the largest tile, and a two-state ring:
-	// tile t+1 fills one state while tile t computes on the other.
+	// A two-state ring: tile t+1 fills one state while tile t computes
+	// on the other.
 	fs := f.state
-	if fs.seen == nil || f.bound > fs.sized {
-		fs.seen, fs.sized = kmer.NewFlatSet(f.bound), f.bound
-	}
 	if fs.ring[0] == nil {
 		fs.ring = [2]*tileState{{}, {}}
 	}
-	seen, ring := fs.seen, &fs.ring
+	ring := &fs.ring
 	ar := shard.NewAsyncRound(f.c, f.tagBase, f.answer)
 	start := func(t int) {
 		st := ring[t%2]
-		f.fill(st, t, seen)
+		f.fill(st, t)
 		ar.Start(t, &st.batch)
 	}
 	start(0)
@@ -201,14 +211,14 @@ func (f *overlapFetcher) run() ([]TileMeter, error) {
 				return meters, rerr
 			}
 		}
-		if st.missing() > 0 {
+		if st.batch.Lost() > 0 {
 			// The deferred tile keeps its state; tile t+2 gets a new one.
 			meters[t].Deferred = true
 			deferred = append(deferred, st)
 			ring[t%2] = &tileState{}
 			continue
 		}
-		units, cerr := f.compute(t, st.queries, &st.batch)
+		units, cerr := f.compute(t, st.seen, st.queries, &st.batch)
 		if cerr != nil {
 			return meters, cerr
 		}
@@ -242,7 +252,7 @@ func (f *overlapFetcher) run() ([]TileMeter, error) {
 		p.st.batch.SetBody(p.i, b)
 	}
 	for _, st := range deferred {
-		units, cerr := f.compute(st.tile, st.queries, &st.batch)
+		units, cerr := f.compute(st.tile, st.seen, st.queries, &st.batch)
 		if cerr != nil {
 			return meters, cerr
 		}

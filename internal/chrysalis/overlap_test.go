@@ -434,8 +434,11 @@ func TestOverlapHiddenSeconds(t *testing.T) {
 // four while tiles 2 and 3 cycle through the two-state ring. Every
 // tile, deferred or not, must compute once, on exactly the distinct
 // queries it collected in first-seen order, each answered with its own
-// value: a deferred tile whose state a later tile reused would compute
-// on that tile's queries.
+// value, and on its own dedup set: the set must map query i to id i and
+// hold nothing else, and a replica built over it must answer every
+// query with its value and no other tile's k-mer at all. A deferred
+// tile whose state a later tile reused would compute on that tile's
+// queries or set.
 func TestOverlapFetcherDeferredTileKeepsState(t *testing.T) {
 	guard(t, 60*time.Second, func() {
 		const ranks, tiles = 3, 4
@@ -457,6 +460,7 @@ func TestOverlapFetcherDeferredTileKeepsState(t *testing.T) {
 		}
 		computed := make([][]int, ranks)
 		meters := make([][]TileMeter, ranks)
+		sets := make([][tiles]*kmer.FlatSet, ranks) // the dedup set each tile computed on
 		_, errs := env.world.RunE(func(c *Comm) error {
 			r := c.Rank()
 			var exchanged int64
@@ -467,8 +471,9 @@ func TestOverlapFetcherDeferredTileKeepsState(t *testing.T) {
 				answer: func(m kmer.Kmer, dst []byte) []byte {
 					return binary.LittleEndian.AppendUint64(dst, value(m))
 				},
-				compute: func(t int, queries []kmer.Kmer, b *shard.Batch) (float64, error) {
+				compute: func(t int, set *kmer.FlatSet, queries []kmer.Kmer, b *shard.Batch) (float64, error) {
 					var want []kmer.Kmer
+					var err error
 					seen := map[kmer.Kmer]bool{}
 					probes(r, t, func(m kmer.Kmer) {
 						if !seen[m] {
@@ -479,11 +484,34 @@ func TestOverlapFetcherDeferredTileKeepsState(t *testing.T) {
 					if !reflect.DeepEqual(queries, want) {
 						return 0, fmt.Errorf("rank %d tile %d computed on %d other queries", r, t, len(queries))
 					}
+					if set.Len() != len(queries) {
+						return 0, fmt.Errorf("rank %d tile %d: dedup set holds %d k-mers for %d queries", r, t, set.Len(), len(queries))
+					}
+					replica := kmer.RowsOver[uint64](set, len(queries))
 					for i, m := range queries {
-						if body := b.Body(i); len(body) != 8 || binary.LittleEndian.Uint64(body) != value(m) {
+						if id, ok := set.Lookup(m); !ok || int(id) != i {
+							return 0, fmt.Errorf("rank %d tile %d: dedup set gives query %d id %d (%v)", r, t, i, id, ok)
+						}
+						body := b.Body(i)
+						if len(body) != 8 || binary.LittleEndian.Uint64(body) != value(m) {
 							return 0, fmt.Errorf("rank %d tile %d: answer to %v is %x", r, t, m, body)
 						}
+						replica.Push(binary.LittleEndian.Uint64(body))
+						replica.EndRow()
 					}
+					for other := 0; other < tiles; other++ {
+						probes(r, other, func(m kmer.Kmer) {
+							row := replica.Row(m)
+							own := seen[m]
+							if own && (len(row) != 1 || row[0] != value(m)) || !own && row != nil {
+								err = fmt.Errorf("rank %d tile %d: replica answers tile %d's %v with %v", r, t, other, m, row)
+							}
+						})
+					}
+					if err != nil {
+						return 0, err
+					}
+					sets[r][t] = set
 					computed[r] = append(computed[r], t)
 					return float64(len(queries)), nil
 				},
@@ -512,6 +540,10 @@ func TestOverlapFetcherDeferredTileKeepsState(t *testing.T) {
 		}
 		if !reflect.DeepEqual(computed[1], []int{0, 2, 3, 1}) {
 			t.Errorf("rank 1 computed tiles in order %v, want the deferred tile 1 last", computed[1])
+		}
+		if s := sets[1]; s[1] == s[3] || s[0] != s[2] {
+			t.Errorf("rank 1: deferred tile 1 shares its set with tile 3 (%v), or tiles 0 and 2 do not share the ring's (%v)",
+				s[1] == s[3], s[0] == s[2])
 		}
 	})
 }

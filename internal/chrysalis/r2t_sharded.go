@@ -19,11 +19,12 @@ import (
 // rank fetches, once per read k-mer, the canonical form of the distinct
 // k-mers its kept chunks' reads hold; the owner answers both
 // orientations from one lookup2, which is exactly what the assignment
-// kernel's one canonical probe reads. The answers materialise a partial
-// bundleKmerTable in which a k-mer the shards do not hold is simply
-// absent, so every lookup the unchanged assignment kernels make — hit
-// or miss — matches the replicated table, and the assignments are
-// byte-identical.
+// kernel's one canonical probe reads. The tile replica is a
+// bundleKmerTable over the tile's dedup set itself, with the two owner
+// cells of every query as the shard returned them: a k-mer in no bundle
+// has both cells −1, which is what the replicated table's miss returns,
+// so every lookup the unchanged assignment kernels make — hit or miss —
+// matches the replicated table, and the assignments are byte-identical.
 
 // r2tSource is the shared data every bundle table is a deterministic
 // function of: the flattened contig k-mer scan in component order with
@@ -137,8 +138,8 @@ func bundleShards(src *r2tSource, ranks int, iterate func(i int, add func(kmer.K
 				return binary.AppendUvarint(binary.AppendUvarint(dst, uint64(fwd+1)), uint64(rev+1))
 			}}
 		},
-		cache: func(queries []kmer.Kmer, b *shard.Batch) (*bundleKmerTable, int64, error) {
-			t, err := buildR2TCache(src.k, src.ncomp, queries, b)
+		replica: func(set *kmer.FlatSet, queries []kmer.Kmer, b *shard.Batch) (*bundleKmerTable, int64, error) {
+			t, err := r2tReplica(src.k, src.ncomp, set, queries, b)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -162,15 +163,14 @@ func r2tAnswer(m kmer.Kmer, body []byte) (fwd, rev int32, err error) {
 	return int32(f) - 1, int32(r) - 1, err
 }
 
-// buildR2TCache materialises the partial bundle table the assignment
-// loop runs on: exactly the queried canonical k-mers that belong to a
-// bundle on either strand, each one id whose two cells are the owners
-// the shard returned — the cells the replicated table holds for it.
-// Cells no answer fills stay −1, so lookups miss exactly where the
-// replicated table misses. A query that is not canonical, or repeats
-// an earlier one, is an error.
-func buildR2TCache(k int, ncomp int32, queries []kmer.Kmer, b *shard.Batch) (*bundleKmerTable, error) {
-	hits := 0
+// r2tReplica is the bundle table the assignment loop runs on for one
+// tile: the tile's dedup set, whose id i is queries[i], with the two
+// owner cells of every query as the shard returned them — the cells the
+// replicated table holds for it, or −1 for an orientation in no bundle.
+// A query that is not canonical is an error: the kernel's canonical
+// probe would never find it.
+func r2tReplica(k int, ncomp int32, set *kmer.FlatSet, queries []kmer.Kmer, b *shard.Batch) (*bundleKmerTable, error) {
+	t := &bundleKmerTable{k: k, set: set, ncomp: ncomp, owner: make([]int32, 2*len(queries))}
 	for i, m := range queries {
 		if c, _ := m.Canonical(k); c != m {
 			return nil, fmt.Errorf("chrysalis: query k-mer %v is not canonical", m)
@@ -179,21 +179,7 @@ func buildR2TCache(k int, ncomp int32, queries []kmer.Kmer, b *shard.Batch) (*bu
 		if err != nil {
 			return nil, err
 		}
-		if fwd >= 0 || rev >= 0 {
-			hits++
-		}
-	}
-	t := &bundleKmerTable{k: k, set: kmer.NewFlatSet(hits), ncomp: ncomp, owner: make([]int32, 0, 2*hits)}
-	for i, m := range queries {
-		fwd, rev, _ := r2tAnswer(m, b.Body(i))
-		if fwd < 0 && rev < 0 {
-			continue
-		}
-		want := t.set.Len()
-		if err := cacheKey(t.set.Add(m), m, want); err != nil {
-			return nil, err
-		}
-		t.owner = append(t.owner, fwd, rev)
+		t.owner[2*i], t.owner[2*i+1] = fwd, rev
 	}
 	return t, nil
 }

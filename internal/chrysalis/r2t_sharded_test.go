@@ -1,7 +1,9 @@
 package chrysalis
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,17 +22,44 @@ func batchOf(queries []kmer.Kmer, bodies [][]byte) *shard.Batch {
 	return b
 }
 
-// TestBuildR2TCacheFoldsStrands feeds buildR2TCache the shard answers
-// for every k-mer of a set of reads, the way a sharded rank queries
-// them: once per read k-mer, in canonical form, answered by the shard
-// that owns the canonical k-mer with the owners of both orientations.
-// A k-mer and its reverse complement often both hit — one contig is the
-// reverse complement of part of another in a second component — so one
-// answer must fill the two cells of one canonical id. Every lookup2 of
-// the partial table, on both strands, must equal the replicated
-// table's; a repeated or non-canonical query must be an error. Even k
+// buildR2TCache is the re-hashing replica r2tReplica replaced, kept as
+// its oracle: a fresh bundle table holding exactly the queried canonical
+// k-mers that belong to a bundle on either strand, each one id whose two
+// cells are the owners the shard returned. A query that is not
+// canonical, or repeats an earlier one, is an error.
+func buildR2TCache(k int, ncomp int32, queries []kmer.Kmer, b *shard.Batch) (*bundleKmerTable, error) {
+	t := &bundleKmerTable{k: k, set: kmer.NewFlatSet(0), ncomp: ncomp}
+	for i, m := range queries {
+		if c, _ := m.Canonical(k); c != m {
+			return nil, fmt.Errorf("chrysalis: query k-mer %v is not canonical", m)
+		}
+		fwd, rev, err := r2tAnswer(m, b.Body(i))
+		if err != nil {
+			return nil, err
+		}
+		if fwd < 0 && rev < 0 {
+			continue
+		}
+		if want := t.set.Len(); int(t.set.Add(m)) != want {
+			return nil, fmt.Errorf("chrysalis: duplicate query k-mer %v", m)
+		}
+		t.owner = append(t.owner, fwd, rev)
+	}
+	return t, nil
+}
+
+// TestR2TShardReplicaFoldsStrands feeds r2tReplica the shard answers for
+// every k-mer of a set of reads, the way a sharded rank queries them:
+// once per read k-mer, in canonical form, through the tile's dedup set,
+// answered by the shard that owns the canonical k-mer with the owners
+// of both orientations. A k-mer and its reverse complement often both
+// hit — one contig is the reverse complement of part of another in a
+// second component — so one answer must fill the two cells of one
+// canonical id. Every lookup2 of the replica, on both strands, must
+// equal the replicated table's and the
+// re-hashing oracle's; a non-canonical query must be an error. Even k
 // adds palindromes, whose two cells are one orientation's.
-func TestBuildR2TCacheFoldsStrands(t *testing.T) {
+func TestR2TShardReplicaFoldsStrands(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	dna := func(n int) []byte {
 		s := make([]byte, n)
@@ -51,37 +80,38 @@ func TestBuildR2TCacheFoldsStrands(t *testing.T) {
 		src := buildR2TSource(contigs, nil, comps, k, false)
 		full := src.table(0, 0)
 		for _, ranks := range []int{1, 3} {
-			shards := make([]*bundleKmerTable, ranks)
-			for s := range shards {
-				shards[s] = src.table(ranks, s)
-			}
 			sh := bundleShards(src, ranks, nil, nil)
+			set := kmer.NewFlatSet(0)
 			var queries []kmer.Kmer
 			var bodies [][]byte
-			seen := map[kmer.Kmer]bool{}
 			for _, r := range reads {
 				eachKmer(r, k, false, func(m kmer.Kmer) {
 					c, _ := m.Canonical(k)
-					if seen[c] {
+					if set.Contains(c) {
 						return
 					}
-					seen[c] = true
+					set.Add(c)
 					queries = append(queries, c)
 					bodies = append(bodies, sh.build(kmer.OwnerRank(c, ranks)).answer(c, nil))
 				})
 			}
-			cache, err := buildR2TCache(k, full.ncomp, queries, batchOf(queries, bodies))
+			rep, err := r2tReplica(k, full.ncomp, set, queries, batchOf(queries, bodies))
 			if err != nil {
 				t.Fatalf("k=%d ranks=%d: %v", k, ranks, err)
+			}
+			oracle, err := buildR2TCache(k, full.ncomp, queries, batchOf(queries, bodies))
+			if err != nil {
+				t.Fatalf("k=%d ranks=%d: oracle: %v", k, ranks, err)
 			}
 			both, pal := 0, 0
 			for _, c := range queries {
 				for _, m := range []kmer.Kmer{c, c.ReverseComplement(k)} {
-					gotF, gotR := cache.lookup2(m)
+					gotF, gotR := rep.lookup2(m)
 					wantF, wantR := full.lookup2(m)
-					if gotF != wantF || gotR != wantR {
-						t.Fatalf("k=%d ranks=%d: cache lookup2(%v) = (%d,%d), replicated (%d,%d)",
-							k, ranks, m, gotF, gotR, wantF, wantR)
+					oraF, oraR := oracle.lookup2(m)
+					if gotF != wantF || gotR != wantR || oraF != wantF || oraR != wantR {
+						t.Fatalf("k=%d ranks=%d: replica lookup2(%v) = (%d,%d), oracle (%d,%d), replicated (%d,%d)",
+							k, ranks, m, gotF, gotR, oraF, oraR, wantF, wantR)
 					}
 				}
 				wantF, wantR := full.lookup2(c)
@@ -100,13 +130,13 @@ func TestBuildR2TCacheFoldsStrands(t *testing.T) {
 				if f, r := full.lookup2(c); f < 0 && r < 0 {
 					continue
 				}
-				_, err := buildR2TCache(k, full.ncomp, append(queries, c), batchOf(append(queries, c), append(bodies, bodies[i])))
-				if err == nil || !strings.Contains(err.Error(), "duplicate query") {
-					t.Fatalf("k=%d ranks=%d: repeated query %v: err = %v, want a duplicate-query error", k, ranks, c, err)
-				}
 				if rc := c.ReverseComplement(k); rc != c {
-					q := append(append([]kmer.Kmer(nil), queries[:i]...), rc)
-					_, err := buildR2TCache(k, full.ncomp, q, batchOf(q, append(bodies[:i:i], bodies[i])))
+					q := append(slices.Clone(queries[:i]), rc)
+					qs := kmer.NewFlatSet(0)
+					for _, m := range q {
+						qs.Add(m)
+					}
+					_, err := r2tReplica(k, full.ncomp, qs, q, batchOf(q, append(bodies[:i:i], bodies[i])))
 					if err == nil || !strings.Contains(err.Error(), "not canonical") {
 						t.Fatalf("k=%d ranks=%d: non-canonical query %v: err = %v, want an error", k, ranks, rc, err)
 					}

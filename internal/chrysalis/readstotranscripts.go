@@ -132,7 +132,8 @@ type R2TRankProfile struct {
 
 	// ResidentKmerBytes is the rank's peak resident k-mer→bundle state:
 	// the full replicated table, or — under ShardKmers — the rank's
-	// shards plus the largest single tile's partial table.
+	// shards plus the largest single tile's replica (its dedup set and
+	// the owner cells over it).
 	ResidentKmerBytes int64
 	// ShardExchangeBytes counts the addressed bytes this rank moved
 	// through shard lookup rounds (0 unless ShardKmers).

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"gotrinity/internal/jellyfish"
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/mpi"
 	"gotrinity/internal/seq"
@@ -19,23 +18,33 @@ import (
 // and the pooled weld index in GraphFromFasta, the k-mer→bundle table
 // in ReadsToTranscripts — the paper's own memory ceiling. With
 // sharding, k-mer space is partitioned by kmer.OwnerRank and each rank
-// holds only its shard of each table, rebuilt deterministically from
-// the shared source data (the contig file and the jellyfish dump, which
-// on a real cluster live on the shared filesystem) by the same build as
-// the replicated table, filtered by owner (shardTable, r2tSource.table).
+// holds its shard of each table, and holds it once. The read counts
+// are served in place from the count table the counting stage built:
+// its partitions split the same top hash bits as the owner map, so a
+// rank's count shard is a jellyfish.View of the partitions its owner
+// range covers, with nothing copied. The contig and weld tables are
+// rebuilt deterministically from the shared source data (the contig
+// file, which on a real cluster lives on the shared filesystem) by the
+// same build as the replicated table, filtered by owner (shardTable,
+// r2tSource.table).
 //
 // Lookups are batched, not chased one by one: for each tile of its
 // chunk list (overlap.go) a rank collects the distinct k-mers the
-// kernel will probe over those items and fetches the answers in one
-// aggregated lookup round (a shard.Batch: the queries routed
-// owner-major, the answers decoded in place). The answers materialise
-// a partial replica of the same flat structure the replicated path
-// uses, so the kernels run unchanged and their results, probe counts
-// and work units are byte-identical to the replicated reference — the
-// property the differential batteries pin. A stage describes one
-// distributed table to the hybrid loop as a shardedLookup; this file
-// holds that type, the machinery behind it, and GraphFromFasta's two
-// tables (r2t_sharded.go holds ReadsToTranscripts').
+// kernel will probe over those items into the tile's dedup set and
+// fetches their answers in one aggregated lookup round (a shard.Batch:
+// the queries routed owner-major, each answer left where it arrived in
+// the reply blobs). The dedup set is the tile's replica: its ids index
+// answer columns decoded in query order — occurrence and weld-ref rows
+// appended over the set (kmer.RowsOver), a read-count column, the
+// bundle owner cells — so no query is hashed twice, and a k-mer the
+// shards do not hold reads as an empty row, a zero count or no owner,
+// exactly what the full table answers. The kernels run unchanged and
+// their results, probe counts and work units are byte-identical to the
+// replicated reference — the property the differential batteries pin.
+// A stage describes one distributed table to the hybrid loop as a
+// shardedLookup; this file holds that type, the machinery behind it,
+// and GraphFromFasta's two tables (r2t_sharded.go holds
+// ReadsToTranscripts').
 //
 // Fault composition mirrors the chunk-recovery layer: if an owner dies
 // mid-fetch, the survivors agree on the dead set (AgreeDead), recompute
@@ -55,10 +64,11 @@ type shardedLookup[L any] struct {
 	// build materialises shard s from the shared source — at startup
 	// for a rank's own shard, on demand when it adopts a dead owner's.
 	build func(s int) tableShard
-	// cache turns one tile's answers (b.Body(i) answers queries[i], all
-	// non-nil) into the partial replica the kernel runs on, and reports
-	// the replica's resident bytes.
-	cache func(queries []kmer.Kmer, b *shard.Batch) (look L, bytes int64, err error)
+	// replica turns one tile's answers into the lookup the kernel runs
+	// on: set is the tile's dedup set, whose id i is queries[i], and
+	// b.Body(i), non-nil, answers queries[i]. It reports the replica's
+	// resident bytes, the set included.
+	replica func(set *kmer.FlatSet, queries []kmer.Kmer, b *shard.Batch) (look L, bytes int64, err error)
 }
 
 // tableShard is one built shard: how it answers a query (appending the
@@ -148,23 +158,13 @@ func answerHead(m kmer.Kmer, b []byte, skip int) (v uint64, rest []byte, err err
 	return 0, nil, fmt.Errorf("chrysalis: shard answer for %v truncated (%d bytes)", m, len(b))
 }
 
-// cacheKey checks that a partial replica gave m the dense id want: ids
-// must come out in answer order, so a repeated query is an error.
-func cacheKey(id int32, m kmer.Kmer, want int) error {
-	if int(id) != want {
-		return fmt.Errorf("chrysalis: duplicate query k-mer %v", m)
-	}
-	return nil
-}
-
-// decodeRows materialises the table half of a tile replica from the
-// owners' answers: every queried k-mer with a non-empty row gets the
-// next dense id, and its row (appendRow's encoding, skip bytes into the
-// body) is unpacked into it. Shard rows preserve the replicated tables'
-// row order, so every probe of the replica returns exactly what the
-// full table would.
-func decodeRows[V any](queries []kmer.Kmer, b *shard.Batch, skip int, unpack func(uint64) V) (*kmer.Multimap[V], error) {
-	keys, total := 0, 0
+// decodeRows appends a tile's rows over its dedup set: the row of id
+// i is query i's answer row (appendRow's encoding, skip bytes into the
+// body), empty where the shards hold none. Shard rows preserve the
+// replicated tables' row order, so every probe of the replica returns
+// exactly what the full table would.
+func decodeRows[V any](set *kmer.FlatSet, queries []kmer.Kmer, b *shard.Batch, skip int, unpack func(uint64) V) (*kmer.Multimap[V], error) {
+	total := 0
 	for i, m := range queries {
 		n, rest, err := answerHead(m, b.Body(i), skip)
 		if err == nil && n > uint64(len(rest))/8 {
@@ -173,27 +173,16 @@ func decodeRows[V any](queries []kmer.Kmer, b *shard.Batch, skip int, unpack fun
 		if err != nil {
 			return nil, err
 		}
-		if n > 0 {
-			keys++
-		}
 		total += int(n)
 	}
-	t := kmer.NewMultimap[V](keys, total)
+	t := kmer.RowsOver[V](set, total)
 	for i, m := range queries {
 		n, rest, _ := answerHead(m, b.Body(i), skip)
-		if n == 0 {
-			continue
-		}
-		want := t.Len()
-		id := t.Key(m)
-		if err := cacheKey(id, m, want); err != nil {
-			return nil, err
-		}
 		for o := 0; o < int(n)*8; o += 8 {
-			t.Put(id, unpack(binary.LittleEndian.Uint64(rest[o:])))
+			t.Push(unpack(binary.LittleEndian.Uint64(rest[o:])))
 		}
+		t.EndRow()
 	}
-	t.Freeze()
 	return t, nil
 }
 
@@ -219,25 +208,6 @@ func unpackRef(v uint64) weldRef {
 	return weldRef{id: int32(uint32(v)), rc: v&(1<<32) != 0}
 }
 
-// buildCountShard carves shard s out of the full frozen read table:
-// one pass counts the shard's k-mers, a second puts them in the full
-// table's slot order.
-func buildCountShard(reads *jellyfish.Frozen, ranks, s int) *jellyfish.Frozen {
-	n := 0
-	reads.ForEach(func(m kmer.Kmer, _ uint32) {
-		if kmer.OwnerRank(m, ranks) == s {
-			n++
-		}
-	})
-	return jellyfish.FrozenOf(reads.K, n, func(put func(kmer.Kmer, uint32)) {
-		reads.ForEach(func(m kmer.Kmer, c uint32) {
-			if kmer.OwnerRank(m, ranks) == s {
-				put(m, c)
-			}
-		})
-	})
-}
-
 // weldShards describes loop 1's distributed tables — the read counts
 // and the contig k-mer occurrence index — as one lookup: a query is
 // answered with the read count (4 bytes LE) followed by the occurrence
@@ -251,15 +221,15 @@ func weldShards(src *gffSource, ranks int) *shardedLookup[weldLookup] {
 		iterate: func(i int, add func(kmer.Kmer)) { eachKmer(src.seqs[i], src.k, true, add) },
 		span:    func(i int) int { return 2 * windows(len(src.seqs[i]), src.k) },
 		build: func(s int) tableShard {
-			occs, counts := src.occs(ranks, s), buildCountShard(src.reads, ranks, s)
+			occs, counts := src.occs(ranks, s), src.counts.View(ranks, s)
 			return tableShard{bytes: occs.MemBytes() + counts.MemBytes(),
 				answer: func(m kmer.Kmer, dst []byte) []byte {
 					dst = binary.LittleEndian.AppendUint32(dst, counts.Get(m))
 					return appendRow(dst, occs.Row(m), packOcc)
 				}}
 		},
-		cache: func(queries []kmer.Kmer, b *shard.Batch) (weldLookup, int64, error) {
-			look, err := buildLoop1Cache(src.k, queries, b)
+		replica: func(set *kmer.FlatSet, queries []kmer.Kmer, b *shard.Batch) (weldLookup, int64, error) {
+			look, err := loop1Replica(set, queries, b)
 			if err != nil {
 				return weldLookup{}, 0, err
 			}
@@ -283,8 +253,8 @@ func pairShards(src *gffSource, ranks int, pooled func() []string) *shardedLooku
 			return tableShard{bytes: refs.MemBytes(),
 				answer: func(m kmer.Kmer, dst []byte) []byte { return appendRow(dst, refs.Row(m), packRef) }}
 		},
-		cache: func(queries []kmer.Kmer, b *shard.Batch) (pairLookup, int64, error) {
-			ix, err := buildLoop2Cache(pooled(), src.k, queries, b)
+		replica: func(set *kmer.FlatSet, queries []kmer.Kmer, b *shard.Batch) (pairLookup, int64, error) {
+			ix, err := loop2Replica(pooled(), src.k, set, queries, b)
 			if err != nil {
 				return pairLookup{}, 0, err
 			}
@@ -423,41 +393,31 @@ func firstAlive(owners []int) int {
 	return -1
 }
 
-// buildLoop1Cache materialises the partial replica loop 1 runs on: an
-// occurrence index and frozen read table holding exactly the queried
-// k-mers, with rows and counts as the owners returned them. The read
-// table is counted before it is filled.
-func buildLoop1Cache(k int, queries []kmer.Kmer, b *shard.Batch) (weldLookup, error) {
-	counted := 0
+// loop1Replica is loop 1's tile replica: the occurrence rows and the
+// read-count column, both over the tile's dedup set, from answers that
+// carry the read count (4 bytes LE) before the occurrence row.
+func loop1Replica(set *kmer.FlatSet, queries []kmer.Kmer, b *shard.Batch) (weldLookup, error) {
+	counts := make([]uint32, len(queries))
 	for i, m := range queries {
 		body := b.Body(i)
 		if len(body) < 4 {
 			return weldLookup{}, fmt.Errorf("chrysalis: shard answer for %v truncated (%d bytes)", m, len(body))
 		}
-		if binary.LittleEndian.Uint32(body) > 0 {
-			counted++
-		}
+		counts[i] = binary.LittleEndian.Uint32(body)
 	}
-	occs, err := decodeRows(queries, b, 4, unpackOcc)
+	occs, err := decodeRows(set, queries, b, 4, unpackOcc)
 	if err != nil {
 		return weldLookup{}, err
 	}
-	reads := jellyfish.FrozenOf(k, counted, func(put func(kmer.Kmer, uint32)) {
-		for i, m := range queries {
-			if cnt := binary.LittleEndian.Uint32(b.Body(i)); cnt > 0 {
-				put(m, cnt)
-			}
-		}
-	})
-	return weldLookup{occs: occs, reads: reads}, nil
+	return weldLookup{occs: occs, reads: &tileCounts{set: set, counts: counts}}, nil
 }
 
-// buildLoop2Cache materialises the partial weldIndex loop 2 runs on.
-// It shares the pooled weld list (identical on every rank) and
-// materialises reverse complements only for the welds its cached rows
-// actually reference in RC orientation.
-func buildLoop2Cache(pooled []string, k int, queries []kmer.Kmer, b *shard.Batch) (*weldIndex[string], error) {
-	refs, err := decodeRows(queries, b, 0, unpackRef)
+// loop2Replica is the partial weldIndex loop 2 runs on: the weld-ref
+// rows over the tile's dedup set. It shares the pooled weld list
+// (identical on every rank) and materialises reverse complements only
+// for the welds its rows actually reference in RC orientation.
+func loop2Replica(pooled []string, k int, set *kmer.FlatSet, queries []kmer.Kmer, b *shard.Batch) (*weldIndex[string], error) {
+	refs, err := decodeRows(set, queries, b, 0, unpackRef)
 	if err != nil {
 		return nil, err
 	}

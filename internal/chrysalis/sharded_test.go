@@ -255,12 +255,15 @@ func shardedFetchRun(tb testing.TB, sc *testScenario) (queries int) {
 }
 
 // maxBytesPerFetchedQuery bounds what a sharded GFF+R2T run allocates
-// per k-mer its tiles look up, set from the flat tile state: the run
-// over the tile scenario allocates about 160 bytes per query (about
-// 190 under the race detector). Per-owner append routing, per-tile
-// frame tables and both-strand R2T queries took about 310 bytes per
-// query over 35 % more queries — 420 per query of today's count.
-const maxBytesPerFetchedQuery = 240
+// per k-mer its tiles look up: the run over the tile scenario allocates
+// about 115 bytes per query (about 133 under the race detector), with
+// count shards served from the count table in place, tile replicas
+// built over the tiles' dedup sets and answers located by offset; the
+// bound keeps the 80-byte margin it had over the 160 bytes per query of
+// the re-hashed replicas and per-query frame tables. Per-owner append
+// routing and both-strand R2T queries before those took about 310 bytes
+// per query over 35 % more queries — 420 per query of today's count.
+const maxBytesPerFetchedQuery = 195
 
 // TestShardedFetchAllocs guards the sharded fetch path's allocation per
 // query: routing, collection, the wire buffers and the replicas must

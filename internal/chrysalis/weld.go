@@ -37,25 +37,25 @@ type occurrence struct {
 }
 
 // gffSource is the data loop 1's tables are a deterministic function
-// of: the flattened k-mer scan of the contig set and the full frozen
-// read-count table. The replicated occurrence index is built from it,
-// and under sharding it stands in for the contig file and jellyfish
-// dump on the shared filesystem — shards are rebuilt from it both at
-// startup and when a survivor adopts a dead owner's shard, so no shard
-// is ever lost with its rank.
+// of: the flattened k-mer scan of the contig set and the read-count
+// table. The replicated occurrence index is built from it, and under
+// sharding it stands in for the contig file and jellyfish dump on the
+// shared filesystem — shards are rebuilt (occurrences) or viewed
+// (counts) from it both at startup and when a survivor adopts a dead
+// owner's shard, so no shard is ever lost with its rank.
 type gffSource struct {
-	k     int
-	seqs  [][]byte    // ASCII contigs, nil under the packed kernels
-	keys  []kmer.Kmer // global scan order: contig-ascending, position-ascending
-	poss  []int32
-	off   []int32 // keys[off[i]:off[i+1]] belong to contig i
-	reads *jellyfish.Frozen
+	k      int
+	seqs   [][]byte    // ASCII contigs, nil under the packed kernels
+	keys   []kmer.Kmer // global scan order: contig-ascending, position-ascending
+	poss   []int32
+	off    []int32 // keys[off[i]:off[i+1]] belong to contig i
+	counts *jellyfish.CountTable
 }
 
 // buildGFFSource scans the packed contigs when pseqs is non-nil and
 // the ASCII ones otherwise; the two k-mer streams are equal.
-func buildGFFSource(seqs [][]byte, pseqs []seq.Packed, k int, reads *jellyfish.Frozen) *gffSource {
-	src := &gffSource{k: k, seqs: seqs, reads: reads}
+func buildGFFSource(seqs [][]byte, pseqs []seq.Packed, k int, counts *jellyfish.CountTable) *gffSource {
+	src := &gffSource{k: k, seqs: seqs, counts: counts}
 	if pseqs != nil {
 		src.keys, src.poss, src.off = flattenKmersPacked(pseqs, k)
 	} else {
@@ -258,9 +258,9 @@ func (sc *weldScratch) reverseComplementInto(w []byte) []byte {
 // every k-mer of the window (either strand) must appear in the read
 // k-mer table with at least minSupport occurrences, so that a junction
 // between two contigs is only welded "if read support exists". The
-// probes hit the frozen flat table lock-free — this is the single
-// hottest call site in GraphFromFasta.
-func weldSupport(window []byte, k int, reads *jellyfish.Frozen, minSupport int) (bool, int64) {
+// probes hit a flat table lock-free — this is the single hottest call
+// site in GraphFromFasta.
+func weldSupport(window []byte, k int, reads readCounts, minSupport int) (bool, int64) {
 	var probes int64
 	it := kmer.NewIterator(window, k)
 	for {
@@ -287,7 +287,7 @@ func weldSupport(window []byte, k int, reads *jellyfish.Frozen, minSupport int) 
 // returns the welds and the work units (index probes, window
 // comparisons, support probes) performed. sc supplies the reusable
 // buffers; the steady-state inner loop performs no allocations.
-func harvestWelds(contig []byte, ci int, contigs [][]byte, ix *kmer.Multimap[occurrence], reads *jellyfish.Frozen,
+func harvestWelds(contig []byte, ci int, contigs [][]byte, ix *kmer.Multimap[occurrence], reads readCounts,
 	opt GFFOptions, rot int, sc *weldScratch) ([]string, float64) {
 	k := opt.K
 	flank := k / 2

@@ -2,6 +2,7 @@ package jellyfish
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gotrinity/internal/kmer"
@@ -108,4 +109,107 @@ func BenchmarkCountTableGet(b *testing.B) {
 			_ = sink
 		})
 	})
+}
+
+// TestViewShardsMatchGet pins the count shards the sharded Chrysalis
+// serves in place: for tables counted into several partitions and for
+// FromEntries' single partition, every k-mer's count read through its
+// owner's View equals Get at every rank count, aligned with the
+// partitions or not, and the owners' metered bytes never add up to more
+// than the table's own MemBytes — nor, with more than one owner, does
+// any one owner's reach it.
+func TestViewShardsMatchGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const k = 15
+	var reads []seq.PackedRecord
+	for r := 0; r < 200; r++ {
+		s := make([]byte, 40+rng.Intn(80))
+		for i := range s {
+			s[i] = "ACGT"[rng.Intn(4)]
+		}
+		reads = append(reads, seq.PackedRecord{ID: "r", Seq: seq.Pack(s)})
+	}
+	counted, err := CountPacked(reads, Options{K: k, Threads: 2, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := counted.Entries(1)
+	for _, tc := range []struct {
+		name  string
+		table *CountTable
+	}{
+		{"CountPacked", counted},
+		{"FromEntries", FromEntries(k, entries)},
+	} {
+		for _, ranks := range []int{1, 2, 3, 4, 5, 8} {
+			views := make([]View, ranks)
+			var sum int64
+			for r := range views {
+				views[r] = tc.table.View(ranks, r)
+				sum += views[r].MemBytes()
+				if ranks > 1 && views[r].MemBytes() >= tc.table.MemBytes() {
+					t.Errorf("%s ranks=%d: rank %d charged %d, the whole table's %d",
+						tc.name, ranks, r, views[r].MemBytes(), tc.table.MemBytes())
+				}
+			}
+			if sum > tc.table.MemBytes() || sum <= 0 {
+				t.Errorf("%s ranks=%d: views charged %d in all, table holds %d", tc.name, ranks, sum, tc.table.MemBytes())
+			}
+			for _, e := range entries {
+				if got := views[kmer.OwnerRank(e.Kmer, ranks)].Get(e.Kmer); got != tc.table.Get(e.Kmer) || got != e.Count {
+					t.Fatalf("%s ranks=%d: owner's view counts %v as %d, Get %d", tc.name, ranks, e.Kmer, got, tc.table.Get(e.Kmer))
+				}
+			}
+			for i := 0; i < 200; i++ {
+				m := kmer.Kmer(rng.Uint64() & (1<<(2*k) - 1))
+				if got, want := views[kmer.OwnerRank(m, ranks)].Get(m), tc.table.Get(m); got != want {
+					t.Fatalf("%s ranks=%d: owner's view counts %v as %d, Get %d", tc.name, ranks, m, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestEntriesAllocatesKept pins collect's sizing: Entries allocates the
+// entries that pass minCount, not the whole table, and returns them in
+// k-mer order whatever the filter drops.
+func TestEntriesAllocatesKept(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var reads []seq.Record
+	for r := 0; r < 300; r++ {
+		s := make([]byte, 90)
+		for i := range s {
+			s[i] = "ACGT"[rng.Intn(4)]
+		}
+		reads = append(reads, seq.Record{ID: "r", Seq: s}, seq.Record{ID: "dup", Seq: s[:50]})
+	}
+	table, err := Count(reads, Options{K: 13, Threads: 2, Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := table.Entries(1)
+	var want []Entry
+	for _, e := range all {
+		if e.Count >= 2 {
+			want = append(want, e)
+		}
+	}
+	if len(want) == 0 || len(want) == len(all) {
+		t.Fatalf("%d of %d entries pass: the filter went untested", len(want), len(all))
+	}
+	if got := table.Entries(2); !slices.Equal(got, want) {
+		t.Fatalf("Entries(2) returned %d entries, want the %d of Entries(1) with count >= 2", len(got), len(want))
+	}
+	// The kept entries and the sort's buffer for them, plus at most a
+	// 4-byte place per entry of the table; holding every entry (16
+	// bytes each) would break it.
+	bytes := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			table.Entries(2)
+		}
+	}).AllocedBytesPerOp()
+	if limit := int64(len(want))*32 + int64(len(all))*4; bytes > limit {
+		t.Errorf("Entries(2) allocates %d bytes for %d kept of %d entries, limit %d", bytes, len(want), len(all), limit)
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"slices"
 	"strconv"
@@ -111,6 +112,63 @@ func (t *CountTable) Get(m kmer.Kmer) uint32 {
 	return c
 }
 
+// MemBytes returns the resident size of the table: every partition's
+// set and count array.
+func (t *CountTable) MemBytes() int64 {
+	var n int64
+	t.each(func(c *kmer.Counter) { n += c.MemBytes() })
+	return n
+}
+
+// View is the part of a finished table that one of ranks owns under
+// kmer.OwnerRank, served in place: the partitions its owner range
+// covers, with nothing copied. Partitions and owners split the same top
+// hash bits, so with at least ranks partitions (and ranks a power of
+// two) a view is whole partitions; a partition that straddles owner
+// ranges — a table with fewer partitions than ranks, such as
+// FromEntries' single one — is charged to each owner by its share of
+// the partition's hash range. No owner is charged more than the
+// partitions it covers, and the owners' charges add up to at most the
+// table's MemBytes.
+type View struct {
+	t     *CountTable
+	bytes int64
+}
+
+// View returns rank's view of the table among ranks owners. The table
+// must be finished: views read it lock-free.
+func (t *CountTable) View(ranks, rank int) View {
+	v := View{t: t}
+	// Owner r holds the top 32 hash bits h with h*ranks>>32 == r:
+	// [ceil(r*2^32/ranks), ceil((r+1)*2^32/ranks)).
+	lo, hi := uint64(0), uint64(1)<<32
+	if ranks > 1 {
+		n := uint64(ranks)
+		lo, hi = (uint64(rank)<<32+n-1)/n, (uint64(rank+1)<<32+n-1)/n
+	}
+	width := uint64(1) << 32 / uint64(len(t.parts))
+	for p := range t.parts {
+		from, to := max(lo, uint64(p)*width), min(hi, uint64(p+1)*width)
+		if to <= from {
+			continue
+		}
+		// bytes × overlap / width, floored, so the shares never sum
+		// past the partition.
+		h, l := bits.Mul64(uint64(t.parts[p].c.MemBytes()), to-from)
+		q, _ := bits.Div64(h, l, width)
+		v.bytes += int64(q)
+	}
+	return v
+}
+
+// Get returns the count of m, which the view's owner must own, without
+// taking its partition's lock: valid because the table is finished, and
+// safe for any number of concurrent readers.
+func (v View) Get(m kmer.Kmer) uint32 { return v.t.part(m).c.Get(m) }
+
+// MemBytes is what the view's owner is charged for holding it.
+func (v View) MemBytes() int64 { return v.bytes }
+
 // each calls fn on every partition's counter in turn, under its lock.
 func (t *CountTable) each(fn func(c *kmer.Counter)) {
 	for i := range t.parts {
@@ -173,37 +231,6 @@ func (t *CountTable) Freeze() *Frozen {
 	return f
 }
 
-// FrozenFromEntries builds a Frozen table directly from (k-mer, count)
-// pairs — the constructor the sharded k-mer layer uses for owner-rank
-// shards and remote-answer caches, which materialise partial tables
-// without ever holding a full CountTable. Entries must name distinct
-// k-mers; Get results are identical to a Freeze of a table holding the
-// same pairs.
-func FrozenFromEntries(k int, entries []Entry) *Frozen {
-	return FrozenOf(k, len(entries), func(put func(kmer.Kmer, uint32)) {
-		for _, e := range entries {
-			put(e.Kmer, e.Count)
-		}
-	})
-}
-
-// FrozenOf builds a Frozen table from the distinct (k-mer, count) pairs
-// fill puts, sized for n of them — FrozenFromEntries without the entry
-// slice, for callers that can count their pairs before producing them.
-// Putting more than n pairs panics.
-func FrozenOf(k, n int, fill func(put func(m kmer.Kmer, count uint32))) *Frozen {
-	f := newFrozen(k, n)
-	f.n = 0
-	fill(func(m kmer.Kmer, count uint32) {
-		if f.n == n {
-			panic(fmt.Sprintf("jellyfish: FrozenOf sized for %d k-mers was given more", n))
-		}
-		f.put(m, count)
-		f.n++
-	})
-	return f
-}
-
 // newFrozen allocates an empty snapshot sized for n distinct k-mers.
 func newFrozen(k, n int) *Frozen {
 	slots := 16
@@ -224,19 +251,8 @@ func (f *Frozen) put(m kmer.Kmer, count uint32) {
 	f.entries[j] = frozenEntry{uint64(m)<<1 | 1, count}
 }
 
-// ForEach calls fn for every (k-mer, count) pair in slot order —
-// deterministic for a deterministically built snapshot. The sharding
-// layer uses it to carve a full source table into owner shards.
-func (f *Frozen) ForEach(fn func(m kmer.Kmer, count uint32)) {
-	for _, e := range f.entries {
-		if e.key != 0 {
-			fn(kmer.Kmer(e.key>>1), e.count)
-		}
-	}
-}
-
 // MemBytes returns the resident size of the snapshot's backing array —
-// the per-rank memory term the sharding layer meters.
+// the per-rank memory term of a replicated run.
 func (f *Frozen) MemBytes() int64 {
 	return int64(len(f.entries)) * 16 // frozenEntry: 8-byte key + padded 4-byte count
 }
@@ -292,25 +308,50 @@ func (t *CountTable) Entries(minCount int) []Entry {
 // collect returns the entries with count ≥ minCount, partition by
 // partition, each partition's in dense-id (first-insertion) order. A
 // table FromEntries built from sorted entries so collects them sorted,
-// and the radix sort skips their k-mer passes.
+// and the radix sort skips their k-mer passes. The kept entries are
+// counted first, so only they are allocated; a partition that drops
+// some finds each kept entry's place through a per-id prefix count,
+// reused partition to partition.
 func (t *CountTable) collect(minCount int) []Entry {
-	out := make([]Entry, t.Distinct())
-	base := 0
+	var kept []int // per partition
+	total := 0
+	t.each(func(c *kmer.Counter) {
+		n := 0
+		for _, cnt := range c.Counts() {
+			if int(cnt) >= minCount {
+				n++
+			}
+		}
+		kept = append(kept, n)
+		total += n
+	})
+	out := make([]Entry, total)
+	var at []int32 // at[id]: id's place among its partition's kept entries, -1 if dropped
+	base, p := 0, 0
 	t.each(func(c *kmer.Counter) {
 		counts := c.Counts()
-		c.ForEachID(func(m kmer.Kmer, id int32) {
-			out[base+int(id)] = Entry{m, counts[id]}
-		})
-		base += len(counts)
-	})
-	n := 0
-	for _, e := range out {
-		if int(e.Count) >= minCount {
-			out[n] = e
-			n++
+		if kept[p] == len(counts) {
+			c.ForEachID(func(m kmer.Kmer, id int32) { out[base+int(id)] = Entry{m, counts[id]} })
+		} else {
+			at = slices.Grow(at[:0], len(counts))[:len(counts)]
+			n := int32(0)
+			for id, cnt := range counts {
+				at[id] = -1
+				if int(cnt) >= minCount {
+					at[id] = n
+					n++
+				}
+			}
+			c.ForEachID(func(m kmer.Kmer, id int32) {
+				if j := at[id]; j >= 0 {
+					out[base+int(j)] = Entry{m, counts[id]}
+				}
+			})
 		}
-	}
-	return out[:n]
+		base += kept[p]
+		p++
+	})
+	return out
 }
 
 // SortByKmer sorts entries by increasing k-mer value — the order

@@ -86,7 +86,7 @@ func TestCountMatchesMapOracle(t *testing.T) {
 								t.Fatalf("%s k=%d %+v: dump bytes differ from the map oracle's", name, k, opt)
 							}
 							f := table.Freeze()
-							if f.MemBytes() != FrozenFromEntries(k, wantEntries).MemBytes() {
+							if f.MemBytes() != newFrozen(k, len(wantEntries)).MemBytes() {
 								t.Fatalf("%s k=%d %+v: frozen MemBytes %d", name, k, opt, f.MemBytes())
 							}
 							for _, e := range wantEntries {

@@ -42,6 +42,10 @@ func (c *Counter) Get(m Kmer) uint32 {
 	return 0
 }
 
+// MemBytes returns the resident size of the counter: its set and its
+// count array.
+func (c *Counter) MemBytes() int64 { return c.set.MemBytes() + int64(cap(c.counts))*4 }
+
 // Len returns the number of distinct k-mers counted.
 func (c *Counter) Len() int { return len(c.counts) }
 

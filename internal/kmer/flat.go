@@ -36,15 +36,22 @@ const (
 // k-mers at ≤ 2/3 load. The set grows transparently if the hint was
 // low.
 func NewFlatSet(capacityHint int) *FlatSet {
-	size := minFlatSlots
-	for 2*size < 3*capacityHint {
-		size <<= 1
-	}
+	size := flatSlots(capacityHint)
 	return &FlatSet{
 		slots: make([]uint64, size),
 		ids:   make([]int32, size),
 		mask:  uint64(size - 1),
 	}
+}
+
+// flatSlots is the slot count NewFlatSet gives n k-mers: the smallest
+// power of two (at least minFlatSlots) that holds them at ≤ 2/3 load.
+func flatSlots(n int) int {
+	size := minFlatSlots
+	for 2*size < 3*n {
+		size <<= 1
+	}
+	return size
 }
 
 // mixKmer is a splitmix64 finaliser spreading k-mer bits across the
@@ -145,11 +152,22 @@ func (s *FlatSet) ForEach(fn func(m Kmer, id int32)) {
 	}
 }
 
-// grow doubles the table and re-places every key; dense ids are
+// Fit shrinks the set to the slots NewFlatSet(Len()) would have
+// allocated, when a high hint left it larger; dense ids are preserved.
+// Build phase only.
+func (s *FlatSet) Fit() {
+	if size := flatSlots(s.Len()); size < len(s.slots) {
+		s.resize(size)
+	}
+}
+
+// grow doubles the table.
+func (s *FlatSet) grow() { s.resize(2 * len(s.slots)) }
+
+// resize re-places every key in a table of size slots; dense ids are
 // preserved, so payload arrays addressed by id never move.
-func (s *FlatSet) grow() {
+func (s *FlatSet) resize(size int) {
 	oldSlots, oldIds := s.slots, s.ids
-	size := 2 * len(oldSlots)
 	s.slots = make([]uint64, size)
 	s.ids = make([]int32, size)
 	s.mask = uint64(size - 1)

@@ -238,6 +238,9 @@ func TestCounterDifferential(t *testing.T) {
 		if seen != len(ref) || c.Get(Kmer(1<<40)) != 0 {
 			t.Fatalf("round %d: ForEach visited %d of %d; absent Get = %d", round, seen, len(ref), c.Get(Kmer(1<<40)))
 		}
+		if want := c.set.MemBytes() + 4*int64(cap(c.counts)); c.MemBytes() != want || want < 4*int64(len(ref)) {
+			t.Fatalf("round %d: MemBytes = %d, want %d", round, c.MemBytes(), want)
+		}
 	}
 }
 
@@ -288,6 +291,33 @@ func TestOwnerShardProbes(t *testing.T) {
 			got := meanProbes(fill(func(m Kmer) bool { return OwnerRank(m, ranks) == owner }))
 			if got > 1.1*base {
 				t.Errorf("ranks=%d owner=%d: shard set probes %.3f per lookup, unfiltered %.3f", ranks, owner, got, base)
+			}
+		}
+	}
+}
+
+// TestFlatSetFitKeepsIds fills sets hinted far above and below what
+// they end up holding: Fit must leave each at the slots NewFlatSet
+// gives its final count, with every id where it was and Add still
+// growing it from there.
+func TestFlatSetFitKeepsIds(t *testing.T) {
+	for _, tc := range []struct{ hint, n int }{{10000, 100}, {0, 5000}, {3000, 1000}, {64, 0}} {
+		s := NewFlatSet(tc.hint)
+		for i := 0; i < tc.n; i++ {
+			s.Add(Kmer(i * 7))
+		}
+		s.Fit()
+		if want := NewFlatSet(tc.n).MemBytes(); s.MemBytes() != want {
+			t.Errorf("hint %d, %d k-mers: fit set holds %d bytes, want %d", tc.hint, tc.n, s.MemBytes(), want)
+		}
+		for i := 0; i < tc.n; i++ {
+			if id, ok := s.Lookup(Kmer(i * 7)); !ok || id != int32(i) {
+				t.Fatalf("hint %d: after Fit, Lookup(%d) = (%d,%v)", tc.hint, i*7, id, ok)
+			}
+		}
+		for i := tc.n; i < 2*tc.n+20; i++ {
+			if id := s.Add(Kmer(i * 7)); id != int32(i) {
+				t.Fatalf("hint %d: Add after Fit gave id %d, want %d", tc.hint, id, i)
 			}
 		}
 	}

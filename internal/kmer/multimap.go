@@ -43,6 +43,22 @@ func (t *Multimap[V]) Reset(keys, vals int) {
 	t.reused = true
 }
 
+// RowsOver starts a table over set, an existing, complete set whose
+// ids are the rows' order, without copying or rehashing it: Push
+// appends a value to the open row and EndRow closes it as the next
+// id's, so after set.Len() EndRows the table reads like a frozen one.
+// A key's row may be empty. The set is shared: it must not change
+// while the table is in use. vals reserves the value buffer.
+func RowsOver[V any](set *FlatSet, vals int) *Multimap[V] {
+	return &Multimap[V]{set: set, starts: make([]int32, 1, set.Len()+1), vals: make([]V, 0, vals)}
+}
+
+// Push appends v to the open row of a RowsOver table.
+func (t *Multimap[V]) Push(v V) { t.vals = append(t.vals, v) }
+
+// EndRow closes the open row of a RowsOver table as the next id's.
+func (t *Multimap[V]) EndRow() { t.starts = append(t.starts, int32(len(t.vals))) }
+
 // Key interns m and returns its dense id. Build phase only.
 func (t *Multimap[V]) Key(m Kmer) int32 { return t.set.Add(m) }
 

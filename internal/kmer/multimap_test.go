@@ -145,3 +145,64 @@ func FuzzMultimap(f *testing.F) {
 		checkMultimap(t, tab, &ref, probe, 8)
 	})
 }
+
+// TestRowsOverMatchesBuild appends rows in id order over an existing
+// set — empty rows, the all-A k-mer and sets that grew past their hint
+// included — and checks the table against a Multimap built by Add from
+// the same pairs: equal rows for every key (empty where the build has
+// none), nil for absent keys, Values in id order, and MemBytes charging
+// the shared set once.
+func TestRowsOverMatchesBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 20; trial++ {
+		set := NewFlatSet(rng.Intn(50))
+		n := rng.Intn(300)
+		for set.Len() < n {
+			set.Add(Kmer(rng.Intn(4 * n)))
+		}
+		keys := make([]Kmer, set.Len())
+		set.ForEach(func(m Kmer, id int32) { keys[id] = m })
+		rows := make([][]uint64, len(keys))
+		built := NewMultimap[uint64](0, 0)
+		var all []uint64
+		for id, m := range keys {
+			for j := rng.Intn(4) - 1; j >= 0; j-- { // a quarter of the rows stay empty
+				v := rng.Uint64()
+				rows[id] = append(rows[id], v)
+				built.Add(m, v)
+			}
+			all = append(all, rows[id]...)
+		}
+		built.Freeze()
+		tab := RowsOver[uint64](set, len(all))
+		for _, row := range rows {
+			for _, v := range row {
+				tab.Push(v)
+			}
+			tab.EndRow()
+		}
+		if tab.Len() != len(keys) {
+			t.Fatalf("trial %d: Len = %d, want %d", trial, tab.Len(), len(keys))
+		}
+		for id, m := range keys {
+			got := tab.Row(m)
+			if got == nil || len(got) != len(rows[id]) || (len(got) > 0 && !reflect.DeepEqual(got, rows[id])) {
+				t.Fatalf("trial %d: Row(%v) = %v, want %v", trial, m, got, rows[id])
+			}
+			if want := built.Row(m); len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: Row(%v) = %v, the build's %v", trial, m, got, want)
+			}
+		}
+		for i := 0; i < 50; i++ {
+			if m := Kmer(4*n + rng.Intn(1000)); tab.Row(m) != nil {
+				t.Fatalf("trial %d: Row(%v) = %v for an absent key", trial, m, tab.Row(m))
+			}
+		}
+		if got := tab.Values(); len(got) != len(all) || (len(all) > 0 && !reflect.DeepEqual(got, all)) {
+			t.Fatalf("trial %d: Values = %v, want %v", trial, got, all)
+		}
+		if got, want := tab.MemBytes(), set.MemBytes()+4*int64(len(keys)+1)+8*int64(len(all)); got != want {
+			t.Fatalf("trial %d: MemBytes = %d, want %d", trial, got, want)
+		}
+	}
+}

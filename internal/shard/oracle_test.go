@@ -72,5 +72,5 @@ func batchOf(queries [][]kmer.Kmer) *Batch {
 func roundFrames(c *mpi.Comm, queries [][]kmer.Kmer, answer func(kmer.Kmer, []byte) []byte) ([][][]byte, error) {
 	b := batchOf(queries)
 	err := Round(c, b, answer)
-	return b.Bodies, err
+	return frames(b), err
 }

@@ -101,7 +101,7 @@ func (a *AsyncRound) Start(tile int, b *Batch) {
 // Wait completes a started tile: it collects the peers' query
 // segments, serves them through the answer callback, exchanges the
 // framed replies, and decodes them into the batch Start got —
-// b.Bodies[d][i] is the answer to b.Queries[d][i], nil when it was lost
+// b.Body(i) is the answer to the batch's query i, nil when it was lost
 // (dead owner, dropped segment, timeout). stats meters the exact
 // addressed wire bytes this tile moved from this rank's perspective
 // (query + reply legs, sends and receives; self-answers move none).
@@ -168,21 +168,21 @@ func (a *AsyncRound) Wait(tile int) (stats mpi.Stats, err error) {
 			for _, m := range b.Queries[d] {
 				b.self = appendFrame(b.self, m, a.answer, &a.scratch)
 			}
-			if ferr := decodeInto(b.self, b.Bodies[d]); ferr != nil && decErr == nil {
+			if ferr := b.decode(d, b.self); ferr != nil && decErr == nil {
 				decErr = fmt.Errorf("shard: self reply: %w", ferr)
 			}
 			continue
 		}
 		data, err := rrecv[d].TryWait(0)
 		if err != nil {
-			clear(b.Bodies[d])
+			b.drop(d)
 			if faultErr == nil {
 				faultErr = err
 			}
 			continue
 		}
 		t.stats.BytesRecv += int64(len(data))
-		if ferr := decodeInto(data, b.Bodies[d]); ferr != nil && decErr == nil {
+		if ferr := b.decode(d, data); ferr != nil && decErr == nil {
 			decErr = fmt.Errorf("shard: reply from rank %d: %w", d, ferr)
 		}
 	}

@@ -79,7 +79,7 @@ func TestAsyncRoundMatchesRound(t *testing.T) {
 				wire += stats.BytesSent + stats.BytesRecv
 			}
 			for tt := 0; tt < tiles; tt++ {
-				got := batches[tt].Bodies
+				got := frames(batches[tt])
 				want, err := roundFrames(c, tileQueries[tt], tableAnswer(store))
 				if err != nil {
 					t.Errorf("ranks=%d rank=%d tile=%d reference: %v", ranks, c.Rank(), tt, err)
@@ -147,7 +147,7 @@ func TestAsyncRoundOwnerDeath(t *testing.T) {
 			b := batchOf(queries)
 			ar.Start(tt, b)
 			_, err := ar.Wait(tt)
-			got := b.Bodies
+			got := frames(b)
 			if err != nil {
 				if _, ok := mpi.AsFault(err); !ok {
 					t.Errorf("rank %d tile %d: non-fault error %v", c.Rank(), tt, err)

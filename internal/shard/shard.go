@@ -1,7 +1,7 @@
 // Package shard distributes the pipeline's k-mer lookup state across
 // MPI ranks as a HipMer-style distributed hash table: k-mer space is
 // partitioned by kmer.OwnerRank, each rank holds only its shard of the
-// count/occurrence/weld tables in frozen flat stores, and lookups that
+// count/occurrence/weld tables, and lookups that
 // land on a remote shard are batched into aggregated exchange rounds
 // over the pairwise Alltoallv instead of being replicated everywhere.
 //
@@ -70,34 +70,42 @@ func AppendKmers(dst []byte, ms []kmer.Kmer) []byte {
 }
 
 // Batch is one lookup round's caller-owned state: the queries routed to
-// their owners in one owner-major array, and the table their answers
-// decode into. Route refills it in place, so a batch reused round after
-// round allocates only when a round outgrows every earlier one. A batch
-// must not be reused while the bodies of its last round are still
-// needed: they alias its buffers.
+// their owners in one owner-major array, and where each one's answer
+// sits in the reply blobs. Route refills it in place, so a batch reused
+// round after round allocates only when a round outgrows every earlier
+// one. A batch must not be reused while the bodies of its last round
+// are still needed: they alias its buffers and its reply blobs.
 type Batch struct {
-	// Queries[d] are the k-mers addressed to rank d, and Bodies[d][i] is
-	// the answer to Queries[d][i]: non-nil (possibly empty) once it
-	// arrived, nil while it is lost. Each is a set of sub-slices of one
+	// Queries[d] are the k-mers addressed to rank d: sub-slices of one
 	// owner-major array.
 	Queries [][]kmer.Kmer
-	Bodies  [][][]byte
 	slot    []int32 // slot[i]: where query i of the last Route sits in flat
 	flat    []kmer.Kmer
-	table   [][]byte
-	split   []int  // owner d's queries are flat[split[d]:split[d+1]]
-	self    []byte // this rank's answers to its own queries, framed
+	// at[p] locates flat[p]'s answer frame: its offset in the reply blob
+	// of flat[p]'s owner, lost while it is -1, and -2-o for a frame at o
+	// in late (an answer a later round fetched).
+	at    []int32
+	split []int    // owner d's queries are flat[split[d]:split[d+1]]
+	blobs [][]byte // blobs[d]: the reply blob owner d's frames sit in
+	late  []byte   // frames SetBody recorded
+	self  []byte   // this rank's answers to its own queries, framed
 }
+
+// lost marks a query whose answer has not arrived.
+const lost = -1
 
 // Route addresses queries to the ranks owner names, in [0, size), with
 // one counting pass: rank d's sub-slice keeps the queries' order, and
-// every body starts out nil.
+// every answer starts out lost.
 func (b *Batch) Route(size int, queries []kmer.Kmer, owner func(kmer.Kmer) int) {
 	n := len(queries)
 	b.slot = slices.Grow(b.slot[:0], n)[:n]
 	b.flat = slices.Grow(b.flat[:0], n)[:n]
-	b.table = slices.Grow(b.table[:0], n)[:n]
-	clear(b.table)
+	b.at = slices.Grow(b.at[:0], n)[:n]
+	for i := range b.at {
+		b.at[i] = lost
+	}
+	b.late = b.late[:0]
 	b.split = slices.Grow(b.split[:0], size+1)[:size+1]
 	clear(b.split)
 	for i, m := range queries {
@@ -120,21 +128,78 @@ func (b *Batch) Route(size int, queries []kmer.Kmer, owner func(kmer.Kmer) int) 
 	copy(b.split[1:], b.split[:size])
 	b.split[0] = 0
 	b.Queries = slices.Grow(b.Queries[:0], size)[:size]
-	b.Bodies = slices.Grow(b.Bodies[:0], size)[:size]
+	b.blobs = slices.Grow(b.blobs[:0], size)[:size]
+	clear(b.blobs)
 	for d := 0; d < size; d++ {
 		lo, hi := b.split[d], b.split[d+1]
 		b.Queries[d] = b.flat[lo:hi:hi]
-		b.Bodies[d] = b.table[lo:hi:hi]
 	}
 }
 
 // Body returns the answer to query i of the last Route: nil while it
-// is lost.
-func (b *Batch) Body(i int) []byte { return b.table[b.slot[i]] }
+// is lost, non-nil (possibly empty) once it arrived.
+func (b *Batch) Body(i int) []byte {
+	p := int(b.slot[i])
+	o := b.at[p]
+	switch {
+	case o == lost:
+		return nil
+	case o < lost:
+		return frameAt(b.late, int(-2-o))
+	}
+	// Its owner is the last d with split[d] <= p.
+	d, hi := 0, len(b.split)-2
+	for d < hi {
+		if mid := (d + hi + 1) / 2; b.split[mid] <= p {
+			d = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return frameAt(b.blobs[d], int(o))
+}
 
 // SetBody records body as the answer to query i of the last Route — an
-// answer a later round fetched for it.
-func (b *Batch) SetBody(i int, body []byte) { b.table[b.slot[i]] = body }
+// answer a later round fetched for it. A nil body marks it lost.
+func (b *Batch) SetBody(i int, body []byte) {
+	p := b.slot[i]
+	if body == nil {
+		b.at[p] = lost
+		return
+	}
+	b.at[p] = int32(-2 - len(b.late))
+	b.late = binary.AppendUvarint(b.late, uint64(len(body)))
+	b.late = append(b.late, body...)
+}
+
+// Lost counts the queries of the last Route whose answers are lost.
+func (b *Batch) Lost() int {
+	n := 0
+	for _, o := range b.at {
+		if o == lost {
+			n++
+		}
+	}
+	return n
+}
+
+// decode records blob as owner d's reply to its queries (see decodeAt).
+func (b *Batch) decode(d int, blob []byte) error {
+	b.blobs[d] = blob
+	return decodeAt(blob, b.at[b.split[d]:b.split[d+1]])
+}
+
+// drop marks every answer owner d owed as lost: an empty blob decodes
+// that way, without error.
+func (b *Batch) drop(d int) { _ = b.decode(d, nil) }
+
+// frameAt returns the payload of the well-formed frame at offset o of
+// blob: non-nil, since the blob holds at least its length prefix.
+func frameAt(blob []byte, o int) []byte {
+	n, w := binary.Uvarint(blob[o:])
+	o += w
+	return blob[o : o+int(n) : o+int(n)]
+}
 
 // appendAnswers frames answer's reply to every whole 8-byte query word
 // of in onto dst, reading the queries in place; scratch is the reused
@@ -158,8 +223,8 @@ func appendFrame(dst []byte, m kmer.Kmer, answer func(kmer.Kmer, []byte) []byte,
 // path and move no wire bytes); answer encodes this rank's reply to one
 // incoming k-mer by appending the row payload to dst and returning the
 // extended slice. Two pairwise Alltoallv collectives move the batched
-// queries and the uvarint-framed replies, which decode into b.Bodies:
-// non-nil (possibly empty) when an answer arrived and nil when it was
+// queries and the uvarint-framed replies, which decode into b: Body(i)
+// is non-nil (possibly empty) when an answer arrived and nil when it was
 // lost — an owner that died mid-round, a dropped segment, or a dropped
 // contribution all surface as nil bodies for the caller's retry loop to
 // re-request under a freshly agreed owner map.
@@ -197,7 +262,7 @@ func Round(c *mpi.Comm, b *Batch, answer func(m kmer.Kmer, dst []byte) []byte) e
 	}
 	var decErr error
 	for d := 0; d < size; d++ {
-		if ferr := decodeInto(out[d], b.Bodies[d]); ferr != nil && decErr == nil {
+		if ferr := b.decode(d, out[d]); ferr != nil && decErr == nil {
 			decErr = fmt.Errorf("shard: reply from rank %d: %w", d, ferr)
 		}
 	}
@@ -212,35 +277,38 @@ func Round(c *mpi.Comm, b *Batch, answer func(m kmer.Kmer, dst []byte) []byte) e
 	return rerr
 }
 
-// decodeInto splits a reply blob into len(frames) uvarint-framed
-// answers, each aliasing blob. An empty blob is a lost or dropped
-// segment: every frame decodes as nil (the caller's retry loop
+// decodeAt splits a reply blob into len(at) uvarint-framed answers,
+// recording each frame's offset in blob. An empty blob is a lost or
+// dropped segment: every answer is marked lost (the caller's retry loop
 // re-requests them) and there is no error. A non-empty blob must frame
-// exactly len(frames) answers covering the whole payload — anything
-// else is a malformed reply and returns an explicit error, with the
-// frames decoded so far set and the rest nil, instead of silently
+// exactly len(at) answers covering the whole payload — anything else is
+// a malformed reply and returns an explicit error, with the frames
+// decoded so far recorded and the rest lost, instead of silently
 // truncating.
-func decodeInto(blob []byte, frames [][]byte) error {
+func decodeAt(blob []byte, at []int32) error {
 	if len(blob) == 0 {
-		clear(frames)
+		for i := range at {
+			at[i] = lost
+		}
 		return nil
 	}
 	off := 0
-	for i := range frames {
+	for i := range at {
 		n, w := binary.Uvarint(blob[off:])
 		// Replies are framed with AppendUvarint, so a non-minimal length
 		// prefix is corruption too: accepted blobs are exactly the
 		// canonical wire form (decode∘encode is the identity).
 		if w <= 0 || w != uvarintLen(n) || n > uint64(len(blob)) || off+w+int(n) > len(blob) {
-			clear(frames[i:])
-			return fmt.Errorf("malformed frame %d/%d at offset %d of %d-byte blob", i, len(frames), off, len(blob))
+			for j := i; j < len(at); j++ {
+				at[j] = lost
+			}
+			return fmt.Errorf("malformed frame %d/%d at offset %d of %d-byte blob", i, len(at), off, len(blob))
 		}
-		off += w
-		frames[i] = blob[off : off+int(n) : off+int(n)]
-		off += int(n)
+		at[i] = int32(off)
+		off += w + int(n)
 	}
 	if off != len(blob) {
-		return fmt.Errorf("%d trailing bytes after %d frames", len(blob)-off, len(frames))
+		return fmt.Errorf("%d trailing bytes after %d frames", len(blob)-off, len(at))
 	}
 	return nil
 }

@@ -241,8 +241,8 @@ func TestRoundOwnerDeath(t *testing.T) {
 // TestBatchRoute pins the counting-pass router against per-owner
 // appends: each owner's sub-slice keeps the queries' order, Body(i)
 // reads query i's answer from its owner-major position, and a reused
-// batch starts every round with all bodies nil whatever the last round
-// left.
+// batch starts every round with all answers lost whatever the last
+// round left.
 func TestBatchRoute(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var b Batch
@@ -256,26 +256,45 @@ func TestBatchRoute(t *testing.T) {
 			want[o] = append(want[o], queries[i])
 		}
 		b.Route(ranks, queries, func(m kmer.Kmer) int { return kmer.OwnerRank(m, ranks) })
-		if len(b.Queries) != ranks || len(b.Bodies) != ranks {
-			t.Fatalf("round %d: %d query sets, %d body sets, want %d", round, len(b.Queries), len(b.Bodies), ranks)
+		if len(b.Queries) != ranks {
+			t.Fatalf("round %d: %d query sets, want %d", round, len(b.Queries), ranks)
+		}
+		if b.Lost() != n {
+			t.Fatalf("round %d: %d of %d answers lost after Route", round, b.Lost(), n)
 		}
 		for d := range want {
 			if len(want[d])+len(b.Queries[d]) > 0 && !reflect.DeepEqual(b.Queries[d], want[d]) {
 				t.Fatalf("round %d: owner %d got %v, want %v", round, d, b.Queries[d], want[d])
 			}
-			if len(b.Bodies[d]) != len(want[d]) {
-				t.Fatalf("round %d: owner %d has %d bodies for %d queries", round, d, len(b.Bodies[d]), len(want[d]))
+		}
+		for i, m := range queries {
+			if b.Body(i) != nil {
+				t.Fatalf("round %d: body %d not nil after Route", round, i)
 			}
-			for i := range b.Bodies[d] {
-				if b.Bodies[d][i] != nil {
-					t.Fatalf("round %d: owner %d body %d not nil after Route", round, d, i)
+			b.SetBody(i, binary.LittleEndian.AppendUint64(nil, uint64(m)))
+		}
+		for d, fs := range frames(&b) {
+			for j, f := range fs {
+				if binary.LittleEndian.Uint64(f) != uint64(b.Queries[d][j]) {
+					t.Fatalf("round %d: owner %d frame %d answers %x, want %v", round, d, j, f, b.Queries[d][j])
 				}
-				b.Bodies[d][i] = binary.LittleEndian.AppendUint64(nil, uint64(b.Queries[d][i]))
 			}
 		}
 		for i, m := range queries {
 			if got := b.Body(i); binary.LittleEndian.Uint64(got) != uint64(m) {
 				t.Fatalf("round %d: Body(%d) answers %x, want %v", round, i, got, m)
+			}
+		}
+		if b.Lost() != 0 {
+			t.Fatalf("round %d: %d answers lost after SetBody", round, b.Lost())
+		}
+		if n > 0 {
+			// Present and empty is not lost; nil marks it lost again.
+			if b.SetBody(0, []byte{}); b.Body(0) == nil || len(b.Body(0)) != 0 || b.Lost() != 0 {
+				t.Fatalf("round %d: empty answer reads %v, %d lost", round, b.Body(0), b.Lost())
+			}
+			if b.SetBody(0, nil); b.Body(0) != nil || b.Lost() != 1 {
+				t.Fatalf("round %d: nil answer reads %v, %d lost", round, b.Body(0), b.Lost())
 			}
 		}
 	}
