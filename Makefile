@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race stress loc fuzz bench bench-chrysalis bench-kernels bench-pipeline bench-shard bench-seq bench-e2e bench-check lint-ascii lint-maps chain-check verify clean
+.PHONY: build test test-short race stress loc fuzz bench bench-chrysalis bench-kernels bench-pipeline bench-shard bench-seq bench-e2e bench-check fmt-check lint-ascii lint-maps chain-check verify clean
 
 build:
 	$(GO) build ./...
@@ -169,6 +169,18 @@ bench-e2e:
 bench-check: bench-e2e
 	bash bench/run.sh -compare bench/results/baseline.json $(BENCH_E2E_JSON)
 
+# Formatting gate: every Go file outside bench/ (its own module, with
+# its own checks) must be gofmt-clean; gofmt -l names the ones that are
+# not.
+fmt-check:
+	@bad=$$(gofmt -l $$(find . -name '*.go' -not -path './bench/*')); \
+	if [ -n "$$bad" ]; then \
+	  echo "$$bad"; \
+	  echo "fmt-check: not gofmt-clean (run gofmt -w on the files above)"; \
+	  exit 1; \
+	fi
+	@echo "fmt-check: clean"
+
 # ASCII-decode gate for the packed hot paths: sequence payloads in the
 # Chrysalis/Inchworm/Jellyfish/Bowtie packages must stay 2-bit packed —
 # any .Decode()/.AppendDecode materialisation needs an explicit
@@ -216,7 +228,7 @@ chain-check:
 	@rm -rf bin/chain-check
 	@echo "chain-check: stage-by-stage transcripts.fa == bin/trinity's"
 
-verify: build lint-ascii lint-maps chain-check
+verify: build fmt-check lint-ascii lint-maps chain-check
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -bench 'Chrysalis(WithFaultLayer|TraceRecorder)' -benchtime 1x .

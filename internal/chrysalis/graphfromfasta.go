@@ -168,8 +168,9 @@ type GFFResult struct {
 }
 
 // weldLookup is what loop 1's kernel probes: the contig k-mer
-// occurrence index and the read counts — the full frozen table, or a
-// tile replica's count column (only the ASCII kernels run sharded).
+// occurrence index and the read counts — the whole count table's View,
+// or a tile replica's count column (only the ASCII kernels run
+// sharded).
 type weldLookup struct {
 	occs  *kmer.Multimap[occurrence]
 	reads readCounts
@@ -274,13 +275,11 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 			seqs[i] = contigs[i].Seq
 		}
 	}
-	// The replicated loops probe a frozen copy of the read k-mer table,
-	// shared lock-free by every rank goroutine (on a real cluster each
-	// rank holds its own copy anyway; the freeze is not metered, matching
-	// the unmetered jellyfish load it replaces). A sharded run serves its
-	// count shards from readKmers itself, and freezes only if chunk
-	// recovery asks for the full tables.
-	frozenReads := sync.OnceValue(readKmers.Freeze)
+	// The replicated loops probe the read k-mer table in place, as one
+	// owner's view shared lock-free by every rank goroutine (on a real
+	// cluster each rank holds its own copy anyway). A sharded run serves
+	// its count shards from the same table, one view per owner.
+	reads := readKmers.View(1, 0)
 
 	// In a real cluster every rank builds these identical read-only
 	// structures independently; here they are built once and shared,
@@ -292,7 +291,7 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 	source := buildGFFSource(seqs, pseqs, opt.K, readKmers)
 	setupUnits := float64(len(source.keys))
 	look1 := sync.OnceValue(func() weldLookup {
-		return weldLookup{occs: source.occs(0, 0), reads: frozenReads()}
+		return weldLookup{occs: source.occs(0, 0), reads: reads}
 	})
 	look2 := sync.OnceValue(func() pairLookup {
 		if opt.Packed {
@@ -317,7 +316,7 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 		if opt.Packed {
 			sc := packedWeldScratchPool.Get().(*packedWeldScratch)
 			defer packedWeldScratchPool.Put(sc)
-			reads := look.reads.(*jellyfish.Frozen) // packed runs are never sharded (normalize)
+			reads := look.reads.(jellyfish.View) // packed runs are never sharded (normalize)
 			for i := lo; i < hi; i++ {
 				rot := harvestRotation(opt.Seed, i, pseqs[i].Len())
 				ws, u := harvestWeldsPacked(pseqs[i], i, pseqs, look.occs, reads, opt, rot, sc)

@@ -237,7 +237,7 @@ func (f *overlapFetcher) run() ([]TileMeter, error) {
 	var leftPos []framePos
 	for _, st := range deferred {
 		for i, m := range st.queries {
-			if st.batch.Body(i) == nil {
+			if !st.batch.Answered(i) {
 				leftQ = append(leftQ, m)
 				leftPos = append(leftPos, framePos{st, i})
 			}

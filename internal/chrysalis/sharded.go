@@ -14,7 +14,7 @@ import (
 // Sharded k-mer lookup state (GFFOptions.ShardKmers, R2TOptions.ShardKmers).
 //
 // The replicated implementation gives every rank the full lookup
-// tables — the frozen read counts, the contig k-mer occurrence index
+// tables — the whole read-count table, the contig k-mer occurrence index
 // and the pooled weld index in GraphFromFasta, the k-mer→bundle table
 // in ReadsToTranscripts — the paper's own memory ceiling. With
 // sharding, k-mer space is partitioned by kmer.OwnerRank and each rank
@@ -162,22 +162,26 @@ func answerHead(m kmer.Kmer, b []byte, skip int) (v uint64, rest []byte, err err
 // i is query i's answer row (appendRow's encoding, skip bytes into the
 // body), empty where the shards hold none. Shard rows preserve the
 // replicated tables' row order, so every probe of the replica returns
-// exactly what the full table would.
-func decodeRows[V any](set *kmer.FlatSet, queries []kmer.Kmer, b *shard.Batch, skip int, unpack func(uint64) V) (*kmer.Multimap[V], error) {
-	total := 0
+// exactly what the full table would. Each answer body is read once;
+// head, if non-nil, is handed query i's body for the skip bytes before
+// its row. An answer frame is a length byte or more, the skip bytes, a
+// row count byte or more and 8 bytes per value, so the reply bytes
+// bound the values and the value array is allocated once.
+func decodeRows[V any](set *kmer.FlatSet, queries []kmer.Kmer, b *shard.Batch, skip int, unpack func(uint64) V,
+	head func(i int, body []byte)) (*kmer.Multimap[V], error) {
+	t := kmer.RowsOver[V](set, max(0, b.ReplyBytes()-len(queries)*(skip+2))/8)
 	for i, m := range queries {
-		n, rest, err := answerHead(m, b.Body(i), skip)
+		body := b.Body(i)
+		n, rest, err := answerHead(m, body, skip)
 		if err == nil && n > uint64(len(rest))/8 {
 			err = fmt.Errorf("chrysalis: shard row for %v truncated", m)
 		}
 		if err != nil {
 			return nil, err
 		}
-		total += int(n)
-	}
-	t := kmer.RowsOver[V](set, total)
-	for i, m := range queries {
-		n, rest, _ := answerHead(m, b.Body(i), skip)
+		if head != nil {
+			head(i, body)
+		}
 		for o := 0; o < int(n)*8; o += 8 {
 			t.Push(unpack(binary.LittleEndian.Uint64(rest[o:])))
 		}
@@ -398,14 +402,9 @@ func firstAlive(owners []int) int {
 // carry the read count (4 bytes LE) before the occurrence row.
 func loop1Replica(set *kmer.FlatSet, queries []kmer.Kmer, b *shard.Batch) (weldLookup, error) {
 	counts := make([]uint32, len(queries))
-	for i, m := range queries {
-		body := b.Body(i)
-		if len(body) < 4 {
-			return weldLookup{}, fmt.Errorf("chrysalis: shard answer for %v truncated (%d bytes)", m, len(body))
-		}
-		counts[i] = binary.LittleEndian.Uint32(body)
-	}
-	occs, err := decodeRows(set, queries, b, 4, unpackOcc)
+	occs, err := decodeRows(set, queries, b, 4, unpackOcc, func(i int, body []byte) {
+		counts[i] = binary.LittleEndian.Uint32(body) // answerHead checked the body is longer than 4 bytes
+	})
 	if err != nil {
 		return weldLookup{}, err
 	}
@@ -417,7 +416,7 @@ func loop1Replica(set *kmer.FlatSet, queries []kmer.Kmer, b *shard.Batch) (weldL
 // (identical on every rank) and materialises reverse complements only
 // for the welds its rows actually reference in RC orientation.
 func loop2Replica(pooled []string, k int, set *kmer.FlatSet, queries []kmer.Kmer, b *shard.Batch) (*weldIndex[string], error) {
-	refs, err := decodeRows(set, queries, b, 0, unpackRef)
+	refs, err := decodeRows(set, queries, b, 0, unpackRef, nil)
 	if err != nil {
 		return nil, err
 	}

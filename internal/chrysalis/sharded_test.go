@@ -1,10 +1,13 @@
 package chrysalis
 
 import (
+	"encoding/binary"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"gotrinity/internal/kmer"
 	"gotrinity/internal/mpi"
 )
 
@@ -299,4 +302,47 @@ func BenchmarkShardedFetch(b *testing.B) {
 	}
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(queries), "B/query")
+}
+
+// TestLoop1ReplicaDecodesOnce pins loop 1's tile replica against the
+// answers it decodes: each query's read count and occurrence row,
+// empty rows and rows long enough for a two-byte row count included,
+// and a value array sized once from the batch's reply bytes, never
+// grown.
+func TestLoop1ReplicaDecodesOnce(t *testing.T) {
+	set := kmer.NewFlatSet(0)
+	var queries []kmer.Kmer
+	var rows [][]occurrence
+	var bodies [][]byte
+	for i, n := range []int{0, 1, 3, 0, 200, 2, 127, 128} {
+		m := kmer.Kmer(1000 + i)
+		set.Add(m)
+		queries = append(queries, m)
+		row := make([]occurrence, n)
+		for j := range row {
+			row[j] = occurrence{contig: int32(i), pos: int32(j)}
+		}
+		rows = append(rows, row)
+		bodies = append(bodies, appendRow(binary.LittleEndian.AppendUint32(nil, uint32(7*i)), row, packOcc))
+	}
+	look, err := loop1Replica(set, queries, batchOf(queries, bodies))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range queries {
+		if got := look.reads.Get(m); got != uint32(7*i) {
+			t.Errorf("query %d: count %d, want %d", i, got, 7*i)
+		}
+		if got := look.occs.Row(m); !slices.Equal(got, rows[i]) {
+			t.Errorf("query %d: row of %d, want %d", i, len(got), len(rows[i]))
+		}
+	}
+	// Long bodies and rows take a second length byte: the bound
+	// over-reserves by a byte for each, less than a value here.
+	if vals := look.occs.Values(); cap(vals) != len(vals) {
+		t.Errorf("value array: %d values in a capacity of %d", len(vals), cap(vals))
+	}
+	if _, err := loop1Replica(set, queries, batchOf(queries, append(slices.Clone(bodies[:7]), []byte{1, 2, 3, 4}))); err == nil {
+		t.Error("a body without its row count decoded")
+	}
 }

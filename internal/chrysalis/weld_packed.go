@@ -161,7 +161,7 @@ func (sc *packedWeldScratch) dedupAddPacked(w seq.Packed, idx int32) {
 
 // weldSupportPacked is weldSupport over a packed window expressed as a
 // contig range: identical probe sequence and probe count.
-func weldSupportPacked(contig seq.Packed, lo, hi, k int, reads *jellyfish.Frozen, minSupport int) (bool, int64) {
+func weldSupportPacked(contig seq.Packed, lo, hi, k int, reads jellyfish.View, minSupport int) (bool, int64) {
 	var probes int64
 	it := kmer.NewPackedRangeIterator(contig, k, lo, hi)
 	for {
@@ -184,7 +184,7 @@ func weldSupportPacked(contig seq.Packed, lo, hi, k int, reads *jellyfish.Frozen
 // support gate, and per-contig cap as harvestWelds, with identical
 // unit accounting. Emitted welds are fresh packed values (results, not
 // scratch).
-func harvestWeldsPacked(contig seq.Packed, ci int, contigs []seq.Packed, ix *kmer.Multimap[occurrence], reads *jellyfish.Frozen,
+func harvestWeldsPacked(contig seq.Packed, ci int, contigs []seq.Packed, ix *kmer.Multimap[occurrence], reads jellyfish.View,
 	opt GFFOptions, rot int, sc *packedWeldScratch) ([]seq.Packed, float64) {
 	k := opt.K
 	flank := k / 2

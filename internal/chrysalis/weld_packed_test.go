@@ -162,7 +162,7 @@ func TestHarvestWeldsPackedDifferential(t *testing.T) {
 	for i := range seqs {
 		rot := harvestRotation(3, i, len(seqs[i]))
 		want, wu := harvestWelds(seqs[i], i, seqs, ix, frozen, opt, rot, asc)
-		got, gu := harvestWeldsPacked(pseqs[i], i, pseqs, pix, frozen, opt, rot, psc)
+		got, gu := harvestWeldsPacked(pseqs[i], i, pseqs, pix, frozen.View, opt, rot, psc)
 		if wu != gu {
 			t.Errorf("contig %d: units %v vs %v", i, gu, wu)
 		}
@@ -257,11 +257,11 @@ func TestPackedWeldKernelAllocs(t *testing.T) {
 	sc := new(packedWeldScratch)
 	// Warm up: grows every scratch buffer to steady state.
 	for i := range contigs {
-		harvestWeldsPacked(contigs[i], i, contigs, pix, frozen, opt, 0, sc)
+		harvestWeldsPacked(contigs[i], i, contigs, pix, frozen.View, opt, 0, sc)
 	}
 	if avg := testing.AllocsPerRun(20, func() {
 		for i := range contigs {
-			harvestWeldsPacked(contigs[i], i, contigs, pix, frozen, opt, 0, sc)
+			harvestWeldsPacked(contigs[i], i, contigs, pix, frozen.View, opt, 0, sc)
 		}
 	}); avg > 0 {
 		t.Errorf("harvestWeldsPacked allocates %.1f per sweep; want 0", avg)

@@ -120,7 +120,8 @@ func runJellyfish(p *pipeline) (err error) {
 // dump's entries when it was read back, else the count table's. From
 // the table it takes only the entries Inchworm's error filter keeps —
 // the filter's effective threshold, so a MinKmerCount of 1 still keeps
-// singletons — and reports every distinct k-mer as offered.
+// singletons — unsorted, since Inchworm sorts its seeds itself, and
+// reports every distinct k-mer as offered.
 func runInchworm(p *pipeline) error {
 	entries := p.entries
 	p.entries = nil
@@ -133,7 +134,7 @@ func runInchworm(p *pipeline) error {
 		if minCount <= 0 {
 			minCount = 2 // inchworm.Options' default
 		}
-		entries, offered = p.table.Entries(minCount), p.table.Distinct()
+		entries, offered = p.table.Kept(minCount), p.table.Distinct()
 	}
 	contigs, st, err := inchworm.Run(entries, inchworm.Options{
 		K:            p.cfg.K,

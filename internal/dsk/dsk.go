@@ -274,7 +274,7 @@ func countPartition(f *os.File, counts *kmer.Counter, buf []byte) ([]jellyfish.E
 		}
 	}
 	entries := make([]jellyfish.Entry, 0, counts.Len())
-	counts.ForEach(func(m kmer.Kmer, c uint32) {
+	counts.ForEach(func(m kmer.Kmer, _ int32, c uint32) {
 		entries = append(entries, jellyfish.Entry{Kmer: m, Count: c})
 	})
 	return entries, nil

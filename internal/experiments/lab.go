@@ -179,8 +179,7 @@ func (l *Lab) calibrateR2T(p *prepared, comps []chrysalis.Component) (cluster.Co
 
 // inchwormContigs runs Inchworm over a dictionary.
 func inchwormContigs(table *jellyfish.CountTable, k int) ([]seq.Record, int64, error) {
-	entries := table.Entries(1)
-	contigs, st, err := inchwormRun(entries, k)
+	contigs, st, err := inchwormRun(table.Kept(1), k)
 	return contigs, st.ExtensionOps, err
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"gotrinity/internal/jellyfish"
 	"gotrinity/internal/kmer"
-	"gotrinity/internal/omp"
 	"gotrinity/internal/seq"
 )
 
@@ -19,7 +18,6 @@ type Options struct {
 	K            int // k-mer length, must match the dictionary
 	MinKmerCount int // error filter: drop k-mers rarer than this (default 2)
 	MinContigLen int // shortest contig to report (default 2k-1, one join)
-	Threads      int // dictionary construction threads (default 1; §II-A's OpenMP hash build)
 }
 
 func (o *Options) normalize() error {
@@ -74,41 +72,21 @@ func (e *DuplicateKmerError) Error() string {
 		e.Kmer.Decode(e.K), e.Counts[0], e.Counts[1]) // ascii-ok: error text
 }
 
-// New builds an assembler from a Jellyfish dictionary. Entries below
-// MinKmerCount are discarded ("removing likely error-containing
-// k-mers"), and the rest are sorted in decreasing order of abundance.
+// New builds an assembler from a Jellyfish dictionary, taking
+// ownership of entries: entries below MinKmerCount are discarded
+// ("removing likely error-containing k-mers") and the rest sorted in
+// decreasing order of abundance, both in place, so the dictionary is
+// never copied. The k-mers are unique, so the seed order — and the
+// assembly — is the same whatever order the entries arrive in.
 func New(entries []jellyfish.Entry, opt Options) (*Assembler, error) {
 	if err := opt.normalize(); err != nil {
 		return nil, err
 	}
-	a := &Assembler{opt: opt}
+	a := &Assembler{opt: opt, seeds: entries[:0]}
 	a.stats.KmersIn = len(entries)
-	if opt.Threads > 1 {
-		// Threaded hash construction, as the original Inchworm builds
-		// its "hash table object ... using multiple OpenMP threads":
-		// per-thread filtered partitions merged afterwards.
-		parts := make([][]jellyfish.Entry, opt.Threads)
-		omp.ParallelFor(len(entries), opt.Threads, omp.Schedule{Kind: omp.Static},
-			func(i, tid int) {
-				if int(entries[i].Count) >= opt.MinKmerCount {
-					parts[tid] = append(parts[tid], entries[i])
-				}
-			})
-		for _, part := range parts {
-			a.seeds = append(a.seeds, part...)
-		}
-	} else {
-		kept := 0
-		for _, e := range entries {
-			if int(e.Count) >= opt.MinKmerCount {
-				kept++
-			}
-		}
-		a.seeds = make([]jellyfish.Entry, 0, kept)
-		for _, e := range entries {
-			if int(e.Count) >= opt.MinKmerCount {
-				a.seeds = append(a.seeds, e)
-			}
+	for _, e := range entries {
+		if int(e.Count) >= opt.MinKmerCount {
+			a.seeds = append(a.seeds, e)
 		}
 	}
 	a.stats.KmersKept = len(a.seeds)
@@ -212,7 +190,8 @@ func (a *Assembler) bestExtension(cur kmer.Kmer, fwd bool) (kmer.Kmer, byte, boo
 	return bestK, bestBase, true
 }
 
-// Run is the full Inchworm stage: count dictionary in, contigs out.
+// Run is the full Inchworm stage: count dictionary in, contigs out. It
+// takes ownership of entries, as New does.
 func Run(entries []jellyfish.Entry, opt Options) ([]seq.Record, Stats, error) {
 	a, err := New(entries, opt)
 	if err != nil {

@@ -2,6 +2,8 @@ package inchworm
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -194,25 +196,32 @@ func min(a, b int) int {
 	return b
 }
 
-// Threaded dictionary construction must produce the same assembly as
-// serial construction.
-func TestThreadedConstructionMatchesSerial(t *testing.T) {
+// The dictionary's order does not matter: entries given k-mer-sorted
+// (Entries), abundance-sorted (a dump read back), as the count table
+// lists them unsorted (Kept) or shuffled assemble to identical contigs and
+// Stats, since New sorts the unique k-mers itself.
+func TestEntryOrderIndependent(t *testing.T) {
 	d := rnaseq.Generate(rnaseq.Tiny(77))
-	dict := dictFromReads(t, d.Reads, 21)
-	serial, _, err := Run(dict, Options{K: 21})
+	table, err := jellyfish.Count(d.Reads, jellyfish.Options{K: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
-	threaded, _, err := Run(dict, Options{K: 21, Threads: 8})
-	if err != nil {
-		t.Fatal(err)
+	byKmer := table.Entries(1)
+	byAbundance := slices.Clone(byKmer)
+	jellyfish.SortByAbundance(byAbundance)
+	shuffled := slices.Clone(byKmer)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	want, wantStats, err := Run(slices.Clone(byKmer), Options{K: 21})
+	if err != nil || len(want) == 0 {
+		t.Fatalf("%d contigs, err %v", len(want), err)
 	}
-	if len(serial) != len(threaded) {
-		t.Fatalf("serial %d vs threaded %d contigs", len(serial), len(threaded))
-	}
-	for i := range serial {
-		if string(serial[i].Seq) != string(threaded[i].Seq) {
-			t.Fatalf("contig %d differs", i)
+	for name, dict := range map[string][]jellyfish.Entry{"by abundance": byAbundance, "unsorted": table.Kept(1), "shuffled": shuffled} {
+		got, gotStats, err := Run(dict, Options{K: 21})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotStats != wantStats || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %d contigs, stats %+v; k-mer order gave %d, %+v", name, len(got), gotStats, len(want), wantStats)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -154,9 +155,9 @@ func TestRunMatchesMapOracle(t *testing.T) {
 			byAbundance := append([]jellyfish.Entry(nil), byKmer...)
 			jellyfish.SortByAbundance(byAbundance) // the order a dump is loaded in
 			for _, dict := range [][]jellyfish.Entry{byKmer, byAbundance} {
-				for _, opt := range []Options{{K: k}, {K: k, MinKmerCount: 1, MinContigLen: 1}, {K: k, MinKmerCount: 3, Threads: 4}} {
+				for _, opt := range []Options{{K: k}, {K: k, MinKmerCount: 1, MinContigLen: 1}, {K: k, MinKmerCount: 3}} {
 					want, wantStats := mapRun(dict, opt)
-					got, gotStats, err := Run(dict, opt)
+					got, gotStats, err := Run(slices.Clone(dict), opt) // Run sorts its entries in place
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -9,10 +9,11 @@ import (
 	"gotrinity/internal/seq"
 )
 
-// TestFreezeDifferential pins the frozen flat table against the live
-// sharded table it snapshots: every counted k-mer and a spray of
-// absent ones must Get identical counts, stranded and canonical, on
-// randomized reads that include ambiguous bases and empty sequences.
+// TestFreezeDifferential pins the table's read handle against the
+// locked table it reads: every counted k-mer and a spray of absent ones
+// must Get identical counts, stranded and canonical, on randomized
+// reads that include ambiguous bases and empty sequences, and the
+// handle must charge exactly the table.
 func TestFreezeDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
@@ -31,14 +32,8 @@ func TestFreezeDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := table.Freeze()
-		if f.K != k {
-			t.Fatalf("trial %d: frozen K = %d, want %d", trial, f.K, k)
-		}
-		if f.Distinct() != table.Distinct() {
-			t.Fatalf("trial %d: Distinct %d vs %d", trial, f.Distinct(), table.Distinct())
-		}
-		if f.Total() != table.Total() {
-			t.Fatalf("trial %d: Total %d vs %d", trial, f.Total(), table.Total())
+		if f.MemBytes() != table.MemBytes() {
+			t.Fatalf("trial %d: frozen MemBytes %d, want the table's %d", trial, f.MemBytes(), table.MemBytes())
 		}
 		for _, e := range table.Entries(1) {
 			if got := f.Get(e.Kmer); got != e.Count {
@@ -55,60 +50,113 @@ func TestFreezeDifferential(t *testing.T) {
 }
 
 func TestFreezeEmptyTable(t *testing.T) {
-	f := NewCountTable(21, 4).Freeze()
-	if f.Distinct() != 0 || f.Total() != 0 {
-		t.Fatalf("empty freeze: distinct=%d total=%d", f.Distinct(), f.Total())
-	}
-	if got := f.Get(12345); got != 0 {
+	table := NewCountTable(21, 4)
+	f := table.Freeze()
+	if got := f.Get(12345); got != 0 || f.Get(0) != 0 {
 		t.Fatalf("empty freeze Get = %d", got)
+	}
+	if f.MemBytes() != table.MemBytes() {
+		t.Fatalf("empty freeze charged %d, table holds %d", f.MemBytes(), table.MemBytes())
 	}
 }
 
-// BenchmarkCountTableGet compares the loop-1 probe cost of the sharded
-// mutex-guarded table against its frozen flat snapshot, with all cores
-// probing concurrently — the access pattern of weldSupport under the
-// hybrid rank goroutines. The working set is sized cache-resident so
-// the benchmark isolates per-probe structural overhead (lock + map
-// traversal vs one hash + one interleaved-slot load) rather than DRAM
-// latency, mirroring weldSupport's hot-window locality: consecutive
-// weld candidates re-probe overlapping window k-mers. This is the ≥5x
-// acceptance benchmark of the zero-allocation kernel PR;
-// `make bench-kernels` snapshots it into BENCH_kernels.json.
+// TestFreezeCopiesNothing: Freeze is a handle over the table, so its
+// allocation does not grow with the table.
+func TestFreezeCopiesNothing(t *testing.T) {
+	table, err := CountPacked(seq.PackRecords(deepShaped()[:2000]), Options{K: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink *Frozen
+	allocs := testing.AllocsPerRun(20, func() { sink = table.Freeze() })
+	bytes := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink = table.Freeze()
+		}
+	}).AllocedBytesPerOp()
+	if allocs > 1 || bytes > 64 {
+		t.Errorf("Freeze of a %d-k-mer table: %v allocations, %d bytes", table.Distinct(), allocs, bytes)
+	}
+	_ = sink
+}
+
+// BenchmarkCountTableGet times the count probe twice over.
+//
+// The sharded and frozen rows compare the locked table against the
+// lock-free read handle (Freeze) with all cores probing at once — the
+// access pattern of weldSupport under the hybrid rank goroutines — on
+// a cache-resident table, so they isolate per-probe structural cost
+// (lock plus probe against one hash and one slot load) rather than
+// DRAM latency.
+//
+// The wide rows time weld support's probe — each k-mer of a sequence
+// and its reverse complement, in sequence order — on one core against
+// a wide-sized table (~470 k distinct 25-mers) whose working set is
+// not cache-resident: the table read in place (Freeze, what
+// GraphFromFasta probes), the flat copy Freeze used to make (kept as
+// the oracle frozenCopy), and the locked table. The sequences are the
+// isoforms the reads were drawn from, standing in for the contigs that
+// assemble them.
+//
+// `make bench-kernels` snapshots both into BENCH_kernels.json.
 func BenchmarkCountTableGet(b *testing.B) {
-	const k = 21
+	const smallK = 21
 	rng := rand.New(rand.NewSource(3))
-	table := NewCountTable(k, 64)
+	small := NewCountTable(smallK, 64)
 	probes := make([]kmer.Kmer, 1<<12)
 	for i := range probes {
-		m := kmer.Kmer(rng.Uint64() & ((1 << (2 * k)) - 1))
+		m := kmer.Kmer(rng.Uint64() & ((1 << (2 * smallK)) - 1))
 		probes[i] = m
 		if i%2 == 0 { // half the probes hit, half miss
-			table.Add(m, uint32(1+rng.Intn(100)))
+			small.Add(m, uint32(1+rng.Intn(100)))
 		}
 	}
-	frozen := table.Freeze()
-	b.Run("sharded", func(b *testing.B) {
-		b.RunParallel(func(pb *testing.PB) {
+	parallel := func(get func(kmer.Kmer) uint32) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.RunParallel(func(pb *testing.PB) {
+				var sink uint32
+				i := 0
+				for pb.Next() {
+					sink += get(probes[i&(len(probes)-1)])
+					i++
+				}
+				_ = sink
+			})
+		}
+	}
+	b.Run("sharded", parallel(small.Get))
+	b.Run("frozen", parallel(small.Freeze().Get))
+
+	const k = 25
+	d := wideShaped()
+	table, err := CountPacked(seq.PackRecords(d.Reads), Options{K: k})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var wide []kmer.Kmer
+	for _, tx := range d.Reference {
+		it := kmer.NewIterator(tx.Seq, k)
+		for m, _, ok := it.Next(); ok; m, _, ok = it.Next() {
+			wide = append(wide, m, m.ReverseComplement(k))
+		}
+	}
+	b.Logf("wide: %d distinct k-mers, %d probes", table.Distinct(), len(wide))
+	inOrder := func(get func(kmer.Kmer) uint32) func(b *testing.B) {
+		return func(b *testing.B) {
 			var sink uint32
-			i := 0
-			for pb.Next() {
-				sink += table.Get(probes[i&(len(probes)-1)])
-				i++
+			for i := 0; i < b.N; i++ {
+				for _, m := range wide {
+					sink += get(m)
+				}
 			}
-			_ = sink
-		})
-	})
-	b.Run("frozen", func(b *testing.B) {
-		b.RunParallel(func(pb *testing.PB) {
-			var sink uint32
-			i := 0
-			for pb.Next() {
-				sink += frozen.Get(probes[i&(len(probes)-1)])
-				i++
-			}
-			_ = sink
-		})
-	})
+			benchSink += int(sink)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(wide)), "ns/probe")
+		}
+	}
+	b.Run("wide/in-place", inOrder(table.Freeze().Get))
+	b.Run("wide/frozen-copy", inOrder(newFrozenCopy(table).get))
+	b.Run("wide/locked", inOrder(table.Get))
 }
 
 // TestViewShardsMatchGet pins the count shards the sharded Chrysalis
@@ -141,6 +189,10 @@ func TestViewShardsMatchGet(t *testing.T) {
 		{"CountPacked", counted},
 		{"FromEntries", FromEntries(k, entries)},
 	} {
+		frozen := tc.table.Freeze()
+		if frozen.MemBytes() != tc.table.MemBytes() {
+			t.Errorf("%s: Freeze charged %d, the table holds %d", tc.name, frozen.MemBytes(), tc.table.MemBytes())
+		}
 		for _, ranks := range []int{1, 2, 3, 4, 5, 8} {
 			views := make([]View, ranks)
 			var sum int64
@@ -156,14 +208,14 @@ func TestViewShardsMatchGet(t *testing.T) {
 				t.Errorf("%s ranks=%d: views charged %d in all, table holds %d", tc.name, ranks, sum, tc.table.MemBytes())
 			}
 			for _, e := range entries {
-				if got := views[kmer.OwnerRank(e.Kmer, ranks)].Get(e.Kmer); got != tc.table.Get(e.Kmer) || got != e.Count {
+				if got := views[kmer.OwnerRank(e.Kmer, ranks)].Get(e.Kmer); got != tc.table.Get(e.Kmer) || got != e.Count || frozen.Get(e.Kmer) != got {
 					t.Fatalf("%s ranks=%d: owner's view counts %v as %d, Get %d", tc.name, ranks, e.Kmer, got, tc.table.Get(e.Kmer))
 				}
 			}
 			for i := 0; i < 200; i++ {
 				m := kmer.Kmer(rng.Uint64() & (1<<(2*k) - 1))
-				if got, want := views[kmer.OwnerRank(m, ranks)].Get(m), tc.table.Get(m); got != want {
-					t.Fatalf("%s ranks=%d: owner's view counts %v as %d, Get %d", tc.name, ranks, m, got, want)
+				if got, want := views[kmer.OwnerRank(m, ranks)].Get(m), tc.table.Get(m); got != want || frozen.Get(m) != want {
+					t.Fatalf("%s ranks=%d: owner's view counts %v as %d, Freeze %d, Get %d", tc.name, ranks, m, got, frozen.Get(m), want)
 				}
 			}
 		}

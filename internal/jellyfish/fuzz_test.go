@@ -80,9 +80,17 @@ func FuzzCountTable(f *testing.F) {
 				}
 			}
 			frozen := tb.Freeze()
+			ranks := 1 + int(k)%5
 			for m, c := range ref.m {
-				if tb.Get(m) != c || frozen.Get(m) != c {
-					t.Fatalf("%s: Get(%v) = %d, frozen %d, map %d", name, m, tb.Get(m), frozen.Get(m), c)
+				view := tb.View(ranks, kmer.OwnerRank(m, ranks))
+				if tb.Get(m) != c || frozen.Get(m) != c || view.Get(m) != c {
+					t.Fatalf("%s: Get(%v) = %d, frozen %d, owner's view of %d %d, map %d",
+						name, m, tb.Get(m), frozen.Get(m), ranks, view.Get(m), c)
+				}
+			}
+			for _, m := range []kmer.Kmer{0, 1 << 30} { // absent unless the stream added them
+				if tb.Get(m) != ref.m[m] || frozen.Get(m) != ref.m[m] || tb.View(ranks, kmer.OwnerRank(m, ranks)).Get(m) != ref.m[m] {
+					t.Fatalf("%s: Get, Freeze and View disagree on %v", name, m)
 				}
 			}
 			var got, want bytes.Buffer

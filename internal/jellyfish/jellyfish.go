@@ -59,9 +59,10 @@ func nextPow2(n int) int {
 }
 
 // CountTable holds k-mer counts in hash partitions, each a flat
-// kmer.Counter (dense ids + a count array) behind its own lock. Bulk
-// counting never takes a lock per k-mer: countWith applies whole
-// batches to a partition (DESIGN.md §8, "the k-mer spine").
+// kmer.Counter behind its own lock. Bulk counting never takes a lock
+// per k-mer: countWith applies whole batches to a partition (DESIGN.md
+// §8, "the k-mer spine"). A finished table is read in place, through
+// View and Freeze: no reader copies it.
 type CountTable struct {
 	K     int
 	parts []partition
@@ -87,33 +88,35 @@ func NewCountTable(k, shards int) *CountTable {
 	return t
 }
 
-// part returns m's partition. It takes the hash's top bits because
-// FlatSet probes from the low bits of the same hash: low-bit partitions
-// would leave every k-mer of a partition sharing its home slots' low
-// bits.
-func (t *CountTable) part(m kmer.Kmer) *partition {
-	return &t.parts[m.Hash()>>t.shift]
+// part returns the partition of the k-mer whose Hash is h. It takes
+// the hash's top bits because the partition's Counter probes from the
+// low bits of the same hash: low-bit partitions would leave every
+// k-mer of a partition sharing its home slots' low bits.
+func (t *CountTable) part(h uint64) *partition {
+	return &t.parts[h>>t.shift]
 }
 
 // Add increments the count of m by delta, saturating at MaxUint32.
 func (t *CountTable) Add(m kmer.Kmer, delta uint32) {
-	p := t.part(m)
+	h := m.Hash()
+	p := t.part(h)
 	p.mu.Lock()
-	p.c.Add(m, delta)
+	p.c.AddHash(h, delta)
 	p.mu.Unlock()
 }
 
 // Get returns the count of m.
 func (t *CountTable) Get(m kmer.Kmer) uint32 {
-	p := t.part(m)
+	h := m.Hash()
+	p := t.part(h)
 	p.mu.Lock()
-	c := p.c.Get(m)
+	c := p.c.GetHash(h)
 	p.mu.Unlock()
 	return c
 }
 
 // MemBytes returns the resident size of the table: every partition's
-// set and count array.
+// slot array.
 func (t *CountTable) MemBytes() int64 {
 	var n int64
 	t.each(func(c *kmer.Counter) { n += c.MemBytes() })
@@ -163,8 +166,12 @@ func (t *CountTable) View(ranks, rank int) View {
 
 // Get returns the count of m, which the view's owner must own, without
 // taking its partition's lock: valid because the table is finished, and
-// safe for any number of concurrent readers.
-func (v View) Get(m kmer.Kmer) uint32 { return v.t.part(m).c.Get(m) }
+// safe for any number of concurrent readers. One hash picks the
+// partition and the slot.
+func (v View) Get(m kmer.Kmer) uint32 {
+	h := m.Hash()
+	return v.t.part(h).c.GetHash(h)
+}
 
 // MemBytes is what the view's owner is charged for holding it.
 func (v View) MemBytes() int64 { return v.bytes }
@@ -190,106 +197,19 @@ func (t *CountTable) Distinct() int {
 func (t *CountTable) Total() uint64 {
 	var n uint64
 	t.each(func(c *kmer.Counter) {
-		for _, v := range c.Counts() {
-			n += uint64(v)
-		}
+		c.ForEach(func(_ kmer.Kmer, _ int32, count uint32) { n += uint64(count) })
 	})
 	return n
 }
 
-// Frozen is an immutable, flat, open-addressing snapshot of a
-// CountTable. Get is a lock-free linear probe — no shard mutex, no map
-// header chasing — which is what the Chrysalis welding loops need:
-// weldSupport issues one or two Get probes per window position across
-// every candidate weld, so the sharded table's per-probe Lock/Unlock
-// dominated loop 1's wall clock. Freeze once after counting completes,
-// then share the Frozen table across any number of reader goroutines.
-type Frozen struct {
-	K       int
-	entries []frozenEntry
-	mask    uint64
-	shift   uint // 64 - log2(len(entries)): Fibonacci hash takes top bits
-	n       int
-}
+// Frozen is the whole finished table as one reader's handle: the View
+// of a single owner, so Get probes the table in place, lock-free, and
+// MemBytes charges the table itself.
+type Frozen struct{ View }
 
-// frozenEntry interleaves the probe key with its count so a Get costs
-// exactly one cache line per probe step. key is (kmer<<1)|1 — the low
-// tag bit distinguishes the all-A k-mer (which packs to 0) from an
-// empty slot; k ≤ 31 leaves room for the shift.
-type frozenEntry struct {
-	key   uint64
-	count uint32
-}
-
-// Freeze snapshots the table into a Frozen flat table, partition by
-// partition under each partition's lock; concurrent Adds that race the
-// freeze land in either the snapshot or only the live table, so callers
-// should freeze only after counting has completed.
-func (t *CountTable) Freeze() *Frozen {
-	f := newFrozen(t.K, t.Distinct())
-	t.each(func(c *kmer.Counter) { c.ForEach(f.put) })
-	return f
-}
-
-// newFrozen allocates an empty snapshot sized for n distinct k-mers.
-func newFrozen(k, n int) *Frozen {
-	slots := 16
-	shift := uint(60)
-	for slots < 3*n/2+1 {
-		slots <<= 1
-		shift--
-	}
-	return &Frozen{K: k, entries: make([]frozenEntry, slots), mask: uint64(slots - 1), shift: shift, n: n}
-}
-
-// put places a k-mer the snapshot does not hold yet (build phase only).
-func (f *Frozen) put(m kmer.Kmer, count uint32) {
-	j := (uint64(m) * fibMul) >> f.shift
-	for f.entries[j].key != 0 {
-		j = (j + 1) & f.mask
-	}
-	f.entries[j] = frozenEntry{uint64(m)<<1 | 1, count}
-}
-
-// MemBytes returns the resident size of the snapshot's backing array —
-// the per-rank memory term of a replicated run.
-func (f *Frozen) MemBytes() int64 {
-	return int64(len(f.entries)) * 16 // frozenEntry: 8-byte key + padded 4-byte count
-}
-
-// fibMul is 2^64/phi — Fibonacci hashing. One multiply spreads the
-// k-mer's low-entropy bits into the top bits that index the table.
-const fibMul = 0x9e3779b97f4a7c15
-
-// Get returns the count of m. Wait-free; safe for concurrent readers.
-func (f *Frozen) Get(m kmer.Kmer) uint32 {
-	key := uint64(m)<<1 | 1
-	i := (uint64(m) * fibMul) >> f.shift
-	for {
-		e := f.entries[i]
-		if e.key == key {
-			return e.count
-		}
-		if e.key == 0 {
-			return 0
-		}
-		i = (i + 1) & f.mask
-	}
-}
-
-// Distinct returns the number of distinct k-mers in the snapshot.
-func (f *Frozen) Distinct() int { return f.n }
-
-// Total returns the total number of occurrences in the snapshot.
-func (f *Frozen) Total() uint64 {
-	var n uint64
-	for _, e := range f.entries {
-		if e.key != 0 {
-			n += uint64(e.count)
-		}
-	}
-	return n
-}
+// Freeze returns the table's read handle, copying nothing. Call it
+// once counting has completed: its reads take no lock.
+func (t *CountTable) Freeze() *Frozen { return &Frozen{t.View(1, 0)} }
 
 // Entry is one (k-mer, count) pair in a dump.
 type Entry struct {
@@ -305,22 +225,32 @@ func (t *CountTable) Entries(minCount int) []Entry {
 	return out
 }
 
+// Kept returns the entries with count ≥ minCount in collect's order,
+// unsorted: Entries for a caller that orders the entries itself, as
+// Inchworm sorts its seeds by abundance.
+func (t *CountTable) Kept(minCount int) []Entry { return t.collect(minCount) }
+
 // collect returns the entries with count ≥ minCount, partition by
 // partition, each partition's in dense-id (first-insertion) order. A
 // table FromEntries built from sorted entries so collects them sorted,
-// and the radix sort skips their k-mer passes. The kept entries are
-// counted first, so only they are allocated; a partition that drops
-// some finds each kept entry's place through a per-id prefix count,
-// reused partition to partition.
+// and the radix sort skips their k-mer passes. Only the kept entries
+// are allocated, counted in a walk that recovers no k-mer. A partition
+// that keeps every entry (as at minCount 1, unless Add stored a zero
+// count) is then filled by id in one walk; one that drops some
+// finds each kept entry's place through a per-id prefix count, reused
+// partition to partition.
 func (t *CountTable) collect(minCount int) []Entry {
 	var kept []int // per partition
 	total := 0
 	t.each(func(c *kmer.Counter) {
-		n := 0
-		for _, cnt := range c.Counts() {
-			if int(cnt) >= minCount {
-				n++
-			}
+		n := c.Len()
+		if minCount > 0 { // Add may store a zero count
+			n = 0
+			c.ForEachCount(func(_ int32, count uint32) {
+				if int(count) >= minCount {
+					n++
+				}
+			})
 		}
 		kept = append(kept, n)
 		total += n
@@ -329,22 +259,26 @@ func (t *CountTable) collect(minCount int) []Entry {
 	var at []int32 // at[id]: id's place among its partition's kept entries, -1 if dropped
 	base, p := 0, 0
 	t.each(func(c *kmer.Counter) {
-		counts := c.Counts()
-		if kept[p] == len(counts) {
-			c.ForEachID(func(m kmer.Kmer, id int32) { out[base+int(id)] = Entry{m, counts[id]} })
+		if kept[p] == c.Len() {
+			c.ForEach(func(m kmer.Kmer, id int32, count uint32) { out[base+int(id)] = Entry{m, count} })
 		} else {
-			at = slices.Grow(at[:0], len(counts))[:len(counts)]
-			n := int32(0)
-			for id, cnt := range counts {
+			at = slices.Grow(at[:0], c.Len())[:c.Len()]
+			c.ForEachCount(func(id int32, count uint32) {
 				at[id] = -1
-				if int(cnt) >= minCount {
+				if int(count) >= minCount {
+					at[id] = 0
+				}
+			})
+			n := int32(0)
+			for id, keep := range at {
+				if keep == 0 {
 					at[id] = n
 					n++
 				}
 			}
-			c.ForEachID(func(m kmer.Kmer, id int32) {
+			c.ForEach(func(m kmer.Kmer, id int32, count uint32) {
 				if j := at[id]; j >= 0 {
-					out[base+int(j)] = Entry{m, counts[id]}
+					out[base+int(j)] = Entry{m, count}
 				}
 			})
 		}
@@ -457,32 +391,34 @@ const (
 // partition that owns it; a full batch is applied under that
 // partition's lock, so synchronisation is once per batchLen k-mers and
 // batch memory is threads × partitions × batchLen k-mers whatever the
-// input size. Increments commute, so every count — and everything
+// input size. A batch carries each k-mer's hash, which picked its
+// partition and picks its slot: one hash per k-mer. Increments commute, so every count — and everything
 // derived from the table — is the same for any Threads × Shards.
 func countWith(opt Options, n int, kmersOf func(i int, emit func(kmer.Kmer))) (*CountTable, error) {
 	if err := opt.normalize(); err != nil {
 		return nil, err
 	}
 	t := NewCountTable(opt.K, opt.Shards)
-	apply := func(p int, batch []kmer.Kmer) {
+	apply := func(p int, batch []uint64) {
 		part := &t.parts[p]
 		part.mu.Lock()
-		for _, m := range batch {
-			part.c.Add(m, 1)
+		for _, h := range batch {
+			part.c.AddHash(h, 1)
 		}
 		part.mu.Unlock()
 	}
-	batches := make([][][]kmer.Kmer, opt.Threads) // [worker][partition]
+	batches := make([][][]uint64, opt.Threads) // [worker][partition]: k-mer hashes
 	emits := make([]func(kmer.Kmer), opt.Threads)
 	for w := range batches {
-		batch := make([][]kmer.Kmer, len(t.parts))
+		batch := make([][]uint64, len(t.parts))
 		batches[w] = batch
 		emits[w] = func(m kmer.Kmer) {
 			if opt.Canonical {
 				m, _ = m.Canonical(opt.K)
 			}
-			p := m.Hash() >> t.shift
-			batch[p] = append(batch[p], m)
+			h := m.Hash()
+			p := h >> t.shift
+			batch[p] = append(batch[p], h)
 			if len(batch[p]) == batchLen {
 				apply(int(p), batch[p])
 				batch[p] = batch[p][:0]

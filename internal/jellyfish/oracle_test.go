@@ -112,3 +112,54 @@ func mapLoad(r io.Reader, k int) ([]Entry, error) {
 	}
 	return out, sc.Err()
 }
+
+// frozenCopy is the flat snapshot Freeze made before the count table
+// was read in place: a second open-addressing array of interleaved
+// (key, count) slots, Fibonacci-hashed, filled from the table after
+// counting. The probe benchmark compares the in-place table with it.
+type frozenCopy struct {
+	entries []frozenEntry
+	mask    uint64
+	shift   uint // 64 - log2(len(entries)): Fibonacci hash takes top bits
+}
+
+// frozenEntry's key is (kmer<<1)|1: the low tag bit tells the all-A
+// k-mer from an empty slot.
+type frozenEntry struct {
+	key   uint64
+	count uint32
+}
+
+// fibMul is 2^64/phi.
+const fibMul = 0x9e3779b97f4a7c15
+
+func newFrozenCopy(t *CountTable) *frozenCopy {
+	slots, shift := 16, uint(60)
+	for slots < 3*t.Distinct()/2+1 {
+		slots <<= 1
+		shift--
+	}
+	f := &frozenCopy{entries: make([]frozenEntry, slots), mask: uint64(slots - 1), shift: shift}
+	t.each(func(c *kmer.Counter) {
+		c.ForEach(func(m kmer.Kmer, _ int32, count uint32) {
+			j := (uint64(m) * fibMul) >> f.shift
+			for f.entries[j].key != 0 {
+				j = (j + 1) & f.mask
+			}
+			f.entries[j] = frozenEntry{uint64(m)<<1 | 1, count}
+		})
+	})
+	return f
+}
+
+func (f *frozenCopy) get(m kmer.Kmer) uint32 {
+	key := uint64(m)<<1 | 1
+	for i := (uint64(m) * fibMul) >> f.shift; ; i = (i + 1) & f.mask {
+		switch f.entries[i].key {
+		case key:
+			return f.entries[i].count
+		case 0:
+			return 0
+		}
+	}
+}

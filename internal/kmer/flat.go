@@ -5,9 +5,10 @@ import "fmt"
 // FlatSet is an open-addressing, linear-probing set of k-mers that
 // assigns every distinct k-mer a dense id (0..Len()-1) in insertion
 // order. It is the shared substrate of the Chrysalis performance
-// kernels: the Multimap row tables, the frozen read-count table and
-// the bundle ownership table all key their payload arrays by FlatSet
-// ids instead of boxing slices inside a Go map.
+// kernels: the Multimap row tables and the bundle ownership table key
+// their payload arrays by FlatSet ids instead of boxing slices inside a
+// Go map. (Counter, whose one payload is a count, keeps it in its own
+// slots instead.)
 //
 // The lifecycle is build-then-freeze: Add may only be called by a
 // single goroutine; once the build completes (publish via sync.Once,
@@ -65,8 +66,22 @@ func mixKmer(x uint64) uint64 {
 	return x
 }
 
-// Hash is the finaliser of m: the hash FlatSet probes from (its low
-// bits) and OwnerRank and the counting partitions split k-mer space by.
+// unmixKmer inverts mixKmer, so a hash names its k-mer: each
+// xor-shift is undone by xoring in the value shifted by every multiple
+// of the shift below 64, each multiply by the constant's inverse mod
+// 2^64.
+func unmixKmer(x uint64) uint64 {
+	x ^= x>>31 ^ x>>62
+	x *= 0x319642b2d24d8ec3
+	x ^= x>>27 ^ x>>54
+	x *= 0x96de1b173f119089
+	x ^= x>>30 ^ x>>60
+	return x
+}
+
+// Hash is the finaliser of m: the hash FlatSet and Counter probe from
+// (its low bits) and OwnerRank and the counting partitions split k-mer
+// space by. It is a bijection (unmixKmer inverts it).
 func (m Kmer) Hash() uint64 { return mixKmer(uint64(m)) }
 
 // maxFlatLen is the dense-id capacity of a FlatSet: ids are int32, so

@@ -1,7 +1,6 @@
 package kmer
 
 import (
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -203,43 +202,6 @@ func TestOwnerRank(t *testing.T) {
 			if got < want/2 || got > want*2 {
 				t.Fatalf("ranks=%d: shard %d holds %d of %d k-mers (expected ~%d)", ranks, r, got, n, want)
 			}
-		}
-	}
-}
-
-// TestCounterDifferential pins Counter against a Go map across Reset
-// cycles: counts, saturation at MaxUint32, and ids that start again
-// from zero after a Reset.
-func TestCounterDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	c := NewCounter(0)
-	for round := 0; round < 4; round++ {
-		c.Reset()
-		ref := map[Kmer]uint64{}
-		for i := 0; i < 3000; i++ {
-			m := Kmer(rng.Intn(500)) // 0 is the all-A k-mer
-			delta := uint32(rng.Intn(3))
-			if rng.Intn(50) == 0 {
-				delta = math.MaxUint32 - 1
-			}
-			c.Add(m, delta)
-			ref[m] = min(ref[m]+uint64(delta), math.MaxUint32)
-		}
-		if c.Len() != len(ref) || len(c.Counts()) != len(ref) {
-			t.Fatalf("round %d: Len = %d, want %d", round, c.Len(), len(ref))
-		}
-		seen := 0
-		c.ForEach(func(m Kmer, count uint32) {
-			seen++
-			if uint64(count) != ref[m] || c.Get(m) != count {
-				t.Fatalf("round %d: count(%v) = %d (Get %d), want %d", round, m, count, c.Get(m), ref[m])
-			}
-		})
-		if seen != len(ref) || c.Get(Kmer(1<<40)) != 0 {
-			t.Fatalf("round %d: ForEach visited %d of %d; absent Get = %d", round, seen, len(ref), c.Get(Kmer(1<<40)))
-		}
-		if want := c.set.MemBytes() + 4*int64(cap(c.counts)); c.MemBytes() != want || want < 4*int64(len(ref)) {
-			t.Fatalf("round %d: MemBytes = %d, want %d", round, c.MemBytes(), want)
 		}
 	}
 }

@@ -97,7 +97,7 @@ func TestReverseComplementMatchesPerBaseLoop(t *testing.T) {
 		v := uint64(m)
 		var r uint64
 		for i := 0; i < k; i++ {
-			r = r<<2 | (v&3)^3
+			r = r<<2 | (v & 3) ^ 3
 			v >>= 2
 		}
 		return Kmer(r)

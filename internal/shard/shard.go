@@ -159,6 +159,21 @@ func (b *Batch) Body(i int) []byte {
 	return frameAt(b.blobs[d], int(o))
 }
 
+// Answered reports whether query i of the last Route has its answer —
+// whether Body(i) is non-nil — without locating the body.
+func (b *Batch) Answered(i int) bool { return b.at[b.slot[i]] != lost }
+
+// ReplyBytes is the summed size of the reply blobs the last Route's
+// answers sit in: a bound on the answers' summed length, for a caller
+// that sizes what it decodes them into.
+func (b *Batch) ReplyBytes() int {
+	n := len(b.late)
+	for _, blob := range b.blobs {
+		n += len(blob)
+	}
+	return n
+}
+
 // SetBody records body as the answer to query i of the last Route — an
 // answer a later round fetched for it. A nil body marks it lost.
 func (b *Batch) SetBody(i int, body []byte) {

@@ -268,10 +268,16 @@ func TestBatchRoute(t *testing.T) {
 			}
 		}
 		for i, m := range queries {
-			if b.Body(i) != nil {
-				t.Fatalf("round %d: body %d not nil after Route", round, i)
+			if b.Body(i) != nil || b.Answered(i) {
+				t.Fatalf("round %d: body %d not lost after Route", round, i)
 			}
 			b.SetBody(i, binary.LittleEndian.AppendUint64(nil, uint64(m)))
+			if !b.Answered(i) {
+				t.Fatalf("round %d: body %d lost after SetBody", round, i)
+			}
+		}
+		if b.ReplyBytes() != 9*n { // a length byte and 8 bytes each
+			t.Fatalf("round %d: ReplyBytes %d for %d 8-byte answers", round, b.ReplyBytes(), n)
 		}
 		for d, fs := range frames(&b) {
 			for j, f := range fs {
@@ -293,7 +299,7 @@ func TestBatchRoute(t *testing.T) {
 			if b.SetBody(0, []byte{}); b.Body(0) == nil || len(b.Body(0)) != 0 || b.Lost() != 0 {
 				t.Fatalf("round %d: empty answer reads %v, %d lost", round, b.Body(0), b.Lost())
 			}
-			if b.SetBody(0, nil); b.Body(0) != nil || b.Lost() != 1 {
+			if b.SetBody(0, nil); b.Body(0) != nil || b.Answered(0) || b.Lost() != 1 {
 				t.Fatalf("round %d: nil answer reads %v, %d lost", round, b.Body(0), b.Lost())
 			}
 		}
