@@ -61,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRoundCodec -fuzztime 10s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzPackedRoundTrip -fuzztime 10s ./internal/seq/
 	$(GO) test -run '^$$' -fuzz FuzzHistogram -fuzztime 10s ./internal/stats/
+	$(GO) test -run '^$$' -fuzz FuzzReconstruct -fuzztime 10s ./internal/butterfly/
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -89,8 +90,9 @@ bench-chrysalis:
 # the packed Bowtie aligner and its seed-table build on deep-shaped
 # input, ReadsToTranscripts on deep-shaped input at one chunk worker and
 # at GOMAXPROCS, FastaToDeBruijn + Quantify on the same input, the
-# k-mer spine's four stages (counting, Inchworm, graph build + compact,
-# pair support) on deep- and wide-shaped input, and the external mode's
+# k-mer spine's stages (counting, Inchworm, graph build + compact,
+# Butterfly's path enumeration, pair support) on deep- and wide-shaped
+# input, and the external mode's
 # disk-partitioned count and stage-boundary files (reads FASTA, SAM
 # write and read, k-mer dump load) at deep scale —
 # recorded as BENCH_kernels.json so the speedups (and any regressions)
@@ -98,7 +100,7 @@ bench-chrysalis:
 # the host it ran on; the micro-kernels run for 1 s each and the
 # whole-stage benchmarks 10 times, so every entry has >= 7 iterations.
 KERNEL_MICRO = HarvestWelds|ScanContigForWelds|BuildContigKmerIndex|BuildWeldIndex|AssignRead|CountTableGet|PackedIndexBuild
-KERNEL_STAGE = PackedAlignAll|R2TAssign|Quantify|CountPacked|InchwormRun|GraphBuildCompact|PairSupport|DSKCountPacked|ReadFasta|WriteSAM|ReadSAM|LoadDump
+KERNEL_STAGE = PackedAlignAll|R2TAssign|Quantify|CountPacked|InchwormRun|GraphBuildCompact|Reconstruct|PairSupport|DSKCountPacked|ReadFasta|WriteSAM|ReadSAM|LoadDump
 KERNEL_BENCH = $(KERNEL_MICRO)|$(KERNEL_STAGE)
 KERNEL_PKGS = ./internal/chrysalis/ ./internal/jellyfish/ ./internal/bowtie/ ./internal/inchworm/ ./internal/dbg/ ./internal/butterfly/ ./internal/dsk/ ./internal/seq/
 BENCH_KERNELS_JSON ?= BENCH_kernels.json

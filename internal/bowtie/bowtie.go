@@ -13,8 +13,10 @@
 package bowtie
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/omp"
@@ -224,13 +226,11 @@ func (a *Aligner) alignOneStrand(read []byte, reverse bool, st *Stats) (Alignmen
 	// Order by global contig name so the winner among equal-mismatch
 	// candidates is the same whether the index holds all contigs or a
 	// PyFasta partition.
-	sort.Slice(cands, func(i, j int) bool {
-		idI := a.ix.contigs[cands[i].contig].ID
-		idJ := a.ix.contigs[cands[j].contig].ID
-		if idI != idJ {
-			return idI < idJ
+	slices.SortFunc(cands, func(x, y diagonal) int {
+		if idX, idY := a.ix.contigs[x.contig].ID, a.ix.contigs[y.contig].ID; idX != idY {
+			return strings.Compare(idX, idY)
 		}
-		return cands[i].offset < cands[j].offset
+		return cmp.Compare(x.offset, y.offset)
 	})
 	bestMM := opt.MaxMismatch + 1
 	var best Alignment

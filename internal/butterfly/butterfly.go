@@ -7,9 +7,11 @@
 package butterfly
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"gotrinity/internal/chrysalis"
 	"gotrinity/internal/dbg"
@@ -76,31 +78,51 @@ func ReconstructParallel(graphs []*chrysalis.ComponentGraph, opt Options, worker
 	order := omp.LPTOrder(len(graphs), func(i int) float64 {
 		return float64(graphs[i].Graph.NodeCount() + len(graphs[i].Reads))
 	})
+	if workers <= 0 {
+		workers = omp.DefaultThreads()
+	}
+	walkers := make([]walker, min(workers, len(graphs))) // one per pool thread
+	for i := range walkers {
+		walkers[i].opt = opt
+	}
 	perComp := make([][]Transcript, len(graphs))
 	prof := omp.ParallelForProfiled(len(graphs), workers, omp.Schedule{Kind: omp.Dynamic},
 		func(p, tid int) {
 			i := order[p]
-			perComp[i] = componentTranscripts(graphs[i], opt)
+			perComp[i] = walkers[tid].componentTranscripts(graphs[i])
 		})
-	var out []Transcript
-	for _, ts := range perComp {
-		out = append(out, ts...)
-	}
-	return out, prof
+	return slices.Concat(perComp...), prof
+}
+
+// walker is one pool thread's working memory, reused across the
+// components it reconstructs: the compaction scratch, the per-unitig
+// arrays, the path buffer and the dedup set grow to the largest
+// component the thread has met, so a component allocates its unitig
+// graph, its emitted paths and its transcripts — not per DFS step.
+type walker struct {
+	opt     Options // normalized
+	scratch dbg.Scratch
+	c       *dbg.Compacted
+	bucket  []int  // unitig id → coverage bucket
+	visited []bool // unitig id → on the current path; all false between walks
+	sources []int
+	buf     []byte // the current path's sequence
+	rc      []byte // a path's reverse complement, for dedup
+	seen    map[string]bool
+	paths   []path
 }
 
 // componentTranscripts enumerates one component's transcripts — the
-// shared per-component body of Reconstruct and ReconstructParallel.
-// opt must already be normalized.
-func componentTranscripts(cg *chrysalis.ComponentGraph, opt Options) []Transcript {
-	if opt.CleanGraph {
+// per-component body of ReconstructParallel.
+func (w *walker) componentTranscripts(cg *chrysalis.ComponentGraph) []Transcript {
+	if w.opt.CleanGraph {
 		cg.Graph.ClipTips(0, 0.2)
 		cg.Graph.PopBubbles(0, 0.2)
 	}
-	paths := reconstructComponent(cg.Graph, opt)
+	paths := w.reconstructComponent(cg.Graph)
 	var out []Transcript
 	for i, p := range paths {
-		if opt.MinTranscriptLen > 0 && len(p.seq) < opt.MinTranscriptLen {
+		if w.opt.MinTranscriptLen > 0 && len(p.seq) < w.opt.MinTranscriptLen {
 			continue
 		}
 		out = append(out, Transcript{
@@ -120,80 +142,40 @@ type path struct {
 }
 
 // reconstructComponent compacts one graph and DFS-enumerates
-// source→sink unitig paths, pruning weak branches.
-func reconstructComponent(g *dbg.Graph, opt Options) []path {
+// source→sink unitig paths, pruning weak branches. The returned slice
+// is w's and is overwritten by the next call.
+func (w *walker) reconstructComponent(g *dbg.Graph) []path {
 	if g.NodeCount() == 0 {
 		return nil
 	}
-	c := g.Compact()
-	sources := c.Sources()
+	w.c = g.CompactWith(&w.scratch)
+	n := len(w.c.Unitigs)
+	w.bucket = slices.Grow(w.bucket[:0], n)[:n]
+	for u := range w.bucket {
+		w.bucket[u] = int(math.Log(w.c.Unitigs[u].Coverage+1) / math.Log(1.15))
+	}
+	w.visited = slices.Grow(w.visited[:0], n)[:n]
+	clear(w.visited)
+	sources := w.sources[:0]
+	for u := range w.c.Unitigs {
+		if len(w.c.Unitigs[u].In) == 0 {
+			sources = append(sources, u)
+		}
+	}
 	if len(sources) == 0 {
 		// Pure cycle: start from every unitig, the depth cap terminates.
-		for i := range c.Unitigs {
-			sources = append(sources, i)
+		for u := range w.c.Unitigs {
+			sources = append(sources, u)
 		}
 	}
-	var paths []path
-	var walk func(u int, soFar []byte, covSum float64, covN int, depth int, visited map[int]bool)
-	walk = func(u int, soFar []byte, covSum float64, covN int, depth int, visited map[int]bool) {
-		if len(paths) >= opt.MaxPathsPerComponent || depth > opt.MaxDepth {
-			return
-		}
-		unit := &c.Unitigs[u]
-		var ext []byte
-		if len(soFar) == 0 {
-			ext = unit.Seq
-		} else if len(unit.Seq) >= c.K-1 {
-			ext = unit.Seq[c.K-1:] // (k-1)-overlap merge
-		}
-		cur := append(append([]byte(nil), soFar...), ext...)
-		covSum += unit.Coverage
-		covN++
-		// Successors passing the coverage filters, strongest first.
-		var nexts []int
-		bestCov := 0.0
-		for _, s := range unit.Out {
-			if visited[s] {
-				continue
-			}
-			if cv := c.Unitigs[s].Coverage; cv > bestCov {
-				bestCov = cv
-			}
-		}
-		for _, s := range unit.Out {
-			if visited[s] {
-				continue
-			}
-			cv := c.Unitigs[s].Coverage
-			if cv < opt.MinCoverage || cv < bestCov*opt.MinCoverageFrac {
-				continue
-			}
-			nexts = append(nexts, s)
-		}
-		sortByCoverage(nexts, c, opt.Seed)
-		if len(nexts) == 0 {
-			paths = append(paths, path{seq: cur, coverage: covSum / float64(covN)})
-			return
-		}
-		visited[u] = true
-		for _, s := range nexts {
-			walk(s, cur, covSum, covN, depth+1, visited)
-			if len(paths) >= opt.MaxPathsPerComponent {
-				break
-			}
-		}
-		delete(visited, u)
-	}
-	// Strongest sources first so the cap keeps the best-supported paths.
-	sortByCoverage(sources, c, opt.Seed)
-	seenStart := map[int]bool{}
+	w.sources = sources
+	// Strongest sources first so the cap keeps the best-supported
+	// paths. The ids are distinct, so each source is walked once.
+	w.sortByCoverage(sources)
+	w.paths = w.paths[:0]
 	for _, s := range sources {
-		if seenStart[s] {
-			continue
-		}
-		seenStart[s] = true
-		walk(s, nil, 0, 0, 0, map[int]bool{})
-		if len(paths) >= opt.MaxPathsPerComponent {
+		w.walk(s, 0, 0, 0)
+		if len(w.paths) >= w.opt.MaxPathsPerComponent {
 			break
 		}
 	}
@@ -202,55 +184,114 @@ func reconstructComponent(g *dbg.Graph, opt Options) []path {
 	// transcript yield the same isoform in both orientations once the
 	// component welds the strands together, and only one is reported
 	// (Trinity's double-stranded mode).
-	uniq := paths[:0]
-	seen := map[string]bool{}
-	for _, p := range paths {
-		canon := string(p.seq)
-		if rc := string(seq.ReverseComplement(p.seq)); rc < canon {
-			canon = rc
+	if w.seen == nil {
+		w.seen = map[string]bool{}
+	}
+	clear(w.seen)
+	uniq := w.paths[:0]
+	for _, p := range w.paths {
+		w.rc = append(w.rc[:0], p.seq...)
+		seq.ReverseComplementInPlace(w.rc)
+		canon := p.seq
+		if bytes.Compare(w.rc, canon) < 0 {
+			canon = w.rc
 		}
-		if seen[canon] {
+		if w.seen[string(canon)] {
 			continue
 		}
-		seen[canon] = true
+		w.seen[string(canon)] = true
 		uniq = append(uniq, p)
 	}
-	sort.Slice(uniq, func(i, j int) bool {
-		if len(uniq[i].seq) != len(uniq[j].seq) {
-			return len(uniq[i].seq) > len(uniq[j].seq)
+	slices.SortFunc(uniq, func(a, b path) int {
+		if len(a.seq) != len(b.seq) {
+			return len(b.seq) - len(a.seq)
 		}
-		return string(uniq[i].seq) < string(uniq[j].seq)
+		return bytes.Compare(a.seq, b.seq)
 	})
 	return uniq
 }
 
+// walk extends the current path (w.buf) by unitig u and recurses into
+// its successors passing the coverage filters, strongest first; a path
+// that cannot be extended is emitted. w.buf is restored on return, so
+// one buffer serves the whole DFS and only emitted paths are copied.
+func (w *walker) walk(u int, covSum float64, covN, depth int) {
+	if len(w.paths) >= w.opt.MaxPathsPerComponent || depth > w.opt.MaxDepth {
+		return
+	}
+	unit := &w.c.Unitigs[u]
+	n0 := len(w.buf)
+	if n0 == 0 {
+		w.buf = append(w.buf, unit.Seq...)
+	} else if len(unit.Seq) >= w.c.K-1 {
+		w.buf = append(w.buf, unit.Seq[w.c.K-1:]...) // (k-1)-overlap merge
+	}
+	covSum += unit.Coverage
+	covN++
+	// A unitig has at most four successors, one per base.
+	var next [4]int
+	nexts := next[:0]
+	bestCov := 0.0
+	for _, s := range unit.Out {
+		if w.visited[s] {
+			continue
+		}
+		if cv := w.c.Unitigs[s].Coverage; cv > bestCov {
+			bestCov = cv
+		}
+	}
+	for _, s := range unit.Out {
+		if w.visited[s] {
+			continue
+		}
+		cv := w.c.Unitigs[s].Coverage
+		if cv < w.opt.MinCoverage || cv < bestCov*w.opt.MinCoverageFrac {
+			continue
+		}
+		nexts = append(nexts, s)
+	}
+	w.sortByCoverage(nexts)
+	if len(nexts) == 0 {
+		w.paths = append(w.paths, path{seq: slices.Clone(w.buf), coverage: covSum / float64(covN)})
+	} else {
+		w.visited[u] = true
+		for _, s := range nexts {
+			w.walk(s, covSum, covN, depth+1)
+			if len(w.paths) >= w.opt.MaxPathsPerComponent {
+				break
+			}
+		}
+		w.visited[u] = false
+	}
+	w.buf = w.buf[:n0]
+}
+
 // sortByCoverage orders unitig ids by decreasing coverage bucket
-// (~15%-wide logarithmic buckets), breaking ties within a bucket by id
-// when seed is 0 or by a seed-keyed hash otherwise.
-func sortByCoverage(ids []int, c *dbg.Compacted, seed int64) {
-	bucket := func(u int) int {
-		return int(math.Log(c.Unitigs[u].Coverage+1) / math.Log(1.15))
-	}
-	key := func(u int) uint64 {
-		if seed == 0 {
-			return uint64(u)
+// (~15%-wide logarithmic buckets, w.bucket), breaking ties within a
+// bucket by id when the seed is 0 or by a seed-keyed hash otherwise,
+// then by id — a total order, so any sort yields the same sequence.
+func (w *walker) sortByCoverage(ids []int) {
+	seed := uint64(w.opt.Seed)
+	slices.SortFunc(ids, func(a, b int) int {
+		if ba, bb := w.bucket[a], w.bucket[b]; ba != bb {
+			return cmp.Compare(bb, ba)
 		}
-		h := uint64(seed)*0x9e3779b97f4a7c15 + uint64(u)*0xbf58476d1ce4e5b9
-		h ^= h >> 31
-		h *= 0x94d049bb133111eb
-		return h ^ h>>29
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		bi, bj := bucket(ids[i]), bucket(ids[j])
-		if bi != bj {
-			return bi > bj
+		if seed != 0 {
+			if ka, kb := tieKey(a, seed), tieKey(b, seed); ka != kb {
+				return cmp.Compare(ka, kb)
+			}
 		}
-		ki, kj := key(ids[i]), key(ids[j])
-		if ki != kj {
-			return ki < kj
-		}
-		return ids[i] < ids[j]
+		return cmp.Compare(a, b)
 	})
+}
+
+// tieKey is the seed-keyed hash that orders unitigs within a coverage
+// bucket.
+func tieKey(u int, seed uint64) uint64 {
+	h := seed*0x9e3779b97f4a7c15 + uint64(u)*0xbf58476d1ce4e5b9
+	h ^= h >> 31
+	h *= 0x94d049bb133111eb
+	return h ^ h>>29
 }
 
 // Records converts transcripts to FASTA records.

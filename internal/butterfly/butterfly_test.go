@@ -15,9 +15,10 @@ import (
 // checked against.
 func Reconstruct(graphs []*chrysalis.ComponentGraph, opt Options) []Transcript {
 	opt.normalize()
+	w := walker{opt: opt}
 	var out []Transcript
 	for _, cg := range graphs {
-		out = append(out, componentTranscripts(cg, opt)...)
+		out = append(out, w.componentTranscripts(cg)...)
 	}
 	return out
 }

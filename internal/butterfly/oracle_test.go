@@ -4,15 +4,22 @@ package butterfly
 // k-mer spine moved to kmer.FlatSet ids and dense arrays — one
 // map[kmer.Kmer]bool per transcript, every pair's mates scanned once
 // per transcript — kept as the oracle the per-component index is
-// compared against.
+// compared against; and the path enumeration this package ran on until
+// the walk shared one path buffer — a copy of the path per DFS step, a
+// map of visited unitigs per source, a reflective coverage sort — kept
+// as the oracle the walker is compared against.
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"gotrinity/internal/chrysalis"
+	"gotrinity/internal/dbg"
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/rnaseq"
 	"gotrinity/internal/seq"
@@ -153,4 +160,173 @@ func TestMateScanZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { ix.scan(reads[1].Seq) }); n != 0 {
 		t.Errorf("a mate scan allocates %v times", n)
 	}
+}
+
+// oracleReconstruct is the serial reconstruction on the oracle walk.
+func oracleReconstruct(graphs []*chrysalis.ComponentGraph, opt Options) []Transcript {
+	opt.normalize()
+	var out []Transcript
+	for _, cg := range graphs {
+		out = append(out, oracleComponentTranscripts(cg, opt)...)
+	}
+	return out
+}
+
+// oracleComponentTranscripts enumerates one component's transcripts — the
+// shared per-component body of Reconstruct and ReconstructParallel.
+// opt must already be normalized.
+func oracleComponentTranscripts(cg *chrysalis.ComponentGraph, opt Options) []Transcript {
+	if opt.CleanGraph {
+		cg.Graph.ClipTips(0, 0.2)
+		cg.Graph.PopBubbles(0, 0.2)
+	}
+	paths := oracleReconstructComponent(cg.Graph, opt)
+	var out []Transcript
+	for i, p := range paths {
+		if opt.MinTranscriptLen > 0 && len(p.seq) < opt.MinTranscriptLen {
+			continue
+		}
+		out = append(out, Transcript{
+			Component: cg.Component.ID,
+			Index:     i,
+			ID:        fmt.Sprintf("comp%d_seq%d", cg.Component.ID, i),
+			Seq:       p.seq,
+			Coverage:  p.coverage,
+		})
+	}
+	return out
+}
+
+// oracleReconstructComponent compacts one graph and DFS-enumerates
+// source→sink unitig paths, pruning weak branches.
+func oracleReconstructComponent(g *dbg.Graph, opt Options) []path {
+	if g.NodeCount() == 0 {
+		return nil
+	}
+	c := g.Compact()
+	sources := c.Sources()
+	if len(sources) == 0 {
+		// Pure cycle: start from every unitig, the depth cap terminates.
+		for i := range c.Unitigs {
+			sources = append(sources, i)
+		}
+	}
+	var paths []path
+	var walk func(u int, soFar []byte, covSum float64, covN int, depth int, visited map[int]bool)
+	walk = func(u int, soFar []byte, covSum float64, covN int, depth int, visited map[int]bool) {
+		if len(paths) >= opt.MaxPathsPerComponent || depth > opt.MaxDepth {
+			return
+		}
+		unit := &c.Unitigs[u]
+		var ext []byte
+		if len(soFar) == 0 {
+			ext = unit.Seq
+		} else if len(unit.Seq) >= c.K-1 {
+			ext = unit.Seq[c.K-1:] // (k-1)-overlap merge
+		}
+		cur := append(append([]byte(nil), soFar...), ext...)
+		covSum += unit.Coverage
+		covN++
+		// Successors passing the coverage filters, strongest first.
+		var nexts []int
+		bestCov := 0.0
+		for _, s := range unit.Out {
+			if visited[s] {
+				continue
+			}
+			if cv := c.Unitigs[s].Coverage; cv > bestCov {
+				bestCov = cv
+			}
+		}
+		for _, s := range unit.Out {
+			if visited[s] {
+				continue
+			}
+			cv := c.Unitigs[s].Coverage
+			if cv < opt.MinCoverage || cv < bestCov*opt.MinCoverageFrac {
+				continue
+			}
+			nexts = append(nexts, s)
+		}
+		oracleSortByCoverage(nexts, c, opt.Seed)
+		if len(nexts) == 0 {
+			paths = append(paths, path{seq: cur, coverage: covSum / float64(covN)})
+			return
+		}
+		visited[u] = true
+		for _, s := range nexts {
+			walk(s, cur, covSum, covN, depth+1, visited)
+			if len(paths) >= opt.MaxPathsPerComponent {
+				break
+			}
+		}
+		delete(visited, u)
+	}
+	// Strongest sources first so the cap keeps the best-supported paths.
+	oracleSortByCoverage(sources, c, opt.Seed)
+	seenStart := map[int]bool{}
+	for _, s := range sources {
+		if seenStart[s] {
+			continue
+		}
+		seenStart[s] = true
+		walk(s, nil, 0, 0, 0, map[int]bool{})
+		if len(paths) >= opt.MaxPathsPerComponent {
+			break
+		}
+	}
+	// Deduplicate identical sequences (diamond motifs can repeat) and
+	// reverse-complement duplicates: the strand-specific contigs of one
+	// transcript yield the same isoform in both orientations once the
+	// component welds the strands together, and only one is reported
+	// (Trinity's double-stranded mode).
+	uniq := paths[:0]
+	seen := map[string]bool{}
+	for _, p := range paths {
+		canon := string(p.seq)
+		if rc := string(seq.ReverseComplement(p.seq)); rc < canon {
+			canon = rc
+		}
+		if seen[canon] {
+			continue
+		}
+		seen[canon] = true
+		uniq = append(uniq, p)
+	}
+	sort.Slice(uniq, func(i, j int) bool {
+		if len(uniq[i].seq) != len(uniq[j].seq) {
+			return len(uniq[i].seq) > len(uniq[j].seq)
+		}
+		return string(uniq[i].seq) < string(uniq[j].seq)
+	})
+	return uniq
+}
+
+// oracleSortByCoverage orders unitig ids by decreasing coverage bucket
+// (~15%-wide logarithmic buckets), breaking ties within a bucket by id
+// when seed is 0 or by a seed-keyed hash otherwise.
+func oracleSortByCoverage(ids []int, c *dbg.Compacted, seed int64) {
+	bucket := func(u int) int {
+		return int(math.Log(c.Unitigs[u].Coverage+1) / math.Log(1.15))
+	}
+	key := func(u int) uint64 {
+		if seed == 0 {
+			return uint64(u)
+		}
+		h := uint64(seed)*0x9e3779b97f4a7c15 + uint64(u)*0xbf58476d1ce4e5b9
+		h ^= h >> 31
+		h *= 0x94d049bb133111eb
+		return h ^ h>>29
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		bi, bj := bucket(ids[i]), bucket(ids[j])
+		if bi != bj {
+			return bi > bj
+		}
+		ki, kj := key(ids[i]), key(ids[j])
+		if ki != kj {
+			return ki < kj
+		}
+		return ids[i] < ids[j]
+	})
 }

@@ -1,8 +1,9 @@
 package chrysalis
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"gotrinity/internal/cluster"
@@ -556,11 +557,9 @@ func traceR2T(opt R2TOptions, env *loopEnv, dist Distribution, profiles []R2TRan
 // matter, so the fault layer's chunk-order rebuild is byte-identical to
 // the root's concatenation of the gathered per-rank outputs.
 func concatAssignments(parts [][]Assignment) []Assignment {
-	var all []Assignment
-	for _, p := range parts {
-		all = append(all, p...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Read < all[j].Read })
+	all := slices.Concat(parts...)
+	// A read is assigned at most once, so the order is total.
+	slices.SortFunc(all, func(a, b Assignment) int { return cmp.Compare(a.Read, b.Read) })
 	return all
 }
 

@@ -181,16 +181,107 @@ func (g *Graph) Nodes() []kmer.Kmer {
 	return out
 }
 
-// sortedIDs returns the live node ids in increasing k-mer order: the
-// k-mers sorted as plain words, then looked up — cheaper than sorting
-// ids through a comparison that chases each id to its k-mer.
-func (g *Graph) sortedIDs() []int32 {
-	nodes := g.Nodes()
-	ids := make([]int32, len(nodes))
-	for i, m := range nodes {
-		ids[i], _ = g.nodes.Lookup(m)
+// nodeKey pairs a live node's k-mer with its id, so that sorting the
+// pairs by k-mer yields the ids without a hash lookup per node.
+type nodeKey struct {
+	m  kmer.Kmer
+	id int32
+}
+
+// radixMinNodes is the node count from which sortedIDs radix-sorts.
+// Below it, when a k-mer and an id fit in one word together, the words
+// are sorted as plain integers: the radix histograms cost more there.
+const radixMinNodes = 256
+
+// sortedIDs returns the live node ids in increasing k-mer order, in
+// s's buffers: each k-mer is read with its id straight off the
+// id-indexed arrays and sorted with it, so no id is looked up.
+func (g *Graph) sortedIDs(s *Scratch) []int32 {
+	ids := slices.Grow(s.ids[:0], g.live)
+	idBits := bits.Len(uint(len(g.kmers)))
+	if g.live < radixMinNodes && 2*g.K+idBits <= 64 {
+		words := slices.Grow(s.words[:0], g.live)
+		for id, m := range g.kmers {
+			if !g.isDead(int32(id)) {
+				words = append(words, uint64(m)<<idBits|uint64(id))
+			}
+		}
+		slices.Sort(words) // k-mers are distinct: the ids never decide
+		for _, w := range words {
+			ids = append(ids, int32(w&(1<<idBits-1)))
+		}
+		s.ids, s.words = ids, words
+		return ids
 	}
+	keys := slices.Grow(s.keys[:0], g.live)
+	for id, m := range g.kmers {
+		if !g.isDead(int32(id)) {
+			keys = append(keys, nodeKey{m, int32(id)})
+		}
+	}
+	sorted := keys
+	if len(keys) > 1 {
+		if cap(s.tmp) < len(keys) {
+			s.tmp = make([]nodeKey, len(keys))
+		}
+		if sorted = radixSortKeys(keys, s.tmp[:len(keys)]); &sorted[0] != &keys[0] {
+			s.tmp = keys // the result landed in tmp: the buffers swap roles
+		}
+	}
+	for _, nk := range sorted {
+		ids = append(ids, nk.id)
+	}
+	s.ids, s.keys = ids, sorted
 	return ids
+}
+
+// radixSortKeys sorts a by k-mer with an LSD radix sort over the
+// k-mer's eight bytes, using tmp (len(a)) as the other buffer, and
+// returns whichever of the two holds the result. One pass over a
+// fills all eight histograms; a byte that is the same in every k-mer
+// (the top bytes of a short k) costs no scatter pass.
+func radixSortKeys(a, tmp []nodeKey) []nodeKey {
+	var counts [8][256]int
+	for i := range a {
+		m := uint64(a[i].m)
+		for d := range counts {
+			counts[d][m>>(8*d)&255]++
+		}
+	}
+	src, dst := a, tmp
+	for d := range counts {
+		c := &counts[d]
+		shift := uint(8 * d)
+		if c[uint64(src[0].m)>>shift&255] == len(src) {
+			continue
+		}
+		sum := 0
+		for b, n := range c {
+			c[b], sum = sum, sum+n
+		}
+		for i := range src {
+			b := uint64(src[i].m) >> shift & 255
+			dst[c[b]] = src[i]
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// Scratch is the working memory of CompactWith — the sorted node ids
+// and their sort buffers, the node → unitig owner map and the In-list
+// offsets. A worker that compacts many graphs reuses one Scratch, so
+// these arrays grow to the largest graph it has met instead of being
+// made per graph; nothing a Compacted holds points into them. The zero
+// value is ready to use. A Scratch must not be shared between
+// goroutines.
+type Scratch struct {
+	ids       []int32 // live node ids in k-mer order
+	words     []uint64
+	keys, tmp []nodeKey
+	owner     []int32 // node id → unitig id; -2 marks an unvisited chain start, -1 any other unvisited node
+	inEnd     []int   // unitig id → end of its In list in the edge array
 }
 
 // Unitig is a maximal unbranched path, the unit Butterfly traverses.
@@ -216,22 +307,43 @@ type Compacted struct {
 // then perfect cycles — and each Out lists successors in base order:
 // Butterfly breaks coverage ties by unitig id, so this numbering is
 // part of the output.
-func (g *Graph) Compact() *Compacted {
-	c := &Compacted{K: g.K}
-	order := g.sortedIDs()               // sorted once: both passes below walk it
-	owner := make([]int32, len(g.kmers)) // node id → unitig id, -1 until visited
-	for i := range owner {
-		owner[i] = -1
-	}
-	build := func(start int32) {
-		if owner[start] >= 0 {
-			return
+func (g *Graph) Compact() *Compacted { return g.CompactWith(new(Scratch)) }
+
+// CompactWith is Compact with its working memory taken from s. The
+// result is allocated per graph in a fixed handful of blocks: the
+// unitig array, one byte arena holding every Seq and one int array
+// holding every Out and In list. Each of those is a cap-limited view
+// (a[lo:hi:hi]), so an append to one unitig's slice reallocates it
+// instead of overwriting its neighbour's.
+func (g *Graph) CompactWith(s *Scratch) *Compacted {
+	order := g.sortedIDs(s) // sorted once: both passes below walk it
+	owner := slices.Grow(s.owner[:0], len(g.kmers))[:len(g.kmers)]
+	// A unitig starts at any node that is not the linear continuation
+	// of exactly one predecessor. Each start heads its own unitig (a
+	// chain never runs into one), so counting them sizes the unitig
+	// array; only perfect cycles add to it.
+	const unvisited, unvisitedStart = -1, -2
+	starts := 0
+	for _, id := range order {
+		owner[id] = unvisitedStart
+		if g.inDegree(id) == 1 {
+			if preds, _ := g.neighbours(id, false); g.outDegree(preds[0]) == 1 {
+				owner[id] = unvisited
+				continue
+			}
 		}
+		starts++
+	}
+	c := &Compacted{K: g.K, Unitigs: make([]Unitig, 0, starts)}
+	// A unitig of n nodes spells k-1+n bases.
+	arena := make([]byte, 0, starts*(g.K-1)+g.live)
+	build := func(start int32) {
 		u := Unitig{ID: len(c.Unitigs), first: start}
 		var covSum float64
 		covN := 0
 		id := start
-		u.Seq = g.kmers[start].AppendDecode(make([]byte, 0, g.K), g.K)
+		lo := len(arena)
+		arena = g.kmers[start].AppendDecode(arena, g.K)
 		for {
 			owner[id] = int32(u.ID)
 			covSum += float64(g.coverage[id])
@@ -246,43 +358,77 @@ func (g *Graph) Compact() *Compacted {
 				break
 			}
 			id = next
-			u.Seq = append(u.Seq, seq.IndexBase(g.kmers[id].LastBase()))
+			arena = append(arena, seq.IndexBase(g.kmers[id].LastBase()))
 		}
 		u.last = id
 		u.Coverage = covSum / float64(covN)
+		u.Seq = arena[lo:] // for its length: pointed at the final arena below
 		c.Unitigs = append(c.Unitigs, u)
 	}
-	// A unitig starts at any node that is not the linear continuation
-	// of exactly one predecessor.
 	for _, id := range order {
-		if g.inDegree(id) == 1 {
-			if preds, _ := g.neighbours(id, false); g.outDegree(preds[0]) == 1 {
-				continue
-			}
+		if owner[id] == unvisitedStart {
+			build(id)
 		}
-		build(id)
 	}
 	// Remaining unvisited nodes belong to perfect cycles; break each at
 	// its smallest k-mer.
 	for _, id := range order {
-		build(id)
+		if owner[id] < 0 {
+			build(id)
+		}
+	}
+	lo := 0
+	for i := range c.Unitigs {
+		hi := lo + len(c.Unitigs[i].Seq)
+		c.Unitigs[i].Seq = arena[lo:hi:hi]
+		lo = hi
 	}
 
-	// Wire unitig adjacency through the boundary k-mers.
+	// Wire unitig adjacency through the boundary k-mers. Every Out and
+	// In list lives in one array: Out lists first, in unitig order,
+	// within room for every edge leaving a unitig's last node; then the
+	// In lists, laid out by a counting sort on the target so each lists
+	// its sources in id order.
+	room := 0
+	for i := range c.Unitigs {
+		room += g.outDegree(c.Unitigs[i].last)
+	}
+	edges := make([]int, 2*room)
+	out := edges[:0:room]
+	inEnd := slices.Grow(s.inEnd[:0], len(c.Unitigs))[:len(c.Unitigs)]
+	clear(inEnd)
 	for i := range c.Unitigs {
 		u := &c.Unitigs[i]
+		lo := len(out)
 		succs, n := g.neighbours(u.last, true)
 		for _, succ := range succs[:n] {
 			if o := int(owner[succ]); o != u.ID || succ == u.first {
-				u.Out = append(u.Out, o)
+				out = append(out, o)
+				inEnd[o]++
 			}
 		}
+		if hi := len(out); hi > lo {
+			u.Out = out[lo:hi:hi]
+		}
+	}
+	sum := room
+	for o, n := range inEnd {
+		inEnd[o], sum = sum, sum+n // o's In starts here; advanced to its end below
 	}
 	for i := range c.Unitigs {
 		for _, o := range c.Unitigs[i].Out {
-			c.Unitigs[o].In = append(c.Unitigs[o].In, i)
+			edges[inEnd[o]] = i
+			inEnd[o]++
 		}
 	}
+	lo = room
+	for o, hi := range inEnd {
+		if hi > lo {
+			c.Unitigs[o].In = edges[lo:hi:hi]
+		}
+		lo = hi
+	}
+	s.owner, s.inEnd = owner, inEnd
 	return c
 }
 

@@ -63,9 +63,10 @@ func (g *Graph) ClipTips(maxLen int, covFrac float64) int {
 		maxLen = 2 * g.K
 	}
 	removed := 0
+	var s Scratch
 	for {
 		clippedThisRound := 0
-		for _, id := range g.sortedIDs() {
+		for _, id := range g.sortedIDs(&s) {
 			if g.isDead(id) {
 				continue // already removed this round
 			}
@@ -112,7 +113,8 @@ func (g *Graph) PopBubbles(maxLen int, covFrac float64) int {
 		maxLen = 2 * g.K
 	}
 	removed := 0
-	for _, id := range g.sortedIDs() {
+	var s Scratch
+	for _, id := range g.sortedIDs(&s) {
 		if g.isDead(id) || g.outDegree(id) != 2 {
 			continue
 		}

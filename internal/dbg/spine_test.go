@@ -77,6 +77,55 @@ func sameGraph(t *testing.T, when string, g *Graph, ref *mapGraph) {
 				u.ID, u.Seq, u.Coverage, u.Out, u.In, ru.ID, ru.Seq, ru.Coverage, ru.Out, ru.In)
 		}
 	}
+	// Every Seq, Out and In is a view into a shared arena: an append to
+	// one must reallocate it, never write into its neighbour's.
+	for i := range c.Unitigs {
+		u := &c.Unitigs[i]
+		u.Seq = append(u.Seq, 'X')
+		u.Out = append(u.Out, -1)
+		u.In = append(u.In, -2)
+	}
+	for i := range c.Unitigs {
+		u, ru := &c.Unitigs[i], &rc.Unitigs[i]
+		if n := len(u.Seq) - 1; !bytes.Equal(u.Seq[:n], ru.Seq) || u.Seq[n] != 'X' ||
+			!slices.Equal(u.Out, append(ru.Out, -1)) || !slices.Equal(u.In, append(ru.In, -2)) {
+			t.Fatalf("%s: after an append to every unitig, unitig %d = {%s %v %v}, map oracle {%s %v %v} plus one",
+				when, i, u.Seq, u.Out, u.In, ru.Seq, ru.Out, ru.In)
+		}
+	}
+}
+
+// TestCompactAllocsConstant: CompactWith on warm scratch allocates the
+// Compacted, its unitig array, its sequence arena and its edge array,
+// whatever the unitig count — and Compact, on fresh scratch, a fixed
+// number more.
+func TestCompactAllocsConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	seqs := spineSeqs(rnaseq.Tiny(3))
+	seqs = seqs[:len(seqs)-2] // no poly-A or perfect cycle: cycles may grow the arrays
+	var warm, fresh []float64
+	var units []int
+	for _, n := range []int{40, 200, len(seqs)} {
+		g := mustGraph(t, 25)
+		for _, s := range seqs[:n] {
+			g.AddSequence(s, 1)
+		}
+		var s Scratch
+		c := g.CompactWith(&s)
+		units = append(units, len(c.Unitigs))
+		warm = append(warm, testing.AllocsPerRun(10, func() { g.CompactWith(&s) }))
+		fresh = append(fresh, testing.AllocsPerRun(10, func() { g.Compact() }))
+	}
+	if units[0]*4 > units[2] {
+		t.Fatalf("unitig counts %v do not grow", units)
+	}
+	// Fresh scratch adds its five buffers: ids, sort pairs and their
+	// radix twin, owner, In offsets.
+	if slices.Max(warm) != 4 || slices.Min(warm) != 4 || slices.Max(fresh) != 9 || slices.Min(fresh) != 9 {
+		t.Errorf("allocations per compaction: %v on warm scratch (want 4 each), %v on fresh scratch (want 9 each)", warm, fresh)
+	}
 }
 
 // TestGraphMatchesMapOracle drives the flat graph and the map graph it
@@ -200,5 +249,42 @@ func TestAddSequenceZeroAlloc(t *testing.T) {
 	g.AddSequence(s, 1)
 	if n := testing.AllocsPerRun(20, func() { g.AddSequence(s, 1) }); n != 0 {
 		t.Errorf("warm AddSequence allocates %v times per call", n)
+	}
+}
+
+// sortedIDs takes one of two sorts — packed words for small graphs
+// whose k-mer and id share a word, (k-mer, id) pairs by radix for the
+// rest (large graphs, and small ones at k = 31) — and each must list
+// exactly the live ids in Nodes' k-mer order; small graphs also
+// compact as the map oracle does.
+func TestSortedIDsMatchesNodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, k := range []int{3, 25, 31} {
+		for _, n := range []int{1, 40, radixMinNodes - 1, radixMinNodes, 3000} {
+			g := mustGraph(t, k)
+			ref := newMapGraph(k)
+			for try := 0; g.NodeCount() < n && try < 4*n; try++ { // k=3 has only 64 k-mers
+				s := make([]byte, k+rng.Intn(2*k))
+				for i := range s {
+					s[i] = "ACGT"[rng.Intn(4)]
+				}
+				g.AddSequence(s, 1)
+				ref.AddSequence(s, 1)
+			}
+			var s Scratch
+			ids := g.sortedIDs(&s)
+			nodes := g.Nodes()
+			if len(ids) != len(nodes) {
+				t.Fatalf("k=%d: %d ids for %d nodes", k, len(ids), len(nodes))
+			}
+			for i, id := range ids {
+				if g.kmers[id] != nodes[i] {
+					t.Fatalf("k=%d, %d nodes: position %d holds id %d (%v), want %v", k, len(ids), i, id, g.kmers[id], nodes[i])
+				}
+			}
+			if len(ids) < 4*radixMinNodes {
+				sameGraph(t, "small", g, ref)
+			}
+		}
 	}
 }

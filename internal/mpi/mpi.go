@@ -102,6 +102,11 @@ type World struct {
 	// lock never blocks.
 	deathQ  chan deathNote
 	deathWG sync.WaitGroup
+
+	// ended is closed when RunE's ranks have all returned: a receive
+	// still matching then (an Irecv for a tag its peer never sent) has
+	// no one left to wait for it and exits instead of leaking.
+	ended chan struct{}
 }
 
 // NewWorld creates a world with the given number of ranks.
@@ -110,7 +115,7 @@ func NewWorld(size int) *World {
 		panic(fmt.Sprintf("mpi: world size %d must be positive", size))
 	}
 	w := &World{size: size, slots: make([][]byte, size), deathCh: make(chan struct{}),
-		deathQ: make(chan deathNote, size)}
+		deathQ: make(chan deathNote, size), ended: make(chan struct{})}
 	w.boxes = make([][]chan message, size)
 	for s := 0; s < size; s++ {
 		w.boxes[s] = make([]chan message, size)
@@ -238,6 +243,7 @@ func (w *World) RunE(body func(c *Comm) error) ([]Stats, []error) {
 		}(r)
 	}
 	wg.Wait()
+	close(w.ended)
 	if w.obs != nil {
 		// Drain the death dispatcher: every observed death is delivered
 		// before RunE returns, so exports built right after a run see a
@@ -358,7 +364,10 @@ func (w *World) deliver(src, dst int, m message) {
 	if w.faulty() && w.isDead(dst) {
 		return
 	}
-	w.boxes[src][dst] <- m
+	select {
+	case w.boxes[src][dst] <- m:
+	case <-w.ended: // no rank is left to read a full mailbox
+	}
 }
 
 // Recv blocks until a message with the given tag arrives from rank src

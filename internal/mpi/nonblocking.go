@@ -133,6 +133,8 @@ func (w *World) matchRecv(src, dst, tag int, done chan<- waitResult) {
 			// again would wake instantly on our own requeue. Poll instead.
 			select {
 			case <-deaths:
+			case <-w.ended:
+				return
 			case <-time.After(100 * time.Microsecond):
 			}
 			continue
@@ -145,6 +147,8 @@ func (w *World) matchRecv(src, dst, tag int, done chan<- waitResult) {
 			}
 			w.requeue(src, dst, m)
 		case <-deaths:
+		case <-w.ended:
+			return
 		}
 	}
 }

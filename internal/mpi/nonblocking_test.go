@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"gotrinity/internal/leakcheck"
 )
 
 func TestIsendIrecv(t *testing.T) {
@@ -360,5 +362,21 @@ func TestReceiversWakeOnBackToBackDeaths(t *testing.T) {
 			}
 			return nil
 		})
+	}
+}
+
+// An Irecv whose tag never arrives exits when its world's run ends,
+// instead of waiting on the mailbox forever.
+func TestIrecvEndsWithWorld(t *testing.T) {
+	start := runtime.NumGoroutine()
+	w := NewWorld(2)
+	w.Run(func(c *Comm) {
+		if c.Rank() == 0 {
+			c.Irecv(1, 99) // rank 1 never sends tag 99
+			c.Irecv(1, 98)
+		}
+	})
+	if n := leakcheck.Settle(start, leakcheck.Deadline); n > start {
+		t.Fatalf("%d goroutines before the run, %d after it ended", start, n)
 	}
 }

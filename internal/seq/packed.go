@@ -87,10 +87,23 @@ func PackInto(dst *Packed, s []byte) {
 }
 
 // PackRecords packs a slice of records, keeping IDs and descriptions.
+// Every record's words are cut from one shared array, each a
+// cap-limited view, so a PackInto or append on one record reallocates
+// its own words instead of writing into its neighbour's; only the N
+// runs stay per record.
 func PackRecords(recs []Record) []PackedRecord {
 	out := make([]PackedRecord, len(recs))
+	total := 0
 	for i := range recs {
-		out[i] = PackedRecord{ID: recs[i].ID, Desc: recs[i].Desc, Seq: Pack(recs[i].Seq)}
+		total += (len(recs[i].Seq) + 31) / 32
+	}
+	words := make([]uint64, total)
+	for i := range recs {
+		out[i] = PackedRecord{ID: recs[i].ID, Desc: recs[i].Desc}
+		if nw := (len(recs[i].Seq) + 31) / 32; nw > 0 {
+			out[i].Seq.words, words = words[:nw:nw], words[nw:]
+		}
+		PackInto(&out[i].Seq, recs[i].Seq)
 	}
 	return out
 }

@@ -305,3 +305,51 @@ func FuzzPackedRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// PackRecords cuts every record's words from one array; each view is
+// cap-limited, so repacking or appending to one record leaves its
+// neighbours' bases alone.
+func TestPackRecordsArena(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var recs []Record
+	for _, n := range packLengths {
+		recs = append(recs, Record{ID: "r", Seq: randSeq(rng, n, 3)})
+	}
+	packed := PackRecords(recs)
+	check := func(when string, skip int) {
+		t.Helper()
+		for i := range packed {
+			if i != skip && !bytes.Equal(packed[i].Seq.Decode(), recs[i].Seq) {
+				t.Fatalf("%s: record %d (%d bases) decodes to %q, want %q", when, i, len(recs[i].Seq), packed[i].Seq.Decode(), recs[i].Seq)
+			}
+		}
+	}
+	check("packed", -1)
+	for i := range packed {
+		repl := randSeq(rng, len(recs[i].Seq), 30)
+		PackInto(&packed[i].Seq, repl)
+		check("after PackInto on a neighbour", i)
+		recs[i].Seq = append(repl, 'T') // one base longer
+		PackInto(&packed[i].Seq, recs[i].Seq)
+		packed[i].Seq.words = append(packed[i].Seq.words, ^uint64(0))
+		check("after a longer PackInto and an append", -1)
+	}
+}
+
+// Packing N-free reads allocates the record array and the word array,
+// however many reads there are.
+func TestPackRecordsAllocsConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{1, 10, 1000} {
+		recs := make([]Record, n)
+		for i := range recs {
+			recs[i] = Record{ID: "r", Seq: randSeq(rng, 40+rng.Intn(100), 0)}
+		}
+		if got := testing.AllocsPerRun(10, func() { PackRecords(recs) }); got != 2 {
+			t.Errorf("PackRecords of %d N-free reads allocates %v times, want 2", n, got)
+		}
+	}
+}
