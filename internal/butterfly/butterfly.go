@@ -156,12 +156,7 @@ func (w *walker) reconstructComponent(g *dbg.Graph) []path {
 	}
 	w.visited = slices.Grow(w.visited[:0], n)[:n]
 	clear(w.visited)
-	sources := w.sources[:0]
-	for u := range w.c.Unitigs {
-		if len(w.c.Unitigs[u].In) == 0 {
-			sources = append(sources, u)
-		}
-	}
+	sources := w.c.AppendSources(w.sources[:0])
 	if len(sources) == 0 {
 		// Pure cycle: start from every unitig, the depth cap terminates.
 		for u := range w.c.Unitigs {

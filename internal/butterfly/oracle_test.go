@@ -204,7 +204,7 @@ func oracleReconstructComponent(g *dbg.Graph, opt Options) []path {
 		return nil
 	}
 	c := g.Compact()
-	sources := c.Sources()
+	sources := c.AppendSources(nil)
 	if len(sources) == 0 {
 		// Pure cycle: start from every unitig, the depth cap terminates.
 		for i := range c.Unitigs {

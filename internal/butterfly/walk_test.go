@@ -120,7 +120,7 @@ func TestReconstructMatchesOracle(t *testing.T) {
 			}
 		}
 		if cycle {
-			if c := g.Compact(); len(c.Sources()) == 0 {
+			if c := g.Compact(); len(c.AppendSources(nil)) == 0 {
 				cycles++
 			}
 		}

@@ -188,31 +188,10 @@ type nodeKey struct {
 	id int32
 }
 
-// radixMinNodes is the node count from which sortedIDs radix-sorts.
-// Below it, when a k-mer and an id fit in one word together, the words
-// are sorted as plain integers: the radix histograms cost more there.
-const radixMinNodes = 256
-
 // sortedIDs returns the live node ids in increasing k-mer order, in
 // s's buffers: each k-mer is read with its id straight off the
-// id-indexed arrays and sorted with it, so no id is looked up.
+// id-indexed arrays and radix-sorted with it, so no id is looked up.
 func (g *Graph) sortedIDs(s *Scratch) []int32 {
-	ids := slices.Grow(s.ids[:0], g.live)
-	idBits := bits.Len(uint(len(g.kmers)))
-	if g.live < radixMinNodes && 2*g.K+idBits <= 64 {
-		words := slices.Grow(s.words[:0], g.live)
-		for id, m := range g.kmers {
-			if !g.isDead(int32(id)) {
-				words = append(words, uint64(m)<<idBits|uint64(id))
-			}
-		}
-		slices.Sort(words) // k-mers are distinct: the ids never decide
-		for _, w := range words {
-			ids = append(ids, int32(w&(1<<idBits-1)))
-		}
-		s.ids, s.words = ids, words
-		return ids
-	}
 	keys := slices.Grow(s.keys[:0], g.live)
 	for id, m := range g.kmers {
 		if !g.isDead(int32(id)) {
@@ -228,6 +207,7 @@ func (g *Graph) sortedIDs(s *Scratch) []int32 {
 			s.tmp = keys // the result landed in tmp: the buffers swap roles
 		}
 	}
+	ids := slices.Grow(s.ids[:0], g.live)
 	for _, nk := range sorted {
 		ids = append(ids, nk.id)
 	}
@@ -278,7 +258,6 @@ func radixSortKeys(a, tmp []nodeKey) []nodeKey {
 // goroutines.
 type Scratch struct {
 	ids       []int32 // live node ids in k-mer order
-	words     []uint64
 	keys, tmp []nodeKey
 	owner     []int32 // node id → unitig id; -2 marks an unvisited chain start, -1 any other unvisited node
 	inEnd     []int   // unitig id → end of its In list in the edge array
@@ -432,15 +411,15 @@ func (g *Graph) CompactWith(s *Scratch) *Compacted {
 	return c
 }
 
-// Sources returns unitig ids with no predecessors.
-func (c *Compacted) Sources() []int {
-	var out []int
+// AppendSources appends the ids of the unitigs with no predecessors
+// to dst, in increasing order, and returns the extended slice.
+func (c *Compacted) AppendSources(dst []int) []int {
 	for i := range c.Unitigs {
 		if len(c.Unitigs[i].In) == 0 {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	return out
+	return dst
 }
 
 // TotalBases returns the summed unitig lengths.

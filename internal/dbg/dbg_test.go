@@ -2,6 +2,7 @@ package dbg
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -111,9 +112,12 @@ func TestCompactBubble(t *testing.T) {
 		}
 		t.Fatalf("unitigs = %d, want 4 (prefix, two branches, suffix)", len(c.Unitigs))
 	}
-	srcs := c.Sources()
+	srcs := c.AppendSources(nil)
 	if len(srcs) != 1 {
 		t.Fatalf("sources = %v, want exactly the prefix", srcs)
+	}
+	if got := c.AppendSources([]int{-1}); !slices.Equal(got, []int{-1, srcs[0]}) {
+		t.Errorf("AppendSources([-1]) = %v, want [-1 %d]", got, srcs[0])
 	}
 	src := c.Unitigs[srcs[0]]
 	if !strings.HasPrefix(prefix, string(src.Seq[:5])) {

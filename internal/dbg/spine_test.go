@@ -252,15 +252,16 @@ func TestAddSequenceZeroAlloc(t *testing.T) {
 	}
 }
 
-// sortedIDs takes one of two sorts — packed words for small graphs
-// whose k-mer and id share a word, (k-mer, id) pairs by radix for the
-// rest (large graphs, and small ones at k = 31) — and each must list
-// exactly the live ids in Nodes' k-mer order; small graphs also
+// sortedIDs radix-sorts (k-mer, id) pairs and must list exactly the
+// live ids in Nodes' k-mer order, at every size and k (k = 3 leaves
+// most key bytes constant, k = 31 uses all eight), with one Scratch
+// reused across graphs as a Butterfly worker does; small graphs also
 // compact as the map oracle does.
 func TestSortedIDsMatchesNodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	var sc Scratch
 	for _, k := range []int{3, 25, 31} {
-		for _, n := range []int{1, 40, radixMinNodes - 1, radixMinNodes, 3000} {
+		for _, n := range []int{1, 2, 40, 255, 256, 3000, 17} {
 			g := mustGraph(t, k)
 			ref := newMapGraph(k)
 			for try := 0; g.NodeCount() < n && try < 4*n; try++ { // k=3 has only 64 k-mers
@@ -271,8 +272,7 @@ func TestSortedIDsMatchesNodes(t *testing.T) {
 				g.AddSequence(s, 1)
 				ref.AddSequence(s, 1)
 			}
-			var s Scratch
-			ids := g.sortedIDs(&s)
+			ids := g.sortedIDs(&sc)
 			nodes := g.Nodes()
 			if len(ids) != len(nodes) {
 				t.Fatalf("k=%d: %d ids for %d nodes", k, len(ids), len(nodes))
@@ -282,7 +282,7 @@ func TestSortedIDsMatchesNodes(t *testing.T) {
 					t.Fatalf("k=%d, %d nodes: position %d holds id %d (%v), want %v", k, len(ids), i, id, g.kmers[id], nodes[i])
 				}
 			}
-			if len(ids) < 4*radixMinNodes {
+			if len(ids) < 1024 {
 				sameGraph(t, "small", g, ref)
 			}
 		}

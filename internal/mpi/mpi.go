@@ -20,6 +20,7 @@ package mpi
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -105,8 +106,11 @@ type World struct {
 
 	// ended is closed when RunE's ranks have all returned: a receive
 	// still matching then (an Irecv for a tag its peer never sent) has
-	// no one left to wait for it and exits instead of leaking.
+	// no one left to wait for it and exits instead of leaking. It is
+	// closed once, so a World runs once: ran makes a second RunE panic
+	// instead of running ranks whose receives could end early.
 	ended chan struct{}
+	ran   atomic.Bool
 }
 
 // NewWorld creates a world with the given number of ranks.
@@ -205,9 +209,13 @@ func (w *World) Run(body func(c *Comm)) ([]Stats, []error) {
 // RunE is Run for bodies that return an error. A rank returning a
 // non-nil error is treated as failed and removed from the world so
 // surviving ranks do not block on it. A World runs one job: create a
-// fresh World per RunE call (the observer's death queue is consumed
-// and closed by the run).
+// fresh World per RunE call (the run closes its ended channel and the
+// observer's death queue, and keeps its dead ranks); a second RunE on
+// the same World panics.
 func (w *World) RunE(body func(c *Comm) error) ([]Stats, []error) {
+	if w.ran.Swap(true) {
+		panic("mpi: World already ran; create a new World per Run")
+	}
 	stats := make([]Stats, w.size)
 	errs := make([]error, w.size)
 	if w.obs != nil {

@@ -244,11 +244,27 @@ func TestInt64Codec(t *testing.T) {
 	}
 }
 
+// TestWorldRunsOnce: a World's ended channel is closed by its run, so
+// a second run on it would see receives end early; it panics instead.
+func TestWorldRunsOnce(t *testing.T) {
+	w := NewWorld(2)
+	w.Run(func(c *Comm) { c.Barrier() })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Run on one World did not panic")
+		}
+	}()
+	w.Run(func(c *Comm) { c.Barrier() })
+}
+
+// BenchmarkAllgatherv16 times one 16-rank Allgatherv run, on a new
+// World per iteration (a World runs once).
 func BenchmarkAllgatherv16(b *testing.B) {
-	w := NewWorld(16)
 	payload := make([]byte, 1024)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		w := NewWorld(16)
+		b.StartTimer()
 		w.Run(func(c *Comm) {
 			c.Allgatherv(payload)
 		})
