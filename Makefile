@@ -49,6 +49,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadComponents -fuzztime 10s ./internal/chrysalis/
 	$(GO) test -run '^$$' -fuzz FuzzReadAssignments -fuzztime 10s ./internal/chrysalis/
 	$(GO) test -run '^$$' -fuzz FuzzChrysalisDegenerateInput -fuzztime 10s ./internal/chrysalis/
+	$(GO) test -run '^$$' -fuzz FuzzWeldPool -fuzztime 10s ./internal/chrysalis/
 	$(GO) test -run '^$$' -fuzz FuzzReadSAM -fuzztime 10s ./internal/bowtie/
 	$(GO) test -run '^$$' -fuzz FuzzAlignDegenerateReads -fuzztime 10s ./internal/bowtie/
 	$(GO) test -run '^$$' -fuzz FuzzFlatSet -fuzztime 10s ./internal/kmer/

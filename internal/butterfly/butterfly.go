@@ -95,10 +95,11 @@ func ReconstructParallel(graphs []*chrysalis.ComponentGraph, opt Options, worker
 }
 
 // walker is one pool thread's working memory, reused across the
-// components it reconstructs: the compaction scratch, the per-unitig
-// arrays, the path buffer and the dedup set grow to the largest
-// component the thread has met, so a component allocates its unitig
-// graph, its emitted paths and its transcripts — not per DFS step.
+// components it reconstructs: the cleaning and compaction scratch, the
+// per-unitig arrays, the path buffer and the dedup set grow to the
+// largest component the thread has met, so a component allocates its
+// unitig graph, its emitted paths and its transcripts — not per DFS
+// step.
 type walker struct {
 	opt     Options // normalized
 	scratch dbg.Scratch
@@ -116,8 +117,8 @@ type walker struct {
 // per-component body of ReconstructParallel.
 func (w *walker) componentTranscripts(cg *chrysalis.ComponentGraph) []Transcript {
 	if w.opt.CleanGraph {
-		cg.Graph.ClipTips(0, 0.2)
-		cg.Graph.PopBubbles(0, 0.2)
+		cg.Graph.ClipTipsWith(&w.scratch, 0, 0.2)
+		cg.Graph.PopBubblesWith(&w.scratch, 0, 0.2)
 	}
 	paths := w.reconstructComponent(cg.Graph)
 	var out []Transcript

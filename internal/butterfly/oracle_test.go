@@ -177,8 +177,8 @@ func oracleReconstruct(graphs []*chrysalis.ComponentGraph, opt Options) []Transc
 // opt must already be normalized.
 func oracleComponentTranscripts(cg *chrysalis.ComponentGraph, opt Options) []Transcript {
 	if opt.CleanGraph {
-		cg.Graph.ClipTips(0, 0.2)
-		cg.Graph.PopBubbles(0, 0.2)
+		cg.Graph.ClipTipsWith(new(dbg.Scratch), 0, 0.2)
+		cg.Graph.PopBubblesWith(new(dbg.Scratch), 0, 0.2)
 	}
 	paths := oracleReconstructComponent(cg.Graph, opt)
 	var out []Transcript

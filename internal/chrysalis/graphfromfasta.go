@@ -2,6 +2,7 @@ package chrysalis
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"gotrinity/internal/cluster"
@@ -49,9 +50,9 @@ type GFFOptions struct {
 	// GFFRankProfile.
 	ShardKmers bool
 
-	// Packed runs the welding loops on 2-bit packed contigs
-	// (weld_packed.go): word-wise window compares, packed k-mer
-	// extraction, and packed welds on the wire. Results, work units,
+	// Packed runs the welding loops on 2-bit packed contigs:
+	// word-wise window compares, packed k-mer extraction, and
+	// seq.Packed.Encode weld frames on the wire. Results, work units,
 	// and profiles are byte-identical to the ASCII kernels. Ignored
 	// under ShardKmers — the sharded lookup exchange is byte-slice
 	// based, and its results are identical either way, so normalize
@@ -202,20 +203,6 @@ func (c *tileCounts) Get(m kmer.Kmer) uint32 {
 
 func (c *tileCounts) MemBytes() int64 { return int64(len(c.counts)) * 4 }
 
-// pairLookup is what loop 2's kernel probes: the pooled weld index, in
-// the form the run's kernels take.
-type pairLookup struct {
-	ix  *weldIndex[string]     // ASCII kernels
-	pix *weldIndex[seq.Packed] // packed kernels
-}
-
-func (l pairLookup) memBytes() int64 {
-	if l.pix != nil {
-		return l.pix.memBytes(seq.Packed.MemBytes)
-	}
-	return l.ix.memBytes(func(w string) int { return len(w) })
-}
-
 // encodePair packs one (weld id, contig id) incidence into the int64
 // the pair pooling moves; decodePair reverses it.
 func encodePair(p [2]int32) int64 { return int64(p[0])<<32 | int64(uint32(p[1])) }
@@ -286,72 +273,52 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 	// while each rank is still charged the full build cost. The pooled
 	// weld list is identical on every rank by construction.
 	var pooledOnce sync.Once
-	var pooled []string
-	var pooledPacked []seq.Packed
+	var pooled []weld
+	var weldSeqs []string
 	source := buildGFFSource(seqs, pseqs, opt.K, readKmers)
 	setupUnits := float64(len(source.keys))
 	look1 := sync.OnceValue(func() weldLookup {
 		return weldLookup{occs: source.occs(0, 0), reads: reads}
 	})
-	look2 := sync.OnceValue(func() pairLookup {
-		if opt.Packed {
-			return pairLookup{pix: buildPackedWeldIndex(pooledPacked, opt.K)}
-		}
-		return pairLookup{ix: buildWeldIndex(pooled, opt.K)}
-	})
+	look2 := sync.OnceValue(func() *weldIndex { return buildWeldIndex(pooled, opt.K) })
 	// Under ShardKmers every rank holds one shard of those tables,
 	// rebuilt from the shared source, and the full ones above are built
 	// only if chunk recovery needs them.
 	var shards1 *shardedLookup[weldLookup]
-	var shards2 *shardedLookup[pairLookup]
+	var shards2 *shardedLookup[*weldIndex]
 	if opt.ShardKmers {
 		shards1 = weldShards(source, ranks)
-		shards2 = pairShards(source, ranks, func() []string { return pooled })
+		shards2 = pairShards(source, ranks, func() []weld { return pooled })
 	}
 
-	// The two chunk kernels. In packed mode the weld strings are wire
-	// frames (Packed.Encode bytes); checkpointing and the exchanges are
-	// content-agnostic, so only the kernels differ.
-	weldChunk := func(lo, hi int, look weldLookup, costs []float64, welds []string) []string {
-		if opt.Packed {
-			sc := packedWeldScratchPool.Get().(*packedWeldScratch)
-			defer packedWeldScratchPool.Put(sc)
-			reads := look.reads.(jellyfish.View) // packed runs are never sharded (normalize)
-			for i := lo; i < hi; i++ {
-				rot := harvestRotation(opt.Seed, i, pseqs[i].Len())
-				ws, u := harvestWeldsPacked(pseqs[i], i, pseqs, look.occs, reads, opt, rot, sc)
-				costs[i-lo] = u * opt.LoopOpWeight
-				welds = append(welds, encodeWeldFrames(ws)...)
-			}
-			return welds
-		}
+	// The two chunk kernels: only they and the wire frames tell the
+	// packed and the ASCII path apart.
+	weldChunk := func(lo, hi int, look weldLookup, costs []float64, welds []weld) []weld {
 		sc := weldScratchPool.Get().(*weldScratch)
 		defer weldScratchPool.Put(sc)
 		for i := lo; i < hi; i++ {
-			rot := harvestRotation(opt.Seed, i, len(seqs[i]))
-			ws, u := harvestWelds(seqs[i], i, seqs, look.occs, look.reads, opt, rot, sc)
+			var u float64
+			if opt.Packed {
+				rot := harvestRotation(opt.Seed, i, pseqs[i].Len())
+				welds, u = harvestWeldsPacked(welds, pseqs[i], i, pseqs, look.occs, look.reads, opt, rot, sc)
+			} else {
+				rot := harvestRotation(opt.Seed, i, len(seqs[i]))
+				welds, u = harvestWelds(welds, seqs[i], i, seqs, look.occs, look.reads, opt, rot, sc)
+			}
 			costs[i-lo] = u * opt.LoopOpWeight
-			welds = append(welds, ws...)
 		}
 		return welds
 	}
-	pairChunk := func(lo, hi int, look pairLookup, costs []float64, encs []int64) []int64 {
-		var psc *packedWeldScratch
-		var sc *weldScratch
-		if opt.Packed {
-			psc = packedWeldScratchPool.Get().(*packedWeldScratch)
-			defer packedWeldScratchPool.Put(psc)
-		} else {
-			sc = weldScratchPool.Get().(*weldScratch)
-			defer weldScratchPool.Put(sc)
-		}
+	pairChunk := func(lo, hi int, ix *weldIndex, costs []float64, encs []int64) []int64 {
+		sc := weldScratchPool.Get().(*weldScratch)
+		defer weldScratchPool.Put(sc)
 		for i := lo; i < hi; i++ {
 			var pairs [][2]int32
 			var u float64
 			if opt.Packed {
-				pairs, u = scanContigForWeldsPacked(pseqs[i], i, look.pix, psc)
+				pairs, u = scanContigForWeldsPacked(pseqs[i], i, ix, sc)
 			} else {
-				pairs, u = scanContigForWelds(seqs[i], i, look.ix, sc)
+				pairs, u = scanContigForWelds(seqs[i], i, ix, sc)
 			}
 			costs[i-lo] = u * opt.LoopOpWeight
 			for _, p := range pairs {
@@ -360,11 +327,12 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 		}
 		return encs
 	}
+	frames := func(welds []weld) []byte { return appendWeldFrames(nil, welds, opt.K, opt.Packed) }
 
 	env := newLoopEnv(ranks, opt.ThreadsPerRank, opt.Replicas, opt.StaticSchedule, opt.Faults, opt.Recovery, opt.Trace)
-	loop1 := newHybridLoop(hybridLoop[string, weldLookup]{env: env, stage: "graphfromfasta/welds", dist: dist,
-		kernel: weldChunk, full: look1, sharded: shards1, encode: packWelds})
-	loop2 := newHybridLoop(hybridLoop[int64, pairLookup]{env: env, stage: "graphfromfasta/pairs", dist: dist,
+	loop1 := newHybridLoop(hybridLoop[weld, weldLookup]{env: env, stage: "graphfromfasta/welds", dist: dist,
+		kernel: weldChunk, full: look1, sharded: shards1, encode: frames})
+	loop2 := newHybridLoop(hybridLoop[int64, *weldIndex]{env: env, stage: "graphfromfasta/pairs", dist: dist,
 		kernel: pairChunk, full: look2, sharded: shards2, encode: packInt64s})
 
 	profiles := make([]GFFRankProfile, ranks)
@@ -394,7 +362,7 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 		// store recovery completes, so killed ranks and dropped
 		// contributions cannot lose welds.
 		before := c.Stats
-		packed := packWelds(r1.mine)
+		packed := frames(r1.mine)
 		var parts [][]byte
 		if env.active {
 			counts, _ := c.TryAllgatherInt(len(packed))
@@ -414,17 +382,11 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 		prof.Loop1Units, prof.Loop1Imbalance, _ = loop1.makespan(rank)
 		pooledOnce.Do(func() {
 			if chunks, ok := loop1.checkpointed(); ok {
-				parts = make([][]byte, len(chunks))
-				for ch, ws := range chunks {
-					parts[ch] = packWelds(ws)
-				}
-			}
-			if opt.Packed {
-				pooledPacked = poolWeldsPacked(parts)
-				pooled = decodeWelds(pooledPacked)
+				pooled = canonicalWelds(slices.Concat(chunks...), opt.K)
 			} else {
-				pooled = poolWelds(parts)
+				pooled = poolWelds(parts, opt.K, opt.Packed)
 			}
+			weldSeqs = weldStrings(pooled, opt.K)
 		})
 
 		// --- Non-parallel middle: build the pooled weld index (or this
@@ -462,22 +424,26 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 		}
 
 		// --- Non-parallel output: weld-sharing contigs → union-find →
-		// components. Every rank computes the identical result (the
-		// union-find's groups are canonical, so the pooled pair order —
-		// rank-major or chunk-major — does not matter).
-		byWeld := map[int32][]int32{}
+		// components: each contig is united with the first contig found
+		// holding the same weld (first, indexed by dense weld id). Every
+		// rank computes the identical result (the union-find's groups
+		// are canonical, so the pooled pair order — rank-major or
+		// chunk-major — does not matter).
+		first := make([]int32, len(pooled))
+		for i := range first {
+			first[i] = -1
+		}
 		total := 0
+		uf := newUnionFind(len(contigs))
 		for _, part := range allPairs {
 			for _, enc := range part {
 				w, ci := decodePair(enc)
-				byWeld[w] = append(byWeld[w], ci)
+				if first[w] < 0 {
+					first[w] = ci
+				} else {
+					uf.union(int(first[w]), int(ci))
+				}
 				total++
-			}
-		}
-		uf := newUnionFind(len(contigs))
-		for _, members := range byWeld {
-			for i := 1; i < len(members); i++ {
-				uf.union(int(members[0]), int(members[i]))
 			}
 		}
 		for _, p := range opt.ScaffoldPairs {
@@ -500,7 +466,7 @@ func GraphFromFasta(contigs []seq.Record, readKmers *jellyfish.CountTable,
 			prof.ResidentKmerBytes = look1().memBytes() + look2().memBytes()
 		}
 
-		results[rank] = &GFFResult{Components: comps, Welds: pooled, NumPairs: total}
+		results[rank] = &GFFResult{Components: comps, Welds: weldSeqs, NumPairs: total}
 		return nil
 	})
 

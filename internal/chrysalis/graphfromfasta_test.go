@@ -2,6 +2,8 @@ package chrysalis
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"gotrinity/internal/jellyfish"
@@ -229,4 +231,93 @@ func TestHarvestRotationDeterministic(t *testing.T) {
 	if harvestRotation(7, 5, 1) != 0 {
 		t.Error("length-1 rotation must be 0")
 	}
+}
+
+// TestGFFNWindowsAreNoWelds pins the N-window rule: a window holding a
+// non-ACGT base is not a weld candidate, even where two contigs share
+// it base for base (N included) and every k-mer of it is supported.
+// Contigs A and B share 3k bases with an N in the middle, so every
+// shared 2k window holds the N; C and D share 3k clean bases.
+func TestGFFNWindowsAreNoWelds(t *testing.T) {
+	const k = 15
+	rng := rand.New(rand.NewSource(47))
+	dna := func(n int) []byte {
+		s := make([]byte, n)
+		for i := range s {
+			s[i] = "ACGT"[rng.Intn(4)]
+		}
+		return s
+	}
+	withN, clean := dna(3*k), dna(3*k)
+	withN[3*k/2] = 'N'
+	contigs := []seq.Record{
+		{ID: "A", Seq: append(append(dna(60), withN...), dna(60)...)},
+		{ID: "B", Seq: append(append(dna(60), withN...), dna(60)...)},
+		{ID: "C", Seq: append(append(dna(60), clean...), dna(60)...)},
+		{ID: "D", Seq: append(append(dna(60), clean...), dna(60)...)},
+	}
+	var reads []seq.Record
+	for _, c := range contigs {
+		for rep := 0; rep < 3; rep++ {
+			for s := 0; s+50 <= len(c.Seq); s += 10 {
+				reads = append(reads, seq.Record{ID: "r", Seq: c.Seq[s : s+50]})
+			}
+		}
+	}
+	table, err := jellyfish.Count(reads, jellyfish.Options{K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := &testScenario{contigs: contigs, reads: reads, kmers: table, k: k}
+	base := runGFF(t, sc, 1, GFFOptions{K: k, ThreadsPerRank: 1})
+	want := []Component{{ID: 0, Contigs: []int{0}}, {ID: 1, Contigs: []int{1}}, {ID: 2, Contigs: []int{2, 3}}}
+	if !reflect.DeepEqual(base.Components, want) {
+		t.Fatalf("components %v, want %v", base.Components, want)
+	}
+	if len(base.Welds) == 0 {
+		t.Fatal("C and D share no weld")
+	}
+	for _, w := range base.Welds {
+		if strings.ContainsRune(w, 'N') {
+			t.Fatalf("weld %q holds an N", w)
+		}
+	}
+	for _, opt := range []GFFOptions{
+		{K: k, ThreadsPerRank: 2, Packed: true},
+		{K: k, ThreadsPerRank: 2, ShardKmers: true},
+	} {
+		sameGFF(t, "N windows", runGFF(t, sc, 3, opt), base)
+	}
+}
+
+// TestGFFAllocsDoNotGrowWithWelds: at a fixed contig count, a run that
+// harvests several times the welds allocates no more than a handful
+// more times — slice doublings, not an object per weld. Welds are
+// values from harvest to output, where one string and one slice hold
+// them all.
+func TestGFFAllocsDoNotGrowWithWelds(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	var welds []int
+	var allocs []float64
+	for _, pairs := range []int{2, 14} {
+		sc := buildWeldScenario(t, pairs, 32-2*pairs, 3)
+		for _, packed := range []bool{false, true} {
+			opt := GFFOptions{K: sc.k, ThreadsPerRank: 1, Packed: packed}
+			welds = append(welds, len(runGFF(t, sc, 1, opt).Welds))
+			allocs = append(allocs, testing.AllocsPerRun(5, func() { runGFF(t, sc, 1, opt) }))
+		}
+	}
+	for i := 0; i < 2; i++ {
+		few, many := i, i+2
+		if welds[many] < 4*welds[few] {
+			t.Fatalf("weld counts %v do not grow", welds)
+		}
+		if extra := allocs[many] - allocs[few]; extra > 32 {
+			t.Errorf("packed=%v: %v welds allocate %.0f times, %v welds %.0f: %.0f more",
+				i == 1, welds[few], allocs[few], welds[many], allocs[many], extra)
+		}
+	}
+	t.Logf("welds %v, allocations %v", welds, allocs)
 }

@@ -37,10 +37,11 @@ func BenchmarkHarvestWelds(b *testing.B) {
 	b.Run("flat", func(b *testing.B) {
 		ix := buildContigKmerIndex(sc.contigs, sc.k)
 		scr := new(weldScratch)
+		var welds []weld
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ci := i % len(sc.contigs)
-			harvestWelds(sc.contigs[ci], ci, sc.contigs, ix, sc.frozen, opt, i, scr)
+			welds, _ = harvestWelds(welds[:0], sc.contigs[ci], ci, sc.contigs, ix, sc.frozen, opt, i, scr)
 		}
 	})
 }
@@ -52,7 +53,7 @@ func BenchmarkScanContigForWelds(b *testing.B) {
 		b.Fatal("bench scenario produced no welds")
 	}
 	b.Run("map-ref", func(b *testing.B) {
-		ix := buildRefWeldIndex(welds, sc.k)
+		ix := buildRefWeldIndex(weldStrings(welds, sc.k), sc.k)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ci := i % len(sc.contigs)
@@ -98,24 +99,15 @@ func BenchmarkBuildContigKmerIndex(b *testing.B) {
 func BenchmarkBuildWeldIndex(b *testing.B) {
 	sc := benchScenario(b)
 	welds := pooledWelds(b, sc)
+	strs := weldStrings(welds, sc.k)
 	b.Run("map-ref", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			buildRefWeldIndex(welds, sc.k)
+			buildRefWeldIndex(strs, sc.k)
 		}
 	})
 	b.Run("flat", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			buildWeldIndex(welds, sc.k)
-		}
-	})
-	b.Run("packed", func(b *testing.B) {
-		pwelds := make([]seq.Packed, len(welds))
-		for i, w := range welds {
-			pwelds[i] = seq.Pack([]byte(w))
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buildPackedWeldIndex(pwelds, sc.k)
 		}
 	})
 }

@@ -3,7 +3,7 @@ package chrysalis
 import (
 	"math/rand"
 	"reflect"
-	"strings"
+	"slices"
 	"testing"
 
 	"gotrinity/internal/jellyfish"
@@ -17,7 +17,9 @@ import (
 // pinned against the map-based reference implementation it replaced —
 // same results, same work-unit meters — on randomized inputs that
 // include ambiguous bases, empty sequences, and rotated scan starts.
-// The references below are verbatim copies of the pre-rewrite kernels.
+// The references below are copies of the pre-rewrite kernels, string
+// welds and all; the harvest reference has since gained the rule that
+// a window with an ambiguous base is no weld candidate.
 
 // --- map-based reference kernels ------------------------------------
 
@@ -87,6 +89,9 @@ func refHarvestWelds(contig []byte, ci int, ix *refContigKmerIndex, reads *jelly
 			continue
 		}
 		w := contig[lo:hi]
+		if slices.ContainsFunc(w, func(b byte) bool { _, ok := seq.BaseIndex(b); return !ok }) {
+			continue // a window with an ambiguous base is no weld candidate
+		}
 		if seen[string(w)] {
 			continue
 		}
@@ -391,9 +396,9 @@ func TestHarvestWeldsDifferential(t *testing.T) {
 					} else {
 						rot = 0
 					}
-					gotW, gotU := harvestWelds(contig, ci, sc.contigs, flat, sc.frozen, opt, rot, scr)
+					gotW, gotU := harvestWelds(nil, contig, ci, sc.contigs, flat, sc.frozen, opt, rot, scr)
 					wantW, wantU := refHarvestWelds(contig, ci, ref, sc.table, opt, rot)
-					if !reflect.DeepEqual(gotW, wantW) {
+					if got := weldStrings(gotW, sc.k); !slices.Equal(got, wantW) {
 						t.Fatalf("seed %d contig %d rot %d cap %d: welds %v vs %v",
 							seed, ci, rot, maxWelds, gotW, wantW)
 					}
@@ -417,8 +422,17 @@ func TestWeldSupportDifferential(t *testing.T) {
 		}
 		lo := rng.Intn(len(c) - 2*sc.k + 1)
 		w := c[lo : lo+2*sc.k]
+		var kmers []kmer.Kmer
+		for i := 0; i <= sc.k; i++ {
+			if m, ok := kmer.Encode(w[i:], sc.k); ok {
+				kmers = append(kmers, m)
+			}
+		}
+		if len(kmers) <= sc.k {
+			continue // an ambiguous window is never probed
+		}
 		for _, minSupport := range []int{1, 2, 1000} {
-			gotOK, gotP := weldSupport(w, sc.k, sc.frozen, minSupport)
+			gotOK, gotP := weldSupport(kmers, sc.k, sc.frozen, minSupport)
 			wantOK, wantP := refWeldSupport(w, sc.k, sc.table, minSupport)
 			if gotOK != wantOK || gotP != wantP {
 				t.Fatalf("minSupport %d: (%v,%d) vs (%v,%d)", minSupport, gotOK, gotP, wantOK, wantP)
@@ -429,7 +443,7 @@ func TestWeldSupportDifferential(t *testing.T) {
 
 // pooledWelds harvests every contig and pools the result — realistic
 // weld input for the loop-2 differentials.
-func pooledWelds(t testing.TB, sc *kernelScenario) []string {
+func pooledWelds(t testing.TB, sc *kernelScenario) []weld {
 	t.Helper()
 	ref := buildRefContigKmerIndex(sc.contigs, sc.k)
 	opt := GFFOptions{K: sc.k, MinWeldSupport: 2, MaxWeldsPerContig: 100}
@@ -438,7 +452,7 @@ func pooledWelds(t testing.TB, sc *kernelScenario) []string {
 		w, _ := refHarvestWelds(contig, ci, ref, sc.table, opt, 0)
 		all = append(all, w...)
 	}
-	return poolWelds([][]byte{packWelds(all)})
+	return poolWelds([][]byte{oraclePackWelds(all)}, sc.k, false)
 }
 
 func TestWeldIndexDifferential(t *testing.T) {
@@ -449,9 +463,11 @@ func TestWeldIndexDifferential(t *testing.T) {
 			t.Fatalf("seed %d: scenario produced no welds", seed)
 		}
 		flat := buildWeldIndex(welds, sc.k)
-		ref := buildRefWeldIndex(welds, sc.k)
-		if !reflect.DeepEqual(flat.rcWelds, ref.rcWelds) {
-			t.Fatalf("seed %d: rcWelds differ", seed)
+		ref := buildRefWeldIndex(weldStrings(welds, sc.k), sc.k)
+		for id, w := range welds {
+			if got, want := weldStrings([]weld{w.reverseComplement(sc.k)}, sc.k)[0], ref.rcWelds[id]; got != want {
+				t.Fatalf("seed %d: weld %d reverse complement %q, want %q", seed, id, got, want)
+			}
 		}
 		if flat.refs.Len() != len(ref.byCore) {
 			t.Fatalf("seed %d: distinct cores %d vs %d", seed, flat.refs.Len(), len(ref.byCore))
@@ -469,7 +485,7 @@ func TestScanContigForWeldsDifferential(t *testing.T) {
 		sc := buildKernelScenario(t, seed, 20)
 		welds := pooledWelds(t, sc)
 		flat := buildWeldIndex(welds, sc.k)
-		ref := buildRefWeldIndex(welds, sc.k)
+		ref := buildRefWeldIndex(weldStrings(welds, sc.k), sc.k)
 		scr := new(weldScratch)
 		for ci, contig := range sc.contigs {
 			gotP, gotU := scanContigForWelds(contig, ci, flat, scr)
@@ -543,63 +559,45 @@ func TestBundleKmerTableDifferential(t *testing.T) {
 	}
 }
 
-// --- weld packing ----------------------------------------------------
+// --- weld frames -----------------------------------------------------
 
 func TestPackWeldsRoundTrip(t *testing.T) {
-	cases := [][]string{
-		nil,
-		{},
-		{"ACGT"},
-		{"ACGTACGTACGTACGTACGTACGTACGTAC", "TTTT", "A"},
-		{strings.Repeat("ACGT", 64)}, // length needs a 2-byte uvarint
-	}
-	for i, welds := range cases {
-		got := unpackWelds(packWelds(welds))
-		if len(got) != len(welds) {
-			t.Fatalf("case %d: %d welds, want %d", i, len(got), len(welds))
-		}
-		for j := range welds {
-			if got[j] != welds[j] {
-				t.Fatalf("case %d weld %d: %q vs %q", i, j, got[j], welds[j])
+	for _, k := range []int{1, 4, 15, 16, 17, 31} {
+		rng := rand.New(rand.NewSource(int64(k)))
+		ws, _ := weldParts(rng, k, 20)
+		welds := mustWelds(t, ws, k)
+		for _, packed := range []bool{false, true} {
+			for _, n := range []int{0, 1, len(welds)} {
+				buf := appendWeldFrames(nil, welds[:n], k, packed)
+				if got := appendWelds(nil, buf, k, packed); !slices.Equal(got, welds[:n]) {
+					t.Fatalf("k=%d packed=%v: %d welds round trip to %v", k, packed, n, got)
+				}
+			}
+			// A truncated tail must not panic and must keep the complete frames.
+			buf := appendWeldFrames(nil, welds[:2], k, packed)
+			if got := appendWelds(nil, buf[:len(buf)-1], k, packed); !slices.Equal(got, welds[:1]) {
+				t.Fatalf("k=%d packed=%v: truncated frames parse to %v", k, packed, got)
 			}
 		}
-	}
-	if got := unpackWelds(nil); got != nil {
-		t.Fatalf("unpack(nil) = %v", got)
-	}
-	// A truncated tail must not panic and must keep the complete frames.
-	buf := packWelds([]string{"ACGTACGT", "TTTTTTTT"})
-	if got := unpackWelds(buf[:len(buf)-3]); len(got) != 1 || got[0] != "ACGTACGT" {
-		t.Fatalf("truncated unpack = %v", got)
 	}
 }
 
 // poolWelds must canonicalise and dedupe identically regardless of how
 // welds are split across parts, and RC pairs must collapse.
 func TestPoolWeldsCanonicalises(t *testing.T) {
+	const k = 15
 	w := "ACGTACGTACGTACGTACGTACGTACGTAC"
 	rc := string(seq.ReverseComplement([]byte(w)))
-	a := packWelds([]string{w, "TTTTGGGGCCCCAAAA"})
-	b := packWelds([]string{rc, "TTTTGGGGCCCCAAAA"})
-	pooled := poolWelds([][]byte{a, b})
-	if len(pooled) != 2 {
-		t.Fatalf("pooled = %v", pooled)
-	}
-	want := w
-	if rc < w {
-		want = rc
-	}
-	found := false
-	for _, p := range pooled {
-		if p == want {
-			found = true
+	other := "TTTTGGGGCCCCAAAATTTTGGGGCCCCAA"
+	for _, packed := range []bool{false, true} {
+		a := appendWeldFrames(nil, mustWelds(t, []string{w, other}, k), k, packed)
+		b := appendWeldFrames(nil, mustWelds(t, []string{rc, other}, k), k, packed)
+		pooled := weldStrings(poolWelds([][]byte{a, b}, k, packed), k)
+		want := []string{min(w, rc), min(other, string(seq.ReverseComplement([]byte(other))))}
+		slices.Sort(want)
+		if !slices.Equal(pooled, want) {
+			t.Fatalf("packed=%v: pooled %q, want %q", packed, pooled, want)
 		}
-		if p == "" {
-			t.Fatal("empty weld pooled")
-		}
-	}
-	if !found {
-		t.Fatalf("canonical orientation %q missing from %v", want, pooled)
 	}
 }
 
@@ -607,45 +605,46 @@ func TestPoolWeldsCanonicalises(t *testing.T) {
 
 // The inner loops of both Chrysalis hot loops must not allocate in
 // steady state: the scratch buffers absorb every per-contig and
-// per-window temporary. (Emitted weld strings are results, not
-// temporaries, so the loop-1 check runs on a support-starved scenario
-// where every candidate is probed but none is emitted.)
+// per-window temporary, and emitted welds are values appended to the
+// caller's reused slice.
 
 func TestWeldSupportZeroAllocs(t *testing.T) {
 	sc := buildKernelScenario(t, 9, 10)
-	var window []byte
+	scr := new(weldScratch)
 	for _, c := range sc.contigs {
 		if len(c) >= 2*sc.k {
-			window = c[:2*sc.k]
+			scr.prepareContig(c[:2*sc.k], sc.k)
 			break
 		}
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		weldSupport(window, sc.k, sc.frozen, 2)
+		weldSupport(scr.kmers, sc.k, sc.frozen, 2)
 	}); avg != 0 {
 		t.Errorf("weldSupport allocates %.1f per run, want 0", avg)
 	}
 }
 
+// TestHarvestWeldsZeroAllocs sweeps every contig, emitted welds
+// included: once the scratch and the weld slice are warm, a sweep
+// allocates nothing.
 func TestHarvestWeldsZeroAllocs(t *testing.T) {
 	sc := buildKernelScenario(t, 10, 10)
 	ix := buildContigKmerIndex(sc.contigs, sc.k)
-	// Starve support so the full match/RC/probe pipeline runs but no
-	// weld string is ever emitted.
-	empty := jellyfish.NewCountTable(sc.k, 4).Freeze()
 	opt := GFFOptions{K: sc.k, MinWeldSupport: 2, MaxWeldsPerContig: 100}
 	scr := new(weldScratch)
-	var contig []byte
-	for _, c := range sc.contigs {
-		if len(c) > 100 {
-			contig = c
-			break
+	var welds []weld
+	sweep := func() {
+		welds = welds[:0]
+		for ci, c := range sc.contigs {
+			welds, _ = harvestWelds(welds, c, ci, sc.contigs, ix, sc.frozen, opt, 3, scr)
 		}
 	}
-	if avg := testing.AllocsPerRun(50, func() {
-		harvestWelds(contig, 0, sc.contigs, ix, empty, opt, 3, scr)
-	}); avg != 0 {
-		t.Errorf("harvestWelds allocates %.1f per run, want 0", avg)
+	sweep()
+	if len(welds) == 0 {
+		t.Fatal("scenario emits no welds")
+	}
+	if avg := testing.AllocsPerRun(50, sweep); avg != 0 {
+		t.Errorf("harvestWelds allocates %.1f per sweep, want 0", avg)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/mpi"
-	"gotrinity/internal/seq"
 	"gotrinity/internal/shard"
 )
 
@@ -247,23 +246,23 @@ func weldShards(src *gffSource, ranks int) *shardedLookup[weldLookup] {
 // probes forward contig k-mers, because the index itself is keyed under
 // both orientations of each weld core. pooled is read when a shard or
 // a tile replica is built — after weld pooling.
-func pairShards(src *gffSource, ranks int, pooled func() []string) *shardedLookup[pairLookup] {
-	return &shardedLookup[pairLookup]{
+func pairShards(src *gffSource, ranks int, pooled func() []weld) *shardedLookup[*weldIndex] {
+	return &shardedLookup[*weldIndex]{
 		label: "graphfromfasta/loop2", tagBase: overlapTagLoop2,
 		iterate: func(i int, add func(kmer.Kmer)) { eachKmer(src.seqs[i], src.k, false, add) },
 		span:    func(i int) int { return windows(len(src.seqs[i]), src.k) },
 		build: func(s int) tableShard {
-			refs := shardTable(ranks, s, 0, weldCoreRefs(pooled(), src.k, asciiCore(src.k)))
+			refs := shardTable(ranks, s, 0, weldCoreRefs(pooled(), src.k))
 			return tableShard{bytes: refs.MemBytes(),
 				answer: func(m kmer.Kmer, dst []byte) []byte { return appendRow(dst, refs.Row(m), packRef) }}
 		},
-		replica: func(set *kmer.FlatSet, queries []kmer.Kmer, b *shard.Batch) (pairLookup, int64, error) {
-			ix, err := loop2Replica(pooled(), src.k, set, queries, b)
+		replica: func(set *kmer.FlatSet, queries []kmer.Kmer, b *shard.Batch) (*weldIndex, int64, error) {
+			refs, err := decodeRows(set, queries, b, 0, unpackRef, nil)
 			if err != nil {
-				return pairLookup{}, 0, err
+				return nil, 0, err
 			}
-			look := pairLookup{ix: ix}
-			return look, look.memBytes(), nil
+			// The pooled weld list is identical on every rank.
+			return &weldIndex{k: src.k, refs: refs, welds: pooled()}, refs.MemBytes(), nil
 		},
 	}
 }
@@ -409,25 +408,4 @@ func loop1Replica(set *kmer.FlatSet, queries []kmer.Kmer, b *shard.Batch) (weldL
 		return weldLookup{}, err
 	}
 	return weldLookup{occs: occs, reads: &tileCounts{set: set, counts: counts}}, nil
-}
-
-// loop2Replica is the partial weldIndex loop 2 runs on: the weld-ref
-// rows over the tile's dedup set. It shares the pooled weld list
-// (identical on every rank) and materialises reverse complements only
-// for the welds its rows actually reference in RC orientation.
-func loop2Replica(pooled []string, k int, set *kmer.FlatSet, queries []kmer.Kmer, b *shard.Batch) (*weldIndex[string], error) {
-	refs, err := decodeRows(set, queries, b, 0, unpackRef, nil)
-	if err != nil {
-		return nil, err
-	}
-	ix := &weldIndex[string]{k: k, refs: refs, welds: pooled, rcWelds: make([]string, len(pooled))}
-	var rcbuf []byte
-	for _, ref := range refs.Values() {
-		if ref.rc && ix.rcWelds[ref.id] == "" {
-			rcbuf = append(rcbuf[:0], pooled[ref.id]...)
-			seq.ReverseComplementInPlace(rcbuf)
-			ix.rcWelds[ref.id] = string(rcbuf)
-		}
-	}
-	return ix, nil
 }

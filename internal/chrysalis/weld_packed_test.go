@@ -2,6 +2,7 @@ package chrysalis
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,8 +14,8 @@ import (
 // samePackedProfiles asserts the byte-identity contract on the metered
 // side: the packed kernels must charge the exact work units of the
 // ASCII kernels, rank by rank. Communication stats are exempt — packed
-// welds ride the wire as 2-bit frames, so byte counts legitimately
-// differ.
+// welds ride the wire as seq.Packed.Encode frames, so byte counts
+// legitimately differ.
 func samePackedProfiles(t *testing.T, name string, got, want *GFFResult) {
 	t.Helper()
 	if len(got.Profiles) != len(want.Profiles) {
@@ -58,10 +59,9 @@ func TestGFFPackedMatchesASCII(t *testing.T) {
 			sameGFF(t, build.name, res, base)
 			samePackedProfiles(t, build.name, res, base)
 
-			// The packed resident lookup state must not exceed the ASCII
-			// one — the RC weld materialisations shrink 4×.
-			if p, a := res.Profiles[0].ResidentKmerBytes, base.Profiles[0].ResidentKmerBytes; p > a {
-				t.Errorf("%s ranks=%d: packed resident %d > ascii %d", build.name, ranks, p, a)
+			// Both paths hold the same lookup tables.
+			if p, a := res.Profiles[0].ResidentKmerBytes, base.Profiles[0].ResidentKmerBytes; p != a {
+				t.Errorf("%s ranks=%d: packed resident %d, ascii %d", build.name, ranks, p, a)
 			}
 		}
 	}
@@ -156,77 +156,46 @@ func TestHarvestWeldsPackedDifferential(t *testing.T) {
 		t.Fatalf("buildOps %d vs %d", len(psrc.keys), len(src.keys))
 	}
 	ix, pix := src.occs(0, 0), psrc.occs(0, 0)
-	asc := new(weldScratch)
-	psc := new(packedWeldScratch)
-	var allWelds []string
+	asc, psc := new(weldScratch), new(weldScratch)
+	var want, got []weld
 	for i := range seqs {
 		rot := harvestRotation(3, i, len(seqs[i]))
-		want, wu := harvestWelds(seqs[i], i, seqs, ix, frozen, opt, rot, asc)
-		got, gu := harvestWeldsPacked(pseqs[i], i, pseqs, pix, frozen.View, opt, rot, psc)
+		var wu, gu float64
+		want, wu = harvestWelds(want, seqs[i], i, seqs, ix, frozen, opt, rot, asc)
+		got, gu = harvestWeldsPacked(got, pseqs[i], i, pseqs, pix, frozen, opt, rot, psc)
 		if wu != gu {
 			t.Errorf("contig %d: units %v vs %v", i, gu, wu)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("contig %d: %d welds vs %d", i, len(got), len(want))
+		if !slices.Equal(got, want) {
+			t.Fatalf("contig %d: welds %q vs %q", i, weldStrings(got, opt.K), weldStrings(want, opt.K))
 		}
-		for j := range want {
-			if string(got[j].Decode()) != want[j] {
-				t.Errorf("contig %d weld %d: %q vs %q", i, j, got[j].Decode(), want[j])
-			}
-		}
-		allWelds = append(allWelds, want...)
 	}
-	if len(allWelds) == 0 {
+	if len(want) == 0 {
 		t.Fatal("scenario harvested no welds")
 	}
 
-	// Loop 2 differential over the pooled index.
-	pooled := poolWelds([][]byte{packWelds(allWelds)})
-	pooledP := poolWeldsPacked([][]byte{packWelds(encodeWeldFramesFromASCII(allWelds))})
-	if len(pooledP) != len(pooled) {
-		t.Fatalf("pooled %d vs %d", len(pooledP), len(pooled))
-	}
-	for i := range pooled {
-		if string(pooledP[i].Decode()) != pooled[i] {
-			t.Fatalf("pooled weld %d: %q vs %q", i, pooledP[i].Decode(), pooled[i])
-		}
+	// Loop 2 differential over the pooled index: the ASCII and the
+	// packed frames pool to the same welds.
+	pooled := poolWelds([][]byte{appendWeldFrames(nil, want, opt.K, false)}, opt.K, false)
+	if pooledP := poolWelds([][]byte{appendWeldFrames(nil, want, opt.K, true)}, opt.K, true); !slices.Equal(pooledP, pooled) {
+		t.Fatalf("pooled %v vs %v", pooledP, pooled)
 	}
 	widx := buildWeldIndex(pooled, opt.K)
-	pwidx := buildPackedWeldIndex(pooledP, opt.K)
 	for i := range seqs {
 		want, wu := scanContigForWelds(seqs[i], i, widx, asc)
-		got, gu := scanContigForWeldsPacked(pseqs[i], i, pwidx, psc)
+		got, gu := scanContigForWeldsPacked(pseqs[i], i, widx, psc)
 		if wu != gu {
 			t.Errorf("contig %d: scan units %v vs %v", i, gu, wu)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("contig %d: %d pairs vs %d", i, len(got), len(want))
+		if !slices.Equal(got, want) {
+			t.Errorf("contig %d: pairs %v vs %v", i, got, want)
 		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Errorf("contig %d pair %d: %v vs %v", i, j, got[j], want[j])
-			}
-		}
-		// The two scans share one scratch each; re-slice before reuse.
-		want = append([][2]int32(nil), want...)
-		_ = want
 	}
-}
-
-// encodeWeldFramesFromASCII packs ASCII welds into wire frames — test
-// plumbing for feeding poolWeldsPacked from an ASCII harvest.
-func encodeWeldFramesFromASCII(welds []string) []string {
-	ps := make([]seq.Packed, len(welds))
-	for i := range welds {
-		ps[i] = seq.Pack([]byte(welds[i]))
-	}
-	return encodeWeldFrames(ps)
 }
 
 // TestPackedWeldKernelAllocs is the satellite-1 pin: after warm-up the
-// packed welding loops run allocation-free on contigs that emit no
-// welds — no per-contig string staging, no window materialisation, no
-// scratch churn.
+// packed welding loops run allocation-free, emitted welds included —
+// no per-contig staging, no window materialisation, no scratch churn.
 func TestPackedWeldKernelAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	dna := func(n int) []byte {
@@ -237,12 +206,16 @@ func TestPackedWeldKernelAllocs(t *testing.T) {
 		return s
 	}
 	const k = 15
+	shared := dna(3 * k)
 	contigs := make([]seq.Packed, 4)
-	reads := make([]seq.Record, 0, 4)
+	reads := make([]seq.Record, 0, 8)
 	for i := range contigs {
-		b := dna(240)
+		b := append(append(dna(100), shared...), dna(100)...)
+		if i%2 == 1 {
+			b = seq.ReverseComplement(b)
+		}
 		contigs[i] = seq.Pack(b)
-		reads = append(reads, seq.Record{ID: "r", Seq: b})
+		reads = append(reads, seq.Record{ID: "r", Seq: b}, seq.Record{ID: "r", Seq: b})
 	}
 	table, err := jellyfish.Count(reads, jellyfish.Options{K: k})
 	if err != nil {
@@ -254,28 +227,30 @@ func TestPackedWeldKernelAllocs(t *testing.T) {
 	if err := opt.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	sc := new(packedWeldScratch)
-	// Warm up: grows every scratch buffer to steady state.
-	for i := range contigs {
-		harvestWeldsPacked(contigs[i], i, contigs, pix, frozen.View, opt, 0, sc)
-	}
-	if avg := testing.AllocsPerRun(20, func() {
+	sc := new(weldScratch)
+	var welds []weld
+	harvest := func() {
+		welds = welds[:0]
 		for i := range contigs {
-			harvestWeldsPacked(contigs[i], i, contigs, pix, frozen.View, opt, 0, sc)
+			welds, _ = harvestWeldsPacked(welds, contigs[i], i, contigs, pix, frozen, opt, 0, sc)
 		}
-	}); avg > 0 {
+	}
+	harvest() // warm up: grows every scratch buffer to steady state
+	if len(welds) == 0 {
+		t.Fatal("scenario emits no welds")
+	}
+	if avg := testing.AllocsPerRun(20, harvest); avg > 0 {
 		t.Errorf("harvestWeldsPacked allocates %.1f per sweep; want 0", avg)
 	}
 
-	pwidx := buildPackedWeldIndex(nil, k)
-	for i := range contigs {
-		scanContigForWeldsPacked(contigs[i], i, pwidx, sc)
-	}
-	if avg := testing.AllocsPerRun(20, func() {
+	widx := buildWeldIndex(poolWelds([][]byte{appendWeldFrames(nil, welds, k, true)}, k, true), k)
+	scan := func() {
 		for i := range contigs {
-			scanContigForWeldsPacked(contigs[i], i, pwidx, sc)
+			scanContigForWeldsPacked(contigs[i], i, widx, sc)
 		}
-	}); avg > 0 {
+	}
+	scan()
+	if avg := testing.AllocsPerRun(20, scan); avg > 0 {
 		t.Errorf("scanContigForWeldsPacked allocates %.1f per sweep; want 0", avg)
 	}
 }

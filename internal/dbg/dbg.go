@@ -249,18 +249,20 @@ func radixSortKeys(a, tmp []nodeKey) []nodeKey {
 	return src
 }
 
-// Scratch is the working memory of CompactWith — the sorted node ids
-// and their sort buffers, the node → unitig owner map and the In-list
-// offsets. A worker that compacts many graphs reuses one Scratch, so
-// these arrays grow to the largest graph it has met instead of being
-// made per graph; nothing a Compacted holds points into them. The zero
-// value is ready to use. A Scratch must not be shared between
-// goroutines.
+// Scratch is the working memory of CompactWith, ClipTipsWith and
+// PopBubblesWith — the sorted node ids and their sort buffers, the
+// node → unitig owner map, the In-list offsets and the node lists of a
+// tip or of a bubble's two arms. A worker that cleans and compacts
+// many graphs reuses one Scratch, so these arrays grow to the largest
+// graph it has met instead of being made per graph; nothing a
+// Compacted holds points into them. The zero value is ready to use. A
+// Scratch must not be shared between goroutines.
 type Scratch struct {
 	ids       []int32 // live node ids in k-mer order
 	keys, tmp []nodeKey
-	owner     []int32 // node id → unitig id; -2 marks an unvisited chain start, -1 any other unvisited node
-	inEnd     []int   // unitig id → end of its In list in the edge array
+	owner     []int32    // node id → unitig id; -2 marks an unvisited chain start, -1 any other unvisited node
+	inEnd     []int      // unitig id → end of its In list in the edge array
+	arms      [2][]int32 // a tip's chain (arms[0]) or a bubble's two arms
 }
 
 // Unitig is a maximal unbranched path, the unit Butterfly traverses.

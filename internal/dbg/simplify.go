@@ -40,8 +40,9 @@ func (g *Graph) deleteID(id int32) {
 
 // chainFrom walks a linear chain starting at id in the given direction
 // (fwd: successors) while degrees stay 1, up to maxLen nodes, and
-// returns the chain.
-func (g *Graph) chainFrom(id int32, fwd bool, maxLen int) (chain []int32) {
+// returns the chain in chain's storage.
+func (g *Graph) chainFrom(chain []int32, id int32, fwd bool, maxLen int) []int32 {
+	chain = chain[:0]
 	for len(chain) < maxLen {
 		chain = append(chain, id)
 		nexts, n := g.neighbours(id, fwd)
@@ -55,18 +56,18 @@ func (g *Graph) chainFrom(id int32, fwd bool, maxLen int) (chain []int32) {
 	return chain
 }
 
-// ClipTips removes dead-end chains of at most maxLen nodes whose mean
-// coverage is below covFrac of the junction node they hang off.
-// It returns the number of nodes removed, iterating to a fixed point.
-func (g *Graph) ClipTips(maxLen int, covFrac float64) int {
+// ClipTipsWith removes dead-end chains of at most maxLen nodes whose
+// mean coverage is below covFrac of the junction node they hang off,
+// taking its working memory from s. It returns the number of nodes
+// removed, iterating to a fixed point.
+func (g *Graph) ClipTipsWith(s *Scratch, maxLen int, covFrac float64) int {
 	if maxLen <= 0 {
 		maxLen = 2 * g.K
 	}
 	removed := 0
-	var s Scratch
 	for {
 		clippedThisRound := 0
-		for _, id := range g.sortedIDs(&s) {
+		for _, id := range g.sortedIDs(s) {
 			if g.isDead(id) {
 				continue // already removed this round
 			}
@@ -81,7 +82,8 @@ func (g *Graph) ClipTips(maxLen int, covFrac float64) int {
 			default:
 				continue
 			}
-			chain := g.chainFrom(id, fwd, maxLen)
+			chain := g.chainFrom(s.arms[0], id, fwd, maxLen)
+			s.arms[0] = chain
 			if len(chain) >= maxLen {
 				continue // too long to be an error artifact
 			}
@@ -104,23 +106,24 @@ func (g *Graph) ClipTips(maxLen int, covFrac float64) int {
 	}
 }
 
-// PopBubbles collapses two-arm bubbles: when a junction forks into
-// exactly two linear arms of at most maxLen nodes that reconverge at
-// the same node, the weaker arm is removed if its mean coverage is
-// below covFrac of the stronger's. Returns nodes removed.
-func (g *Graph) PopBubbles(maxLen int, covFrac float64) int {
+// PopBubblesWith collapses two-arm bubbles: when a junction forks
+// into exactly two linear arms of at most maxLen nodes that reconverge
+// at the same node, the weaker arm is removed if its mean coverage is
+// below covFrac of the stronger's. It takes its working memory from s
+// and returns the number of nodes removed.
+func (g *Graph) PopBubblesWith(s *Scratch, maxLen int, covFrac float64) int {
 	if maxLen <= 0 {
 		maxLen = 2 * g.K
 	}
 	removed := 0
-	var s Scratch
-	for _, id := range g.sortedIDs(&s) {
+	for _, id := range g.sortedIDs(s) {
 		if g.isDead(id) || g.outDegree(id) != 2 {
 			continue
 		}
 		succs, _ := g.neighbours(id, true)
-		armA, endA, okA := g.linearArm(succs[0], maxLen)
-		armB, endB, okB := g.linearArm(succs[1], maxLen)
+		armA, endA, okA := g.linearArm(s.arms[0], succs[0], maxLen)
+		armB, endB, okB := g.linearArm(s.arms[1], succs[1], maxLen)
+		s.arms[0], s.arms[1] = armA, armB
 		if !okA || !okB || endA != endB {
 			continue
 		}
@@ -145,8 +148,10 @@ func (g *Graph) PopBubbles(maxLen int, covFrac float64) int {
 
 // linearArm follows a strictly linear run from start until the first
 // node with in-degree > 1 (the reconvergence point), returning the arm
-// nodes (excluding that point).
-func (g *Graph) linearArm(start int32, maxLen int) (arm []int32, end int32, ok bool) {
+// nodes (excluding that point) in arm's storage; ok is false, with the
+// storage still returned, when the run is no arm.
+func (g *Graph) linearArm(arm []int32, start int32, maxLen int) ([]int32, int32, bool) {
+	arm = arm[:0]
 	cur := start
 	for steps := 0; steps < maxLen; steps++ {
 		if g.inDegree(cur) > 1 {
@@ -154,12 +159,12 @@ func (g *Graph) linearArm(start int32, maxLen int) (arm []int32, end int32, ok b
 		}
 		arm = append(arm, cur)
 		if g.outDegree(cur) != 1 {
-			return nil, 0, false
+			return arm, 0, false
 		}
 		succs, _ := g.neighbours(cur, true)
 		cur = succs[0]
 	}
-	return nil, 0, false
+	return arm, 0, false
 }
 
 func (g *Graph) meanCoverage(ids []int32) float64 {

@@ -2,6 +2,8 @@ package dbg
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -28,7 +30,7 @@ func TestClipTipsRemovesErrorSpur(t *testing.T) {
 	}
 	g.AddSequence([]byte(spur), 1)
 	before := g.NodeCount()
-	removed := g.ClipTips(30, 0.3)
+	removed := g.ClipTipsWith(new(Scratch), 30, 0.3)
 	if removed == 0 {
 		t.Fatal("no tips clipped")
 	}
@@ -55,7 +57,7 @@ func TestClipTipsKeepsSupportedEnds(t *testing.T) {
 	g := mustGraph(t, k)
 	g.AddSequence([]byte(s), 10)
 	// A linear path's own ends are not tips hanging off junctions.
-	if removed := g.ClipTips(30, 0.5); removed != 0 {
+	if removed := g.ClipTipsWith(new(Scratch), 30, 0.5); removed != 0 {
 		t.Errorf("clipped %d nodes from a clean linear path", removed)
 	}
 }
@@ -69,7 +71,7 @@ func TestClipTipsKeepsLongAlternative(t *testing.T) {
 	g.AddSequence([]byte(shared+randSeq(rng, 60)), 10)
 	g.AddSequence([]byte(shared+altEnd), 8)
 	before := g.NodeCount()
-	g.ClipTips(20, 0.3) // maxLen 20 < the 80-base alternative
+	g.ClipTipsWith(new(Scratch), 20, 0.3) // maxLen 20 < the 80-base alternative
 	// The well-covered long alternative must survive.
 	if g.NodeCount() < before-5 {
 		t.Errorf("long supported alternative clipped: %d -> %d", before, g.NodeCount())
@@ -86,7 +88,7 @@ func TestPopBubblesRemovesWeakArm(t *testing.T) {
 	g := mustGraph(t, k)
 	g.AddSequence([]byte(prefix+strong+suffix), 30)
 	g.AddSequence([]byte(prefix+weak+suffix), 1)
-	removed := g.PopBubbles(40, 0.2)
+	removed := g.PopBubblesWith(new(Scratch), 40, 0.2)
 	if removed == 0 {
 		t.Fatal("weak bubble arm not popped")
 	}
@@ -115,7 +117,7 @@ func TestPopBubblesKeepsIsoformBubble(t *testing.T) {
 	// event, which must survive.
 	g.AddSequence([]byte(prefix+randSeq(rng, 15)+suffix), 10)
 	g.AddSequence([]byte(prefix+randSeq(rng, 15)+suffix), 7)
-	if removed := g.PopBubbles(40, 0.2); removed != 0 {
+	if removed := g.PopBubblesWith(new(Scratch), 40, 0.2); removed != 0 {
 		t.Errorf("popped %d nodes of a balanced isoform bubble", removed)
 	}
 }
@@ -137,5 +139,61 @@ func TestDeleteNodeDetachesEdges(t *testing.T) {
 				t.Error("edge from deleted node survived")
 			}
 		}
+	}
+}
+
+// flawedGraph is a backbone of n bases at coverage 20 with an error
+// spur (a tip) and a one-base variant (a bubble) at coverage 1 every
+// 100 bases.
+func flawedGraph(t *testing.T, rng *rand.Rand, k, n int) *Graph {
+	backbone := []byte(randSeq(rng, n))
+	g := mustGraph(t, k)
+	g.AddSequence(backbone, 20)
+	flip := func(b byte) byte { return "CGTA"[strings.IndexByte("ACGT", b)] }
+	for at := 50; at+2*k+10 < n; at += 100 {
+		spur := append(append([]byte(nil), backbone[at:at+20]...), flip(backbone[at+20]), 'A', 'C', 'G')
+		g.AddSequence(spur, 1)
+		variant := append([]byte(nil), backbone[at+40:at+41+2*k]...)
+		variant[k] = flip(variant[k])
+		g.AddSequence(variant, 1)
+	}
+	return g
+}
+
+// TestCleanAllocsConstant: on warm scratch, tip clipping and bubble
+// popping allocate a fixed number of times — the graph's deletion
+// bitmap — however many nodes, tips and bubbles the graph has.
+func TestCleanAllocsConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mallocs := func(f func()) uint64 {
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		f()
+		runtime.ReadMemStats(&b)
+		return b.Mallocs - a.Mallocs
+	}
+	const k = 9
+	rng := rand.New(rand.NewSource(46))
+	var s Scratch
+	warm := flawedGraph(t, rng, k, 12000) // larger than any graph below
+	warm.ClipTipsWith(&s, 0, 0.2)
+	warm.PopBubblesWith(&s, 0, 0.2)
+	var allocs []uint64
+	for _, n := range []int{500, 2000, 8000} {
+		g := flawedGraph(t, rng, k, n)
+		var tips, bubbles int
+		allocs = append(allocs, mallocs(func() {
+			tips = g.ClipTipsWith(&s, 0, 0.2)
+			bubbles = g.PopBubblesWith(&s, 0, 0.2)
+		}))
+		if tips == 0 || bubbles == 0 {
+			t.Fatalf("n=%d: clipped %d tip nodes and popped %d bubble nodes, want both", n, tips, bubbles)
+		}
+	}
+	if slices.Min(allocs) != slices.Max(allocs) || allocs[0] > 1 {
+		t.Errorf("allocations per clean on warm scratch: %v, want the one deletion bitmap each", allocs)
 	}
 }

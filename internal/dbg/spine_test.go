@@ -147,12 +147,12 @@ func TestGraphMatchesMapOracle(t *testing.T) {
 				ref.AddSequence(s, uint32(1+i%3))
 			}
 			sameGraph(t, "built", g, ref)
-			if got, want := g.ClipTips(0, 0.5), ref.ClipTips(0, 0.5); got != want {
-				t.Fatalf("k=%d: ClipTips removed %d, map oracle %d", k, got, want)
+			if got, want := g.ClipTipsWith(new(Scratch), 0, 0.5), ref.ClipTips(0, 0.5); got != want {
+				t.Fatalf("k=%d: ClipTipsWith removed %d, map oracle %d", k, got, want)
 			}
 			sameGraph(t, "tips clipped", g, ref)
-			if got, want := g.PopBubbles(0, 0.9), ref.PopBubbles(0, 0.9); got != want {
-				t.Fatalf("k=%d: PopBubbles removed %d, map oracle %d", k, got, want)
+			if got, want := g.PopBubblesWith(new(Scratch), 0, 0.9), ref.PopBubbles(0, 0.9); got != want {
+				t.Fatalf("k=%d: PopBubblesWith removed %d, map oracle %d", k, got, want)
 			}
 			sameGraph(t, "bubbles popped", g, ref)
 			if p.Seed == 8 && k == 25 && g.NodeCount() == len(g.kmers) {

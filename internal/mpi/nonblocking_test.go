@@ -368,7 +368,7 @@ func TestReceiversWakeOnBackToBackDeaths(t *testing.T) {
 // An Irecv whose tag never arrives exits when its world's run ends,
 // instead of waiting on the mailbox forever.
 func TestIrecvEndsWithWorld(t *testing.T) {
-	start := runtime.NumGoroutine()
+	start := leakcheck.Running()
 	w := NewWorld(2)
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
